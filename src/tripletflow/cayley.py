@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .relspace import (DEFAULT_TOL, LinearRelation, Subspace, _null_space,
-                       adjoint_relation, cayley_unitary, is_self_adjoint,
-                       restrict_relation)
+from .relspace import (DEFAULT_TOL, LinearRelation, Subspace, _freeze,
+                       _null_space, adjoint_relation, cayley_unitary,
+                       is_self_adjoint, restrict_relation)
 
 __all__ = [
     "SymmetricModel",
@@ -44,9 +45,13 @@ def _inner(u, v):
     return complex(np.vdot(v, u))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetricModel:
-    """A symmetric relation T with reference extension A and parameter mu."""
+    """A symmetric relation T with reference extension A and parameter mu.
+
+    Models are immutable; the isometry V of the reference extension is
+    computed on first use and cached on the model.
+    """
 
     dim: int
     T: LinearRelation
@@ -60,19 +65,22 @@ class SymmetricModel:
     def __post_init__(self):
         if self.mu.imag == 0:
             raise ValueError("mu must be nonreal")
-        self.Tstar = adjoint_relation(self.T)
-        if not self.Tstar.contains_relation(self.T):
+        tstar = adjoint_relation(self.T)
+        if not tstar.contains_relation(self.T):
             raise ValueError("T is not symmetric: T is not contained in T*")
         if not is_self_adjoint(self.A):
             raise ValueError("reference extension A is not self-adjoint")
         if not (self.A.contains_relation(self.T)
-                and self.Tstar.contains_relation(self.A)):
+                and tstar.contains_relation(self.A)):
             raise ValueError("A is not squeezed between T and T*")
-        self.kplus = self.Tstar.kernel_at(self.mu)
-        self.kminus = self.Tstar.kernel_at(np.conj(self.mu))
-        if self.kplus.dim != self.kminus.dim:
+        kplus = tstar.kernel_at(self.mu)
+        kminus = tstar.kernel_at(np.conj(self.mu))
+        if kplus.dim != kminus.dim:
             raise ValueError("defect numbers disagree; no reference "
                              "extension can exist")
+        object.__setattr__(self, "Tstar", tstar)
+        object.__setattr__(self, "kplus", kplus)
+        object.__setattr__(self, "kminus", kminus)
 
     @property
     def defect(self):
@@ -80,6 +88,22 @@ class SymmetricModel:
 
     def with_mu(self, mu):
         return SymmetricModel(self.dim, self.T, self.A, mu=mu, tol=self.tol)
+
+    @cached_property
+    def _isometry(self):
+        """V = (A - mu)(A - conj(mu))^(-1) on the K+ basis, read-only.
+
+        One resolvent solve within A for all basis vectors y of K+, each
+        checked against its own residual bound.
+        """
+        mu = self.mu
+        y = self.kplus.basis
+        w, _, resid = relation_resolvent_apply(self.A, np.conj(mu),
+                                               (mu - np.conj(mu)) * y)
+        if not np.all(resid <= 1e3 * self.tol
+                      * np.maximum(1.0, np.linalg.norm(y, axis=0))):
+            raise np.linalg.LinAlgError("resolvent solve failed within A")
+        return _freeze(y - w)
 
 
 def random_symmetric_model(rng, dim, defect, mu=1j, tol=DEFAULT_TOL):
@@ -145,34 +169,26 @@ def relation_resolvent_apply(rel, shift, rhs):
 
     Returns (w, w', residual) where the residual reports the least-squares
     defect of the solve; it vanishes when shift is in the resolvent set.
+    A matrix rhs is solved column by column in one solve, and the residual
+    is then the array of column residuals.
     """
     x_blk = rel.dom_block()
     y_blk = rel.cod_block()
     coeff, *_ = np.linalg.lstsq(y_blk - shift * x_blk, rhs, rcond=None)
     w = x_blk @ coeff
     wprime = y_blk @ coeff
-    resid = np.linalg.norm((wprime - shift * w) - rhs)
-    return w, wprime, float(resid)
+    resid = np.linalg.norm((wprime - shift * w) - rhs, axis=0)
+    return w, wprime, resid
 
 
 def extension_isometry(model):
     """Matrix of the isometry (A - mu)(A - conj(mu))^(-1) from K+ to K-.
 
     Columns are the images of the orthonormal basis vectors of K+ as vectors
-    in the ambient space.
+    in the ambient space.  The matrix is computed once per model and is
+    read-only.
     """
-    mu = model.mu
-    cols = []
-    for j in range(model.kplus.dim):
-        y = model.kplus.basis[:, j]
-        w, _, resid = relation_resolvent_apply(model.A, np.conj(mu),
-                                               (mu - np.conj(mu)) * y)
-        if resid > 1e3 * model.tol * max(1.0, np.linalg.norm(y)):
-            raise np.linalg.LinAlgError("resolvent solve failed within A")
-        cols.append(y - w)
-    if not cols:
-        return np.zeros((model.dim, 0), dtype=complex)
-    return np.column_stack(cols)
+    return model._isometry
 
 
 @dataclass
@@ -189,19 +205,54 @@ class VonNeumannSplit:
 
 
 def _as_pair(model, z, action=None):
+    """Stacked pair of length 2n from a pair, or a vector and its action."""
     z = np.asarray(z, dtype=complex).ravel()
     if action is not None:
-        pair = np.concatenate([z, np.asarray(action, dtype=complex).ravel()])
-    elif z.size == 2 * model.dim:
-        pair = z
-    else:
-        # canonical completion: least-squares image within T*
-        coeff, *_ = np.linalg.lstsq(model.Tstar.dom_block(), z, rcond=None)
-        pair = model.Tstar.graph.basis @ coeff
-        pair[: model.dim] = z
-    if not model.Tstar.graph.contains(pair.reshape(-1, 1)):
-        raise ValueError("input pair does not belong to T*")
+        return np.concatenate([z, np.asarray(action, dtype=complex).ravel()])
+    if z.size == 2 * model.dim:
+        return z
+    # canonical completion: least-squares image within T*
+    coeff, *_ = np.linalg.lstsq(model.Tstar.dom_block(), z, rcond=None)
+    pair = model.Tstar.graph.basis @ coeff
+    pair[: model.dim] = z
     return pair
+
+
+def _split_block(model, pairs):
+    """Split the columns of a 2n x k block of pairs in T* in one solve.
+
+    Every column must lie in T* within 10 * tol * max(1, |column|).  The
+    decomposition is along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}; returns
+    the coefficient blocks on the bases of T, K+ and K- and the split
+    residual of each column.
+    """
+    graph = model.Tstar.graph
+    outside = pairs - graph.basis @ (graph.basis.conj().T @ pairs)
+    scale = np.maximum(1.0, np.linalg.norm(pairs, axis=0))
+    if not np.all(np.linalg.norm(outside, axis=0) <= 10 * graph.tol * scale):
+        raise ValueError("input pair does not belong to T*")
+    mu = model.mu
+    kp = model.kplus.basis
+    km = model.kminus.basis
+    blocks = np.hstack([model.T.graph.basis,
+                        np.vstack([kp, mu * kp]),
+                        np.vstack([km, np.conj(mu) * km])])
+    coeff, *_ = np.linalg.lstsq(blocks, pairs, rcond=None)
+    split_resid = np.linalg.norm(blocks @ coeff - pairs, axis=0)
+    st = model.T.dim
+    sp = model.kplus.dim
+    return coeff[:st], coeff[st:st + sp], coeff[st + sp:], split_resid
+
+
+def _boundary_coords(model, c_plus, c_minus):
+    """Coordinates on the K- basis of the two boundary values.
+
+    z0 = z_minus + V z_plus and z1 = -mu z_minus - conj(mu) V z_plus, from
+    the split coefficients of z_plus and z_minus.
+    """
+    v_plus = (model.kminus.basis.conj().T @ model._isometry) @ c_plus
+    return (c_minus + v_plus,
+            -model.mu * c_minus - np.conj(model.mu) * v_plus)
 
 
 def von_neumann_components(model, z, action=None, check_reconstruction=True):
@@ -216,47 +267,41 @@ def von_neumann_components(model, z, action=None, check_reconstruction=True):
     """
     pair = _as_pair(model, z, action)
     n = model.dim
-    mu = model.mu
-    bt = model.T.graph.basis
-    bp = np.vstack([model.kplus.basis, mu * model.kplus.basis])
-    bm = np.vstack([model.kminus.basis, np.conj(mu) * model.kminus.basis])
-    blocks = np.hstack([bt, bp, bm])
-    coeff, *_ = np.linalg.lstsq(blocks, pair, rcond=None)
-    split_resid = float(np.linalg.norm(blocks @ coeff - pair))
-    st = model.T.dim
-    sp = model.kplus.dim
-    z_t = bt @ coeff[:st]
-    z_plus = model.kplus.basis @ coeff[st:st + sp]
-    z_minus = model.kminus.basis @ coeff[st + sp:]
-    vmat = extension_isometry(model)
-    v_zplus = vmat @ (model.kplus.basis.conj().T @ z_plus)
-    z0 = z_minus + v_zplus
-    z1 = -mu * z_minus - np.conj(mu) * v_zplus
+    c_t, c_plus, c_minus, split_resid = _split_block(model, pair[:, None])
+    g0, g1 = _boundary_coords(model, c_plus, c_minus)
+    km = model.kminus.basis
+    z_t = (model.T.graph.basis @ c_t)[:, 0]
+    z_plus = (model.kplus.basis @ c_plus)[:, 0]
+    z_minus = (km @ c_minus)[:, 0]
+    z0 = (km @ g0)[:, 0]
+    z1 = (km @ g1)[:, 0]
     recon = None
     if check_reconstruction:
         mul_a = model.A.multivalued_part().dim
         ker_a = model.A.kernel_at(0.0).dim
         if mul_a == 0 and ker_a == 0:
-            w0, w0p, r0 = relation_resolvent_apply(model.A, mu, z0)
-            w1, _, r1 = relation_resolvent_apply(model.A, mu, z1)
-            recon = float(np.linalg.norm(pair[:n] - (z_t[:n] + w0p + w1))
-                          + r0 + r1)
-    return VonNeumannSplit(z_t, z_plus, z_minus, z0, z1, split_resid, recon)
+            w, wp, r = relation_resolvent_apply(model.A, model.mu,
+                                                np.column_stack([z0, z1]))
+            recon = float(np.linalg.norm(pair[:n] - (z_t[:n] + wp[:, 0]
+                                                     + w[:, 1]))
+                          + r[0] + r[1])
+    return VonNeumannSplit(z_t, z_plus, z_minus, z0, z1,
+                           float(split_resid[0]), recon)
 
 
 def lagrange_residual(model, x, z, x_action=None, z_action=None):
     """Residual of the abstract Lagrange identity for two pairs in T*.
 
     |<x', z> - <x, z'> - (<G1 x, G0 z> - <G0 x, G1 z>)| with the boundary
-    values from the von Neumann split; all products in the ambient space.
+    values from one von Neumann split of both pairs.
     """
     xp = _as_pair(model, x, x_action)
     zp = _as_pair(model, z, z_action)
     n = model.dim
-    sx = von_neumann_components(model, xp, check_reconstruction=False)
-    sz = von_neumann_components(model, zp, check_reconstruction=False)
+    _, c_plus, c_minus, _ = _split_block(model, np.column_stack([xp, zp]))
+    g0, g1 = _boundary_coords(model, c_plus, c_minus)
     lhs = _inner(xp[n:], zp[:n]) - _inner(xp[:n], zp[n:])
-    rhs = _inner(sx.z1, sz.z0) - _inner(sx.z0, sz.z1)
+    rhs = _inner(g1[:, 0], g0[:, 1]) - _inner(g0[:, 0], g1[:, 1])
     return abs(lhs - rhs)
 
 
@@ -265,19 +310,12 @@ def boundary_data(model):
 
     Returns (basis, g0, g1, vmat): `basis` is the pair basis of T*, and the
     columns of g0, g1 are the coordinates of the two boundary values of each
-    basis pair with respect to the orthonormal basis of K-.
+    basis pair with respect to the orthonormal basis of K-.  The whole basis
+    is split in one solve.
     """
     basis = model.Tstar.graph.basis
-    d = model.kminus.dim
-    m = basis.shape[1]
-    g0 = np.zeros((d, m), dtype=complex)
-    g1 = np.zeros((d, m), dtype=complex)
-    bmh = model.kminus.basis.conj().T
-    for j in range(m):
-        s = von_neumann_components(model, basis[:, j],
-                                   check_reconstruction=False)
-        g0[:, j] = bmh @ s.z0
-        g1[:, j] = bmh @ s.z1
+    _, c_plus, c_minus, _ = _split_block(model, basis)
+    g0, g1 = _boundary_coords(model, c_plus, c_minus)
     return basis, g0, g1, extension_isometry(model)
 
 

@@ -69,6 +69,9 @@ class FamilyLoop:
         diffs = np.diff(self.thetas)
         if np.any(diffs <= 0):
             raise ValueError("thetas must be strictly increasing")
+        thetas = np.asarray(self.thetas, dtype=float)
+        if not np.all((thetas >= 0.0) & (thetas < 2.0 * math.pi)):
+            raise ValueError("thetas must lie in [0, 2*pi)")
 
 
 @dataclass

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletflow import cayley as cy
 from tripletflow import relspace as rs
@@ -175,3 +179,101 @@ def test_arbitrary_mu_supported(rng):
     vmat = cy.extension_isometry(model)
     for j in range(vmat.shape[1]):
         assert abs(np.linalg.norm(vmat[:, j]) - 1.0) < 1e-11
+
+
+MODEL_SHAPES = [(8, 3), (40, 10), (5, 0), (6, 6)]
+MUS = [1j, -1j, 0.3 + 2j]
+
+
+@pytest.mark.parametrize("dim,defect", MODEL_SHAPES)
+@pytest.mark.parametrize("mu", MUS, ids=["i", "-i", "0.3+2i"])
+def test_boundary_data_matches_per_column_split(dim, defect, mu):
+    rng = np.random.default_rng(1000 * dim + defect)
+    model = cy.random_symmetric_model(rng, dim, defect, mu=mu)
+    basis, g0, g1, vmat = cy.boundary_data(model)
+    bmh = model.kminus.basis.conj().T
+    g0_ref = np.zeros_like(g0)
+    g1_ref = np.zeros_like(g1)
+    for j in range(basis.shape[1]):
+        split = cy.von_neumann_components(model, basis[:, j],
+                                          check_reconstruction=False)
+        assert split.split_residual < 1e-10
+        g0_ref[:, j] = bmh @ split.z0
+        g1_ref[:, j] = bmh @ split.z1
+    assert g0.shape == g1.shape == (defect, basis.shape[1])
+    assert np.abs(g0 - g0_ref).max(initial=0.0) <= 1e-13
+    assert np.abs(g1 - g1_ref).max(initial=0.0) <= 1e-13
+    assert vmat is cy.extension_isometry(model)
+    # the residuals pinned by the per-vector tests keep their bounds
+    x = basis @ random_complex(rng, basis.shape[1])
+    z = basis @ random_complex(rng, basis.shape[1])
+    split = cy.von_neumann_components(model, z)
+    scale = max(1.0, np.linalg.norm(z))
+    assert split.split_residual < 1e-10 * scale
+    assert split.reconstruction_residual < 1e-10 * scale
+    assert (cy.lagrange_residual(model, x, z)
+            / max(1.0, np.linalg.norm(x) * np.linalg.norm(z))) < 1e-10
+
+
+def test_split_rejects_pairs_outside_adjoint(rng):
+    model = cy.random_symmetric_model(rng, 5, 2)
+    outside = model.Tstar.graph.complement().basis[:, 0]
+    with pytest.raises(ValueError):
+        cy.von_neumann_components(model, outside)
+    inside = model.Tstar.graph.basis[:, 0]
+    with pytest.raises(ValueError):
+        cy.lagrange_residual(model, inside, outside)
+    with pytest.raises(ValueError):
+        cy.lagrange_residual(model, inside, np.full(10, np.nan))
+
+
+def test_extension_isometry_cached_per_model(rng):
+    model = cy.random_symmetric_model(rng, 6, 2)
+    vmat = cy.extension_isometry(model)
+    assert cy.extension_isometry(model) is vmat
+    assert not vmat.flags.writeable
+    with pytest.raises(ValueError):
+        vmat[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.mu = -1j
+    twin = model.with_mu(-1j)
+    vtwin = cy.extension_isometry(twin)
+    assert vtwin is not vmat
+    assert np.linalg.norm(vtwin - vmat) > 1e-3
+    # at mu = -i the isometry is the inverse Cayley transform on K+(-i)
+    u_a = rs.cayley_unitary(model.A)
+    assert np.linalg.norm(u_a.conj().T @ twin.kplus.basis - vtwin) < 1e-12
+    assert np.linalg.norm(u_a @ model.kplus.basis - vmat) < 1e-12
+    assert cy.extension_isometry(model) is vmat
+
+
+def test_factorization_large_model():
+    rng = np.random.default_rng(8020)
+    model = cy.random_symmetric_model(rng, 80, 20)
+    brel = cy.random_selfadjoint_relation(rng, 20)
+    r1, r2 = cy.cayley_factorization_check(model, brel)
+    assert r1 <= 1e-9 and r2 <= 1e-9
+
+
+_coef = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                           allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+       data=st.data(), alpha=_coef, beta=_coef)
+def test_split_is_linear(seed, dim, data, alpha, beta):
+    defect = data.draw(st.integers(0, dim))
+    rng = np.random.default_rng(seed)
+    model = cy.random_symmetric_model(rng, dim, defect, mu=MUS[seed % 3])
+    basis = model.Tstar.graph.basis
+    x = basis @ random_complex(rng, basis.shape[1])
+    z = basis @ random_complex(rng, basis.shape[1])
+    sx, sz, sc = (cy.von_neumann_components(model, p,
+                                            check_reconstruction=False)
+                  for p in (x, z, alpha * x + beta * z))
+    scale = max(1.0, abs(alpha) * np.linalg.norm(x)
+                + abs(beta) * np.linalg.norm(z))
+    for name in ("z_T", "z_plus", "z_minus", "z0", "z1"):
+        combo = alpha * getattr(sx, name) + beta * getattr(sz, name)
+        assert np.linalg.norm(getattr(sc, name) - combo) <= 1e-10 * scale

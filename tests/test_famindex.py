@@ -215,3 +215,12 @@ def test_family_loop_validation():
         fi.FamilyLoop([0.0, 0.0], [np.eye(1), np.eye(1)])
     with pytest.raises(ValueError):
         fi.FamilyLoop([0.0], [np.eye(1)])
+
+
+@pytest.mark.parametrize("thetas", [[0.0, 3.0, 7.0], [-0.1, 1.0],
+                                    [0.0, 2 * math.pi], [0.0, float("nan")],
+                                    [0.0, float("nan"), 1.0]])
+def test_family_loop_rejects_angles_outside_circle(thetas):
+    # a theta >= 2*pi would make the wrap-around interval run backwards
+    with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+        fi.FamilyLoop(thetas, [np.eye(1)] * len(thetas))
