@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import famindex as fi
 from . import sturm
@@ -89,13 +86,11 @@ def _report_bytes(obj, fmt):
 
 def cmd_rellich(config):
     """Run the Robin family demonstration: branch CSV plus index report."""
-    report = fi.verify_index_theorem(samples=config.samples,
-                                     lambda_max=config.lambda_max)
-    thetas = np.linspace(0.0, 2.0 * math.pi, config.samples, endpoint=False)
-    kappas = [sturm.kappa_of_theta(t) for t in thetas]
-    eigs = [sturm.secular_eigenvalues(k, lambda_max=config.lambda_max)
-            for k in kappas]
-    rows = fi.branch_table(thetas, kappas, eigs)
+    # the branch table reuses the eigenvalue loop of the index comparison
+    report, eig_loop = fi._robin_index(sturm.kappa_of_theta, config.samples,
+                                       config.lambda_max)
+    kappas = [sturm.kappa_of_theta(t) for t in eig_loop.thetas]
+    rows = fi.branch_table(eig_loop.thetas, kappas, eig_loop.payloads)
     os.makedirs(config.out, exist_ok=True)
     csv_lines = ["theta,kappa,branch_id,lambda"]
     csv_lines.extend(f"{_fmt(t)},{_fmt(k)},{b},{_fmt(lam)}"

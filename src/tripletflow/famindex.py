@@ -202,6 +202,13 @@ def spectral_flow(loop, level=0.0, window=None, refine=None,
     far from the level); anything else forces a bisection of the interval
     through the loop generator.  Values equal to the level count as below.
     """
+    return _flow_walk(loop, level, window, refine, max_inserts)[0]
+
+
+def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
+    """The walk behind `spectral_flow`: returns the flow and the crossings,
+    a list of (t0, t1, la, lb) for each matched pair straddling the level,
+    in loop order; t1 may exceed 2*pi on the wrap-around interval."""
     if isinstance(loop, FamilyLoop):
         thetas = list(loop.thetas)
         samples = [np.asarray(p, dtype=float) for p in loop.payloads]
@@ -215,6 +222,7 @@ def spectral_flow(loop, level=0.0, window=None, refine=None,
         window = 1.0
     margin = 0.45 * window
     flow = 0
+    crossings = []
     inserted = 0
     count = len(samples)
     pairs_idx = [(i, (i + 1) % count) for i in range(count)]
@@ -244,7 +252,36 @@ def spectral_flow(loop, level=0.0, window=None, refine=None,
                 flow += 1
             elif lb <= level < la:
                 flow -= 1
-    return flow
+            else:
+                continue
+            crossings.append((t0, t1, la, lb))
+    return flow, crossings
+
+
+def _polish_crossing(generator, t0, t1, la, lb, level=0.0):
+    """Loop parameter at which a branch crosses the level, to adjacent
+    floats.
+
+    [t0, t1] is a walk interval over which the branch moves from la to lb
+    across the level.  Each bisection step evaluates the loop generator at
+    the midpoint and follows the branch by its member nearest to the
+    middle of the current pair; values equal to the level count as below.
+    """
+    below_at_t0 = la <= level
+    for _ in range(200):
+        tm = 0.5 * (t0 + t1)
+        if not t0 < tm < t1:
+            break
+        em = np.asarray(generator(tm % (2.0 * math.pi)), dtype=float)
+        if not em.size:
+            raise RefinementError(
+                f"the crossing branch vanished at theta={tm:.17g}")
+        vm = float(em[np.argmin(np.abs(em - 0.5 * (la + lb)))])
+        if (vm <= level) == below_at_t0:
+            t0, la = tm, vm
+        else:
+            t1, lb = tm, vm
+    return (0.5 * (t0 + t1)) % (2.0 * math.pi)
 
 
 def relation_family_index(loop, refine=None, **kwargs):
@@ -305,51 +342,60 @@ def _theta_grid(samples):
     return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
 
 
-def rellich_boundary_family(samples=720, tol=DEFAULT_TOL):
-    """Loop of transformed boundary relations of the Robin family."""
+def _relation_loop(kappa_of, samples, tol):
     rt = reduced_triplet(sturm.RellichBoundaryProblem(tol=tol))
 
     def make(theta):
-        kappa = sturm.kappa_of_theta(theta)
-        return transform_boundary_condition(rt, sturm.robin_relation(kappa))
+        return transform_boundary_condition(
+            rt, sturm.robin_relation(kappa_of(theta)))
 
     thetas = _theta_grid(samples)
     return FamilyLoop(list(thetas), [make(t) for t in thetas], generator=make)
+
+
+def _eigenvalue_loop(kappa_of, samples, lambda_max):
+    """Eigenvalue loop solved in one batched call; the generator stays
+    scalar for refinement."""
+
+    def make(theta):
+        return sturm.secular_eigenvalues(kappa_of(theta),
+                                         lambda_max=lambda_max)
+
+    thetas = _theta_grid(samples)
+    payloads = sturm.secular_eigenvalues_batch(
+        [kappa_of(t) for t in thetas], lambda_max=lambda_max)
+    return FamilyLoop(list(thetas), payloads, generator=make)
+
+
+def rellich_boundary_family(samples=720, tol=DEFAULT_TOL):
+    """Loop of transformed boundary relations of the Robin family."""
+    return _relation_loop(sturm.kappa_of_theta, samples, tol)
 
 
 def rellich_eigenvalue_samples(samples=720, lambda_max=400.0):
     """Loop of Robin eigenvalue lists over the circle."""
-
-    def make(theta):
-        return sturm.secular_eigenvalues(sturm.kappa_of_theta(theta),
-                                         lambda_max=lambda_max)
-
-    thetas = _theta_grid(samples)
-    return FamilyLoop(list(thetas), [make(t) for t in thetas], generator=make)
+    return _eigenvalue_loop(sturm.kappa_of_theta, samples, lambda_max)
 
 
-def _locate_zero_crossing(samples=720):
-    """Parameter at which the flat solution meets the Robin condition.
+def _robin_index(kappa_of, samples, lambda_max, tol=DEFAULT_TOL,
+                 window=1.0):
+    """Index report of the Robin loop theta -> kappa_of(theta), together
+    with the eigenvalue loop it was computed from.
 
-    The condition u'(1) = kappa u(1) for u = x is bisected in the pole-free
-    homogeneous form cos(theta/2) u'(1) + sin(theta/2) u(1), so the scan
-    never brackets the chart point of the parameterization.
+    The crossing is read off the eigenvalue walk: the first matched pair
+    straddling level zero, polished by bisecting the loop generator.
     """
-
-    def cond(theta):
-        return math.cos(0.5 * theta) * 1.0 + math.sin(0.5 * theta) * 1.0
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    vals = [cond(t) for t in thetas]
-    pairs = list(zip(thetas, thetas[1:], vals, vals[1:]))
-    pairs.append((thetas[-1], 2.0 * math.pi, vals[-1], cond(2.0 * math.pi)))
-    for a, b, fa, fb in pairs:
-        if fa == 0.0:
-            return sturm.kappa_of_theta(a)
-        if fa * fb < 0:
-            root = sturm._bisect(cond, a, b, rtol=1e-15)
-            return sturm.kappa_of_theta(root)
-    raise RefinementError("no zero crossing located")
+    eig_loop = _eigenvalue_loop(kappa_of, samples, lambda_max)
+    flow, crossings = _flow_walk(eig_loop, 0.0, window)
+    wind = relation_family_index(_relation_loop(kappa_of, samples, tol))
+    crossing_kappa = None
+    if crossings:
+        theta = _polish_crossing(eig_loop.generator, *crossings[0])
+        crossing_kappa = float(kappa_of(theta))
+    report = IndexReport(spectral_flow=flow, winding=wind,
+                         consistent=(flow == wind),
+                         crossing_kappa=crossing_kappa)
+    return report, eig_loop
 
 
 def verify_index_theorem(samples=720, lambda_max=400.0, tol=DEFAULT_TOL):
@@ -359,14 +405,7 @@ def verify_index_theorem(samples=720, lambda_max=400.0, tol=DEFAULT_TOL):
     winding of the Cayley loop of the transformed boundary relations; the
     report also records the Robin parameter of the level-zero crossing.
     """
-    eig_loop = rellich_eigenvalue_samples(samples=samples,
-                                          lambda_max=lambda_max)
-    flow = spectral_flow(eig_loop, level=0.0, window=1.0)
-    rel_loop = rellich_boundary_family(samples=samples, tol=tol)
-    wind = relation_family_index(rel_loop)
-    return IndexReport(spectral_flow=flow, winding=wind,
-                       consistent=(flow == wind),
-                       crossing_kappa=float(_locate_zero_crossing(samples)))
+    return _robin_index(sturm.kappa_of_theta, samples, lambda_max, tol)[0]
 
 
 def robin_index_report(robin_of_theta, samples=720, lambda_max=400.0,
@@ -375,23 +414,7 @@ def robin_index_report(robin_of_theta, samples=720, lambda_max=400.0,
 
     `robin_of_theta` maps theta to a Robin parameter traversed by the loop;
     the operator side uses the secular solver and the relation side the
-    transformed boundary family of the same parameters.
+    transformed boundary family of the same parameters.  The report records
+    the Robin parameter of the first level-zero crossing, if any.
     """
-    rt = reduced_triplet(sturm.RellichBoundaryProblem(tol=tol))
-
-    def eigs(theta):
-        return sturm.secular_eigenvalues(robin_of_theta(theta),
-                                         lambda_max=lambda_max)
-
-    def rel(theta):
-        return transform_boundary_condition(
-            rt, sturm.robin_relation(robin_of_theta(theta)))
-
-    thetas = _theta_grid(samples)
-    flow = spectral_flow(FamilyLoop(list(thetas), [eigs(t) for t in thetas],
-                                    generator=eigs), level=0.0, window=window)
-    wind = relation_family_index(FamilyLoop(list(thetas),
-                                            [rel(t) for t in thetas],
-                                            generator=rel))
-    return IndexReport(spectral_flow=flow, winding=wind,
-                       consistent=(flow == wind))
+    return _robin_index(robin_of_theta, samples, lambda_max, tol, window)[0]

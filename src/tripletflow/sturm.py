@@ -40,6 +40,7 @@ __all__ = [
     "robin_relation",
     "kappa_of_theta",
     "secular_eigenvalues",
+    "secular_eigenvalues_batch",
     "eigenfunction",
     "boundary_residual",
     "galerkin_sine",
@@ -302,101 +303,93 @@ def kappa_of_theta(theta):
     return -math.tan(half) + 0.0  # normalize -0.0
 
 
-def _bisect(func, lo, hi, rtol=1e-14, max_iter=200):
-    flo = func(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(max_iter):
+def _bisect_brackets(lo, hi, below_root):
+    """Bisect every bracket [lo, hi] at once, down to adjacent floats.
+
+    Each bracket holds exactly one sign change; `below_root(x)` is True
+    where x lies below the root of its own bracket.
+    """
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= rtol * max(1.0, abs(mid)):
+        if not np.any((lo < mid) & (mid < hi)):
             break
+        below = below_root(mid)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _bracketed_roots(vec_func, scalar_func, grid):
-    """Sign-bracketed bisection roots over a dense grid.
+def secular_eigenvalues_batch(kappas, lambda_max=400.0):
+    """Eigenvalues <= lambda_max of the Robin condition u(0) = 0,
+    u'(1) = kappa u(1) for each kappa, as a list of sorted arrays; kappa =
+    inf (or None) means u(1) = 0.
 
-    The grid scan is vectorized; bisection polishes each bracket to
-    near machine precision.
+    Every root sits in a closed-form bracket, and all brackets of all
+    kappas are bisected as one array:
+
+    * kappa = inf: exactly (k pi)^2 for k >= 1;
+    * lam = omega^2 > 0: one root of omega cot omega = kappa in each
+      (k pi, (k+1) pi) for k >= 1, and one in (0, pi) iff kappa < 1;
+    * lam = 0 iff kappa = 1 (u = x);
+    * lam = -s^2 < 0: exactly one iff 1 < kappa < inf, with s the root of
+      s - kappa tanh s in (0, kappa], a form that cannot overflow.
     """
-    vals = vec_func(grid)
-    roots = [float(g) for g in grid[vals == 0.0]]
-    sign_change = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    for i in sign_change:
-        roots.append(_bisect(scalar_func, float(grid[i]), float(grid[i + 1])))
-    roots.sort()
-    out = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-9 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+    kap = np.array([math.inf if k is None else float(k) for k in kappas],
+                   dtype=float)
+    if np.isnan(kap).any():
+        raise ValueError("kappa must not be NaN")
+    if not kap.size:
+        return []
+    infinite = np.isinf(kap)
+    unit = ~infinite & (np.abs(1.0 - kap)
+                        <= 1e-12 * np.maximum(1.0, np.abs(kap)))
+    ks = np.arange(int(math.sqrt(max(lambda_max, 0.0)) / math.pi) + 1)
+    parts = []
+
+    # kappa = inf: the Dirichlet eigenvalues, in closed form
+    rows, cols = np.nonzero(infinite[:, None] & (ks >= 1)[None, :])
+    parts.append((rows, (ks[cols] * math.pi) ** 2))
+
+    # positive eigenvalues: omega cot omega - kappa changes sign once per
+    # bracket, evaluated without the poles of cot
+    first_bracket = ~infinite & (kap < 1.0) & ~unit
+    rows, cols = np.nonzero((~infinite)[:, None]
+                            & ((ks >= 1)[None, :] | first_bracket[:, None]))
+    kk = kap[rows]
+    lo = ks[cols] * math.pi
+
+    def omega_below(w):
+        sin_w = np.sin(w)
+        return (w * np.cos(w) - kk * sin_w) * np.sign(sin_w) > 0.0
+
+    omega = _bisect_brackets(lo, lo + math.pi, omega_below)
+    parts.append((rows, omega * omega))
+
+    parts.append((np.nonzero(unit)[0], np.zeros(int(unit.sum()))))
+
+    # the negative eigenvalue
+    rows = np.nonzero(~infinite & (kap > 1.0) & ~unit)[0]
+    kn = kap[rows]
+    s = _bisect_brackets(np.zeros_like(kn), kn,
+                         lambda s: s - kn * np.tanh(s) < 0.0)
+    parts.append((rows, -(s * s)))
+
+    owner = np.concatenate([p[0] for p in parts])
+    lams = np.concatenate([p[1] for p in parts])
+    keep = lams <= lambda_max
+    owner, lams = owner[keep], lams[keep]
+    order = np.lexsort((lams, owner))
+    counts = np.bincount(owner, minlength=kap.size)
+    return np.split(lams[order], np.cumsum(counts)[:-1])
 
 
-def secular_eigenvalues(kappa, lambda_max=400.0, s_max=50.0):
+def secular_eigenvalues(kappa, lambda_max=400.0):
     """Eigenvalues (sorted, <= lambda_max) of the Robin condition
     u(0) = 0, u'(1) = kappa u(1); kappa = inf means u(1) = 0.
 
-    Positive eigenvalues omega^2 solve the trigonometric secular equation
-    for sin(omega x); negative ones -s^2 solve the hyperbolic equation for
-    sinh(s x); zero is admitted exactly when u = x meets the condition.
+    The single-kappa form of `secular_eigenvalues_batch`.
     """
-    infinite = kappa is None or (isinstance(kappa, float) and math.isinf(kappa))
-    out = []
-
-    if infinite:
-        f_pos_vec = np.sin
-        f_pos = math.sin
-    else:
-        def f_pos_vec(omega):
-            return omega * np.cos(omega) - kappa * np.sin(omega)
-
-        def f_pos(omega):
-            return omega * math.cos(omega) - kappa * math.sin(omega)
-
-    omega_top = math.sqrt(max(lambda_max, 0.0))
-    if omega_top > 0:
-        grid = np.concatenate([
-            np.geomspace(1e-8, min(0.01, omega_top), 80),
-            np.linspace(min(0.01, omega_top), omega_top,
-                        max(2000, int(80 * omega_top))),
-        ])
-        out.extend(w * w for w in _bracketed_roots(f_pos_vec, f_pos, grid))
-
-    zero_admitted = (not infinite) and abs(1.0 - kappa) <= 1e-12 * max(1.0, abs(kappa))
-    if zero_admitted:
-        out.append(0.0)
-
-    if not infinite:
-        def f_neg_vec(s):
-            return s * np.cosh(s) - kappa * np.sinh(s)
-
-        def f_neg(s):
-            return s * math.cosh(s) - kappa * math.sinh(s)
-
-        grid = np.concatenate([
-            np.geomspace(1e-8, 0.01, 80),
-            np.linspace(0.01, s_max, 10000),
-        ])
-        for s in _bracketed_roots(f_neg_vec, f_neg, grid):
-            lam = -s * s
-            if zero_admitted and abs(lam) < 1e-13:
-                continue
-            out.append(lam)
-
-    out = [lam for lam in out if lam <= lambda_max]
-    out.sort()
-    dedup = []
-    for lam in out:
-        if not dedup or abs(lam - dedup[-1]) > 1e-9 * max(1.0, abs(lam)):
-            dedup.append(lam)
-    return np.array(dedup)
+    return secular_eigenvalues_batch([kappa], lambda_max)[0]
 
 
 def eigenfunction(lam):

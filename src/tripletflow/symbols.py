@@ -123,11 +123,17 @@ class SymbolPoint:
 def matrix_sign(mat, tol=1e-12, max_iter=100):
     """Matrix sign function by determinant-scaled Newton iteration.
 
-    Fails when an eigenvalue sits too close to the imaginary axis, which is
-    exactly the degenerate case excluded by ellipticity.
+    Converged once ||S^2 - I|| <= tol * max(1, ||S||^2): the rounding
+    floor of S @ S grows with ||S||^2, so an absolute test cannot be met by
+    an ill-conditioned sign.  That test still passes up to ||S||^2 times
+    above the floor, so one more step, which squares the error, is taken
+    before returning.  Fails when an eigenvalue sits too close to the
+    imaginary axis, which is exactly the degenerate case excluded by
+    ellipticity.
     """
     s = np.asarray(mat, dtype=complex)
     n = s.shape[0]
+    converged = False
     for _ in range(max_iter):
         det = np.linalg.det(s)
         if det == 0 or not np.isfinite(det):
@@ -140,11 +146,13 @@ def matrix_sign(mat, tol=1e-12, max_iter=100):
             raise np.linalg.LinAlgError(
                 "sign iteration hit a singular matrix") from exc
         s = 0.5 * (s_scaled + inv)
-        if np.linalg.norm(s @ s - np.eye(n)) <= tol:
+        if converged:
             return s
+        converged = (np.linalg.norm(s @ s - np.eye(n))
+                     <= tol * max(1.0, np.linalg.norm(s) ** 2))
     raise np.linalg.LinAlgError(
         "sign iteration did not converge: eigenvalue too close to the "
-        "real axis")
+        "imaginary axis")
 
 
 def _projector_range(proj):

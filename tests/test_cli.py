@@ -57,6 +57,13 @@ def test_verify_deterministic(tmp_path, capsys):
     assert a == b
 
 
+def test_verify_symbols_seed_with_ill_conditioned_sign(capsys):
+    # seed 18 draws a symbol whose matrix sign has norm ~340; an absolute
+    # stop on ||S^2 - I|| sat below rounding there and the command aborted
+    assert run_cli(["verify", "--suite", "symbols", "--seed", "18"]) == 0
+    assert '"all_pass": true' in capsys.readouterr().out
+
+
 def test_verify_csv_format(tmp_path, capsys):
     code = run_cli(["verify", "--suite", "relspace", "--trials", "5",
                     "--format", "csv", "--out", str(tmp_path)])

@@ -96,6 +96,21 @@ def test_spectral_flow_refinement_error():
                          level=0.0, window=0.25)
 
 
+@pytest.mark.parametrize("shift", [0.3, 1.1, 2.5])
+def test_crossing_is_read_off_the_eigenvalue_walk(shift):
+    # one branch rising from -1 to 1 once around, with its jump at theta =
+    # shift: it meets level zero at shift + pi, wherever shift puts it
+    def sawtooth(theta):
+        return np.array([((theta - shift) % (2 * math.pi)) / math.pi - 1.0])
+
+    loop = fi.FamilyLoop(list(THETA), [sawtooth(t) for t in THETA],
+                         generator=sawtooth)
+    flow, crossings = fi._flow_walk(loop, level=0.0, window=0.4)
+    assert flow == 1 and len(crossings) == 1
+    theta = fi._polish_crossing(loop.generator, *crossings[0])
+    assert abs(theta - (shift + math.pi)) < 1e-12
+
+
 def test_rellich_spectral_flow_and_crossing():
     loop = fi.rellich_eigenvalue_samples(samples=360)
     assert fi.spectral_flow(loop, level=0.0, window=1.0) == 1

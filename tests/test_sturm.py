@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tripletflow import relspace as rs
@@ -202,6 +204,59 @@ def test_negative_eigenvalue_against_bisection_oracle():
     lam = sturm.secular_eigenvalues(2.0)[0]
     assert abs(lam + s_star ** 2) < 1e-8
     assert abs(lam + 3.6672) < 5e-4
+
+
+def _tanh_root(kappa):
+    """Root of s - kappa tanh s in (0, kappa], by scalar bisection."""
+    lo, hi = 0.0, kappa
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid - kappa * math.tanh(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kappa", [60.0, 229.0, 1e6])
+def test_negative_eigenvalue_beyond_former_scan_range(kappa):
+    # the grid scan stopped at s = 50 and silently lost this eigenvalue
+    eig = sturm.secular_eigenvalues(kappa)
+    s_star = _tanh_root(kappa)
+    assert eig[0] < 0.0 and eig[1] > 0.0
+    assert abs(eig[0] + s_star ** 2) <= 1e-13 * s_star ** 2
+    assert abs(eig[0] + kappa ** 2) <= 1e-6 * kappa ** 2
+
+
+def test_batch_equals_scalar_on_loop_grid():
+    thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    kappas = [sturm.kappa_of_theta(t) for t in thetas]
+    batch = sturm.secular_eigenvalues_batch(kappas, lambda_max=400.0)
+    assert len(batch) == len(kappas)
+    for kappa, eigs in zip(kappas, batch):
+        assert np.array_equal(eigs, sturm.secular_eigenvalues(kappa, 400.0))
+    assert sturm.secular_eigenvalues_batch([]) == []
+    with pytest.raises(ValueError):
+        sturm.secular_eigenvalues_batch([0.0, float("nan")])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kappa=st.floats(-40.0, 40.0), top=st.integers(1, 8))
+def test_secular_roots_fill_every_bracket(kappa, top):
+    # below (top*pi)^2 the brackets (k pi, (k+1) pi), k < top, hold one
+    # root each, plus exactly one of: a root in (0, pi) (kappa < 1), zero
+    # (kappa = 1), a negative eigenvalue (kappa > 1)
+    eigs = sturm.secular_eigenvalues(kappa, lambda_max=(top * math.pi) ** 2)
+    assert eigs.size == top
+    assert np.all(np.diff(eigs) > 0.0)
+    for lam in eigs:
+        # the residual is absolute in u; the negative eigenvalue's sinh(s x)
+        # has u(1) = sinh(s), which grows like e^s, so it is taken per unit
+        # of u(1) there (|u| <= 1 for the other eigenfunctions)
+        size = math.sinh(math.sqrt(-lam)) if lam < 0 else 1.0
+        assert sturm.boundary_residual(kappa, lam) <= 1e-10 * max(1.0, size)
 
 
 def test_eigenfunction_residuals():
