@@ -16,10 +16,12 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import famindex as fi
 from . import sturm
 from . import verify as vf
-from .relspace import is_self_adjoint, relation_from_json
+from .relspace import is_self_adjoint_batch, relation_from_json
 
 __all__ = ["RunConfig", "main", "cmd_rellich", "cmd_verify", "cmd_index"]
 
@@ -137,10 +139,11 @@ def _load_family(spec_path):
 def cmd_index(config):
     """Family index of a loop of self-adjoint relations from a fixture file."""
     loop = _load_family(config.family)
-    for theta, rel in zip(loop.thetas, loop.payloads):
-        if not is_self_adjoint(rel, tol=max(config.tol, 1e-8)):
-            raise ValueError(f"sample at theta={theta} is not a self-adjoint "
-                             "relation")
+    flags = is_self_adjoint_batch(loop.payloads, tol=max(config.tol, 1e-8))
+    bad = np.flatnonzero(~flags)
+    if bad.size:
+        raise ValueError(f"sample at theta={loop.thetas[bad[0]]} is not a "
+                         "self-adjoint relation")
     winding = fi.relation_family_index(loop)
     report = fi.IndexReport(spectral_flow=None, winding=winding,
                             consistent=True)

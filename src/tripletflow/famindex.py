@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sturm
-from .relspace import DEFAULT_TOL, cayley_unitary
-from .triplet import reduced_triplet, transform_boundary_condition
+from .relspace import DEFAULT_TOL, cayley_unitaries, cayley_unitary
+from .triplet import (reduced_triplet, transform_boundary_condition,
+                      transform_boundary_conditions)
 
 __all__ = [
     "CONVENTION",
@@ -101,11 +102,17 @@ class RefinementError(RuntimeError):
     pass
 
 
-def _step_angle(u_prev, u_next):
-    """Sum of principal eigenphases of the transition unitary; valid while
-    the step stays well below a half turn per eigenvalue."""
-    trans = u_next @ u_prev.conj().T
-    return float(np.sum(np.angle(np.linalg.eigvals(trans))))
+def _step_angles(u_prev, u_next):
+    """Sum of principal eigenphases of the transition unitary, for one pair
+    or a stack of pairs; valid while the step stays well below a half turn
+    per eigenvalue."""
+    trans = u_next @ u_prev.conj().swapaxes(-1, -2)
+    return np.sum(np.angle(np.linalg.eigvals(trans)), axis=-1)
+
+
+def _step_gaps(u_prev, u_next):
+    """Spectral norm of the step, for one pair or a stack of pairs."""
+    return np.linalg.norm(u_next - u_prev, 2, axis=(-2, -1))
 
 
 def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
@@ -114,11 +121,15 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
 
     Consecutive samples must satisfy ||U_next - U_prev|| < step_bound; when a
     refinement callback (theta -> unitary) is available, offending intervals
-    are bisected, otherwise an error names the worst interval.  The
+    are bisected, otherwise an error names the first one.  The
     accumulated argument must land within round_tol of an integer multiple
     of 2*pi.
+
+    The steps between consecutive samples are measured as one stack; only
+    intervals too coarse for the bound are walked, by bisection, in loop
+    order.
     """
-    mats = [np.asarray(u, dtype=complex) for u in unitaries]
+    mats = np.asarray(unitaries, dtype=complex)
     if len(mats) < 2:
         raise ValueError("need at least two samples")
     if thetas is None:
@@ -126,30 +137,38 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
                                   endpoint=False))
     thetas = list(thetas)
     period = 2.0 * math.pi
+    count = len(mats)
+    # the pairs include the wrap (last -> first + period)
+    nexts = np.roll(mats, -1, axis=0)
+    fine = _step_gaps(mats, nexts) < step_bound
+    angles = np.zeros(count)
+    if fine.any():
+        angles[fine] = _step_angles(mats[fine], nexts[fine])
     total = 0.0
     inserted = 0
-    count = len(mats)
-    # walk pairs including the wrap (last -> first + period)
-    pairs = [(i, (i + 1) % count) for i in range(count)]
-    stack = [(thetas[i], thetas[j] + (period if j == 0 else 0.0),
-              mats[i], mats[j]) for i, j in pairs]
-    stack.reverse()
-    while stack:
-        t0, t1, u0, u1 = stack.pop()
-        gap = np.linalg.norm(u1 - u0, 2)
-        if gap >= step_bound:
-            if refine is None or inserted >= max_inserts:
-                raise RefinementError(
-                    f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
-                    f"(||dU|| = {gap:.3f}); supply more samples or a "
-                    "refinement callback")
-            tm = 0.5 * (t0 + t1)
-            um = np.asarray(refine(tm % period), dtype=complex)
-            inserted += 1
-            stack.append((tm, t1, um, u1))
-            stack.append((t0, tm, u0, um))
+    for i in range(count):
+        if fine[i]:
+            total += angles[i]
             continue
-        total += _step_angle(u0, u1)
+        j = (i + 1) % count
+        stack = [(thetas[i], thetas[j] + (period if j == 0 else 0.0),
+                  mats[i], nexts[i])]
+        while stack:
+            t0, t1, u0, u1 = stack.pop()
+            gap = float(_step_gaps(u0, u1))
+            if gap >= step_bound:
+                if refine is None or inserted >= max_inserts:
+                    raise RefinementError(
+                        f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
+                        f"(||dU|| = {gap:.3f}); supply more samples or a "
+                        "refinement callback")
+                tm = 0.5 * (t0 + t1)
+                um = np.asarray(refine(tm % period), dtype=complex)
+                inserted += 1
+                stack.append((tm, t1, um, u1))
+                stack.append((t0, tm, u0, um))
+                continue
+            total += float(_step_angles(u0, u1))
     turns = total / period
     nearest = round(turns)
     if abs(turns - nearest) > round_tol:
@@ -293,7 +312,7 @@ def relation_family_index(loop, refine=None, **kwargs):
     else:
         thetas, rels = loop
         gen = None
-    unitaries = [cayley_unitary(r) for r in rels]
+    unitaries = cayley_unitaries(rels)
     cb = refine
     if cb is None and gen is not None:
         cb = lambda t: cayley_unitary(gen(t))
@@ -343,6 +362,8 @@ def _theta_grid(samples):
 
 
 def _relation_loop(kappa_of, samples, tol):
+    """Relation loop built as one stack: the Robin relations of all samples
+    and their transforms; the generator stays scalar for refinement."""
     rt = reduced_triplet(sturm.RellichBoundaryProblem(tol=tol))
 
     def make(theta):
@@ -350,7 +371,9 @@ def _relation_loop(kappa_of, samples, tol):
             rt, sturm.robin_relation(kappa_of(theta)))
 
     thetas = _theta_grid(samples)
-    return FamilyLoop(list(thetas), [make(t) for t in thetas], generator=make)
+    rels = transform_boundary_conditions(
+        rt, sturm.robin_relations([kappa_of(t) for t in thetas]))
+    return FamilyLoop(list(thetas), rels, generator=make)
 
 
 def _eigenvalue_loop(kappa_of, samples, lambda_max):

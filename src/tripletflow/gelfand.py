@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relspace import (DEFAULT_TOL, LinearRelation, _null_space,
-                       adjoint_relation, is_self_adjoint, map_relation)
+from .relspace import DEFAULT_TOL, adjoint_relation, map_relation
 
 __all__ = [
     "GelfandTriple",
@@ -181,12 +180,7 @@ def triple_adjoint(triple, rel):
     """
     if rel.dom_dim != triple.dim or rel.cod_dim != triple.dim:
         raise ValueError("relation does not match the triple dimension")
-    a_blk = rel.dom_block()
-    b_blk = rel.cod_block()
-    gp = triple.gram_partial
-    cons = np.hstack([b_blk.conj().T @ gp, -a_blk.conj().T @ gp])
-    basis = _null_space(cons, rel.tol)
-    return LinearRelation.from_span(triple.dim, triple.dim, basis, tol=rel.tol)
+    return adjoint_relation(rel, triple.gram_partial, triple.gram_partial)
 
 
 def is_triple_self_adjoint(triple, rel, tol=None):

@@ -19,8 +19,11 @@ __all__ = [
     "LinearRelation",
     "span_orthonormalize",
     "adjoint_relation",
+    "relations_from_span",
     "is_self_adjoint",
+    "is_self_adjoint_batch",
     "cayley_unitary",
+    "cayley_unitaries",
     "parts_decomposition",
     "map_relation",
     "restrict_relation",
@@ -36,7 +39,7 @@ def _as_matrix(a, rows=None):
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite entries in input matrix")
     if rows is not None and a.shape[0] != rows:
         raise ValueError(f"expected {rows} rows, got {a.shape[0]}")
@@ -50,23 +53,39 @@ def _freeze(a):
 
 
 def _orthonormal_columns(columns, tol):
-    """Orthonormal basis of the column span; directions with singular value
-    below tol * s_max are dropped.
+    """Orthonormal basis of the column span of a matrix, or of each matrix
+    in a stack (..., m, k); directions with singular value <= tol * s_max
+    of their own matrix are dropped.
 
     Columns are normalized first so that the relative threshold reflects
-    angles between directions, not disparate column scales.
+    angles between directions, not disparate column scales.  Columns that
+    are zero in every matrix are dropped; a column zero in only some members
+    stays as a zero column of those.
+
+    Returns (basis, ranks): basis has shape (..., m, r) with r the largest
+    rank in the stack, and the columns of a member past its own rank are
+    zero.  For a single matrix basis is exactly (m, rank).
     """
-    m, k = columns.shape
-    if k == 0 or not columns.any():
-        return np.zeros((m, 0), dtype=complex)
-    norms = np.linalg.norm(columns, axis=0)
-    keep = norms > 0.0
-    scaled = columns[:, keep] / norms[keep]
-    u, s, _ = np.linalg.svd(scaled, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m, 0), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
-    return u[:, :rank]
+    *batch, m, _ = columns.shape
+    norms = np.linalg.norm(columns, axis=-2)
+    nonzero = norms > 0.0
+    keep = nonzero.any(axis=tuple(range(len(batch)))) if batch else nonzero
+    if not keep.all():
+        columns, norms, nonzero = (columns[..., keep], norms[..., keep],
+                                   nonzero[..., keep])
+    if columns.shape[-1] == 0:
+        return (np.zeros((*batch, m, 0), dtype=complex),
+                np.zeros(batch, dtype=int))
+    if batch and not nonzero.all():
+        norms = np.where(nonzero, norms, 1.0)
+    u, s, _ = np.linalg.svd(columns / norms[..., None, :],
+                            full_matrices=False)
+    ranks = (s > tol * s[..., :1]).sum(axis=-1)
+    rank = int(ranks.max()) if batch else int(ranks)
+    u = u[..., :rank]
+    if batch and (ranks < rank).any():
+        u = np.where(np.arange(rank) < ranks[..., None, None], u, 0.0)
+    return u, ranks
 
 
 class Subspace:
@@ -77,7 +96,7 @@ class Subspace:
     def __init__(self, basis, ambient_dim=None, tol=DEFAULT_TOL, _trusted=False):
         basis = _as_matrix(basis, rows=ambient_dim)
         if not _trusted:
-            basis = _orthonormal_columns(basis, tol)
+            basis = _orthonormal_columns(basis, tol)[0]
         self.ambient_dim = basis.shape[0]
         self.basis = _freeze(basis)
         self.tol = float(tol)
@@ -85,7 +104,8 @@ class Subspace:
     @classmethod
     def from_span(cls, columns, ambient_dim=None, tol=DEFAULT_TOL):
         columns = _as_matrix(columns, rows=ambient_dim)
-        return cls(_orthonormal_columns(columns, tol), tol=tol, _trusted=True)
+        return cls(_orthonormal_columns(columns, tol)[0], tol=tol,
+                   _trusted=True)
 
     @classmethod
     def zero(cls, ambient_dim, tol=DEFAULT_TOL):
@@ -161,13 +181,23 @@ class Subspace:
 
 
 def _null_space(a, tol):
-    """Orthonormal basis of Ker a, with the same relative rank threshold."""
-    m, n = a.shape
+    """Orthonormal basis of Ker a, with the same relative rank threshold.
+
+    For a stack (..., m, n) the null space of each member: member i has the
+    last n - rank_i columns of the result, and any columns before those are
+    zero.
+    """
+    *batch, m, n = a.shape
     if m == 0 or not a.any():
-        return np.eye(n, dtype=complex)
+        return np.tile(np.eye(n, dtype=complex), (*batch, 1, 1))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[rank:].conj().T
+    ranks = (s > tol * s[..., :1]).sum(axis=-1)
+    low = int(ranks.min()) if batch else int(ranks)
+    null = vh[..., low:, :].conj().swapaxes(-1, -2)
+    if batch and (ranks > low).any():
+        null = np.where(np.arange(low, n) >= ranks[..., None, None], null,
+                        0.0)
+    return null
 
 
 def span_orthonormalize(columns, tol=DEFAULT_TOL):
@@ -260,6 +290,67 @@ class LinearRelation:
                 f"dim={self.dim})")
 
 
+def _groups(rels):
+    """Indices of the relations grouped by (dom_dim, cod_dim, dim, tol), in
+    order of first appearance; the members of a group stack."""
+    groups = {}
+    for i, rel in enumerate(rels):
+        groups.setdefault((rel.dom_dim, rel.cod_dim, rel.dim, rel.tol),
+                          []).append(i)
+    return groups.items()
+
+
+def _graph_stack(rels, idx):
+    """Graph bases of the indexed relations as one stack; a single relation
+    stays a plain matrix, which the stack code treats as a zero-batch
+    stack."""
+    if len(idx) == 1:
+        return rels[idx[0]].graph.basis
+    return np.array([rels[i].graph.basis for i in idx])
+
+
+def _relations(dom_dim, cod_dim, bases, ranks, tol):
+    """One relation per member of a stack of graph bases, trusted as
+    orthonormal; member i keeps its first ranks[i] columns."""
+    return [LinearRelation(dom_dim, cod_dim,
+                           Subspace(basis[:, :rank], tol=tol, _trusted=True))
+            for basis, rank in zip(bases, ranks)]
+
+
+def relations_from_span(dom_dim, cod_dim, columns, tol=DEFAULT_TOL):
+    """One relation per matrix of a stack (N, dom_dim + cod_dim, k): member i
+    is `LinearRelation.from_span(dom_dim, cod_dim, columns[i], tol)`, all
+    orthonormalized by one stacked SVD."""
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim != 3 or columns.shape[1] != dom_dim + cod_dim:
+        raise ValueError(f"expected a stack of matrices with "
+                         f"{dom_dim + cod_dim} rows, got shape "
+                         f"{columns.shape}")
+    if not np.isfinite(columns).all():
+        raise ValueError("non-finite entries in input matrix")
+    bases, ranks = _orthonormal_columns(columns, tol)
+    return _relations(dom_dim, cod_dim, bases, ranks, tol)
+
+
+def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod, tol):
+    """Graph bases of the adjoints of a relation, or of each member of a
+    stack of graph bases (..., dom_dim + cod_dim, k).
+
+    The adjoint is the null space of the constraints <b_j, x>_cod -
+    <a_j, y>_dom = 0, orthonormalized as `LinearRelation.from_span` does.
+    Returns (basis, ranks) as `_orthonormal_columns`.
+    """
+    a_blk = bases[..., :dom_dim, :]
+    b_blk = bases[..., dom_dim:, :]
+    cod_dim = b_blk.shape[-2]
+    gcod = np.eye(cod_dim) if gram_cod is None else np.asarray(gram_cod)
+    gdom = np.eye(dom_dim) if gram_dom is None else np.asarray(gram_dom)
+    # row j of the constraint matrix: <b_j, x>_cod - <a_j, y>_dom = 0
+    cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
+                           -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
+    return _orthonormal_columns(_null_space(cons, tol), tol)
+
+
 def adjoint_relation(rel, gram_dom=None, gram_cod=None):
     """Adjoint of a relation: pairs (x, y) with <b, x> = <a, y> for all (a, b).
 
@@ -267,23 +358,80 @@ def adjoint_relation(rel, gram_dom=None, gram_cod=None):
     the inner products of weighted ambient spaces.  The result lives in
     C^cod_dim + C^dom_dim.
     """
-    a_blk = rel.dom_block()
-    b_blk = rel.cod_block()
-    gcod = np.eye(rel.cod_dim) if gram_cod is None else np.asarray(gram_cod)
-    gdom = np.eye(rel.dom_dim) if gram_dom is None else np.asarray(gram_dom)
-    # row j of the constraint matrix: <b_j, x>_cod - <a_j, y>_dom = 0
-    cons = np.hstack([b_blk.conj().T @ gcod, -a_blk.conj().T @ gdom])
-    basis = _null_space(cons, rel.tol)
-    return LinearRelation.from_span(rel.cod_dim, rel.dom_dim, basis, tol=rel.tol)
+    basis, _ = _adjoint_bases(rel.graph.basis, rel.dom_dim, gram_dom,
+                              gram_cod, rel.tol)
+    return LinearRelation(rel.cod_dim, rel.dom_dim,
+                          Subspace(basis, tol=rel.tol, _trusted=True))
+
+
+def is_self_adjoint_batch(rels, tol=None, gram=None):
+    """`is_self_adjoint` of every relation of a sequence, as a boolean array.
+
+    Relations of equal shape share one stacked adjoint and one stacked gap
+    computation; each is judged against its own threshold max(tol,
+    100 * rel.tol).  A relation with dom_dim != cod_dim is not
+    self-adjoint.
+    """
+    flags = np.zeros(len(rels), dtype=bool)
+    for (n, cod_dim, k, rel_tol), idx in _groups(rels):
+        if n != cod_dim:
+            continue
+        bases = _graph_stack(rels, idx)
+        adj, adj_dims = _adjoint_bases(bases, n, gram, gram, rel_tol)
+        # gap of subspaces: 1 when the dimensions differ, else the largest
+        # principal-angle sine, as in Subspace.gap
+        same = adj_dims == k
+        gaps = np.where(same, 0.0, 1.0)
+        if k and same.any():
+            if not same.all():
+                bases, adj = bases[same], adj[same]
+            other = adj[..., :k]
+            resid = other - bases @ (bases.conj().swapaxes(-1, -2) @ other)
+            top = np.linalg.svd(resid, compute_uv=False)[..., 0]
+            gaps[same] = np.minimum(1.0, top)
+        limit = max(rel_tol if tol is None else tol, 100 * rel_tol)
+        flags[idx] = gaps <= limit
+    return flags
 
 
 def is_self_adjoint(rel, tol=None, gram=None):
     """Whether a square relation equals its adjoint within the gap tolerance."""
     if rel.dom_dim != rel.cod_dim:
         raise ValueError("self-adjointness needs dom_dim == cod_dim")
-    tol = rel.tol if tol is None else tol
-    adj = adjoint_relation(rel, gram_dom=gram, gram_cod=gram)
-    return rel.gap(adj) <= max(tol, 100 * rel.tol)
+    return bool(is_self_adjoint_batch([rel], tol, gram)[0])
+
+
+def cayley_unitaries(rels, tol=None):
+    """Cayley transforms of a sequence of self-adjoint relations, each as
+    `cayley_unitary` gives it, by one stacked SVD and inverse per relation
+    shape.
+
+    Every relation is checked for a numerically singular Y + iX.
+    """
+    out = [None] * len(rels)
+    for (n, cod_dim, k, rel_tol), idx in _groups(rels):
+        if n != cod_dim:
+            raise ValueError("Cayley transform needs dom_dim == cod_dim")
+        if k != n:
+            raise ValueError(
+                f"relation of dimension {k} in C^{n}+C^{n} cannot be "
+                "self-adjoint")
+        bases = _graph_stack(rels, idx)
+        x_blk = bases[..., :n, :]
+        y_blk = bases[..., n:, :]
+        denom = y_blk + 1j * x_blk
+        limit = rel_tol if tol is None else tol
+        if n > 0:
+            svals = np.linalg.svd(denom, compute_uv=False)
+            bad = svals[..., -1] <= limit * np.maximum(1.0, svals[..., 0])
+            if bad.any():
+                raise np.linalg.LinAlgError(
+                    "Y + iX is numerically singular: the relation is not "
+                    "self-adjoint within tolerance")
+        unitaries = (y_blk - 1j * x_blk) @ np.linalg.inv(denom)
+        for i, u in zip(idx, unitaries.reshape(-1, n, n)):
+            out[i] = u
+    return out
 
 
 def cayley_unitary(rel, tol=None):
@@ -293,23 +441,7 @@ def cayley_unitary(rel, tol=None):
     (Y - iX)(Y + iX)^(-1).  Multivalued directions map to the eigenvalue +1
     and graph-of-zero directions to -1.
     """
-    if rel.dom_dim != rel.cod_dim:
-        raise ValueError("Cayley transform needs dom_dim == cod_dim")
-    n = rel.dom_dim
-    if rel.dim != n:
-        raise ValueError(
-            f"relation of dimension {rel.dim} in C^{n}+C^{n} cannot be "
-            "self-adjoint")
-    x_blk = rel.dom_block()
-    y_blk = rel.cod_block()
-    denom = y_blk + 1j * x_blk
-    tol = rel.tol if tol is None else tol
-    svals = np.linalg.svd(denom, compute_uv=False)
-    if n > 0 and (svals[-1] <= tol * max(1.0, svals[0])):
-        raise np.linalg.LinAlgError(
-            "Y + iX is numerically singular: the relation is not "
-            "self-adjoint within tolerance")
-    return (y_blk - 1j * x_blk) @ np.linalg.inv(denom)
+    return cayley_unitaries([rel], tol)[0]
 
 
 def parts_decomposition(rel, tol=None):
@@ -328,11 +460,15 @@ def parts_decomposition(rel, tol=None):
 def map_relation(lin_map, rel):
     """Image of a relation under an invertible linear map of C^dom + C^cod."""
     lin_map = _as_matrix(lin_map, rows=rel.dom_dim + rel.cod_dim)
-    svals = np.linalg.svd(lin_map, compute_uv=False)
-    if svals[-1] <= rel.tol * max(1.0, svals[0]):
-        raise ValueError("map_relation requires an invertible map")
+    _check_invertible(lin_map, rel.tol)
     return LinearRelation.from_span(rel.dom_dim, rel.cod_dim,
                                     lin_map @ rel.graph.basis, tol=rel.tol)
+
+
+def _check_invertible(lin_map, tol):
+    svals = np.linalg.svd(lin_map, compute_uv=False)
+    if svals[-1] <= tol * max(1.0, svals[0]):
+        raise ValueError("map_relation requires an invertible map")
 
 
 def restrict_relation(rel, dom_sub, cod_sub):

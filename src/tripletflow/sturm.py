@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .gelfand import identity_triple
-from .relspace import DEFAULT_TOL, LinearRelation
+from .relspace import DEFAULT_TOL, relations_from_span
 
 __all__ = [
     "ExpPoly",
@@ -38,6 +38,7 @@ __all__ = [
     "helmholtz_dirichlet_solve",
     "deficiency_basis",
     "robin_relation",
+    "robin_relations",
     "kappa_of_theta",
     "secular_eigenvalues",
     "secular_eigenvalues_batch",
@@ -275,20 +276,30 @@ def deficiency_basis(mu):
     return [exponential(rate), exponential(-rate)]
 
 
-def robin_relation(kappa, tol=DEFAULT_TOL):
-    """The boundary relation {(0, b, c, -kappa b)} in trace coordinates.
+def robin_relations(kappas, tol=DEFAULT_TOL):
+    """The boundary relations {(0, b, c, -kappa b)} in trace coordinates,
+    one per kappa, orthonormalized by one stacked SVD.
 
-    At kappa = infinity (math.inf or None) the relation is {(0, 0, c, d)}:
-    both boundary values vanish and both second traces are free.
+    At kappa = +-infinity (or None) the relation is {(0, 0, c, d)}: both
+    boundary values vanish and both second traces are free.
     """
-    if kappa is None or (isinstance(kappa, float) and math.isinf(kappa)):
-        cols = np.array([[0, 0], [0, 0], [1, 0], [0, 1]], dtype=complex)
-    else:
-        cols = np.array([[0, 0],
-                         [1, 0],
-                         [0, 1],
-                         [-kappa, 0]], dtype=complex)
-    return LinearRelation.from_span(2, 2, cols, tol=tol)
+    kap = np.array([math.inf if k is None else float(k) for k in kappas],
+                   dtype=float)
+    infinite = np.isinf(kap)
+    finite = ~infinite
+    cols = np.zeros((kap.size, 4, 2), dtype=complex)
+    cols[finite, 1, 0] = 1.0
+    cols[finite, 2, 1] = 1.0
+    cols[finite, 3, 0] = -kap[finite]
+    cols[infinite, 2, 0] = 1.0
+    cols[infinite, 3, 1] = 1.0
+    return relations_from_span(2, 2, cols, tol=tol)
+
+
+def robin_relation(kappa, tol=DEFAULT_TOL):
+    """The boundary relation {(0, b, c, -kappa b)}; the single-kappa form
+    of `robin_relations`."""
+    return robin_relations([kappa], tol)[0]
 
 
 def kappa_of_theta(theta):
@@ -309,13 +320,15 @@ def _bisect_brackets(lo, hi, below_root):
     Each bracket holds exactly one sign change; `below_root(x)` is True
     where x lies below the root of its own bracket.
     """
+    lo = lo.copy()
+    hi = hi.copy()
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
+        if not ((lo < mid) & (mid < hi)).any():
             break
         below = below_root(mid)
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
     return 0.5 * (lo + hi)
 
 
@@ -353,26 +366,35 @@ def secular_eigenvalues_batch(kappas, lambda_max=400.0):
     # positive eigenvalues: omega cot omega - kappa changes sign once per
     # bracket, evaluated without the poles of cot
     first_bracket = ~infinite & (kap < 1.0) & ~unit
-    rows, cols = np.nonzero((~infinite)[:, None]
-                            & ((ks >= 1)[None, :] | first_bracket[:, None]))
-    kk = kap[rows]
-    lo = ks[cols] * math.pi
+    rows_pos, cols = np.nonzero((~infinite)[:, None]
+                                & ((ks >= 1)[None, :]
+                                   | first_bracket[:, None]))
+    lo_pos = ks[cols] * math.pi
+    # the negative eigenvalue: s - kappa tanh s changes sign in (0, kappa]
+    rows_neg = np.nonzero(~infinite & (kap > 1.0) & ~unit)[0]
+    kn = kap[rows_neg]
 
-    def omega_below(w):
+    # both kinds of bracket are bisected together, each by its own sign
+    # test: the positive ones first, then the negative ones
+    npos = rows_pos.size
+    kp = kap[rows_pos]
+
+    def below_root(x):
+        w = x[:npos]
         sin_w = np.sin(w)
-        return (w * np.cos(w) - kk * sin_w) * np.sign(sin_w) > 0.0
+        below = (w * np.cos(w) - kp * sin_w) * np.sign(sin_w) > 0.0
+        if kn.size:
+            s = x[npos:]
+            below = np.concatenate([below, s - kn * np.tanh(s) < 0.0])
+        return below
 
-    omega = _bisect_brackets(lo, lo + math.pi, omega_below)
-    parts.append((rows, omega * omega))
-
+    roots = _bisect_brackets(np.concatenate([lo_pos, np.zeros_like(kn)]),
+                             np.concatenate([lo_pos + math.pi, kn]),
+                             below_root)
+    omega, s = roots[:npos], roots[npos:]
+    parts.append((rows_pos, omega * omega))
     parts.append((np.nonzero(unit)[0], np.zeros(int(unit.sum()))))
-
-    # the negative eigenvalue
-    rows = np.nonzero(~infinite & (kap > 1.0) & ~unit)[0]
-    kn = kap[rows]
-    s = _bisect_brackets(np.zeros_like(kn), kn,
-                         lambda s: s - kn * np.tanh(s) < 0.0)
-    parts.append((rows, -(s * s)))
+    parts.append((rows_neg, -(s * s)))
 
     owner = np.concatenate([p[0] for p in parts])
     lams = np.concatenate([p[1] for p in parts])

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import cayley as _cayley
 from .gelfand import GelfandTriple, build_triple
-from .relspace import (LinearRelation, Subspace, _null_space, map_relation,
-                       restrict_relation)
+from .relspace import (LinearRelation, Subspace, _check_invertible,
+                       _null_space, _orthonormal_columns, _relations)
 
 __all__ = [
     "MatrixBoundaryProblem",
@@ -36,6 +36,7 @@ __all__ = [
     "reduced_residuals",
     "kernel_report",
     "transform_boundary_condition",
+    "transform_boundary_conditions",
     "neumann_graph_check",
     "TripletComparison",
     "compare_triplets",
@@ -338,25 +339,46 @@ def kernel_report(bp, rt=None, tol=1e-8, rng=None, count=10):
     return checks
 
 
-def transform_boundary_condition(rt, rel):
-    """Rewrite a boundary condition for the reduced triplet.
+def transform_boundary_conditions(rt, rels):
+    """Rewrite boundary conditions of equal shape for the reduced triplet.
 
-    Restrict the relation to the small space, subtract the restricted
-    Dirichlet-to-Neumann operator from the second component, and push
-    through the triple isometries.
+    Each relation is restricted to the small space, the restricted
+    Dirichlet-to-Neumann operator is subtracted from its second component,
+    and the result is pushed through the triple isometries, with the graph
+    re-orthonormalized after each step as `restrict_relation` and
+    `map_relation` do.  All relations go through one stacked SVD per step;
+    the shear and the isometry map are built and checked for invertibility
+    once per call.
     """
+    if not rels:
+        return []
     d = rt.triple.dim
-    if rel.dom_dim != d or rel.cod_dim != d:
+    shapes = {(rel.dom_dim, rel.cod_dim, rel.dim, rel.tol) for rel in rels}
+    if len(shapes) > 1:
+        raise ValueError("boundary relations differ in shape or tolerance")
+    ((dom_dim, cod_dim, k, tol),) = shapes
+    if dom_dim != d or cod_dim != d:
         raise ValueError("boundary relation does not match the triple")
-    full = Subspace.full(d, tol=rel.tol)
-    restricted = restrict_relation(rel, full, full)
     shear = np.eye(2 * d, dtype=complex)
     shear[d:, :d] = -rt.dtn
-    sheared = map_relation(shear, restricted)
     lam_map = np.zeros((2 * d, 2 * d), dtype=complex)
     lam_map[:d, :d] = rt.triple.lam_prime
     lam_map[d:, d:] = rt.triple.lam_inv
-    return map_relation(lam_map, sheared)
+    _check_invertible(shear, tol)
+    _check_invertible(lam_map, tol)
+    bases = np.array([rel.graph.basis for rel in rels])
+    # restriction to the full small space: every pair stays, with the
+    # identity as null-space coefficients of its empty constraint set
+    bases, _ = _orthonormal_columns(bases @ np.eye(k, dtype=complex), tol)
+    bases, _ = _orthonormal_columns(shear @ bases, tol)
+    bases, ranks = _orthonormal_columns(lam_map @ bases, tol)
+    return _relations(d, d, bases, ranks, tol)
+
+
+def transform_boundary_condition(rt, rel):
+    """Rewrite a boundary condition for the reduced triplet: the
+    single-relation form of `transform_boundary_conditions`."""
+    return transform_boundary_conditions(rt, [rel])[0]
 
 
 def neumann_graph_check(bp, rt=None):

@@ -129,6 +129,24 @@ def test_index_rejects_non_selfadjoint(tmp_path, capsys):
     assert run_cli(["index", "--family", str(fam)]) == 2
 
 
+@pytest.mark.parametrize("odd", [
+    rs.LinearRelation.graph_of(np.array([[1.0, 2.0], [0.0, 1.0]])),
+    rs.LinearRelation.from_span(2, 2, np.eye(4)[:, :1]),
+    rs.LinearRelation.from_span(1, 3, np.eye(4)[:, :2]),
+], ids=["non-hermitian", "too-small", "non-square"])
+def test_index_names_the_one_non_selfadjoint_sample(tmp_path, capsys, odd):
+    # only sample 5 is bad: the stacked check must report its theta, not the
+    # first sample's
+    thetas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+    rels = [robin_relation(kappa_of_theta(t)) for t in thetas]
+    rels[5] = odd
+    fam = tmp_path / "one_bad.json"
+    write_family(fam, thetas, rels)
+    assert run_cli(["index", "--family", str(fam)]) == 2
+    err = capsys.readouterr().err
+    assert f"sample at theta={float(thetas[5])} is not a self-adjoint" in err
+
+
 def test_missing_family_file_is_input_error(tmp_path, capsys):
     assert run_cli(["index", "--family", str(tmp_path / "missing.json")]) == 2
 

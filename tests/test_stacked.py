@@ -1,0 +1,286 @@
+"""Stacked relation algebra against per-sample references.
+
+The references below are the per-sample constructions the stacked code
+replaces: one SVD, adjoint, transform or walk step per relation.  They are
+kept here so the stacked paths can be compared with them exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tripletflow import famindex as fi
+from tripletflow import relspace as rs
+from tripletflow import sturm
+from tripletflow.triplet import (reduced_triplet,
+                                 transform_boundary_conditions)
+
+from conftest import random_complex
+
+
+# -- per-sample references --------------------------------------------------
+
+def robin_relation_reference(kappa):
+    if math.isinf(kappa):
+        cols = np.array([[0, 0], [0, 0], [1, 0], [0, 1]], dtype=complex)
+    else:
+        cols = np.array([[0, 0], [1, 0], [0, 1], [-kappa, 0]], dtype=complex)
+    return rs.LinearRelation.from_span(2, 2, cols)
+
+
+def transform_reference(rt, rel):
+    """Restrict to the full small space, shear by -DtN, then apply
+    lam' (+) lam^(-1), one relation at a time."""
+    d = rt.triple.dim
+    full = rs.Subspace.full(d, tol=rel.tol)
+    restricted = rs.restrict_relation(rel, full, full)
+    shear = np.eye(2 * d, dtype=complex)
+    shear[d:, :d] = -rt.dtn
+    lam_map = np.zeros((2 * d, 2 * d), dtype=complex)
+    lam_map[:d, :d] = rt.triple.lam_prime
+    lam_map[d:, d:] = rt.triple.lam_inv
+    return rs.map_relation(lam_map, rs.map_relation(shear, restricted))
+
+
+def cayley_reference(rel):
+    x_blk, y_blk = rel.dom_block(), rel.cod_block()
+    return (y_blk - 1j * x_blk) @ np.linalg.inv(y_blk + 1j * x_blk)
+
+
+def winding_reference(mats, thetas, refine=None, step_bound=0.5,
+                      round_tol=0.05, max_inserts=20000):
+    """The sample-by-sample bisection walk of a determinant loop."""
+    period = 2.0 * math.pi
+    count = len(mats)
+    stack = [(thetas[i], thetas[(i + 1) % count]
+              + (period if i + 1 == count else 0.0),
+              mats[i], mats[(i + 1) % count]) for i in range(count)]
+    stack.reverse()
+    total, inserted = 0.0, 0
+    while stack:
+        t0, t1, u0, u1 = stack.pop()
+        gap = np.linalg.norm(u1 - u0, 2)
+        if gap >= step_bound:
+            if refine is None or inserted >= max_inserts:
+                raise fi.RefinementError(
+                    f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
+                    f"(||dU|| = {gap:.3f}); supply more samples or a "
+                    "refinement callback")
+            tm = 0.5 * (t0 + t1)
+            um = refine(tm % period)
+            inserted += 1
+            stack.append((tm, t1, um, u1))
+            stack.append((t0, tm, u0, um))
+            continue
+        trans = u1 @ u0.conj().T
+        total += float(np.sum(np.angle(np.linalg.eigvals(trans))))
+    turns = total / period
+    if abs(turns - round(turns)) > round_tol:
+        raise fi.RefinementError("not near an integer")
+    return int(round(turns)), total
+
+
+# -- the Robin relation loop ------------------------------------------------
+
+@pytest.mark.parametrize("samples", [72, 720])
+def test_robin_relation_loop_equals_per_sample_construction(samples):
+    loop = fi.rellich_boundary_family(samples=samples)
+    rt = reduced_triplet(sturm.RellichBoundaryProblem())
+    stacked_unitaries = rs.cayley_unitaries(loop.payloads)
+    worst_basis = worst_unitary = 0.0
+    for theta, rel, u in zip(loop.thetas, loop.payloads, stacked_unitaries):
+        ref = transform_reference(
+            rt, robin_relation_reference(sturm.kappa_of_theta(theta)))
+        assert rel.graph.basis.shape == ref.graph.basis.shape
+        worst_basis = max(worst_basis, float(np.max(np.abs(
+            rel.graph.basis - ref.graph.basis))))
+        worst_unitary = max(worst_unitary, float(np.max(np.abs(
+            u - cayley_reference(ref)))))
+    assert worst_basis <= 1e-15
+    assert worst_unitary <= 1e-15
+
+
+def test_robin_relations_equal_per_kappa_spans():
+    kappas = [0.0, -0.0, 1.0, -3.5, 60.0, math.inf, -math.inf, None]
+    for kappa, rel in zip(kappas, sturm.robin_relations(kappas)):
+        ref = robin_relation_reference(math.inf if kappa is None else kappa)
+        np.testing.assert_array_equal(rel.graph.basis, ref.graph.basis)
+    with pytest.raises(ValueError, match="non-finite"):
+        sturm.robin_relations([0.5, float("nan")])
+
+
+def test_transform_rejects_mixed_shapes():
+    rt = reduced_triplet(sturm.RellichBoundaryProblem())
+    short = rs.LinearRelation.from_span(2, 2, np.eye(4)[:, :1])
+    with pytest.raises(ValueError, match="differ"):
+        transform_boundary_conditions(rt, [sturm.robin_relation(1.0), short])
+    assert transform_boundary_conditions(rt, []) == []
+
+
+# -- stacked orthonormalization ----------------------------------------------
+
+@st.composite
+def column_stacks(draw):
+    """A stack of complex matrices whose members have their own ranks and,
+    sometimes, their own zero columns."""
+    count = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(0, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(count):
+        rank = draw(st.integers(0, min(m, k)))
+        mat = random_complex(rng, m, rank) @ random_complex(rng, rank, k)
+        if k and draw(st.booleans()):
+            mat[:, draw(st.integers(0, k - 1))] = 0.0
+        members.append(mat)
+    if k and draw(st.booleans()):
+        column = draw(st.integers(0, k - 1))
+        for mat in members:
+            mat[:, column] = 0.0
+    return np.array(members).reshape(count, m, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=column_stacks())
+def test_stacked_orthonormal_columns_equal_per_matrix(stack):
+    tol = rs.DEFAULT_TOL
+    bases, ranks = rs._orthonormal_columns(stack, tol)
+    assert ranks.shape == stack.shape[:1]
+    shared_zero = ~(np.linalg.norm(stack, axis=1) > 0).any(axis=0)
+    for member, basis, rank in zip(stack, bases, ranks):
+        ref, ref_rank = rs._orthonormal_columns(member, tol)
+        assert rank == ref_rank == ref.shape[1]
+        assert not basis[:, rank:].any()
+        own_zero = ~(np.linalg.norm(member, axis=0) > 0)
+        if np.array_equal(own_zero, shared_zero):
+            # the same matrix goes to the same SVD
+            np.testing.assert_array_equal(basis[:, :rank], ref)
+        else:
+            # a zero column kept for the stack spans nothing more
+            np.testing.assert_allclose(
+                basis[:, :rank] @ basis[:, :rank].conj().T,
+                ref @ ref.conj().T, atol=1e-12)
+
+
+def test_rank_rule_uses_each_members_own_largest_singular_value():
+    # member 0: smallest singular value ~1.56e-10 against s_max ~1.41, so
+    # rank 3 by its own rule; member 1: three equal columns, s_max = 1.73,
+    # a threshold under which member 0 would lose a direction
+    phi = 2.2e-10
+    first = np.array([[1, 0, math.cos(phi)], [0, 1, 0], [0, 0, math.sin(phi)]],
+                     dtype=complex)
+    second = np.ones((3, 3), dtype=complex)
+    bases, ranks = rs._orthonormal_columns(np.array([first, second]),
+                                           rs.DEFAULT_TOL)
+    assert ranks.tolist() == [3, 1]
+    for member, basis, rank in zip((first, second), bases, ranks):
+        ref, _ = rs._orthonormal_columns(member, rs.DEFAULT_TOL)
+        np.testing.assert_array_equal(basis[:, :rank], ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=column_stacks())
+def test_stacked_null_space_equals_per_matrix(stack):
+    tol = rs.DEFAULT_TOL
+    nulls = rs._null_space(stack, tol)
+    for member, null in zip(stack, nulls):
+        ref = rs._null_space(member, tol)
+        width = ref.shape[1]
+        if not member.any():
+            # all of C^k, by another orthonormal basis than the identity
+            np.testing.assert_allclose(null @ null.conj().T,
+                                       np.eye(member.shape[1]), atol=1e-12)
+            continue
+        np.testing.assert_array_equal(null[:, null.shape[1] - width:], ref)
+        assert not null[:, :null.shape[1] - width].any()
+
+
+# -- stacked self-adjointness and Cayley transforms ---------------------------
+
+def mixed_relations(rng):
+    """Self-adjoint and other relations of several shapes, interleaved."""
+    rels = []
+    for n in (1, 2, 3, 2, 1, 3):
+        h = random_complex(rng, n, n)
+        rels.append(rs.LinearRelation.graph_of(h + h.conj().T))
+        rels.append(rs.LinearRelation.graph_of(h))
+        rels.append(rs.LinearRelation.from_span(n, n, random_complex(
+            rng, 2 * n, max(n - 1, 0))))
+    rels.append(rs.LinearRelation.zero_times_full(2))
+    return rels
+
+
+def test_self_adjoint_batch_equals_per_relation_gap(rng):
+    rels = mixed_relations(rng)
+    flags = rs.is_self_adjoint_batch(rels, tol=1e-8)
+    expected = [rel.gap(rs.adjoint_relation(rel)) <= max(1e-8, 100 * rel.tol)
+                for rel in rels]
+    assert flags.tolist() == expected
+    assert any(expected) and not all(expected)
+    skew = rs.LinearRelation.from_span(1, 2, np.eye(3))
+    assert rs.is_self_adjoint_batch([rels[0], skew]).tolist() == [True, False]
+    with pytest.raises(ValueError, match="dom_dim == cod_dim"):
+        rs.is_self_adjoint(skew)
+
+
+def test_cayley_unitaries_equal_per_relation(rng):
+    rels = mixed_relations(rng)
+    rels = [rel for rel, sa in zip(rels, rs.is_self_adjoint_batch(rels))
+            if sa]
+    unitaries = rs.cayley_unitaries(rels)
+    assert len({u.shape for u in unitaries}) > 1
+    for rel, u in zip(rels, unitaries):
+        np.testing.assert_array_equal(u, cayley_reference(rel))
+
+
+def test_cayley_unitaries_keep_the_singularity_check():
+    good = rs.LinearRelation.graph_of(np.array([[1.0]]))
+    # Y + iX = 0: the graph of -i
+    bad = rs.LinearRelation.graph_of(np.array([[-1j]]))
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        rs.cayley_unitaries([good, good, bad, good])
+
+
+# -- determinant winding ------------------------------------------------------
+
+def coarse_loop(thetas, windings):
+    return [np.diag(np.exp(1j * np.array(windings) * t)) for t in thetas]
+
+
+@pytest.mark.parametrize("windings", [(1,), (3,), (-2,), (2, -1), (4, 1)])
+@pytest.mark.parametrize("samples", [5, 12, 40])
+def test_vectorized_winding_matches_the_walk(windings, samples):
+    rng = np.random.default_rng(samples)
+    thetas = np.sort(rng.uniform(0.0, 2.0 * math.pi, samples))
+    mats = coarse_loop(thetas, windings)
+
+    def refine(t):
+        return coarse_loop([t], windings)[0]
+
+    expected, _ = winding_reference(mats, list(thetas), refine)
+    assert fi.det_winding(mats, thetas=thetas, refine=refine) == expected
+    assert expected == sum(windings)
+    with pytest.raises(fi.RefinementError) as ref_err:
+        winding_reference(mats, list(thetas))
+    with pytest.raises(fi.RefinementError) as err:
+        fi.det_winding(mats, thetas=thetas)
+    assert str(err.value) == str(ref_err.value)
+
+
+def test_vectorized_winding_insert_budget_error_matches_the_walk():
+    thetas = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+    mats = coarse_loop(thetas, (5,))
+
+    def refine(t):
+        return coarse_loop([t], (5,))[0]
+
+    with pytest.raises(fi.RefinementError) as ref_err:
+        winding_reference(mats, list(thetas), refine, max_inserts=7)
+    with pytest.raises(fi.RefinementError) as err:
+        fi.det_winding(mats, thetas=thetas, refine=refine, max_inserts=7)
+    assert str(err.value) == str(ref_err.value)

@@ -242,6 +242,55 @@ def test_batch_equals_scalar_on_loop_grid():
         sturm.secular_eigenvalues_batch([0.0, float("nan")])
 
 
+def _bisect_reference(lo, hi, below_root):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        below = below_root(mid)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _nonzero_roots_reference(kappa, lambda_max):
+    """Positive and negative brackets of one finite kappa, bisected by two
+    separate loops."""
+    top = int(math.sqrt(lambda_max) / math.pi)
+    first = 0 if kappa < 1.0 and abs(1.0 - kappa) > 1e-12 else 1
+    lo = np.arange(first, top + 1) * math.pi
+    kk = np.full(lo.shape, kappa)
+
+    def omega_below(w):
+        sin_w = np.sin(w)
+        return (w * np.cos(w) - kk * sin_w) * np.sign(sin_w) > 0.0
+
+    omega = _bisect_reference(lo, lo + math.pi, omega_below)
+    lams = list(omega * omega)
+    if kappa > 1.0 and abs(1.0 - kappa) > 1e-12 * kappa:
+        kn = np.array([kappa])
+        s = _bisect_reference(np.zeros(1), kn,
+                              lambda s: s - kn * np.tanh(s) < 0.0)
+        lams.append(-(s[0] * s[0]))
+    return sorted(lam for lam in lams if lam <= lambda_max)
+
+
+def test_one_bisection_equals_separate_positive_and_negative_ones():
+    # both kinds of bracket share one bisection loop; the roots must be
+    # those of bisecting each kind on its own, to the last bit
+    thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    kappas = [sturm.kappa_of_theta(t) for t in thetas]
+    kappas = [k for k in kappas if not math.isinf(k)]
+    kappas += [1.0 + 1e-9, 1.0 - 1e-9, 1.5, 14.0, 229.0, 1e6, -1e6]
+    batch = sturm.secular_eigenvalues_batch(kappas, lambda_max=400.0)
+    for kappa, eigs in zip(kappas, batch):
+        if abs(1.0 - kappa) <= 1e-12:
+            continue
+        ref = _nonzero_roots_reference(kappa, 400.0)
+        assert eigs.tolist() == ref
+        assert np.array_equal(sturm.secular_eigenvalues(kappa, 400.0), eigs)
+
+
 @settings(max_examples=80, deadline=None)
 @given(kappa=st.floats(-40.0, 40.0), top=st.integers(1, 8))
 def test_secular_roots_fill_every_bracket(kappa, top):
