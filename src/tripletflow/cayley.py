@@ -18,7 +18,8 @@ import numpy as np
 
 from .relspace import (DEFAULT_TOL, LinearRelation, Subspace, _freeze,
                        _null_space, adjoint_relation, cayley_unitary,
-                       is_self_adjoint, restrict_relation)
+                       is_self_adjoint, relation_from_json, relation_to_json,
+                       restrict_relation)
 
 __all__ = [
     "SymmetricModel",
@@ -146,8 +147,6 @@ def deficiency_spaces(model):
 
 
 def model_to_json(model):
-    from .relspace import relation_to_json
-
     return {"dim": model.dim,
             "T": relation_to_json(model.T),
             "A": relation_to_json(model.A),
@@ -155,8 +154,6 @@ def model_to_json(model):
 
 
 def model_from_json(obj, tol=DEFAULT_TOL):
-    from .relspace import relation_from_json
-
     re, im = obj["mu"]
     return SymmetricModel(int(obj["dim"]),
                           relation_from_json(obj["T"], tol=tol),

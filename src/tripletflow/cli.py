@@ -163,44 +163,35 @@ def _build_parser():
                     "indices on exact models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--samples", type=int, default=720)
-        p.add_argument("--lambda-max", type=float, default=400.0,
-                       dest="lambda_max")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--trials", type=int, default=50)
-        p.add_argument("--out", type=str, default=".")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p_rellich = sub.add_parser(
         "rellich", help="spectral flow and Cayley winding of the Robin loop")
-    common(p_rellich)
+    p_rellich.add_argument("--samples", type=int, default=720)
+    p_rellich.add_argument("--lambda-max", type=float, default=400.0,
+                           dest="lambda_max")
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
     p_verify.add_argument("--suite", default="all",
                           choices=sorted(vf.SUITES) + ["all"])
+    p_verify.add_argument("--trials", type=int, default=50)
+    p_verify.add_argument("--seed", type=int, default=42)
     p_index = sub.add_parser(
         "index", help="family index from a loop fixture file")
-    common(p_index)
     p_index.add_argument("--family", default="rellich",
                          help="fixture path or the built-in name 'rellich'")
+    p_index.add_argument("--tol", type=float, default=None,
+                         help=f"tolerance (default: ${_ENV_TOL} or 1e-9)")
+    for p in (p_verify, p_index):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (p_rellich, p_verify, p_index):
+        p.add_argument("--out", type=str, default=".")
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get(_ENV_TOL, 1e-9))
+    args = vars(_build_parser().parse_args(argv))
     try:
-        config = RunConfig(
-            command=args.command, samples=args.samples,
-            lambda_max=args.lambda_max, tol=tol, seed=args.seed,
-            trials=args.trials, out=args.out, format=args.format,
-            suite=getattr(args, "suite", "all"),
-            family=getattr(args, "family", "rellich"))
+        if "tol" in args and args["tol"] is None:
+            args["tol"] = float(os.environ.get(_ENV_TOL, 1e-9))
+        config = RunConfig(**args)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

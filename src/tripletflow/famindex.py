@@ -115,6 +115,46 @@ def _step_gaps(u_prev, u_next):
     return np.linalg.norm(u_next - u_prev, 2, axis=(-2, -1))
 
 
+def _walk_loop(thetas, samples, refine, step, max_inserts):
+    """Visit the intervals of a sampled loop in order, the wrap-around from
+    the last sample to thetas[0] + 2*pi included.
+
+    `step(t0, t1, s0, s1)` judges an interval: None accepts it, otherwise
+    the returned text says why not and the interval is bisected through
+    `refine` (theta -> sample), first half first.  The text is raised as
+    RefinementError once `refine` is missing or `max_inserts` samples have
+    been inserted.
+    """
+    period = 2.0 * math.pi
+    count = len(samples)
+    inserted = 0
+    for i in range(count):
+        j = (i + 1) % count
+        stack = [(thetas[i], thetas[j] + (period if j == 0 else 0.0),
+                  samples[i], samples[j])]
+        while stack:
+            t0, t1, s0, s1 = stack.pop()
+            error = step(t0, t1, s0, s1)
+            if error is None:
+                continue
+            if refine is None or inserted >= max_inserts:
+                raise RefinementError(error)
+            tm = 0.5 * (t0 + t1)
+            sm = refine(tm % period)
+            inserted += 1
+            stack.append((tm, t1, sm, s1))
+            stack.append((t0, tm, s0, sm))
+
+
+def _loop_parts(loop):
+    """(thetas, payloads, generator) of a FamilyLoop, or of a pair
+    (thetas, payloads), which has no generator."""
+    if isinstance(loop, FamilyLoop):
+        return list(loop.thetas), list(loop.payloads), loop.generator
+    thetas, payloads = loop
+    return list(thetas), list(payloads), None
+
+
 def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
                 round_tol=0.05, max_inserts=20000):
     """Winding number of det along a closed loop of unitary matrices.
@@ -126,8 +166,8 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
     of 2*pi.
 
     The steps between consecutive samples are measured as one stack; only
-    intervals too coarse for the bound are walked, by bisection, in loop
-    order.
+    intervals too coarse for the bound are bisected, and the angles are
+    added in loop order.
     """
     mats = np.asarray(unitaries, dtype=complex)
     if len(mats) < 2:
@@ -137,38 +177,31 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
                                   endpoint=False))
     thetas = list(thetas)
     period = 2.0 * math.pi
-    count = len(mats)
     # the pairs include the wrap (last -> first + period)
     nexts = np.roll(mats, -1, axis=0)
-    fine = _step_gaps(mats, nexts) < step_bound
-    angles = np.zeros(count)
-    if fine.any():
-        angles[fine] = _step_angles(mats[fine], nexts[fine])
+    fine = np.flatnonzero(_step_gaps(mats, nexts) < step_bound)
+    ends = thetas[1:] + [thetas[0] + period]
+    # swept angles by interval; bisection never reproduces a fine interval
+    swept = dict(zip([(thetas[i], ends[i]) for i in fine],
+                     _step_angles(mats[fine], nexts[fine])))
     total = 0.0
-    inserted = 0
-    for i in range(count):
-        if fine[i]:
-            total += angles[i]
-            continue
-        j = (i + 1) % count
-        stack = [(thetas[i], thetas[j] + (period if j == 0 else 0.0),
-                  mats[i], nexts[i])]
-        while stack:
-            t0, t1, u0, u1 = stack.pop()
+
+    def step(t0, t1, u0, u1):
+        nonlocal total
+        angle = swept.get((t0, t1))
+        if angle is None:
             gap = float(_step_gaps(u0, u1))
             if gap >= step_bound:
-                if refine is None or inserted >= max_inserts:
-                    raise RefinementError(
-                        f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
+                return (f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
                         f"(||dU|| = {gap:.3f}); supply more samples or a "
                         "refinement callback")
-                tm = 0.5 * (t0 + t1)
-                um = np.asarray(refine(tm % period), dtype=complex)
-                inserted += 1
-                stack.append((tm, t1, um, u1))
-                stack.append((t0, tm, u0, um))
-                continue
-            total += float(_step_angles(u0, u1))
+            angle = float(_step_angles(u0, u1))
+        total += angle
+        return None
+
+    cb = None if refine is None else (
+        lambda t: np.asarray(refine(t), dtype=complex))
+    _walk_loop(thetas, mats, cb, step, max_inserts)
     turns = total / period
     nearest = round(turns)
     if abs(turns - nearest) > round_tol:
@@ -178,35 +211,27 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
     return int(nearest)
 
 
-def _window_members(values, level, window):
-    vals = np.asarray(values, dtype=float)
-    return vals[np.abs(vals - level) <= window]
-
-
-def _match_branches(a, b, margin):
-    """Greedy nearest-neighbor pairing of two sorted eigenvalue sets.
-
-    Returns (pairs, unmatched) where pairs move less than margin and the
-    unmatched list collects members of either set without a close partner.
-    """
+def _greedy_pairs(a, b, limit):
+    """Greedy nearest-neighbor pairing of two value arrays: index pairs
+    (i, j), closest first, each index taken once, with |a[i] - b[j]| <=
+    limit, a scalar or an array over b.  Ties go to the earlier entry of
+    the flat argsort."""
+    if not (a.size and b.size):
+        return []
+    dist = np.abs(a[:, None] - b[None, :])
+    order = np.argsort(dist, axis=None)
+    order = order[(dist <= limit).ravel()[order]]
     pairs = []
-    if a.size and b.size:
-        order = np.argsort(np.abs(a[:, None] - b[None, :]), axis=None)
-        used_a, used_b = set(), set()
-        for flat in order:
-            i, j = divmod(int(flat), b.size)
-            if i in used_a or j in used_b:
-                continue
-            if abs(a[i] - b[j]) > margin:
-                break
-            pairs.append((a[i], b[j]))
+    used_a, used_b = set(), set()
+    for flat in order.tolist():
+        i, j = divmod(flat, b.size)
+        if i not in used_a and j not in used_b:
+            pairs.append((i, j))
             used_a.add(i)
             used_b.add(j)
-        unmatched = ([a[i] for i in range(a.size) if i not in used_a]
-                     + [b[j] for j in range(b.size) if j not in used_b])
-    else:
-        unmatched = list(a) + list(b)
-    return pairs, unmatched
+            if len(pairs) == min(a.size, b.size):
+                break
+    return pairs
 
 
 def spectral_flow(loop, level=0.0, window=None, refine=None,
@@ -228,45 +253,28 @@ def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
     """The walk behind `spectral_flow`: returns the flow and the crossings,
     a list of (t0, t1, la, lb) for each matched pair straddling the level,
     in loop order; t1 may exceed 2*pi on the wrap-around interval."""
-    if isinstance(loop, FamilyLoop):
-        thetas = list(loop.thetas)
-        samples = [np.asarray(p, dtype=float) for p in loop.payloads]
-        refine = loop.generator if refine is None else refine
-    else:
-        thetas, samples = loop
-        thetas = list(thetas)
-        samples = [np.asarray(p, dtype=float) for p in samples]
-    period = 2.0 * math.pi
+    thetas, payloads, gen = _loop_parts(loop)
+    refine = gen if refine is None else refine
+    samples = [np.asarray(p, dtype=float) for p in payloads]
     if window is None:
         window = 1.0
     margin = 0.45 * window
     flow = 0
     crossings = []
-    inserted = 0
-    count = len(samples)
-    pairs_idx = [(i, (i + 1) % count) for i in range(count)]
-    stack = [(thetas[i], thetas[j] + (period if j == 0 else 0.0),
-              samples[i], samples[j]) for i, j in pairs_idx]
-    stack.reverse()
-    while stack:
-        t0, t1, e0, e1 = stack.pop()
-        a = _window_members(e0, level, window)
-        b = _window_members(e1, level, window)
-        pairs, unmatched = _match_branches(a, b, margin)
-        stray = [lam for lam in unmatched
-                 if abs(abs(lam - level) - window) > margin]
-        if stray:
-            if refine is None or inserted >= max_inserts:
-                raise RefinementError(
-                    f"cannot attribute branches on [{t0:.6f}, {t1:.6f}]; "
-                    "supply a finer loop or a generator")
-            tm = 0.5 * (t0 + t1)
-            em = np.asarray(refine(tm % period), dtype=float)
-            inserted += 1
-            stack.append((tm, t1, em, e1))
-            stack.append((t0, tm, e0, em))
-            continue
-        for la, lb in pairs:
+
+    def step(t0, t1, e0, e1):
+        nonlocal flow
+        a = e0[np.abs(e0 - level) <= window]
+        b = e1[np.abs(e1 - level) <= window]
+        pairs = _greedy_pairs(a, b, margin)
+        if len(pairs) < max(a.size, b.size):
+            unmatched = np.concatenate([np.delete(a, [i for i, _ in pairs]),
+                                        np.delete(b, [j for _, j in pairs])])
+            if np.any(np.abs(np.abs(unmatched - level) - window) > margin):
+                return (f"cannot attribute branches on [{t0:.6f}, {t1:.6f}]"
+                        "; supply a finer loop or a generator")
+        for i, j in pairs:
+            la, lb = a[i], b[j]
             if la <= level < lb:
                 flow += 1
             elif lb <= level < la:
@@ -274,6 +282,11 @@ def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
             else:
                 continue
             crossings.append((t0, t1, la, lb))
+        return None
+
+    cb = None if refine is None else (
+        lambda t: np.asarray(refine(t), dtype=float))
+    _walk_loop(thetas, samples, cb, step, max_inserts)
     return flow, crossings
 
 
@@ -305,18 +318,11 @@ def _polish_crossing(generator, t0, t1, la, lb, level=0.0):
 
 def relation_family_index(loop, refine=None, **kwargs):
     """Winding of the Cayley loop of a family of self-adjoint relations."""
-    if isinstance(loop, FamilyLoop):
-        thetas = list(loop.thetas)
-        rels = list(loop.payloads)
-        gen = loop.generator
-    else:
-        thetas, rels = loop
-        gen = None
-    unitaries = cayley_unitaries(rels)
-    cb = refine
-    if cb is None and gen is not None:
-        cb = lambda t: cayley_unitary(gen(t))
-    return det_winding(unitaries, thetas=thetas, refine=cb, **kwargs)
+    thetas, rels, gen = _loop_parts(loop)
+    if refine is None and gen is not None:
+        refine = lambda t: cayley_unitary(gen(t))
+    return det_winding(cayley_unitaries(rels), thetas=thetas, refine=refine,
+                       **kwargs)
 
 
 def branch_table(thetas, kappas, eig_lists, match_tol=None):
@@ -324,25 +330,15 @@ def branch_table(thetas, kappas, eig_lists, match_tol=None):
     nearest-neighbor continuation between consecutive samples."""
     rows = []
     next_id = 0
-    prev_vals = None
+    prev_vals = np.zeros(0)
     prev_ids = None
     for theta, kappa, eigs in zip(thetas, kappas, eig_lists):
         eigs = np.asarray(eigs, dtype=float)
         ids = np.full(eigs.shape, -1, dtype=int)
-        if prev_vals is not None and prev_vals.size and eigs.size:
-            used = set()
-            order = np.argsort(np.abs(eigs[:, None] - prev_vals[None, :]),
-                               axis=None)
-            for flat in order:
-                i, j = divmod(int(flat), prev_vals.size)
-                if ids[i] >= 0 or j in used:
-                    continue
-                move = abs(eigs[i] - prev_vals[j])
-                limit = (match_tol if match_tol is not None
-                         else 0.5 + 0.25 * abs(prev_vals[j]))
-                if move <= limit:
-                    ids[i] = prev_ids[j]
-                    used.add(j)
+        limit = (match_tol if match_tol is not None
+                 else 0.5 + 0.25 * np.abs(prev_vals))
+        for i, j in _greedy_pairs(eigs, prev_vals, limit):
+            ids[i] = prev_ids[j]
         for i in range(eigs.size):
             if ids[i] < 0:
                 ids[i] = next_id

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relspace import DEFAULT_TOL, adjoint_relation, map_relation
+from .relspace import (DEFAULT_TOL, _hermitian_part, adjoint_relation,
+                       is_self_adjoint, map_relation, matrix_from_json,
+                       matrix_to_json)
 
 __all__ = [
     "GelfandTriple",
@@ -35,27 +37,13 @@ __all__ = [
 ]
 
 
-def matrix_to_json(mat):
-    """Dense matrix as nested [re, im] pairs, row-major."""
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
-def matrix_from_json(obj):
-    return np.array([[complex(re, im) for re, im in row] for row in obj],
-                    dtype=complex).reshape(len(obj), -1)
-
-
 def _check_hpd(gram, name, tol):
     gram = np.asarray(gram, dtype=complex)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     if gram.shape[0] == 0:
         return gram
-    herm = np.linalg.norm(gram - gram.conj().T)
-    if herm > tol * max(1.0, np.linalg.norm(gram)):
-        raise ValueError(f"{name} is not Hermitian")
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = _hermitian_part(gram, tol, f"{name} is not Hermitian")
     evals = np.linalg.eigvalsh(gram)
     if evals.min() <= tol * max(1.0, evals.max()):
         raise ValueError(f"{name} is not positive definite")
@@ -129,6 +117,15 @@ class GelfandTriple:
         """The continuity extension of lam to the dual; equal to lam here."""
         return self.lam
 
+    @property
+    def shift_map(self):
+        """The block map lam' (+) lam^(-1) of K' + K onto the pivot pair."""
+        d = self.dim
+        out = np.zeros((2 * d, 2 * d), dtype=complex)
+        out[:d, :d] = self.lam_prime
+        out[d:, d:] = self.lam_inv
+        return out
+
 
 def build_triple(gram_K, gram_partial, tol=DEFAULT_TOL):
     """Construct the Gelfand triple associated with the pair of Grams."""
@@ -189,12 +186,5 @@ def is_triple_self_adjoint(triple, rel, tol=None):
     The relation is self-adjoint for the pairings iff its image under
     lam' (+) lam^(-1) is a self-adjoint relation in the pivot metric.
     """
-    tol = rel.tol if tol is None else tol
-    d = triple.dim
-    lmap = np.zeros((2 * d, 2 * d), dtype=complex)
-    lmap[:d, :d] = triple.lam_prime
-    lmap[d:, d:] = triple.lam_inv
-    image = map_relation(lmap, rel)
-    adj = adjoint_relation(image, gram_dom=triple.gram_partial,
-                           gram_cod=triple.gram_partial)
-    return image.gap(adj) <= max(tol, 100 * rel.tol)
+    return is_self_adjoint(map_relation(triple.shift_map, rel), tol,
+                           gram=triple.gram_partial)

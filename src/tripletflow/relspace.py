@@ -27,6 +27,8 @@ __all__ = [
     "parts_decomposition",
     "map_relation",
     "restrict_relation",
+    "matrix_to_json",
+    "matrix_from_json",
     "relation_to_json",
     "relation_from_json",
 ]
@@ -44,6 +46,17 @@ def _as_matrix(a, rows=None):
     if rows is not None and a.shape[0] != rows:
         raise ValueError(f"expected {rows} rows, got {a.shape[0]}")
     return a
+
+
+def _hermitian_part(mat, tol, error, skew=False):
+    """Hermitian part of a square matrix (skew-Hermitian part when skew),
+    after checking that the matrix is that part up to tol * max(1, ||mat||)
+    in Frobenius norm; raises ValueError(error) otherwise."""
+    mat = np.asarray(mat, dtype=complex)
+    adj = -mat.conj().T if skew else mat.conj().T
+    if np.linalg.norm(mat - adj) > tol * max(1.0, np.linalg.norm(mat)):
+        raise ValueError(error)
+    return 0.5 * (mat + adj)
 
 
 def _freeze(a):
@@ -482,6 +495,19 @@ def restrict_relation(rel, dom_sub, cod_sub):
     coeff = _null_space(cons, rel.tol)
     return LinearRelation.from_span(rel.dom_dim, rel.cod_dim,
                                     rel.graph.basis @ coeff, tol=rel.tol)
+
+
+def matrix_to_json(mat):
+    """Dense matrix as nested [re, im] pairs, row-major."""
+    mat = np.asarray(mat, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+def matrix_from_json(obj):
+    if not obj:
+        return np.zeros((0, 0), dtype=complex)
+    return np.array([[complex(re, im) for re, im in row] for row in obj],
+                    dtype=complex).reshape(len(obj), -1)
 
 
 def relation_to_json(rel):

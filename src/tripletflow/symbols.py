@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relspace import DEFAULT_TOL, LinearRelation, Subspace, cayley_unitary
+from .relspace import (DEFAULT_TOL, LinearRelation, Subspace,
+                       _hermitian_part, cayley_unitary, matrix_from_json,
+                       matrix_to_json)
 from .famindex import det_winding
 
 __all__ = [
@@ -35,20 +37,6 @@ __all__ = [
 ]
 
 
-def _hermitian_check(mat, name, tol):
-    mat = np.asarray(mat, dtype=complex)
-    if np.linalg.norm(mat - mat.conj().T) > tol * max(1.0, np.linalg.norm(mat)):
-        raise ValueError(f"{name} must be Hermitian")
-    return 0.5 * (mat + mat.conj().T)
-
-
-def _skew_check(mat, name, tol):
-    mat = np.asarray(mat, dtype=complex)
-    if np.linalg.norm(mat + mat.conj().T) > tol * max(1.0, np.linalg.norm(mat)):
-        raise ValueError(f"{name} must be skew-adjoint")
-    return 0.5 * (mat - mat.conj().T)
-
-
 @dataclass
 class SymbolPoint:
     """Principal symbol data at a fixed boundary covector."""
@@ -60,8 +48,9 @@ class SymbolPoint:
     rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sigma = _hermitian_check(self.sigma, "sigma", self.tol)
-        tau = _hermitian_check(self.tau, "tau", self.tol)
+        sigma = _hermitian_part(self.sigma, self.tol,
+                                "sigma must be Hermitian")
+        tau = _hermitian_part(self.tau, self.tol, "tau must be Hermitian")
         svals = np.linalg.svd(sigma, compute_uv=False)
         if svals[-1] <= self.tol * svals[0]:
             raise ValueError("sigma must be invertible")
@@ -74,7 +63,9 @@ class SymbolPoint:
                 raise ValueError("graded symbols need even dimension")
             half = n // 2
             off = self.rho[:half, half:]
-            _skew_check(-off, "off-diagonal block of rho", 10 * self.tol)
+            _hermitian_part(-off, 10 * self.tol,
+                            "off-diagonal block of rho must be skew-adjoint",
+                            skew=True)
             blocks_ok = (
                 np.linalg.norm(self.rho[:half, :half]) <= self.tol
                 and np.linalg.norm(self.rho[half:, half:]) <= self.tol
@@ -90,7 +81,8 @@ class SymbolPoint:
         diag(1, -1), which anticommutes with the skew-Hermitian rho, so the
         tangential part stays Hermitian.
         """
-        tb = _skew_check(tau_bold, "tau_bold", tol)
+        tb = _hermitian_part(tau_bold, tol, "tau_bold must be skew-adjoint",
+                             skew=True)
         half = tb.shape[0]
         sigma = np.zeros((2 * half, 2 * half), dtype=complex)
         sigma[:half, :half] = np.eye(half)
@@ -105,16 +97,12 @@ class SymbolPoint:
         return self.sigma.shape[0] // 2
 
     def to_json(self):
-        from .gelfand import matrix_to_json
-
         return {"sigma": matrix_to_json(self.sigma),
                 "tau": matrix_to_json(self.tau),
                 "dirac_like": self.dirac_like}
 
     @classmethod
     def from_json(cls, obj, tol=1e-9):
-        from .gelfand import matrix_from_json
-
         return cls(sigma=matrix_from_json(obj["sigma"]),
                    tau=matrix_from_json(obj["tau"]),
                    dirac_like=bool(obj.get("dirac_like", False)), tol=tol)
@@ -197,7 +185,8 @@ def dirac_unitary(tau_bold, tol=1e-9):
     Its graph is the lower splitting subspace of the graded block matrix
     [[0, -tb], [-tb, 0]].
     """
-    tb = _skew_check(tau_bold, "tau_bold", tol)
+    tb = _hermitian_part(tau_bold, tol, "tau_bold must be skew-adjoint",
+                         skew=True)
     herm = 1j * tb
     evals, evecs = np.linalg.eigh(herm)
     if np.min(np.abs(evals)) <= tol * max(1.0, np.max(np.abs(evals))):
@@ -327,8 +316,8 @@ def split_winding_report(tau_loop, grading_loop=None, tol=1e-8):
         gradings = [np.asarray(g, dtype=complex) for g in grading_loop]
     lowers, uppers = [], []
     for tb, f in zip(taus, gradings):
-        _skew_check(tb, "tau", tol)
-        _skew_check(f, "grading", tol)
+        _hermitian_part(tb, tol, "tau must be skew-adjoint", skew=True)
+        _hermitian_part(f, tol, "grading must be skew-adjoint", skew=True)
         if np.linalg.norm(tb @ f - f @ tb) > tol * max(
                 1.0, np.linalg.norm(tb) * np.linalg.norm(f)):
             raise ValueError("grading must commute with the symbol")

@@ -23,7 +23,8 @@ import numpy as np
 from . import cayley as _cayley
 from .gelfand import GelfandTriple, build_triple
 from .relspace import (LinearRelation, Subspace, _check_invertible,
-                       _null_space, _orthonormal_columns, _relations)
+                       _hermitian_part, _null_space, _orthonormal_columns,
+                       _relations)
 
 __all__ = [
     "MatrixBoundaryProblem",
@@ -74,9 +75,8 @@ class MatrixBoundaryProblem:
             e_mat, h_mat = mix
             e_mat = np.asarray(e_mat, dtype=complex)
             h_mat = np.asarray(h_mat, dtype=complex)
-            if np.linalg.norm(h_mat - h_mat.conj().T) > 1e-12 * max(
-                    1.0, np.linalg.norm(h_mat)):
-                raise ValueError("shear block must be Hermitian")
+            # checked only: g1 uses the shear as given
+            _hermitian_part(h_mat, 1e-12, "shear block must be Hermitian")
             self._g0 = e_mat @ g0
             self._g1 = np.linalg.inv(e_mat.conj().T) @ (h_mat @ g0 + g1)
         gram = np.eye(d) if gram_small is None else gram_small
@@ -361,9 +361,7 @@ def transform_boundary_conditions(rt, rels):
         raise ValueError("boundary relation does not match the triple")
     shear = np.eye(2 * d, dtype=complex)
     shear[d:, :d] = -rt.dtn
-    lam_map = np.zeros((2 * d, 2 * d), dtype=complex)
-    lam_map[:d, :d] = rt.triple.lam_prime
-    lam_map[d:, d:] = rt.triple.lam_inv
+    lam_map = rt.triple.shift_map
     _check_invertible(shear, tol)
     _check_invertible(lam_map, tol)
     bases = np.array([rel.graph.basis for rel in rels])

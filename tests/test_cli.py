@@ -156,3 +156,29 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     code = run_cli(["verify", "--suite", "relspace", "--trials", "3",
                     "--out", str(tmp_path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["rellich", "--tol", "1e-9"], ["rellich", "--seed", "1"],
+    ["rellich", "--trials", "3"], ["rellich", "--format", "csv"],
+    ["verify", "--samples", "8"], ["verify", "--lambda-max", "50"],
+    ["verify", "--tol", "1e-9"],
+    ["index", "--samples", "8"], ["index", "--lambda-max", "50"],
+    ["index", "--seed", "1"], ["index", "--trials", "3"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_env_tolerance_applies_to_index_only(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TRIPLETFLOW_TOL", "-1")
+    assert run_cli(["index", "--family", "rellich"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+    # an explicit --tol wins over the environment
+    assert run_cli(["index", "--family", "rellich", "--tol", "1e-9",
+                    "--out", str(tmp_path)]) == 0
+    monkeypatch.setenv("TRIPLETFLOW_TOL", "not-a-number")
+    assert run_cli(["verify", "--suite", "relspace", "--trials", "2"]) == 0

@@ -1,0 +1,92 @@
+"""Round trips of the JSON fixture formats described in the README."""
+
+import json
+
+import numpy as np
+import pytest
+
+from tripletflow import cayley as cy
+from tripletflow import gelfand as gf
+from tripletflow import relspace as rs
+from tripletflow.symbols import SymbolPoint
+
+from conftest import random_complex
+
+
+def through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
+def hermitian(rng, n, shift=0.0):
+    a = random_complex(rng, n, n)
+    return a @ a.conj().T + shift * np.eye(n)
+
+
+def test_matrix_layout_is_row_major_re_im_pairs():
+    mat = np.array([[1 + 2j, 3.0], [-4j, 0.5 - 0.25j], [7.0, -1.0]])
+    obj = rs.matrix_to_json(mat)
+    assert obj == [[[1.0, 2.0], [3.0, 0.0]],
+                   [[0.0, -4.0], [0.5, -0.25]],
+                   [[7.0, 0.0], [-1.0, 0.0]]]
+    back = rs.matrix_from_json(through_text(obj))
+    assert back.dtype == complex and np.array_equal(back, mat)
+
+
+def test_gelfand_keeps_the_matrix_codec_names():
+    assert gf.matrix_to_json is rs.matrix_to_json
+    assert gf.matrix_from_json is rs.matrix_from_json
+
+
+def test_relation_round_trip(rng):
+    rel = rs.LinearRelation.from_span(3, 2, random_complex(rng, 5, 3))
+    obj = through_text(rs.relation_to_json(rel))
+    assert obj["dom_dim"] == 3 and obj["cod_dim"] == 2
+    # column-major [re, im] pairs of the orthonormal basis
+    assert len(obj["basis"]) == 5 * 3
+    first = rel.graph.basis[:, 0]
+    assert obj["basis"][:5] == [[z.real, z.imag] for z in first]
+    back = rs.relation_from_json(obj)
+    assert (back.dom_dim, back.cod_dim, back.dim) == (3, 2, 3)
+    assert back.gap(rel) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [0, 1, 4])
+def test_triple_round_trip(rng, dim):
+    triple = gf.build_triple(hermitian(rng, dim, 1.0), hermitian(rng, dim, 2.0))
+    obj = through_text(gf.triple_to_json(triple))
+    assert sorted(obj) == ["gram_K", "gram_partial"]
+    back = gf.triple_from_json(obj)
+    assert back.dim == dim
+    assert np.array_equal(back.gram_K, triple.gram_K)
+    assert np.array_equal(back.gram_partial, triple.gram_partial)
+    assert np.array_equal(back.lam, triple.lam)
+
+
+def test_model_round_trip(rng):
+    model = cy.random_symmetric_model(rng, 6, 2, mu=0.3 + 2j)
+    obj = through_text(cy.model_to_json(model))
+    assert obj["dim"] == 6 and obj["mu"] == [0.3, 2.0]
+    back = cy.model_from_json(obj)
+    assert back.dim == model.dim and back.mu == model.mu
+    assert back.T.gap(model.T) <= 1e-12
+    assert back.A.gap(model.A) <= 1e-12
+    assert back.kminus.dim == model.kminus.dim == 2
+
+
+def test_symbol_point_round_trip(rng):
+    point = SymbolPoint(sigma=hermitian(rng, 3, 1.0), tau=hermitian(rng, 3))
+    obj = through_text(point.to_json())
+    assert obj["dirac_like"] is False
+    back = SymbolPoint.from_json(obj)
+    assert np.array_equal(back.sigma, point.sigma)
+    assert np.array_equal(back.tau, point.tau)
+    assert not back.dirac_like
+
+
+def test_graded_symbol_point_round_trip(rng):
+    tb = random_complex(rng, 2, 2)
+    point = SymbolPoint.dirac(tb - tb.conj().T)
+    back = SymbolPoint.from_json(through_text(point.to_json()))
+    assert back.dirac_like
+    assert np.array_equal(back.sigma, point.sigma)
+    assert np.array_equal(back.tau, point.tau)

@@ -83,6 +83,94 @@ def winding_reference(mats, thetas, refine=None, step_bound=0.5,
     return int(round(turns)), total
 
 
+def pairs_reference(a, b, margin):
+    """Greedy nearest-neighbor pairing of two eigenvalue sets, walking the
+    flat argsort until the first move above the margin."""
+    pairs, used_a, used_b = [], set(), set()
+    if a.size and b.size:
+        order = np.argsort(np.abs(a[:, None] - b[None, :]), axis=None)
+        for flat in order:
+            i, j = divmod(int(flat), b.size)
+            if i in used_a or j in used_b:
+                continue
+            if abs(a[i] - b[j]) > margin:
+                break
+            pairs.append((a[i], b[j]))
+            used_a.add(i)
+            used_b.add(j)
+    unmatched = ([a[i] for i in range(a.size) if i not in used_a]
+                 + [b[j] for j in range(b.size) if j not in used_b])
+    return pairs, unmatched
+
+
+def flow_reference(thetas, samples, refine=None, level=0.0, window=1.0,
+                   max_inserts=20000):
+    """The interval-by-interval bisection walk of an eigenvalue loop:
+    (flow, crossings) as `famindex._flow_walk` returns them."""
+    period = 2.0 * math.pi
+    margin = 0.45 * window
+    count = len(samples)
+    stack = [(thetas[i], thetas[(i + 1) % count]
+              + (period if i + 1 == count else 0.0),
+              samples[i], samples[(i + 1) % count]) for i in range(count)]
+    stack.reverse()
+    flow, crossings, inserted = 0, [], 0
+    while stack:
+        t0, t1, e0, e1 = stack.pop()
+        a = e0[np.abs(e0 - level) <= window]
+        b = e1[np.abs(e1 - level) <= window]
+        pairs, unmatched = pairs_reference(a, b, margin)
+        if any(abs(abs(lam - level) - window) > margin for lam in unmatched):
+            if refine is None or inserted >= max_inserts:
+                raise fi.RefinementError(
+                    f"cannot attribute branches on [{t0:.6f}, {t1:.6f}]; "
+                    "supply a finer loop or a generator")
+            tm = 0.5 * (t0 + t1)
+            em = np.asarray(refine(tm % period), dtype=float)
+            inserted += 1
+            stack.append((tm, t1, em, e1))
+            stack.append((t0, tm, e0, em))
+            continue
+        for la, lb in pairs:
+            if la <= level < lb:
+                flow += 1
+            elif lb <= level < la:
+                flow -= 1
+            else:
+                continue
+            crossings.append((t0, t1, la, lb))
+    return flow, crossings, inserted
+
+
+def branch_table_reference(thetas, kappas, eig_lists, match_tol=None):
+    """Branch ids by a per-pair loop over the flat argsort of all moves."""
+    rows, next_id, prev_vals, prev_ids = [], 0, None, None
+    for theta, kappa, eigs in zip(thetas, kappas, eig_lists):
+        eigs = np.asarray(eigs, dtype=float)
+        ids = np.full(eigs.shape, -1, dtype=int)
+        if prev_vals is not None and prev_vals.size and eigs.size:
+            used = set()
+            order = np.argsort(np.abs(eigs[:, None] - prev_vals[None, :]),
+                               axis=None)
+            for flat in order:
+                i, j = divmod(int(flat), prev_vals.size)
+                if ids[i] >= 0 or j in used:
+                    continue
+                limit = (match_tol if match_tol is not None
+                         else 0.5 + 0.25 * abs(prev_vals[j]))
+                if abs(eigs[i] - prev_vals[j]) <= limit:
+                    ids[i] = prev_ids[j]
+                    used.add(j)
+        for i in range(eigs.size):
+            if ids[i] < 0:
+                ids[i] = next_id
+                next_id += 1
+        rows.extend((float(theta), float(kappa), int(bid), float(lam))
+                    for lam, bid in zip(eigs, ids))
+        prev_vals, prev_ids = eigs, ids
+    return rows
+
+
 # -- the Robin relation loop ------------------------------------------------
 
 @pytest.mark.parametrize("samples", [72, 720])
@@ -284,3 +372,87 @@ def test_vectorized_winding_insert_budget_error_matches_the_walk():
     with pytest.raises(fi.RefinementError) as err:
         fi.det_winding(mats, thetas=thetas, refine=refine, max_inserts=7)
     assert str(err.value) == str(ref_err.value)
+
+
+# -- spectral flow and branch matching ----------------------------------------
+
+def branch_loop(speeds, offsets):
+    """Eigenvalue generator: branches offset + sin(speed * theta), sorted."""
+    speeds, offsets = np.array(speeds), np.array(offsets)
+
+    def gen(theta):
+        return np.sort(offsets + np.sin(speeds * theta))
+
+    return gen
+
+
+@pytest.mark.parametrize("speeds,offsets", [
+    ((1,), (0.2,)), ((3,), (0.0,)), ((1, 4), (-0.3, 0.6)),
+    ((2, 5, 7), (0.1, -0.4, 1.2)), ((6, 6), (0.0, 0.0))])
+@pytest.mark.parametrize("samples", [6, 16, 50])
+def test_flow_walk_matches_the_reference_walk(speeds, offsets, samples):
+    rng = np.random.default_rng(samples + len(speeds))
+    thetas = list(np.sort(rng.uniform(0.0, 2.0 * math.pi, samples)))
+    gen = branch_loop(speeds, offsets)
+    eigs = [gen(t) for t in thetas]
+    loop = fi.FamilyLoop(thetas, eigs, generator=gen)
+    flow, crossings = fi._flow_walk(loop, 0.0, 0.5)
+    ref_flow, ref_crossings, _ = flow_reference(thetas, eigs, gen,
+                                                window=0.5)
+    assert flow == ref_flow
+    assert crossings == ref_crossings
+    try:
+        flow_reference(thetas, eigs, window=0.5)
+    except fi.RefinementError as ref_err:
+        with pytest.raises(fi.RefinementError) as err:
+            fi._flow_walk((thetas, eigs), 0.0, 0.5)
+        assert str(err.value) == str(ref_err)
+    else:
+        assert fi._flow_walk((thetas, eigs), 0.0, 0.5) == (ref_flow,
+                                                           ref_crossings)
+
+
+def test_flow_walk_insert_budget_error_matches_the_reference_walk():
+    thetas = list(np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False))
+    gen = branch_loop((9, 4), (0.1, -0.2))
+    eigs = [gen(t) for t in thetas]
+    _, _, needed = flow_reference(thetas, eigs, gen, window=0.5)
+    assert needed > 3
+    with pytest.raises(fi.RefinementError) as ref_err:
+        flow_reference(thetas, eigs, gen, window=0.5, max_inserts=3)
+    with pytest.raises(fi.RefinementError) as err:
+        fi.spectral_flow((thetas, eigs), 0.0, 0.5, refine=gen,
+                         max_inserts=3)
+    assert str(err.value) == str(ref_err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=6),
+       st.lists(st.integers(-4, 4), max_size=6),
+       st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+def test_greedy_pairs_equal_the_reference_matcher_with_ties(a, b, margin):
+    a = np.sort(np.array(a, dtype=float) / 2)
+    b = np.sort(np.array(b, dtype=float) / 2)
+    pairs = fi._greedy_pairs(a, b, margin)
+    ref_pairs, _ = pairs_reference(a, b, margin)
+    assert [(a[i], b[j]) for i, j in pairs] == ref_pairs
+
+
+@pytest.mark.parametrize("match_tol", [None, 0.05, 0.5, 3.0, 40.0])
+def test_branch_table_matches_the_reference_matcher(match_tol):
+    loop = fi.rellich_eigenvalue_samples(samples=72, lambda_max=120.0)
+    kappas = [sturm.kappa_of_theta(t) for t in loop.thetas]
+    rows = fi.branch_table(loop.thetas, kappas, loop.payloads, match_tol)
+    assert rows == branch_table_reference(loop.thetas, kappas,
+                                          loop.payloads, match_tol)
+
+
+@pytest.mark.parametrize("match_tol", [None, 0.0, 0.5, 1.0])
+def test_branch_table_ties_match_the_reference_matcher(match_tol):
+    rng = np.random.default_rng(7)
+    eigs = [np.sort(rng.integers(-3, 4, rng.integers(0, 5)) / 2.0)
+            for _ in range(40)]
+    thetas = list(np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False))
+    kappas = list(range(40))
+    rows = fi.branch_table(thetas, kappas, eigs, match_tol)
+    assert rows == branch_table_reference(thetas, kappas, eigs, match_tol)
