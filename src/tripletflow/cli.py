@@ -124,15 +124,19 @@ def cmd_verify(config):
 
 def _load_family(spec_path):
     if spec_path == "rellich":
-        loop = fi.rellich_boundary_family()
-        return loop
+        return fi.rellich_boundary_family()
     with open(spec_path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     thetas = []
     rels = []
-    for sample in obj["samples"]:
-        thetas.append(float(sample["theta"]))
-        rels.append(relation_from_json(sample["relation"]))
+    try:
+        for sample in obj["samples"]:
+            thetas.append(float(sample["theta"]))
+            rels.append(relation_from_json(sample["relation"]))
+    except TypeError as exc:
+        # a JSON value of the wrong kind where an object, list or number
+        # belongs
+        raise ValueError(f"malformed family fixture: {exc}") from None
     return fi.FamilyLoop(thetas, rels)
 
 
@@ -171,8 +175,12 @@ def _build_parser():
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all",
                           choices=sorted(vf.SUITES) + ["all"])
-    p_verify.add_argument("--trials", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument(
+        "--trials", type=int, default=50,
+        help="trials per suite (default: 50, which overrides each suite's "
+             "own default: 12 for triplet, 40 for sturm, 20 for famindex)")
+    p_verify.add_argument("--seed", type=int, default=42,
+                          help="seed of the random draws (default: 42)")
     p_index = sub.add_parser(
         "index", help="family index from a loop fixture file")
     p_index.add_argument("--family", default="rellich",

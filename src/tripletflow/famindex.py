@@ -24,8 +24,7 @@ import numpy as np
 
 from . import sturm
 from .relspace import DEFAULT_TOL, cayley_unitaries, cayley_unitary
-from .triplet import (reduced_triplet, transform_boundary_condition,
-                      transform_boundary_conditions)
+from .triplet import reduced_triplet, transform_boundary_conditions
 
 __all__ = [
     "CONVENTION",
@@ -51,8 +50,9 @@ CONVENTION = ("counterclockwise theta; upward eigenvalue crossings count +1; "
 class FamilyLoop:
     """A sampled loop over the circle.
 
-    Payloads are relations or eigenvalue arrays; an optional generator maps
-    theta to a fresh payload and enables adaptive refinement.  Thetas must
+    Payloads are relations (a list or a RelationStack) or eigenvalue
+    arrays; an optional generator maps theta to a fresh payload and enables
+    adaptive refinement.  Thetas must
     be strictly increasing inside [0, 2*pi); the loop closes through the
     wrap-around from the last sample back to the first.
     """
@@ -148,11 +148,12 @@ def _walk_loop(thetas, samples, refine, step, max_inserts):
 
 def _loop_parts(loop):
     """(thetas, payloads, generator) of a FamilyLoop, or of a pair
-    (thetas, payloads), which has no generator."""
+    (thetas, payloads), which has no generator; the payloads are passed on
+    as given, so a RelationStack stays one stack."""
     if isinstance(loop, FamilyLoop):
-        return list(loop.thetas), list(loop.payloads), loop.generator
+        return list(loop.thetas), loop.payloads, loop.generator
     thetas, payloads = loop
-    return list(thetas), list(payloads), None
+    return list(thetas), payloads, None
 
 
 def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
@@ -290,30 +291,61 @@ def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
     return flow, crossings
 
 
-def _polish_crossing(generator, t0, t1, la, lb, level=0.0):
+# interior points of one polish round: the nodes of a full bisection tree on
+# the current interval (one less than a power of two)
+_POLISH_POINTS = 15
+
+
+def _bisection_nodes(t0, t1):
+    """The nodes of the bisection tree on [t0, t1] in order, ends included,
+    with _POLISH_POINTS interior ones: each is 0.5 * (a + b) of the two
+    nodes [a, b] one level up, the midpoint bisection takes of that
+    interval."""
+    width = _POLISH_POINTS + 1
+    nodes = [t0] + [0.0] * (width - 1) + [t1]
+    half = width // 2
+    while half:
+        for i in range(half, width, 2 * half):
+            nodes[i] = 0.5 * (nodes[i - half] + nodes[i + half])
+        half //= 2
+    return nodes
+
+
+def _polish_crossing(batch, t0, t1, la, lb, level=0.0):
     """Loop parameter at which a branch crosses the level, to adjacent
     floats.
 
     [t0, t1] is a walk interval over which the branch moves from la to lb
-    across the level.  Each bisection step evaluates the loop generator at
-    the midpoint and follows the branch by its member nearest to the
-    middle of the current pair; values equal to the level count as below.
+    across the level; `batch` maps a list of loop parameters to their
+    eigenvalue arrays.  The search is a k-section: each round evaluates
+    the _POLISH_POINTS interior nodes of the bisection tree on the current
+    interval by one `batch` call, and bisection then descends the tree,
+    each step following the branch by its member nearest to the middle of
+    the current pair; values equal to the level count as below.  The steps
+    and so the result are those of bisection through a scalar generator.
     """
+    period = 2.0 * math.pi
     below_at_t0 = la <= level
+    lo = hi = 0
     for _ in range(200):
-        tm = 0.5 * (t0 + t1)
+        if hi - lo < 2:
+            nodes = _bisection_nodes(t0, t1)
+            values = batch([t % period for t in nodes[1:-1]])
+            lo, hi = 0, len(nodes) - 1
+        mid = (lo + hi) // 2
+        tm = nodes[mid]
         if not t0 < tm < t1:
             break
-        em = np.asarray(generator(tm % (2.0 * math.pi)), dtype=float)
+        em = np.asarray(values[mid - 1], dtype=float)
         if not em.size:
             raise RefinementError(
                 f"the crossing branch vanished at theta={tm:.17g}")
         vm = float(em[np.argmin(np.abs(em - 0.5 * (la + lb)))])
         if (vm <= level) == below_at_t0:
-            t0, la = tm, vm
+            t0, la, lo = tm, vm, mid
         else:
-            t1, lb = tm, vm
-    return (0.5 * (t0 + t1)) % (2.0 * math.pi)
+            t1, lb, hi = tm, vm, mid
+    return (0.5 * (t0 + t1)) % period
 
 
 def relation_family_index(loop, refine=None, **kwargs):
@@ -357,43 +389,39 @@ def _theta_grid(samples):
     return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
 
 
-def _relation_loop(kappa_of, samples, tol):
-    """Relation loop built as one stack: the Robin relations of all samples
-    and their transforms; the generator stays scalar for refinement."""
+def _sampled_loop(batch, samples):
+    """Loop over `samples` equally spaced thetas, evaluated by one call of
+    the batched generator `batch` (thetas -> payloads); the scalar
+    generator is its one-sample form, for refinement."""
+    thetas = _theta_grid(samples)
+    return FamilyLoop(list(thetas), batch(thetas),
+                      generator=lambda theta: batch([theta])[0])
+
+
+def _relation_batch(kappa_of, tol):
+    """Batched generator of the relation loop: the transformed Robin
+    relations of the given thetas as one RelationStack."""
     rt = reduced_triplet(sturm.RellichBoundaryProblem(tol=tol))
-
-    def make(theta):
-        return transform_boundary_condition(
-            rt, sturm.robin_relation(kappa_of(theta)))
-
-    thetas = _theta_grid(samples)
-    rels = transform_boundary_conditions(
+    return lambda thetas: transform_boundary_conditions(
         rt, sturm.robin_relations([kappa_of(t) for t in thetas]))
-    return FamilyLoop(list(thetas), rels, generator=make)
 
 
-def _eigenvalue_loop(kappa_of, samples, lambda_max):
-    """Eigenvalue loop solved in one batched call; the generator stays
-    scalar for refinement."""
-
-    def make(theta):
-        return sturm.secular_eigenvalues(kappa_of(theta),
-                                         lambda_max=lambda_max)
-
-    thetas = _theta_grid(samples)
-    payloads = sturm.secular_eigenvalues_batch(
+def _eigenvalue_batch(kappa_of, lambda_max):
+    """Batched generator of the eigenvalue loop: one secular solve for all
+    the given thetas."""
+    return lambda thetas: sturm.secular_eigenvalues_batch(
         [kappa_of(t) for t in thetas], lambda_max=lambda_max)
-    return FamilyLoop(list(thetas), payloads, generator=make)
 
 
 def rellich_boundary_family(samples=720, tol=DEFAULT_TOL):
     """Loop of transformed boundary relations of the Robin family."""
-    return _relation_loop(sturm.kappa_of_theta, samples, tol)
+    return _sampled_loop(_relation_batch(sturm.kappa_of_theta, tol), samples)
 
 
 def rellich_eigenvalue_samples(samples=720, lambda_max=400.0):
     """Loop of Robin eigenvalue lists over the circle."""
-    return _eigenvalue_loop(sturm.kappa_of_theta, samples, lambda_max)
+    return _sampled_loop(_eigenvalue_batch(sturm.kappa_of_theta, lambda_max),
+                         samples)
 
 
 def _robin_index(kappa_of, samples, lambda_max, tol=DEFAULT_TOL,
@@ -402,14 +430,17 @@ def _robin_index(kappa_of, samples, lambda_max, tol=DEFAULT_TOL,
     with the eigenvalue loop it was computed from.
 
     The crossing is read off the eigenvalue walk: the first matched pair
-    straddling level zero, polished by bisecting the loop generator.
+    straddling level zero, polished by a k-section through the batched
+    eigenvalue generator.
     """
-    eig_loop = _eigenvalue_loop(kappa_of, samples, lambda_max)
+    eig_batch = _eigenvalue_batch(kappa_of, lambda_max)
+    eig_loop = _sampled_loop(eig_batch, samples)
     flow, crossings = _flow_walk(eig_loop, 0.0, window)
-    wind = relation_family_index(_relation_loop(kappa_of, samples, tol))
+    wind = relation_family_index(
+        _sampled_loop(_relation_batch(kappa_of, tol), samples))
     crossing_kappa = None
     if crossings:
-        theta = _polish_crossing(eig_loop.generator, *crossings[0])
+        theta = _polish_crossing(eig_batch, *crossings[0])
         crossing_kappa = float(kappa_of(theta))
     report = IndexReport(spectral_flow=flow, winding=wind,
                          consistent=(flow == wind),

@@ -17,6 +17,7 @@ __all__ = [
     "DEFAULT_TOL",
     "Subspace",
     "LinearRelation",
+    "RelationStack",
     "span_orthonormalize",
     "adjoint_relation",
     "relations_from_span",
@@ -303,9 +304,48 @@ class LinearRelation:
                 f"dim={self.dim})")
 
 
+class RelationStack:
+    """A read-only sequence of relations in C^dom_dim + C^cod_dim with one
+    tolerance, carried as one stack of graph bases (N, dom_dim + cod_dim,
+    r) with the columns of member i past ranks[i] zero.
+
+    The stacked relation code reads the bases directly; indexing or
+    iterating builds the member as a `LinearRelation` on demand.
+    """
+
+    __slots__ = ("dom_dim", "cod_dim", "tol", "bases", "ranks")
+
+    def __init__(self, dom_dim, cod_dim, tol, bases, ranks):
+        self.dom_dim = int(dom_dim)
+        self.cod_dim = int(cod_dim)
+        self.tol = float(tol)
+        self.bases = _freeze(bases)
+        self.ranks = _freeze(np.asarray(ranks, dtype=int))
+
+    def __len__(self):
+        return len(self.bases)
+
+    def __getitem__(self, i):
+        basis = self.bases[i][:, :self.ranks[i]]
+        return LinearRelation(self.dom_dim, self.cod_dim,
+                              Subspace(basis, tol=self.tol, _trusted=True))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __repr__(self):
+        return (f"RelationStack(len={len(self)}, dom={self.dom_dim}, "
+                f"cod={self.cod_dim})")
+
+
 def _groups(rels):
     """Indices of the relations grouped by (dom_dim, cod_dim, dim, tol), in
-    order of first appearance; the members of a group stack."""
+    order of first appearance; the members of a group stack.  A
+    RelationStack is grouped by the ranks of its members."""
+    if isinstance(rels, RelationStack):
+        return [((rels.dom_dim, rels.cod_dim, k, rels.tol),
+                 np.flatnonzero(rels.ranks == k))
+                for k in dict.fromkeys(rels.ranks.tolist())]
     groups = {}
     for i, rel in enumerate(rels):
         groups.setdefault((rel.dom_dim, rel.cod_dim, rel.dim, rel.tol),
@@ -314,26 +354,21 @@ def _groups(rels):
 
 
 def _graph_stack(rels, idx):
-    """Graph bases of the indexed relations as one stack; a single relation
-    stays a plain matrix, which the stack code treats as a zero-batch
-    stack."""
+    """Graph bases of the indexed relations, all of one dimension, as one
+    contiguous stack; a single relation of a list stays a plain matrix,
+    which the stack code treats as a zero-batch stack."""
+    if isinstance(rels, RelationStack):
+        k = rels.ranks[idx[0]]
+        return np.ascontiguousarray(rels.bases[idx][..., :k])
     if len(idx) == 1:
         return rels[idx[0]].graph.basis
     return np.array([rels[i].graph.basis for i in idx])
 
 
-def _relations(dom_dim, cod_dim, bases, ranks, tol):
-    """One relation per member of a stack of graph bases, trusted as
-    orthonormal; member i keeps its first ranks[i] columns."""
-    return [LinearRelation(dom_dim, cod_dim,
-                           Subspace(basis[:, :rank], tol=tol, _trusted=True))
-            for basis, rank in zip(bases, ranks)]
-
-
 def relations_from_span(dom_dim, cod_dim, columns, tol=DEFAULT_TOL):
     """One relation per matrix of a stack (N, dom_dim + cod_dim, k): member i
     is `LinearRelation.from_span(dom_dim, cod_dim, columns[i], tol)`, all
-    orthonormalized by one stacked SVD."""
+    orthonormalized by one stacked SVD into a RelationStack."""
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 3 or columns.shape[1] != dom_dim + cod_dim:
         raise ValueError(f"expected a stack of matrices with "
@@ -341,8 +376,8 @@ def relations_from_span(dom_dim, cod_dim, columns, tol=DEFAULT_TOL):
                          f"{columns.shape}")
     if not np.isfinite(columns).all():
         raise ValueError("non-finite entries in input matrix")
-    bases, ranks = _orthonormal_columns(columns, tol)
-    return _relations(dom_dim, cod_dim, bases, ranks, tol)
+    return RelationStack(dom_dim, cod_dim, tol,
+                         *_orthonormal_columns(columns, tol))
 
 
 def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod, tol):
@@ -519,17 +554,31 @@ def relation_to_json(rel):
     return {"dom_dim": rel.dom_dim, "cod_dim": rel.cod_dim, "basis": cols}
 
 
+def _complex_pairs(flat):
+    """Complex vector of a list of [re, im] number pairs, equal bit for bit
+    to complex(re, im) of each; ValueError on any other entry."""
+    error = "basis entries must be [re, im] pairs of numbers"
+    try:
+        pairs = np.array(flat)
+    except ValueError:
+        # ragged nesting, such as a null entry among the pairs
+        raise ValueError(error) from None
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2)
+    # strings and nulls give text or object arrays
+    if (pairs.dtype.kind not in "biuf" or pairs.ndim != 2
+            or pairs.shape[1] != 2):
+        raise ValueError(error)
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[:, 0]
+
+
 def relation_from_json(obj, tol=DEFAULT_TOL):
     dom_dim = int(obj["dom_dim"])
     cod_dim = int(obj["cod_dim"])
-    flat = obj["basis"]
+    flat = _complex_pairs(obj["basis"])
     rows = dom_dim + cod_dim
     if len(flat) % rows:
         raise ValueError("basis length is not a multiple of dom_dim + cod_dim")
-    ncols = len(flat) // rows
-    mat = np.zeros((rows, ncols), dtype=complex)
-    for j in range(ncols):
-        for i in range(rows):
-            re, im = flat[j * rows + i]
-            mat[i, j] = complex(re, im)
+    # the entries run down the columns
+    mat = np.ascontiguousarray(flat.reshape(-1, rows).T)
     return LinearRelation.from_span(dom_dim, cod_dim, mat, tol=tol)

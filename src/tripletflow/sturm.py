@@ -278,7 +278,7 @@ def deficiency_basis(mu):
 
 def robin_relations(kappas, tol=DEFAULT_TOL):
     """The boundary relations {(0, b, c, -kappa b)} in trace coordinates,
-    one per kappa, orthonormalized by one stacked SVD.
+    one per kappa, orthonormalized by one stacked SVD into a RelationStack.
 
     At kappa = +-infinity (or None) the relation is {(0, 0, c, d)}: both
     boundary values vanish and both second traces are free.

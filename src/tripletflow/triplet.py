@@ -22,9 +22,9 @@ import numpy as np
 
 from . import cayley as _cayley
 from .gelfand import GelfandTriple, build_triple
-from .relspace import (LinearRelation, Subspace, _check_invertible,
-                       _hermitian_part, _null_space, _orthonormal_columns,
-                       _relations)
+from .relspace import (LinearRelation, RelationStack, Subspace,
+                       _check_invertible, _graph_stack, _groups,
+                       _hermitian_part, _null_space, _orthonormal_columns)
 
 __all__ = [
     "MatrixBoundaryProblem",
@@ -346,17 +346,18 @@ def transform_boundary_conditions(rt, rels):
     Dirichlet-to-Neumann operator is subtracted from its second component,
     and the result is pushed through the triple isometries, with the graph
     re-orthonormalized after each step as `restrict_relation` and
-    `map_relation` do.  All relations go through one stacked SVD per step;
-    the shear and the isometry map are built and checked for invertibility
+    `map_relation` do.  All relations, a sequence or a RelationStack, go
+    through one stacked SVD per step and come back as a RelationStack; the
+    shear and the isometry map are built and checked for invertibility
     once per call.
     """
-    if not rels:
+    if not len(rels):
         return []
     d = rt.triple.dim
-    shapes = {(rel.dom_dim, rel.cod_dim, rel.dim, rel.tol) for rel in rels}
-    if len(shapes) > 1:
+    groups = list(_groups(rels))
+    if len(groups) > 1:
         raise ValueError("boundary relations differ in shape or tolerance")
-    ((dom_dim, cod_dim, k, tol),) = shapes
+    (((dom_dim, cod_dim, k, tol), idx),) = groups
     if dom_dim != d or cod_dim != d:
         raise ValueError("boundary relation does not match the triple")
     shear = np.eye(2 * d, dtype=complex)
@@ -364,13 +365,13 @@ def transform_boundary_conditions(rt, rels):
     lam_map = rt.triple.shift_map
     _check_invertible(shear, tol)
     _check_invertible(lam_map, tol)
-    bases = np.array([rel.graph.basis for rel in rels])
+    bases = _graph_stack(rels, idx).reshape(len(idx), 2 * d, k)
     # restriction to the full small space: every pair stays, with the
     # identity as null-space coefficients of its empty constraint set
     bases, _ = _orthonormal_columns(bases @ np.eye(k, dtype=complex), tol)
     bases, _ = _orthonormal_columns(shear @ bases, tol)
-    bases, ranks = _orthonormal_columns(lam_map @ bases, tol)
-    return _relations(d, d, bases, ranks, tol)
+    return RelationStack(d, d, tol, *_orthonormal_columns(lam_map @ bases,
+                                                          tol))
 
 
 def transform_boundary_condition(rt, rel):

@@ -147,6 +147,27 @@ def test_index_names_the_one_non_selfadjoint_sample(tmp_path, capsys, odd):
     assert f"sample at theta={float(thetas[5])} is not a self-adjoint" in err
 
 
+@pytest.mark.parametrize("case", ["string-entry", "null-entry",
+                                  "top-level-list"])
+def test_index_malformed_fixture_is_input_error(tmp_path, capsys, case):
+    thetas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+    fam = tmp_path / "malformed.json"
+    write_family(fam, thetas, [robin_relation(kappa_of_theta(t))
+                               for t in thetas])
+    obj = json.loads(fam.read_text())
+    if case == "string-entry":
+        obj["samples"][3]["relation"]["basis"][2] = ["x", 0.0]
+    elif case == "null-entry":
+        obj["samples"][3]["relation"]["basis"][2] = None
+    else:
+        obj = obj["samples"]
+    fam.write_text(json.dumps(obj))
+    assert run_cli(["index", "--family", str(fam)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
 def test_missing_family_file_is_input_error(tmp_path, capsys):
     assert run_cli(["index", "--family", str(tmp_path / "missing.json")]) == 2
 

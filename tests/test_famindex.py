@@ -107,7 +107,8 @@ def test_crossing_is_read_off_the_eigenvalue_walk(shift):
                          generator=sawtooth)
     flow, crossings = fi._flow_walk(loop, level=0.0, window=0.4)
     assert flow == 1 and len(crossings) == 1
-    theta = fi._polish_crossing(loop.generator, *crossings[0])
+    theta = fi._polish_crossing(lambda ts: [sawtooth(t) for t in ts],
+                                *crossings[0])
     assert abs(theta - (shift + math.pi)) < 1e-12
 
 

@@ -50,6 +50,31 @@ def test_relation_round_trip(rng):
     assert back.gap(rel) <= 1e-12
 
 
+def test_relation_from_json_reads_the_pairs_exactly(rng):
+    # signed zeros, a subnormal, an integer and a large value survive the text
+    # and the array conversion bit for bit: the relation read back is
+    # from_span of the very matrix that was written
+    mat = random_complex(rng, 4, 2)
+    mat[0, 0] = complex(-0.0, 5e-324)
+    mat[1, 1] = complex(3.0, -0.0)
+    mat[2, 0] = complex(1e150, -1e-300)
+    obj = through_text({"dom_dim": 1, "cod_dim": 3,
+                        "basis": [[z.real, z.imag] for z in mat.T.ravel()]})
+    obj["basis"][7] = [3, 0]
+    mat[3, 1] = 3.0
+    exact = rs._complex_pairs(obj["basis"])
+    expected = np.array([complex(re, im) for re, im in obj["basis"]])
+    assert exact.tobytes() == expected.tobytes()
+    back = rs.relation_from_json(obj)
+    ref = rs.LinearRelation.from_span(1, 3, mat)
+    assert back.graph.basis.tobytes() == ref.graph.basis.tobytes()
+    for bad in (["x", 0.0], None, [1.0], [1.0, 2.0, 3.0], [[1.0], 2.0]):
+        broken = through_text(obj)
+        broken["basis"][5] = bad
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            rs.relation_from_json(broken)
+
+
 @pytest.mark.parametrize("dim", [0, 1, 4])
 def test_triple_round_trip(rng, dim):
     triple = gf.build_triple(hermitian(rng, dim, 1.0), hermitian(rng, dim, 2.0))

@@ -142,6 +142,31 @@ def flow_reference(thetas, samples, refine=None, level=0.0, window=1.0,
     return flow, crossings, inserted
 
 
+def polish_reference(generator, t0, t1, la, lb, level=0.0):
+    """The bisection polish of a level crossing, one generator call per
+    midpoint."""
+    below_at_t0 = la <= level
+    for _ in range(200):
+        tm = 0.5 * (t0 + t1)
+        if not t0 < tm < t1:
+            break
+        em = np.asarray(generator(tm % (2.0 * math.pi)), dtype=float)
+        if not em.size:
+            raise fi.RefinementError(
+                f"the crossing branch vanished at theta={tm:.17g}")
+        vm = float(em[np.argmin(np.abs(em - 0.5 * (la + lb)))])
+        if (vm <= level) == below_at_t0:
+            t0, la = tm, vm
+        else:
+            t1, lb = tm, vm
+    return (0.5 * (t0 + t1)) % (2.0 * math.pi)
+
+
+def batched(generator):
+    """The batched form of a scalar loop generator."""
+    return lambda thetas: [generator(t) for t in thetas]
+
+
 def branch_table_reference(thetas, kappas, eig_lists, match_tol=None):
     """Branch ids by a per-pair loop over the flat argsort of all moves."""
     rows, next_id, prev_vals, prev_ids = [], 0, None, None
@@ -456,3 +481,184 @@ def test_branch_table_ties_match_the_reference_matcher(match_tol):
     kappas = list(range(40))
     rows = fi.branch_table(thetas, kappas, eigs, match_tol)
     assert rows == branch_table_reference(thetas, kappas, eigs, match_tol)
+
+
+# -- the relation stack ---------------------------------------------------------
+
+def assert_same_relations(stack, rels):
+    assert len(stack) == len(rels)
+    for got, ref in zip(stack, rels):
+        assert (got.dom_dim, got.cod_dim, got.tol) == (ref.dom_dim,
+                                                       ref.cod_dim, ref.tol)
+        np.testing.assert_array_equal(got.graph.basis, ref.graph.basis)
+    for i in (0, len(stack) // 2, -1):
+        np.testing.assert_array_equal(stack[i].graph.basis,
+                                      rels[i].graph.basis)
+
+
+def assert_same_unitaries(got, ref):
+    assert len(got) == len(ref)
+    worst = max(float(np.max(np.abs(u - v))) for u, v in zip(got, ref))
+    assert worst == 0.0
+
+
+@pytest.mark.parametrize("samples", [72, 720])
+def test_robin_relation_stack_equals_the_list_path(samples):
+    loop = fi.rellich_boundary_family(samples=samples)
+    stack = loop.payloads
+    assert isinstance(stack, rs.RelationStack)
+    # the list path: one relation per generator call
+    rels = [loop.generator(t) for t in loop.thetas]
+    assert_same_relations(stack, rels)
+    assert_same_unitaries(rs.cayley_unitaries(stack),
+                          rs.cayley_unitaries(rels))
+    for tol in (None, 1e-8):
+        assert (rs.is_self_adjoint_batch(stack, tol).tolist()
+                == rs.is_self_adjoint_batch(rels, tol).tolist())
+    assert rs.is_self_adjoint_batch(stack).all()
+    assert (fi.relation_family_index((loop.thetas, stack))
+            == fi.relation_family_index((loop.thetas, rels)) == 1)
+    rt = reduced_triplet(sturm.RellichBoundaryProblem())
+    kappas = [sturm.kappa_of_theta(t) for t in loop.thetas]
+    raw = sturm.robin_relations(kappas)
+    assert_same_relations(transform_boundary_conditions(rt, raw),
+                          transform_boundary_conditions(rt, list(raw)))
+
+
+def test_mixed_rank_stack_equals_the_list_path(rng):
+    # ranks 2, 1, 2, 3, 2, 1 in C^2 + C^2: self-adjoint graphs, their
+    # non-self-adjoint neighbours and relations of the wrong dimension
+    def graph(mat):
+        # three spanning columns, none of them zero
+        cols = np.vstack([np.eye(2), mat])
+        return np.hstack([cols, cols @ np.array([[1.0], [2.0]])])
+
+    members = []
+    for rank in (2, 1, 2, 3, 2, 1):
+        if rank == 2:
+            h = random_complex(rng, 2, 2)
+            members.append(graph(h + h.conj().T))
+        else:
+            cols = random_complex(rng, 4, rank)
+            members.append(np.hstack([cols, cols[:, :1]] * 3)[:, :3])
+    members[4] = graph(random_complex(rng, 2, 2))
+    stack = rs.relations_from_span(2, 2, np.array(members))
+    assert stack.ranks.tolist() == [2, 1, 2, 3, 2, 1]
+    rels = [rs.LinearRelation.from_span(2, 2, m) for m in members]
+    assert_same_relations(stack, rels)
+    flags = rs.is_self_adjoint_batch(stack, 1e-8)
+    assert flags.tolist() == rs.is_self_adjoint_batch(rels, 1e-8).tolist()
+    assert flags.tolist() == [True, False, True, False, False, False]
+    with pytest.raises(ValueError) as ref_err:
+        rs.cayley_unitaries(rels)
+    with pytest.raises(ValueError) as err:
+        rs.cayley_unitaries(stack)
+    assert str(err.value) == str(ref_err.value)
+    square = rs.relations_from_span(2, 2, np.array(members)[[0, 2, 4]])
+    assert_same_unitaries(rs.cayley_unitaries(square),
+                          rs.cayley_unitaries(list(square)))
+
+
+def test_robin_relation_loop_builds_no_relation_objects(monkeypatch):
+    built = []
+    init = rs.LinearRelation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rs.LinearRelation, "__init__", counting)
+    loop = fi.rellich_boundary_family()
+    assert fi.relation_family_index(loop) == 1
+    assert rs.is_self_adjoint_batch(loop.payloads, 1e-8).all()
+    assert not built
+    assert isinstance(loop.generator(0.25), rs.LinearRelation)
+    assert len(built) == 1
+
+
+# -- the crossing polish -----------------------------------------------------
+
+@pytest.mark.parametrize("samples", [72, 240, 720])
+def test_polish_equals_the_bisection_on_the_robin_loop(samples):
+    loop = fi.rellich_eigenvalue_samples(samples=samples)
+    _, crossings = fi._flow_walk(loop, 0.0, 1.0)
+    batch = fi._eigenvalue_batch(sturm.kappa_of_theta, 400.0)
+    theta = fi._polish_crossing(batch, *crossings[0])
+    assert theta == polish_reference(loop.generator, *crossings[0])
+    assert abs(sturm.kappa_of_theta(theta) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("shift", [0.3, 1.1, 2.5])
+def test_polish_equals_the_bisection_on_sawtooth_loops(shift):
+    def sawtooth(theta):
+        return np.array([((theta - shift) % (2 * math.pi)) / math.pi - 1.0])
+
+    thetas = list(np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    _, crossings = fi._flow_walk((thetas, [sawtooth(t) for t in thetas]),
+                                 0.0, 0.4)
+    assert (fi._polish_crossing(batched(sawtooth), *crossings[0])
+            == polish_reference(sawtooth, *crossings[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       width=st.floats(1e-6, 1.5),
+       where=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       slope=st.floats(0.05, 50.0),
+       rising=st.booleans(),
+       curved=st.booleans(),
+       level=st.sampled_from([0.0, -2.0, 3.5]),
+       others=st.sampled_from([(), (40.0,), (-30.0, 25.0)]))
+def test_polish_equals_the_bisection_on_monotone_branches(
+        start, width, where, slope, rising, curved, level, others):
+    # one branch through the level at start + where * width, which may lie
+    # past 2 pi on the wrap-around interval, and far branches beside it
+    t0, t1 = start, start + width
+    crossing = t0 + where * width
+    sign = 1.0 if rising else -1.0
+
+    def gen(theta):
+        lifted = theta if theta >= t0 else theta + 2.0 * math.pi
+        x = slope * (lifted - crossing)
+        value = level + sign * (x + x ** 3 if curved else x)
+        return np.sort(np.array([value, *(level + o for o in others)]))
+
+    def nearest(theta):
+        eigs = gen(theta % (2.0 * math.pi))
+        return float(eigs[np.argmin(np.abs(eigs - level))])
+
+    la, lb = nearest(t0), nearest(t1)
+    assert (fi._polish_crossing(batched(gen), t0, t1, la, lb, level)
+            == polish_reference(gen, t0, t1, la, lb, level))
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       width=st.floats(1e-3, 1.5),
+       freq=st.floats(5.0, 400.0),
+       phase=st.floats(0.0, 2.0 * math.pi))
+def test_polish_follows_the_bisection_through_several_crossings(
+        start, width, freq, phase):
+    # a branch meeting the level many times inside the interval: a search
+    # on other points than the bisection midpoints may settle elsewhere
+    t0, t1 = start, start + width
+
+    def gen(theta):
+        lifted = theta if theta >= t0 else theta + 2.0 * math.pi
+        return np.array([math.sin(freq * (lifted - t0) + phase) - 0.1])
+
+    la = float(gen(t0 % (2.0 * math.pi))[0])
+    lb = float(gen(t1 % (2.0 * math.pi))[0])
+    assert (fi._polish_crossing(batched(gen), t0, t1, la, lb)
+            == polish_reference(gen, t0, t1, la, lb))
+
+
+def test_polish_keeps_the_vanished_branch_error():
+    def gen(theta):
+        return np.array([theta - 3.0]) if theta < 3.2 else np.zeros(0)
+
+    with pytest.raises(fi.RefinementError) as ref_err:
+        polish_reference(gen, 2.5, 3.5, -0.5, 0.5)
+    with pytest.raises(fi.RefinementError) as err:
+        fi._polish_crossing(batched(gen), 2.5, 3.5, -0.5, 0.5)
+    assert str(err.value) == str(ref_err.value)
