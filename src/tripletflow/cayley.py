@@ -330,11 +330,16 @@ def extension_from_relation(model, boundary_rel):
         warnings.warn("boundary relation is not self-adjoint; the extension "
                       "will not be self-adjoint either", stacklevel=2)
     basis, g0, g1, _ = boundary_data(model)
-    stacked = np.vstack([g0, g1])
-    perp = boundary_rel.graph.complement().basis
-    coeff = _null_space(perp.conj().T @ stacked, model.tol)
+    coeff = _boundary_cut(g0, g1, boundary_rel, model.tol)
     return LinearRelation.from_span(model.dim, model.dim, basis @ coeff,
                                     tol=model.tol)
+
+
+def _boundary_cut(g0, g1, boundary_rel, tol):
+    """Coefficients of the combinations of the columns of (g0; g1) that
+    lie in the boundary relation."""
+    perp = boundary_rel.graph.complement().basis
+    return _null_space(perp.conj().T @ np.vstack([g0, g1]), tol)
 
 
 def partial_cayley(rel, mu, tol=None):

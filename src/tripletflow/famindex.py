@@ -60,7 +60,6 @@ class FamilyLoop:
     thetas: list
     payloads: list
     generator: object = None
-    orientation: int = 1
 
     def __post_init__(self):
         if len(self.thetas) != len(self.payloads):
@@ -403,7 +402,7 @@ def _relation_batch(kappa_of, tol):
     relations of the given thetas as one RelationStack."""
     rt = reduced_triplet(sturm.RellichBoundaryProblem(tol=tol))
     return lambda thetas: transform_boundary_conditions(
-        rt, sturm.robin_relations([kappa_of(t) for t in thetas]))
+        rt, sturm.robin_relations([kappa_of(t) for t in thetas], tol))
 
 
 def _eigenvalue_batch(kappa_of, lambda_max):

@@ -575,6 +575,8 @@ def _complex_pairs(flat):
 def relation_from_json(obj, tol=DEFAULT_TOL):
     dom_dim = int(obj["dom_dim"])
     cod_dim = int(obj["cod_dim"])
+    if dom_dim < 0 or cod_dim < 0 or dom_dim + cod_dim == 0:
+        raise ValueError("dom_dim and cod_dim must be >= 0, not both 0")
     flat = _complex_pairs(obj["basis"])
     rows = dom_dim + cod_dim
     if len(flat) % rows:

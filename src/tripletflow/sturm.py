@@ -537,10 +537,6 @@ class RellichBoundaryProblem:
     def action(u):
         return -1.0 * u.derivative().derivative()
 
-    @staticmethod
-    def inner_h(u, v):
-        return u.inner(v)
-
     def lagrange_form(self, u, v):
         return self.action(u).inner(v) - u.inner(self.action(v))
 

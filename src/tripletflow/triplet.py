@@ -61,11 +61,10 @@ class MatrixBoundaryProblem:
             raise ValueError("boundary problems are built at mu = i")
         self.model = model
         self.tol = model.tol if tol is None else tol
-        basis, g0, g1, vmat = _cayley.boundary_data(model)
+        basis, g0, g1, _ = _cayley.boundary_data(model)
         self._pair_basis = basis
         self._g0_inner = g0
         self._g1_inner = g1
-        self._vmat = vmat
         d = model.kminus.dim
         self.boundary_dim = d
         if mix is None:
@@ -96,9 +95,6 @@ class MatrixBoundaryProblem:
 
     def action(self, u):
         return u[self.dim:]
-
-    def inner_h(self, u, v):
-        return complex(np.vdot(v[: self.dim], u[: self.dim]))
 
     def lagrange_form(self, u, v):
         n = self.dim
@@ -200,13 +196,22 @@ class KernelSolutionMap:
         return out
 
 
+def _columns(rows, d, parts):
+    """Per-element tuples of d-vectors as one d x m matrix per part."""
+    if not rows:
+        return tuple(np.zeros((d, 0), dtype=complex) for _ in range(parts))
+    return tuple(np.column_stack(part) for part in zip(*rows))
+
+
+def _raw_traces(bp, elems):
+    """(Gamma0, Gamma1) of the elements, one column each."""
+    return _columns([(bp.gamma0(u), bp.gamma1(u)) for u in elems],
+                    bp.boundary_dim, 2)
+
+
 def kernel_solution_map(bp):
     kern = bp.kernel_basis()
-    g0 = np.column_stack([bp.gamma0(k) for k in kern]) if kern else \
-        np.zeros((bp.boundary_dim, 0), dtype=complex)
-    g1 = np.column_stack([bp.gamma1(k) for k in kern]) if kern else \
-        np.zeros((bp.boundary_dim, 0), dtype=complex)
-    return KernelSolutionMap(kern, g0, g1)
+    return KernelSolutionMap(kern, *_raw_traces(bp, kern))
 
 
 def dirichlet_to_neumann(bp):
@@ -224,25 +229,46 @@ class ReducedTriplet:
     dtn: np.ndarray
     triple: GelfandTriple
 
+    def _reduce(self, g0, g1):
+        """(gamma0_bar, gamma1_bold, gamma1_bar) = (Lam' g0, g1 - M g0,
+        Lam^-1 (g1 - M g0)) of a pair of trace vectors or matrices."""
+        bold = g1 - self.dtn @ g0
+        return self.triple.lam_prime @ g0, bold, self.triple.lam_inv @ bold
+
     def gamma0_bar(self, u):
-        return self.triple.lam_prime @ self.bp.gamma0(u)
+        return _trace_table(self, [u])[0][:, 0]
 
     def gamma1_bold(self, u):
-        return self.bp.gamma1(u) - self.dtn @ self.bp.gamma0(u)
+        return _trace_table(self, [u])[1][:, 0]
 
     def gamma1_bar(self, u):
-        return self.triple.lam_inv @ self.gamma1_bold(u)
+        return _trace_table(self, [u])[2][:, 0]
 
 
 def reduced_triplet(bp):
     return ReducedTriplet(bp, dirichlet_to_neumann(bp), bp.triple)
 
 
-def _pairing_asym(rt, u, v):
-    gp = rt.triple.gram_partial
-    a = complex(np.vdot(rt.gamma0_bar(v), gp @ rt.gamma1_bar(u)))
-    b = complex(np.vdot(rt.gamma1_bar(v), gp @ rt.gamma0_bar(u)))
-    return a - b
+def _trace_table(rt, elems):
+    """(gamma0_bar, gamma1_bold, gamma1_bar) of the elements by column, each
+    element's traces evaluated once and reduced alone: one product over all
+    columns differs from the one-element maps in the last bits."""
+    bp = rt.bp
+    return _columns([rt._reduce(bp.gamma0(u), bp.gamma1(u)) for u in elems],
+                    bp.boundary_dim, 3)
+
+
+def _column_norms(mat, norms):
+    """Worst column norm of mat, each relative to max(1, norms[j])."""
+    return max((float(np.linalg.norm(mat[:, j])) / max(1.0, norm)
+                for j, norm in enumerate(norms)), default=0.0)
+
+
+def _projection_defects(bp, elems, norms, bold):
+    """Worst |Gamma0 p(u)| and |gamma1_bold(u) - Gamma1 p(u)|, each over
+    max(1, |u|), with p the regular projection, |u| in `norms`."""
+    g0p, g1p = _raw_traces(bp, [bp.project_regular(u) for u in elems])
+    return _column_norms(g0p, norms), _column_norms(bold - g1p, norms)
 
 
 def reduced_residuals(bp, rt=None, rng=None, count=10):
@@ -255,26 +281,25 @@ def reduced_residuals(bp, rt=None, rng=None, count=10):
     """
     rt = reduced_triplet(bp) if rt is None else rt
     elems = bp.test_elements(rng=rng, count=count)
-    proj_res = 0.0
+    norms = [bp.element_norm(u) for u in elems]
+    bar0, bold, bar1 = _trace_table(rt, elems)
+    _, proj_res = _projection_defects(bp, elems, norms, bold)
+    # contiguous rows: vdot of a strided column differs in the last bits
+    rows0, rows1 = np.ascontiguousarray(bar0.T), np.ascontiguousarray(bar1.T)
+    gp = rt.triple.gram_partial
     lagr_res = 0.0
-    for u in elems:
-        p, _ = regular_kernel_split(bp, u)
-        scale = max(1.0, bp.element_norm(u))
-        proj_res = max(proj_res,
-                       float(np.linalg.norm(rt.gamma1_bold(u) - bp.gamma1(p)))
-                       / scale)
-    for u in elems:
-        for v in elems:
-            scale = max(1.0, bp.element_norm(u) * bp.element_norm(v))
-            lhs = bp.lagrange_form(u, v)
-            lagr_res = max(lagr_res, abs(lhs - _pairing_asym(rt, u, v)) / scale)
-    stacked = np.column_stack([
-        np.concatenate([rt.gamma0_bar(u), rt.gamma1_bar(u)]) for u in elems])
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    for i, u in enumerate(elems):
+        gp0, gp1 = gp @ rows0[i], gp @ rows1[i]
+        for j, v in enumerate(elems):
+            pairing = (complex(np.vdot(rows0[j], gp1))
+                       - complex(np.vdot(rows1[j], gp0)))
+            lagr_res = max(lagr_res, abs(bp.lagrange_form(u, v) - pairing)
+                           / max(1.0, norms[i] * norms[j]))
+    svals = np.linalg.svd(np.vstack([bar0, bar1]), compute_uv=False)
     d = bp.boundary_dim
-    surj_margin = float(svals[2 * d - 1]) if stacked.shape[1] >= 2 * d else 0.0
-    kern_res = max((float(np.linalg.norm(rt.gamma1_bold(k)))
-                    for k in bp.kernel_basis()), default=0.0)
+    surj_margin = float(svals[2 * d - 1]) if len(elems) >= 2 * d else 0.0
+    kern = bp.kernel_basis()
+    kern_res = _column_norms(_trace_table(rt, kern)[1], [1.0] * len(kern))
     return {
         "gamma1_bold_vs_projection": proj_res,
         "standard_lagrange": lagr_res,
@@ -300,29 +325,21 @@ def kernel_report(bp, rt=None, tol=1e-8, rng=None, count=10):
         checks.append({"name": name, "residual": float(residual),
                        "pass": bool(residual <= tol)})
 
-    res = max((float(np.linalg.norm(rt.gamma1_bold(t)))
-               / max(1.0, bp.element_norm(t))
-               for t in bp.minimal_domain_elements()), default=0.0)
-    record("corrected_trace_vanishes_on_minimal_domain", res)
-    res = max((float(np.linalg.norm(rt.gamma1_bold(k)))
-               / max(1.0, bp.element_norm(k))
-               for k in bp.kernel_basis()), default=0.0)
-    record("corrected_trace_vanishes_on_kernel", res)
-    res0 = 0.0
-    res1 = 0.0
-    for u in bp.test_elements(rng=rng, count=count):
-        p, _ = regular_kernel_split(bp, u)
-        scale = max(1.0, bp.element_norm(u))
-        res0 = max(res0, float(np.linalg.norm(bp.gamma0(p))) / scale)
-        res1 = max(res1, float(np.linalg.norm(rt.gamma1_bold(u) - bp.gamma1(p)))
-                   / scale)
+    for name, elems in (("minimal_domain", bp.minimal_domain_elements()),
+                        ("kernel", bp.kernel_basis())):
+        record(f"corrected_trace_vanishes_on_{name}",
+               _column_norms(_trace_table(rt, elems)[1],
+                             [bp.element_norm(u) for u in elems]))
+    elems = bp.test_elements(rng=rng, count=count)
+    res0, res1 = _projection_defects(bp, elems,
+                                     [bp.element_norm(u) for u in elems],
+                                     _trace_table(rt, elems)[1])
     record("projection_has_dirichlet_trace_zero", res0)
     record("projection_carries_corrected_trace", res1)
 
     if hasattr(bp, "coefficient_view"):
         basis, g0, g1 = bp.coefficient_view()
-        dtn = rt.dtn
-        g1_bold = g1 - dtn @ g0
+        _, g1_bold, _ = rt._reduce(g0, g1)
         m = basis.shape[1]
         ker_bold = Subspace.from_span(_null_space(g1_bold, bp.tol),
                                       ambient_dim=m, tol=bp.tol)
@@ -385,11 +402,10 @@ def neumann_graph_check(bp, rt=None):
     and the graph of the negated, triple-conjugated Dirichlet-to-Neumann
     operator."""
     rt = reduced_triplet(bp) if rt is None else rt
-    elems = bp.gamma1_kernel_elements()
-    cols = [np.concatenate([rt.gamma0_bar(u), rt.gamma1_bar(u)])
-            for u in elems]
+    bar0, _, bar1 = _trace_table(rt, bp.gamma1_kernel_elements())
     d = bp.boundary_dim
-    actual = LinearRelation.from_span(d, d, np.column_stack(cols), tol=bp.tol)
+    actual = LinearRelation.from_span(d, d, np.vstack([bar0, bar1]),
+                                      tol=bp.tol)
     expected_mat = -rt.triple.lam_inv @ rt.dtn @ np.linalg.inv(
         rt.triple.lam_prime)
     expected = LinearRelation.graph_of(expected_mat, tol=bp.tol)
@@ -417,15 +433,12 @@ def compare_triplets(bp, rt=None, rng=None, count=12):
     inner_gamma = bp.inner_boundary_maps()
     d = bp.boundary_dim
     kern = bp.kernel_basis()
-    g0_bar_k = np.column_stack([rt.gamma0_bar(k) for k in kern])
-    g0_in_k = np.column_stack([inner_gamma(k)[0] for k in kern])
-    d_matrix = g0_in_k @ np.linalg.inv(g0_bar_k)
+    g0_in_k, _ = _columns([inner_gamma(k) for k in kern], d, 2)
+    d_matrix = g0_in_k @ np.linalg.inv(_trace_table(rt, kern)[0])
 
     elems = bp.test_elements(rng=rng, count=count)
-    g0_in = np.column_stack([inner_gamma(u)[0] for u in elems])
-    g1_in = np.column_stack([inner_gamma(u)[1] for u in elems])
-    g0_bar = np.column_stack([rt.gamma0_bar(u) for u in elems])
-    g1_bar = np.column_stack([rt.gamma1_bar(u) for u in elems])
+    g0_in, g1_in = _columns([inner_gamma(u) for u in elems], d, 2)
+    g0_bar, _, g1_bar = _trace_table(rt, elems)
 
     gp = rt.triple.gram_partial
     d_star = np.linalg.solve(gp, d_matrix.conj().T)
@@ -463,9 +476,6 @@ def boundary_condition_domain(bp, rel, rt=None, reduced=False):
     basis, g0, g1 = bp.coefficient_view()
     if reduced:
         rt = reduced_triplet(bp) if rt is None else rt
-        g1 = rt.triple.lam_inv @ (g1 - rt.dtn @ g0)
-        g0 = rt.triple.lam_prime @ g0
-    stacked = np.vstack([g0, g1])
-    perp = rel.graph.complement().basis
-    coeff = _null_space(perp.conj().T @ stacked, bp.tol)
-    return Subspace.from_span(coeff, ambient_dim=basis.shape[1], tol=bp.tol)
+        g0, _, g1 = rt._reduce(g0, g1)
+    return Subspace.from_span(_cayley._boundary_cut(g0, g1, rel, bp.tol),
+                              ambient_dim=basis.shape[1], tol=bp.tol)

@@ -148,17 +148,24 @@ def test_index_names_the_one_non_selfadjoint_sample(tmp_path, capsys, odd):
 
 
 @pytest.mark.parametrize("case", ["string-entry", "null-entry",
-                                  "top-level-list"])
+                                  "top-level-list", "zero-dims",
+                                  "negative-dim"])
 def test_index_malformed_fixture_is_input_error(tmp_path, capsys, case):
     thetas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
     fam = tmp_path / "malformed.json"
     write_family(fam, thetas, [robin_relation(kappa_of_theta(t))
                                for t in thetas])
     obj = json.loads(fam.read_text())
+    rel = obj["samples"][3]["relation"]
     if case == "string-entry":
-        obj["samples"][3]["relation"]["basis"][2] = ["x", 0.0]
+        rel["basis"][2] = ["x", 0.0]
     elif case == "null-entry":
-        obj["samples"][3]["relation"]["basis"][2] = None
+        rel["basis"][2] = None
+    elif case == "zero-dims":
+        rel["dom_dim"] = rel["cod_dim"] = 0
+    elif case == "negative-dim":
+        # the basis length still divides dom_dim + cod_dim = 1
+        rel["dom_dim"], rel["cod_dim"] = -1, 2
     else:
         obj = obj["samples"]
     fam.write_text(json.dumps(obj))
@@ -166,6 +173,8 @@ def test_index_malformed_fixture_is_input_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert "Traceback" not in err
+    # a malformed fixture is reported as such, not as a bad sample
+    assert "self-adjoint" not in err
 
 
 def test_missing_family_file_is_input_error(tmp_path, capsys):

@@ -145,6 +145,15 @@ def test_transformed_family_matches_plain_robin_part():
     assert fi.relation_family_index(raw_loop) == 1
 
 
+def test_relation_family_keeps_the_tolerance():
+    # the Robin relations, not only the boundary problem, take the tolerance
+    loop = fi.rellich_boundary_family(samples=16, tol=1e-6)
+    assert loop.payloads.tol == 1e-6
+    assert loop.generator(0.3).tol == 1e-6
+    default = fi.rellich_boundary_family(samples=16)
+    assert default.payloads.tol == rs.DEFAULT_TOL
+
+
 def test_conjugation_invariance(rng):
     h = random_complex(rng, 2, 2)
     h = h + h.conj().T
@@ -231,6 +240,9 @@ def test_family_loop_validation():
         fi.FamilyLoop([0.0, 0.0], [np.eye(1), np.eye(1)])
     with pytest.raises(ValueError):
         fi.FamilyLoop([0.0], [np.eye(1)])
+    # orientation is not a loop field: a reversed loop is its own family
+    with pytest.raises(TypeError):
+        fi.FamilyLoop([0.0, 1.0], [np.eye(1), np.eye(1)], orientation=-1)
 
 
 @pytest.mark.parametrize("thetas", [[0.0, 3.0, 7.0], [-0.1, 1.0],
