@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from tripletflow import (dirichlet_to_neumann, robin_relation,
+from tripletflow import (CONVENTION, dirichlet_to_neumann, robin_relation,
                          secular_eigenvalues, spectral_flow,
                          transform_boundary_condition, verify_index_theorem)
 from tripletflow.famindex import rellich_eigenvalue_samples
@@ -39,7 +39,7 @@ print("spectral flow :", report.spectral_flow)
 print("Cayley winding:", report.winding)
 print("consistent    :", report.consistent)
 print("level-zero crossing at kappa =", report.crossing_kappa)
-print("convention    :", report.convention)
+print("convention    :", CONVENTION)
 
 print("\n== a second look at the flow, coarser loop ==")
 loop = rellich_eigenvalue_samples(samples=180)

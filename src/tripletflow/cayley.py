@@ -128,11 +128,8 @@ def random_symmetric_model(rng, dim, defect, mu=1j, tol=DEFAULT_TOL):
     return SymmetricModel(dim, t_rel, a_rel, mu=mu, tol=tol)
 
 
-def random_selfadjoint_relation(rng, dim, operator_only=False, tol=DEFAULT_TOL):
+def random_selfadjoint_relation(rng, dim, tol=DEFAULT_TOL):
     """Random self-adjoint relation on C^dim, via the inverse Cayley map."""
-    if operator_only:
-        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return LinearRelation.graph_of(0.5 * (h + h.conj().T), tol=tol)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim))
                         + 1j * rng.standard_normal((dim, dim)))
     u = q * (np.diag(r) / np.abs(np.diag(r)))
@@ -342,18 +339,17 @@ def _boundary_cut(g0, g1, boundary_rel, tol):
     return _null_space(perp.conj().T @ np.vstack([g0, g1]), tol)
 
 
-def partial_cayley(rel, mu, tol=None):
+def partial_cayley(rel, mu):
     """mu-Cayley transform of a symmetric relation as a partial isometry.
 
     Maps (y' - conj(mu) y) to (y' - mu y) over the pairs of the relation and
     vanishes on the orthogonal complement of Im(T - conj(mu)).
     """
-    tol = rel.tol if tol is None else tol
     x_blk = rel.dom_block()
     y_blk = rel.cod_block()
     m1 = y_blk - np.conj(mu) * x_blk
     m2 = y_blk - mu * x_blk
-    return m2 @ np.linalg.pinv(m1, rcond=tol)
+    return m2 @ np.linalg.pinv(m1, rcond=rel.tol)
 
 
 def embed_boundary_unitary(subspace, small_unitary):

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,33 +22,9 @@ from . import sturm
 from . import verify as vf
 from .relspace import is_self_adjoint_batch, relation_from_json
 
-__all__ = ["RunConfig", "main", "cmd_rellich", "cmd_verify", "cmd_index"]
+__all__ = ["main", "cmd_rellich", "cmd_verify", "cmd_index"]
 
 _ENV_TOL = "TRIPLETFLOW_TOL"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    samples: int = 720
-    lambda_max: float = 400.0
-    tol: float = 1e-9
-    seed: int = 42
-    trials: int = 50
-    out: str = "."
-    format: str = "json"
-    suite: str = "all"
-    family: str = "rellich"
-
-    def __post_init__(self):
-        if self.samples < 8:
-            raise ValueError("samples must be at least 8")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
 
 
 def _fmt(x):
@@ -86,38 +61,41 @@ def _report_bytes(obj, fmt):
     return ("\n".join(lines) + "\n").encode()
 
 
-def cmd_rellich(config):
+def cmd_rellich(args):
     """Run the Robin family demonstration: branch CSV plus index report."""
+    if args.samples < 8:
+        raise ValueError("samples must be at least 8")
     # the branch table reuses the eigenvalue loop of the index comparison
-    report, eig_loop = fi._robin_index(sturm.kappa_of_theta, config.samples,
-                                       config.lambda_max)
+    report, eig_loop = fi._robin_index(sturm.kappa_of_theta, args.samples,
+                                       args.lambda_max)
     kappas = [sturm.kappa_of_theta(t) for t in eig_loop.thetas]
     rows = fi.branch_table(eig_loop.thetas, kappas, eig_loop.payloads)
-    os.makedirs(config.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     csv_lines = ["theta,kappa,branch_id,lambda"]
     csv_lines.extend(f"{_fmt(t)},{_fmt(k)},{b},{_fmt(lam)}"
                      for t, k, b, lam in rows)
-    _write(os.path.join(config.out, "rellich_branches.csv"),
+    _write(os.path.join(args.out, "rellich_branches.csv"),
            ("\n".join(csv_lines) + "\n").encode())
-    _write(os.path.join(config.out, "rellich_report.json"),
+    _write(os.path.join(args.out, "rellich_report.json"),
            _json_bytes(report.to_dict()))
     ok = report.consistent and abs(report.winding) == 1
     print(report.to_json())
     return 0 if ok else 1
 
 
-def cmd_verify(config):
+def cmd_verify(args):
     """Run a verification suite and emit per-check residuals."""
-    records = vf.run_suite(config.suite, trials=config.trials,
-                           seed=config.seed, tol=None)
-    payload = {"suite": config.suite, "seed": config.seed,
-               "trials": config.trials, "checks": records,
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    records = vf.run_suite(args.suite, trials=args.trials, seed=args.seed)
+    payload = {"suite": args.suite, "seed": args.seed,
+               "trials": args.trials, "checks": records,
                "all_pass": vf.all_pass(records)}
-    data = _report_bytes(payload, config.format)
-    if config.out not in (".", ""):
-        os.makedirs(config.out, exist_ok=True)
-        name = f"verify_{config.suite}.{config.format}"
-        _write(os.path.join(config.out, name), data)
+    data = _report_bytes(payload, args.format)
+    if args.out not in (".", ""):
+        os.makedirs(args.out, exist_ok=True)
+        name = f"verify_{args.suite}.{args.format}"
+        _write(os.path.join(args.out, name), data)
     sys.stdout.write(data.decode())
     return 0 if payload["all_pass"] else 1
 
@@ -140,10 +118,15 @@ def _load_family(spec_path):
     return fi.FamilyLoop(thetas, rels)
 
 
-def cmd_index(config):
+def cmd_index(args):
     """Family index of a loop of self-adjoint relations from a fixture file."""
-    loop = _load_family(config.family)
-    flags = is_self_adjoint_batch(loop.payloads, tol=max(config.tol, 1e-8))
+    tol = args.tol
+    if tol is None:
+        tol = float(os.environ.get(_ENV_TOL, 1e-9))
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    loop = _load_family(args.family)
+    flags = is_self_adjoint_batch(loop.payloads, tol=max(tol, 1e-8))
     bad = np.flatnonzero(~flags)
     if bad.size:
         raise ValueError(f"sample at theta={loop.thetas[bad[0]]} is not a "
@@ -151,10 +134,10 @@ def cmd_index(config):
     winding = fi.relation_family_index(loop)
     report = fi.IndexReport(spectral_flow=None, winding=winding,
                             consistent=True)
-    data = _report_bytes(report.to_dict(), config.format)
-    if config.out not in (".", ""):
-        os.makedirs(config.out, exist_ok=True)
-        _write(os.path.join(config.out, f"index_report.{config.format}"),
+    data = _report_bytes(report.to_dict(), args.format)
+    if args.out not in (".", ""):
+        os.makedirs(args.out, exist_ok=True)
+        _write(os.path.join(args.out, f"index_report.{args.format}"),
                data)
     sys.stdout.write(data.decode())
     return 0
@@ -195,18 +178,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = vars(_build_parser().parse_args(argv))
-    try:
-        if "tol" in args and args["tol"] is None:
-            args["tol"] = float(os.environ.get(_ENV_TOL, 1e-9))
-        config = RunConfig(**args)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    args = _build_parser().parse_args(argv)
     handlers = {"rellich": cmd_rellich, "verify": cmd_verify,
                 "index": cmd_index}
     try:
-        return handlers[config.command](config)
+        return handlers[args.command](args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -79,7 +79,6 @@ class IndexReport:
     spectral_flow: int | None
     winding: int | None
     consistent: bool
-    convention: str = CONVENTION
     crossing_kappa: float | None = None
 
     def to_dict(self):
@@ -87,7 +86,7 @@ class IndexReport:
             "spectral_flow": self.spectral_flow,
             "winding": self.winding,
             "consistent": self.consistent,
-            "convention": self.convention,
+            "convention": CONVENTION,
         }
         if self.crossing_kappa is not None:
             out["crossing_kappa"] = self.crossing_kappa
@@ -155,15 +154,14 @@ def _loop_parts(loop):
     return list(thetas), payloads, None
 
 
-def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
-                round_tol=0.05, max_inserts=20000):
+def det_winding(unitaries, thetas=None, refine=None, max_inserts=20000):
     """Winding number of det along a closed loop of unitary matrices.
 
-    Consecutive samples must satisfy ||U_next - U_prev|| < step_bound; when a
+    Consecutive samples must satisfy ||U_next - U_prev|| < 0.5; when a
     refinement callback (theta -> unitary) is available, offending intervals
     are bisected, otherwise an error names the first one.  The
-    accumulated argument must land within round_tol of an integer multiple
-    of 2*pi.
+    accumulated argument must land within 0.05 of an integer multiple of
+    2*pi.
 
     The steps between consecutive samples are measured as one stack; only
     intervals too coarse for the bound are bisected, and the angles are
@@ -179,7 +177,7 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
     period = 2.0 * math.pi
     # the pairs include the wrap (last -> first + period)
     nexts = np.roll(mats, -1, axis=0)
-    fine = np.flatnonzero(_step_gaps(mats, nexts) < step_bound)
+    fine = np.flatnonzero(_step_gaps(mats, nexts) < 0.5)
     ends = thetas[1:] + [thetas[0] + period]
     # swept angles by interval; bisection never reproduces a fine interval
     swept = dict(zip([(thetas[i], ends[i]) for i in fine],
@@ -191,7 +189,7 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
         angle = swept.get((t0, t1))
         if angle is None:
             gap = float(_step_gaps(u0, u1))
-            if gap >= step_bound:
+            if gap >= 0.5:
                 return (f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
                         f"(||dU|| = {gap:.3f}); supply more samples or a "
                         "refinement callback")
@@ -204,10 +202,10 @@ def det_winding(unitaries, thetas=None, refine=None, step_bound=0.5,
     _walk_loop(thetas, mats, cb, step, max_inserts)
     turns = total / period
     nearest = round(turns)
-    if abs(turns - nearest) > round_tol:
+    if abs(turns - nearest) > 0.05:
         raise RefinementError(
             f"accumulated determinant argument {turns:.4f} turns is not "
-            f"within {round_tol} of an integer; refine the loop")
+            "within 0.05 of an integer; refine the loop")
     return int(nearest)
 
 
@@ -234,7 +232,7 @@ def _greedy_pairs(a, b, limit):
     return pairs
 
 
-def spectral_flow(loop, level=0.0, window=None, refine=None,
+def spectral_flow(loop, level=0.0, window=1.0, refine=None,
                   max_inserts=20000):
     """Net number of eigenvalue branches crossing the level upward.
 
@@ -256,8 +254,6 @@ def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
     thetas, payloads, gen = _loop_parts(loop)
     refine = gen if refine is None else refine
     samples = [np.asarray(p, dtype=float) for p in payloads]
-    if window is None:
-        window = 1.0
     margin = 0.45 * window
     flow = 0
     crossings = []
@@ -347,13 +343,11 @@ def _polish_crossing(batch, t0, t1, la, lb, level=0.0):
     return (0.5 * (t0 + t1)) % period
 
 
-def relation_family_index(loop, refine=None, **kwargs):
+def relation_family_index(loop):
     """Winding of the Cayley loop of a family of self-adjoint relations."""
     thetas, rels, gen = _loop_parts(loop)
-    if refine is None and gen is not None:
-        refine = lambda t: cayley_unitary(gen(t))
-    return det_winding(cayley_unitaries(rels), thetas=thetas, refine=refine,
-                       **kwargs)
+    refine = None if gen is None else lambda t: cayley_unitary(gen(t))
+    return det_winding(cayley_unitaries(rels), thetas=thetas, refine=refine)
 
 
 def branch_table(thetas, kappas, eig_lists, match_tol=None):
@@ -423,8 +417,7 @@ def rellich_eigenvalue_samples(samples=720, lambda_max=400.0):
                          samples)
 
 
-def _robin_index(kappa_of, samples, lambda_max, tol=DEFAULT_TOL,
-                 window=1.0):
+def _robin_index(kappa_of, samples, lambda_max):
     """Index report of the Robin loop theta -> kappa_of(theta), together
     with the eigenvalue loop it was computed from.
 
@@ -434,9 +427,9 @@ def _robin_index(kappa_of, samples, lambda_max, tol=DEFAULT_TOL,
     """
     eig_batch = _eigenvalue_batch(kappa_of, lambda_max)
     eig_loop = _sampled_loop(eig_batch, samples)
-    flow, crossings = _flow_walk(eig_loop, 0.0, window)
+    flow, crossings = _flow_walk(eig_loop, 0.0, 1.0)
     wind = relation_family_index(
-        _sampled_loop(_relation_batch(kappa_of, tol), samples))
+        _sampled_loop(_relation_batch(kappa_of, DEFAULT_TOL), samples))
     crossing_kappa = None
     if crossings:
         theta = _polish_crossing(eig_batch, *crossings[0])
@@ -447,18 +440,17 @@ def _robin_index(kappa_of, samples, lambda_max, tol=DEFAULT_TOL,
     return report, eig_loop
 
 
-def verify_index_theorem(samples=720, lambda_max=400.0, tol=DEFAULT_TOL):
+def verify_index_theorem(samples=720):
     """Both index computations for the Robin loop and their comparison.
 
     Spectral flow of the operator family through level zero against the
     winding of the Cayley loop of the transformed boundary relations; the
     report also records the Robin parameter of the level-zero crossing.
     """
-    return _robin_index(sturm.kappa_of_theta, samples, lambda_max, tol)[0]
+    return _robin_index(sturm.kappa_of_theta, samples, 400.0)[0]
 
 
-def robin_index_report(robin_of_theta, samples=720, lambda_max=400.0,
-                       tol=DEFAULT_TOL, window=1.0):
+def robin_index_report(robin_of_theta, samples=720):
     """Index comparison for a synthetic Robin loop.
 
     `robin_of_theta` maps theta to a Robin parameter traversed by the loop;
@@ -466,4 +458,4 @@ def robin_index_report(robin_of_theta, samples=720, lambda_max=400.0,
     transformed boundary family of the same parameters.  The report records
     the Robin parameter of the first level-zero crossing, if any.
     """
-    return _robin_index(robin_of_theta, samples, lambda_max, tol, window)[0]
+    return _robin_index(robin_of_theta, samples, 400.0)[0]

@@ -180,11 +180,11 @@ def triple_adjoint(triple, rel):
     return adjoint_relation(rel, triple.gram_partial, triple.gram_partial)
 
 
-def is_triple_self_adjoint(triple, rel, tol=None):
+def is_triple_self_adjoint(triple, rel):
     """Self-adjointness across the triple.
 
     The relation is self-adjoint for the pairings iff its image under
     lam' (+) lam^(-1) is a self-adjoint relation in the pivot metric.
     """
-    return is_self_adjoint(map_relation(triple.shift_map, rel), tol,
+    return is_self_adjoint(map_relation(triple.shift_map, rel),
                            gram=triple.gram_partial)

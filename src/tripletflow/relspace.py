@@ -133,9 +133,6 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    def projector(self):
-        return self.basis @ self.basis.conj().T
-
     def complement(self):
         """Orthogonal complement."""
         if self.dim == 0:
@@ -275,10 +272,6 @@ class LinearRelation:
     def cod_block(self):
         return self.graph.basis[self.dom_dim:]
 
-    def domain(self):
-        return Subspace.from_span(self.dom_block(), ambient_dim=self.dom_dim,
-                                  tol=self.tol)
-
     def kernel_at(self, shift):
         """The subspace {x : (x, shift*x) in relation}."""
         coeff = _null_space(self.cod_block() - shift * self.dom_block(), self.tol)
@@ -291,8 +284,8 @@ class LinearRelation:
         return Subspace.from_span(self.cod_block() @ coeff,
                                   ambient_dim=self.cod_dim, tol=self.tol)
 
-    def contains_relation(self, other, tol=None):
-        return self.graph.contains(other.graph, tol=tol)
+    def contains_relation(self, other):
+        return self.graph.contains(other.graph)
 
     def gap(self, other):
         if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
@@ -449,7 +442,7 @@ def is_self_adjoint(rel, tol=None, gram=None):
     return bool(is_self_adjoint_batch([rel], tol, gram)[0])
 
 
-def cayley_unitaries(rels, tol=None):
+def cayley_unitaries(rels):
     """Cayley transforms of a sequence of self-adjoint relations, each as
     `cayley_unitary` gives it, by one stacked SVD and inverse per relation
     shape.
@@ -468,10 +461,9 @@ def cayley_unitaries(rels, tol=None):
         x_blk = bases[..., :n, :]
         y_blk = bases[..., n:, :]
         denom = y_blk + 1j * x_blk
-        limit = rel_tol if tol is None else tol
         if n > 0:
             svals = np.linalg.svd(denom, compute_uv=False)
-            bad = svals[..., -1] <= limit * np.maximum(1.0, svals[..., 0])
+            bad = svals[..., -1] <= rel_tol * np.maximum(1.0, svals[..., 0])
             if bad.any():
                 raise np.linalg.LinAlgError(
                     "Y + iX is numerically singular: the relation is not "
@@ -482,25 +474,24 @@ def cayley_unitaries(rels, tol=None):
     return out
 
 
-def cayley_unitary(rel, tol=None):
+def cayley_unitary(rel):
     """Cayley transform (B - i)(B + i)^(-1) of a self-adjoint relation.
 
     With the graph basis stacked as [X; Y] the transform is
     (Y - iX)(Y + iX)^(-1).  Multivalued directions map to the eigenvalue +1
     and graph-of-zero directions to -1.
     """
-    return cayley_unitaries([rel], tol)[0]
+    return cayley_unitaries([rel])[0]
 
 
-def parts_decomposition(rel, tol=None):
+def parts_decomposition(rel):
     """Split a relation into its operator part and multivalued part.
 
     The multivalued part is {y : (0, y) in B}; the operator part is the
     restriction B /\\ (C^n + mul^perp), so B = operator_part (+) (0 + mul).
     """
-    tol = rel.tol if tol is None else tol
     mul = rel.multivalued_part()
-    op = restrict_relation(rel, Subspace.full(rel.dom_dim, tol=tol),
+    op = restrict_relation(rel, Subspace.full(rel.dom_dim, tol=rel.tol),
                            mul.complement())
     return op, mul
 

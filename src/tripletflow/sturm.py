@@ -124,9 +124,6 @@ class ExpPoly:
 
     def antiderivative(self):
         """An antiderivative, exact: repeated integration by parts."""
-        return ExpPoly(self._antiderivative_terms())
-
-    def _antiderivative_terms(self):
         # int x^k e^{rx} dx = e^{rx} sum_{j<=k} (-1)^{k-j} (k!/j!) x^j / r^{k-j+1}
         out = []
         for c, k, r in self.terms:
@@ -137,7 +134,7 @@ class ExpPoly:
             for j in range(k, -1, -1):
                 out.append((coef / r, j, r))
                 coef = -coef * j / r
-        return out
+        return ExpPoly(out)
 
     def __call__(self, x):
         x = complex(x)
@@ -145,7 +142,7 @@ class ExpPoly:
                            for c, k, r in self.terms))
 
     def integral01(self):
-        anti = ExpPoly(self._antiderivative_terms())
+        anti = self.antiderivative()
         return anti(1.0) - anti(0.0)
 
     def inner(self, other):
@@ -180,8 +177,8 @@ def xvar():
     return ExpPoly([(1.0, 1, 0.0)])
 
 
-def exponential(rate, coef=1.0):
-    return ExpPoly([(coef, 0, rate)])
+def exponential(rate):
+    return ExpPoly([(1.0, 0, rate)])
 
 
 def sin_wave(omega):
@@ -199,8 +196,7 @@ def sinh_wave(s):
 
 def dirichlet_solve(rhs):
     """The unique u with -u'' = rhs and u(0) = u(1) = 0, exactly."""
-    particular = -1.0 * ExpPoly(
-        ExpPoly(rhs._antiderivative_terms())._antiderivative_terms())
+    particular = -1.0 * rhs.antiderivative().antiderivative()
     beta = -particular(0.0)
     alpha = -particular(1.0) - beta
     return particular + ExpPoly([(alpha, 1, 0.0), (beta, 0, 0.0)])
@@ -214,7 +210,7 @@ def _collect_by_rate(u):
     return groups
 
 
-def helmholtz_dirichlet_solve(shift, rhs, tol=1e-12):
+def helmholtz_dirichlet_solve(shift, rhs):
     """The u with -u'' + shift*u = rhs, u(0) = u(1) = 0, for shift != 0.
 
     Particular solutions are found per exponential rate by undetermined
@@ -249,7 +245,7 @@ def helmholtz_dirichlet_solve(shift, rhs, tol=1e-12):
             vec[k] = c
         coefs, *_ = np.linalg.lstsq(mat, vec, rcond=None)
         resid = np.linalg.norm(mat @ coefs - vec)
-        if resid > tol * max(1.0, np.linalg.norm(vec)):
+        if resid > 1e-12 * max(1.0, np.linalg.norm(vec)):
             raise np.linalg.LinAlgError("undetermined-coefficient solve failed")
         particular = particular + ExpPoly(
             [(coefs[j], j, rate) for j in range(size)])

@@ -108,10 +108,10 @@ class SymbolPoint:
                    dirac_like=bool(obj.get("dirac_like", False)), tol=tol)
 
 
-def matrix_sign(mat, tol=1e-12, max_iter=100):
+def matrix_sign(mat):
     """Matrix sign function by determinant-scaled Newton iteration.
 
-    Converged once ||S^2 - I|| <= tol * max(1, ||S||^2): the rounding
+    Converged once ||S^2 - I|| <= 1e-12 * max(1, ||S||^2): the rounding
     floor of S @ S grows with ||S||^2, so an absolute test cannot be met by
     an ill-conditioned sign.  That test still passes up to ||S||^2 times
     above the floor, so one more step, which squares the error, is taken
@@ -122,7 +122,7 @@ def matrix_sign(mat, tol=1e-12, max_iter=100):
     s = np.asarray(mat, dtype=complex)
     n = s.shape[0]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(100):
         det = np.linalg.det(s)
         if det == 0 or not np.isfinite(det):
             raise np.linalg.LinAlgError("sign iteration hit a singular matrix")
@@ -137,7 +137,7 @@ def matrix_sign(mat, tol=1e-12, max_iter=100):
         if converged:
             return s
         converged = (np.linalg.norm(s @ s - np.eye(n))
-                     <= tol * max(1.0, np.linalg.norm(s) ** 2))
+                     <= 1e-12 * max(1.0, np.linalg.norm(s) ** 2))
     raise np.linalg.LinAlgError(
         "sign iteration did not converge: eigenvalue too close to the "
         "imaginary axis")
@@ -154,7 +154,7 @@ def _projector_range(proj):
     return Subspace(u[:, :rank], tol=DEFAULT_TOL, _trusted=True)
 
 
-def spectral_split(rho, tol=1e-12):
+def spectral_split(rho):
     """Splitting subspaces of a matrix with no real eigenvalues.
 
     Returns (lower, upper): the spans of the generalized eigenspaces with
@@ -162,7 +162,7 @@ def spectral_split(rho, tol=1e-12):
     i*rho; the projector onto the lower space is (1 + sign(i*rho))/2.
     """
     rho = np.asarray(rho, dtype=complex)
-    sign = matrix_sign(1j * rho, tol=tol)
+    sign = matrix_sign(1j * rho)
     n = rho.shape[0]
     lower = _projector_range(0.5 * (np.eye(n) + sign))
     upper = _projector_range(0.5 * (np.eye(n) - sign))
@@ -171,31 +171,31 @@ def spectral_split(rho, tol=1e-12):
     return lower, upper
 
 
-def calderon_symbol(point_or_rho, tol=1e-12):
+def calderon_symbol(point_or_rho):
     """Projection onto the lower splitting subspace along the upper one."""
     rho = (point_or_rho.rho if isinstance(point_or_rho, SymbolPoint)
            else np.asarray(point_or_rho, dtype=complex))
-    sign = matrix_sign(1j * rho, tol=tol)
+    sign = matrix_sign(1j * rho)
     return 0.5 * (np.eye(rho.shape[0]) + sign)
 
 
-def dirac_unitary(tau_bold, tol=1e-9):
+def dirac_unitary(tau_bold):
     """Unitary with i*tb = -(unitary)*|tb| for skew-adjoint invertible tb.
 
     Its graph is the lower splitting subspace of the graded block matrix
     [[0, -tb], [-tb, 0]].
     """
-    tb = _hermitian_part(tau_bold, tol, "tau_bold must be skew-adjoint",
+    tb = _hermitian_part(tau_bold, 1e-9, "tau_bold must be skew-adjoint",
                          skew=True)
     herm = 1j * tb
     evals, evecs = np.linalg.eigh(herm)
-    if np.min(np.abs(evals)) <= tol * max(1.0, np.max(np.abs(evals))):
+    if np.min(np.abs(evals)) <= 1e-9 * max(1.0, np.max(np.abs(evals))):
         raise ValueError("tau_bold must be invertible")
     absval = evecs @ np.diag(np.abs(evals)) @ evecs.conj().T
     return -herm @ np.linalg.inv(absval)
 
 
-def transversality_check(point, tol=1e-9):
+def transversality_check(point):
     """Minimal principal angles between the splitting subspaces and the two
     coordinate half-spaces of the graded decomposition.
 
@@ -221,11 +221,11 @@ def transversality_check(point, tol=1e-9):
         "upper_vs_second": min_angle(upper, second),
     }
     angles["transversal"] = bool(min(v for k, v in angles.items()
-                                     if k != "transversal") > tol)
+                                     if k != "transversal") > 1e-9)
     return angles
 
 
-def mixing_map(upsilon, sigma=None, tol=1e-9):
+def mixing_map(upsilon, sigma=None):
     """The summand-mixing automorphism (a, b) -> (a - U^(-1) b, U a + b).
 
     upsilon must be unitary; when sigma is supplied, the commutation
@@ -235,11 +235,11 @@ def mixing_map(upsilon, sigma=None, tol=1e-9):
     """
     u = np.asarray(upsilon, dtype=complex)
     n = u.shape[0]
-    if np.linalg.norm(u.conj().T @ u - np.eye(n)) > tol:
+    if np.linalg.norm(u.conj().T @ u - np.eye(n)) > 1e-9:
         raise ValueError("upsilon must be unitary")
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=complex)
-        if np.linalg.norm(u @ sigma - sigma @ u) > tol * max(
+        if np.linalg.norm(u @ sigma - sigma @ u) > 1e-9 * max(
                 1.0, np.linalg.norm(sigma)):
             raise ValueError("upsilon must commute with sigma")
     u_inv = u.conj().T
@@ -296,7 +296,7 @@ def _aligned_frames(subspaces):
     return frames, holonomy
 
 
-def split_winding_report(tau_loop, grading_loop=None, tol=1e-8):
+def split_winding_report(tau_loop, grading_loop=None):
     """Winding additivity across a grading for a loop of skew-adjoint
     invertible symbols.
 
@@ -316,9 +316,9 @@ def split_winding_report(tau_loop, grading_loop=None, tol=1e-8):
         gradings = [np.asarray(g, dtype=complex) for g in grading_loop]
     lowers, uppers = [], []
     for tb, f in zip(taus, gradings):
-        _hermitian_part(tb, tol, "tau must be skew-adjoint", skew=True)
-        _hermitian_part(f, tol, "grading must be skew-adjoint", skew=True)
-        if np.linalg.norm(tb @ f - f @ tb) > tol * max(
+        _hermitian_part(tb, 1e-8, "tau must be skew-adjoint", skew=True)
+        _hermitian_part(f, 1e-8, "grading must be skew-adjoint", skew=True)
+        if np.linalg.norm(tb @ f - f @ tb) > 1e-8 * max(
                 1.0, np.linalg.norm(tb) * np.linalg.norm(f)):
             raise ValueError("grading must commute with the symbol")
         lo, up = spectral_split(f)

@@ -82,6 +82,14 @@ def test_verify_bad_suite_exits_two():
 
 def test_invalid_samples_is_input_error(capsys):
     assert run_cli(["rellich", "--samples", "4"]) == 2
+    assert (capsys.readouterr().err
+            == "input error: samples must be at least 8\n")
+
+
+def test_invalid_trials_is_input_error(capsys):
+    assert run_cli(["verify", "--trials", "0"]) == 2
+    assert (capsys.readouterr().err
+            == "input error: trials must be at least 1\n")
 
 
 def test_index_builtin_family(tmp_path, capsys):

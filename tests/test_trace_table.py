@@ -141,7 +141,12 @@ def compare_triplets_ref(bp, rt, rng, count):
     kern = bp.kernel_basis()
     g0_bar_k = np.column_stack([bar0_ref(rt, k) for k in kern])
     g0_in_k = np.column_stack([inner_gamma(k)[0] for k in kern])
+    g1_in_k = np.column_stack([inner_gamma(k)[1] for k in kern])
     d_matrix = g0_in_k @ np.linalg.inv(g0_bar_k)
+    gp = rt.triple.gram_partial
+    d_star = np.linalg.solve(gp, d_matrix.conj().T)
+    # gamma1_bar vanishes on the kernel: P gamma0_bar(K) = -D* Gamma1(K)
+    p_matrix = -d_star @ g1_in_k @ np.linalg.inv(g0_bar_k)
 
     elems = bp.test_elements(rng=rng, count=count)
     g0_in = np.column_stack([inner_gamma(u)[0] for u in elems])
@@ -149,12 +154,9 @@ def compare_triplets_ref(bp, rt, rng, count):
     g0_bar = np.column_stack([bar0_ref(rt, u) for u in elems])
     g1_bar = np.column_stack([bar1_ref(rt, u) for u in elems])
 
-    gp = rt.triple.gram_partial
-    d_star = np.linalg.solve(gp, d_matrix.conj().T)
     d_inv = np.linalg.inv(d_matrix)
     scale = max(1.0, np.linalg.norm(g1_bar), np.linalg.norm(g0_bar))
     res_first = np.linalg.norm(g0_bar - d_inv @ g0_in) / scale
-    p_matrix = (g1_bar - d_star @ g1_in) @ np.linalg.pinv(g0_bar)
     res_second = np.linalg.norm(
         g1_bar - d_star @ g1_in - p_matrix @ g0_bar) / scale
     herm_defect = np.linalg.norm(gp @ p_matrix - p_matrix.conj().T @ gp)
@@ -300,3 +302,22 @@ def test_each_element_is_traced_once_per_call(kind):
     tp.kernel_solution_map(bp)
     assert len(seen["gamma0"]) == len(bp.kernel_basis())
     assert_each_seen_once(seen)
+
+
+def test_kernel_is_solved_once_per_reduced_triplet():
+    bp = problem("mixed", 11)
+    calls = []
+    kernel_basis = bp.kernel_basis
+
+    def counting():
+        calls.append(1)
+        return kernel_basis()
+
+    bp.kernel_basis = counting
+    rng = np.random.default_rng(0)
+    rt = tp.reduced_triplet(bp)
+    tp.reduced_residuals(bp, rt, rng=rng, count=8)
+    tp.kernel_report(bp, rt, rng=rng)
+    tp.compare_triplets(bp, rt, rng=rng)
+    tp.neumann_graph_check(bp, rt)
+    assert len(calls) == 1

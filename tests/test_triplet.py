@@ -5,6 +5,7 @@ from tripletflow import cayley as cy
 from tripletflow import relspace as rs
 from tripletflow import sturm
 from tripletflow import triplet as tp
+from tripletflow import verify as vf
 
 from conftest import random_complex
 
@@ -263,3 +264,11 @@ def test_comparison_rellich(rng):
     comparison = tp.compare_triplets(sturm.RellichBoundaryProblem(), rng=rng)
     for value in comparison.residuals.values():
         assert value < 1e-9
+
+
+def test_triplet_suite_at_seed_163():
+    # a least-squares fit of P over the test elements read a Hermitian
+    # defect of 1.6e-9 here (||P|| ~ 8e3, cond(D) ~ 680); P from the
+    # kernel solve stays far below the tolerance
+    records = vf.run_suite("triplet", trials=50, seed=163)
+    assert vf.all_pass(records), [r for r in records if not r["pass"]]
