@@ -11,7 +11,7 @@ formula of the extension calculus is applied at the level of pairs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -88,7 +88,28 @@ class SymmetricModel:
         return self.kminus.dim
 
     def with_mu(self, mu):
-        return SymmetricModel(self.dim, self.T, self.A, mu=mu, tol=self.tol)
+        """The same T and A at another nonreal parameter mu.
+
+        The twin at conj(mu) is not rebuilt: it shares T* and swaps K+ and
+        K-, since Ker(T* - conj(mu)) is K+ at conj(mu).  Every check of the
+        constructor gives the same answer at mu and conj(mu), so none is
+        lost.  Any other mu builds a full model.
+        """
+        if mu != np.conj(self.mu):
+            return SymmetricModel(self.dim, self.T, self.A, mu=mu,
+                                  tol=self.tol)
+        twin = object.__new__(SymmetricModel)
+        swapped = {"mu": mu, "kplus": self.kminus, "kminus": self.kplus}
+        for f in fields(self):
+            object.__setattr__(twin, f.name,
+                               swapped.get(f.name, getattr(self, f.name)))
+        return twin
+
+    @cached_property
+    def _a_invertible(self):
+        """Whether A has neither a kernel nor a multivalued part."""
+        return (self.A.multivalued_part().dim == 0
+                and self.A.kernel_at(0.0).dim == 0)
 
     @cached_property
     def _isometry(self):
@@ -270,15 +291,12 @@ def von_neumann_components(model, z, action=None, check_reconstruction=True):
     z0 = (km @ g0)[:, 0]
     z1 = (km @ g1)[:, 0]
     recon = None
-    if check_reconstruction:
-        mul_a = model.A.multivalued_part().dim
-        ker_a = model.A.kernel_at(0.0).dim
-        if mul_a == 0 and ker_a == 0:
-            w, wp, r = relation_resolvent_apply(model.A, model.mu,
-                                                np.column_stack([z0, z1]))
-            recon = float(np.linalg.norm(pair[:n] - (z_t[:n] + wp[:, 0]
-                                                     + w[:, 1]))
-                          + r[0] + r[1])
+    if check_reconstruction and model._a_invertible:
+        w, wp, r = relation_resolvent_apply(model.A, model.mu,
+                                            np.column_stack([z0, z1]))
+        recon = float(np.linalg.norm(pair[:n] - (z_t[:n] + wp[:, 0]
+                                                 + w[:, 1]))
+                      + r[0] + r[1])
     return VonNeumannSplit(z_t, z_plus, z_minus, z0, z1,
                            float(split_resid[0]), recon)
 
@@ -320,12 +338,22 @@ def extension_from_relation(model, boundary_rel):
     given relation.  The result is self-adjoint exactly when the boundary
     relation is; a non-self-adjoint input is accepted but flagged.
     """
+    _check_boundary_relation(model, boundary_rel)
+    return _extension(model, boundary_rel)
+
+
+def _check_boundary_relation(model, boundary_rel):
+    """Reject a boundary relation of the wrong size and warn, in the frame
+    of the public function's caller, when it is not self-adjoint."""
     d = model.kminus.dim
     if boundary_rel.dom_dim != d or boundary_rel.cod_dim != d:
         raise ValueError("boundary relation does not match the defect space")
     if not is_self_adjoint(boundary_rel):
         warnings.warn("boundary relation is not self-adjoint; the extension "
-                      "will not be self-adjoint either", stacklevel=2)
+                      "will not be self-adjoint either", stacklevel=3)
+
+
+def _extension(model, boundary_rel):
     basis, g0, g1, _ = boundary_data(model)
     coeff = _boundary_cut(g0, g1, boundary_rel, model.tol)
     return LinearRelation.from_span(model.dim, model.dim, basis @ coeff,
@@ -365,19 +393,22 @@ def cayley_factorization_check(model, boundary_rel):
     The boundary relation (in defect-space coordinates) is read once on K-
     for the identity U(A') = U(B)_H U(A) with mu = i, and once on
     K+ = Ker(T* - i) for the twin identity U(A') = U(A) U(B)_H obtained
-    from mu = -i.  Requires mu = i in the model.
+    from mu = -i.  Requires mu = i in the model.  The -i model is the
+    conj(mu) twin of `SymmetricModel.with_mu`, which shares T* and swaps
+    K+ and K-; the boundary relation is checked once for both identities.
     """
     if model.mu != 1j:
         raise ValueError("factorization check requires mu = i")
     u_a = cayley_unitary(model.A)
     u_b = cayley_unitary(boundary_rel)
+    _check_boundary_relation(model, boundary_rel)
 
-    a_prime = extension_from_relation(model, boundary_rel)
+    a_prime = _extension(model, boundary_rel)
     u_bh_minus = embed_boundary_unitary(model.kminus, u_b)
     res_plus = np.linalg.norm(cayley_unitary(a_prime) - u_bh_minus @ u_a)
 
     model_minus = model.with_mu(-1j)
-    a_second = extension_from_relation(model_minus, boundary_rel)
+    a_second = _extension(model_minus, boundary_rel)
     u_bh_plus = embed_boundary_unitary(model.kplus, u_b)
     res_minus = np.linalg.norm(cayley_unitary(a_second) - u_a @ u_bh_plus)
     return float(res_plus), float(res_minus)

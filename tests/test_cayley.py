@@ -255,6 +255,129 @@ def test_factorization_large_model():
     assert r1 <= 1e-9 and r2 <= 1e-9
 
 
+def _bit_equal(a, b):
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.float64),
+                                                 b.view(np.float64))
+
+
+def test_conjugate_twin_shares_adjoint_and_swaps_kernels(rng):
+    model = cy.random_symmetric_model(rng, 6, 2)
+    twin = model.with_mu(-1j)
+    assert twin.mu == -1j
+    assert twin.Tstar is model.Tstar
+    assert twin.kplus is model.kminus and twin.kminus is model.kplus
+    assert twin.T is model.T and twin.A is model.A and twin.tol == model.tol
+    back = twin.with_mu(model.mu)
+    assert back.kplus is model.kplus and back.kminus is model.kminus
+    assert back.Tstar is model.Tstar
+
+
+@pytest.mark.parametrize("mu", [1j, 0.3 + 2j, -1.5 - 0.7j],
+                         ids=["i", "0.3+2i", "-1.5-0.7i"])
+def test_conjugate_twin_bit_equal_to_rebuild(mu):
+    rng = np.random.default_rng(8300)
+    for dim, defect in ((8, 3), (40, 10), (5, 0), (6, 6)):
+        model = cy.random_symmetric_model(rng, dim, defect, mu=mu)
+        twin = model.with_mu(np.conj(model.mu))
+        full = cy.SymmetricModel(model.dim, model.T, model.A,
+                                 mu=np.conj(model.mu))
+        assert twin.mu == full.mu
+        assert _bit_equal(twin.Tstar.graph.basis, full.Tstar.graph.basis)
+        assert _bit_equal(twin.kplus.basis, full.kplus.basis)
+        assert _bit_equal(twin.kminus.basis, full.kminus.basis)
+        assert _bit_equal(cy.extension_isometry(twin),
+                          cy.extension_isometry(full))
+
+
+def test_with_mu_other_than_conjugate_builds_full_model(rng, monkeypatch):
+    model = cy.random_symmetric_model(rng, 5, 2)
+    calls = []
+    adjoint = cy.adjoint_relation
+    monkeypatch.setattr(cy, "adjoint_relation",
+                        lambda rel: calls.append(rel) or adjoint(rel))
+    with pytest.raises(ValueError, match="mu must be nonreal"):
+        model.with_mu(2.0)
+    model.with_mu(-1j)
+    assert calls == []
+    other = model.with_mu(2j)
+    assert calls == [model.T]
+    assert other.mu == 2j and other.Tstar is not model.Tstar
+    assert other.kplus.gap(model.Tstar.kernel_at(2j)) < 1e-12
+    assert other.kminus.gap(model.Tstar.kernel_at(-2j)) < 1e-12
+
+
+def test_factorization_warns_once_at_caller():
+    rng = np.random.default_rng(62)
+    model = cy.random_symmetric_model(rng, 6, 2)
+    skew = rs.LinearRelation.graph_of(np.diag([1 + 0.5j, 2.0]))
+    with pytest.warns(UserWarning, match="not self-adjoint") as records:
+        cy.cayley_factorization_check(model, skew)
+    assert len(records) == 1
+    assert records[0].filename == __file__
+    with pytest.warns(UserWarning, match="not self-adjoint") as records:
+        cy.extension_from_relation(model, skew)
+    assert len(records) == 1
+    assert records[0].filename == __file__
+
+
+def _old_factorization_check(model, brel):
+    """The factorization check with a full rebuild of the model at -i."""
+    u_a = rs.cayley_unitary(model.A)
+    u_b = rs.cayley_unitary(brel)
+    a_prime = cy.extension_from_relation(model, brel)
+    u_bh_minus = cy.embed_boundary_unitary(model.kminus, u_b)
+    res_plus = np.linalg.norm(rs.cayley_unitary(a_prime) - u_bh_minus @ u_a)
+    model_minus = cy.SymmetricModel(model.dim, model.T, model.A, mu=-1j,
+                                    tol=model.tol)
+    a_second = cy.extension_from_relation(model_minus, brel)
+    u_bh_plus = cy.embed_boundary_unitary(model.kplus, u_b)
+    res_minus = np.linalg.norm(rs.cayley_unitary(a_second) - u_a @ u_bh_plus)
+    return float(res_plus), float(res_minus)
+
+
+def test_factorization_residuals_match_full_rebuild():
+    rng = np.random.default_rng(3)
+    shapes = [(8, 3)] * 10 + [(40, 10), (80, 20)]
+    for dim, defect in shapes:
+        model = cy.random_symmetric_model(rng, dim, defect)
+        brel = cy.random_selfadjoint_relation(rng, defect)
+        assert (cy.cayley_factorization_check(model, brel)
+                == _old_factorization_check(model, brel))
+
+
+def test_reconstruction_skipped_when_reference_not_invertible():
+    # T = {(0, (t, 0))}: T* = {(x, y) : x1 = 0}, defect (1, 1)
+    t_rel = rs.LinearRelation.from_blocks(np.zeros((2, 1)),
+                                          np.array([[1.0], [0.0]]))
+    with_mul = rs.LinearRelation.zero_times_full(2)
+    # T = graph of diag(0, 0) on span(e1): A = graph of 0 has a kernel
+    t_ker = rs.LinearRelation.from_blocks(np.array([[1.0], [0.0]]),
+                                          np.zeros((2, 1)))
+    with_ker = rs.LinearRelation.graph_of(np.zeros((2, 2)))
+    for t, a in ((t_rel, with_mul), (t_ker, with_ker)):
+        model = cy.SymmetricModel(2, t, a)
+        assert not model._a_invertible
+        z = model.Tstar.graph.basis @ np.arange(1.0, model.Tstar.dim + 1)
+        split = cy.von_neumann_components(model, z)
+        assert split.reconstruction_residual is None
+        assert split.split_residual < 1e-12
+        assert not model.with_mu(-1j)._a_invertible
+
+
+def test_reference_invertibility_decided_once(rng, monkeypatch):
+    model = cy.random_symmetric_model(rng, 5, 2)
+    basis = model.Tstar.graph.basis
+    z = basis @ random_complex(rng, basis.shape[1])
+    first = cy.von_neumann_components(model, z).reconstruction_residual
+    assert model._a_invertible is True
+    monkeypatch.setattr(type(model.A), "kernel_at",
+                        lambda *args: pytest.fail("kernel recomputed"))
+    assert (cy.von_neumann_components(model, z).reconstruction_residual
+            == first)
+
+
 _coef = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
                            allow_infinity=False)
 
