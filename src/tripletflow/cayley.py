@@ -58,7 +58,6 @@ class SymmetricModel:
     T: LinearRelation
     A: LinearRelation
     mu: complex = 1j
-    tol: float = DEFAULT_TOL
     Tstar: LinearRelation = field(init=False, repr=False)
     kplus: Subspace = field(init=False, repr=False)
     kminus: Subspace = field(init=False, repr=False)
@@ -96,8 +95,7 @@ class SymmetricModel:
         lost.  Any other mu builds a full model.
         """
         if mu != np.conj(self.mu):
-            return SymmetricModel(self.dim, self.T, self.A, mu=mu,
-                                  tol=self.tol)
+            return SymmetricModel(self.dim, self.T, self.A, mu=mu)
         twin = object.__new__(SymmetricModel)
         swapped = {"mu": mu, "kplus": self.kminus, "kminus": self.kplus}
         for f in fields(self):
@@ -122,13 +120,13 @@ class SymmetricModel:
         y = self.kplus.basis
         w, _, resid = relation_resolvent_apply(self.A, np.conj(mu),
                                                (mu - np.conj(mu)) * y)
-        if not np.all(resid <= 1e3 * self.tol
+        if not np.all(resid <= 1e3 * DEFAULT_TOL
                       * np.maximum(1.0, np.linalg.norm(y, axis=0))):
             raise np.linalg.LinAlgError("resolvent solve failed within A")
         return _freeze(y - w)
 
 
-def random_symmetric_model(rng, dim, defect, mu=1j, tol=DEFAULT_TOL):
+def random_symmetric_model(rng, dim, defect, mu=1j):
     """Random model: a Hermitian matrix restricted to a random subspace.
 
     The spectrum of the Hermitian core is kept away from zero so that the
@@ -143,20 +141,20 @@ def random_symmetric_model(rng, dim, defect, mu=1j, tol=DEFAULT_TOL):
     herm = q @ np.diag(evals) @ q.conj().T
     dom = Subspace.from_span(rng.standard_normal((dim, dim - defect))
                              + 1j * rng.standard_normal((dim, dim - defect)),
-                             ambient_dim=dim, tol=tol)
-    t_rel = LinearRelation.from_blocks(dom.basis, herm @ dom.basis, tol=tol)
-    a_rel = LinearRelation.graph_of(herm, tol=tol)
-    return SymmetricModel(dim, t_rel, a_rel, mu=mu, tol=tol)
+                             ambient_dim=dim)
+    t_rel = LinearRelation.from_blocks(dom.basis, herm @ dom.basis)
+    a_rel = LinearRelation.graph_of(herm)
+    return SymmetricModel(dim, t_rel, a_rel, mu=mu)
 
 
-def random_selfadjoint_relation(rng, dim, tol=DEFAULT_TOL):
+def random_selfadjoint_relation(rng, dim):
     """Random self-adjoint relation on C^dim, via the inverse Cayley map."""
     q, r = np.linalg.qr(rng.standard_normal((dim, dim))
                         + 1j * rng.standard_normal((dim, dim)))
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     x_blk = 0.5j * (u - np.eye(dim))
     y_blk = 0.5 * (u + np.eye(dim))
-    return LinearRelation.from_blocks(x_blk, y_blk, tol=tol)
+    return LinearRelation.from_blocks(x_blk, y_blk)
 
 
 def deficiency_spaces(model):
@@ -171,12 +169,10 @@ def model_to_json(model):
             "mu": [model.mu.real, model.mu.imag]}
 
 
-def model_from_json(obj, tol=DEFAULT_TOL):
+def model_from_json(obj):
     re, im = obj["mu"]
-    return SymmetricModel(int(obj["dim"]),
-                          relation_from_json(obj["T"], tol=tol),
-                          relation_from_json(obj["A"], tol=tol),
-                          mu=complex(re, im), tol=tol)
+    return SymmetricModel(int(obj["dim"]), relation_from_json(obj["T"]),
+                          relation_from_json(obj["A"]), mu=complex(re, im))
 
 
 def relation_resolvent_apply(rel, shift, rhs):
@@ -236,7 +232,8 @@ def _as_pair(model, z, action=None):
 def _split_block(model, pairs):
     """Split the columns of a 2n x k block of pairs in T* in one solve.
 
-    Every column must lie in T* within 10 * tol * max(1, |column|).  The
+    Every column must lie in T* within 10 * DEFAULT_TOL * max(1, |column|),
+    the membership bound of `Subspace.contains`.  The
     decomposition is along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}; returns
     the coefficient blocks on the bases of T, K+ and K- and the split
     residual of each column.
@@ -244,7 +241,7 @@ def _split_block(model, pairs):
     graph = model.Tstar.graph
     outside = pairs - graph.basis @ (graph.basis.conj().T @ pairs)
     scale = np.maximum(1.0, np.linalg.norm(pairs, axis=0))
-    if not np.all(np.linalg.norm(outside, axis=0) <= 10 * graph.tol * scale):
+    if not np.all(np.linalg.norm(outside, axis=0) <= 10 * DEFAULT_TOL * scale):
         raise ValueError("input pair does not belong to T*")
     mu = model.mu
     kp = model.kplus.basis
@@ -355,16 +352,15 @@ def _check_boundary_relation(model, boundary_rel):
 
 def _extension(model, boundary_rel):
     basis, g0, g1, _ = boundary_data(model)
-    coeff = _boundary_cut(g0, g1, boundary_rel, model.tol)
-    return LinearRelation.from_span(model.dim, model.dim, basis @ coeff,
-                                    tol=model.tol)
+    coeff = _boundary_cut(g0, g1, boundary_rel)
+    return LinearRelation.from_span(model.dim, model.dim, basis @ coeff)
 
 
-def _boundary_cut(g0, g1, boundary_rel, tol):
+def _boundary_cut(g0, g1, boundary_rel):
     """Coefficients of the combinations of the columns of (g0; g1) that
     lie in the boundary relation."""
     perp = boundary_rel.graph.complement().basis
-    return _null_space(perp.conj().T @ np.vstack([g0, g1]), tol)
+    return _null_space(perp.conj().T @ np.vstack([g0, g1]))
 
 
 def partial_cayley(rel, mu):
@@ -377,7 +373,7 @@ def partial_cayley(rel, mu):
     y_blk = rel.cod_block()
     m1 = y_blk - np.conj(mu) * x_blk
     m2 = y_blk - mu * x_blk
-    return m2 @ np.linalg.pinv(m1, rcond=rel.tol)
+    return m2 @ np.linalg.pinv(m1, rcond=DEFAULT_TOL)
 
 
 def embed_boundary_unitary(subspace, small_unitary):

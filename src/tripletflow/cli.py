@@ -20,7 +20,7 @@ import numpy as np
 from . import famindex as fi
 from . import sturm
 from . import verify as vf
-from .relspace import is_self_adjoint_batch, relation_from_json
+from .relspace import _groups, is_self_adjoint_batch, relation_from_json
 
 __all__ = ["main", "cmd_rellich", "cmd_verify", "cmd_index"]
 
@@ -126,11 +126,20 @@ def cmd_index(args):
     if tol <= 0:
         raise ValueError("tol must be positive")
     loop = _load_family(args.family)
-    flags = is_self_adjoint_batch(loop.payloads, tol=max(tol, 1e-8))
+    flags = is_self_adjoint_batch(loop.payloads, tol=tol)
     bad = np.flatnonzero(~flags)
     if bad.size:
         raise ValueError(f"sample at theta={loop.thetas[bad[0]]} is not a "
                          "self-adjoint relation")
+    # every sample is now self-adjoint, so one group per space C^n + C^n,
+    # the first sample's group first
+    groups = list(_groups(loop.payloads))
+    if len(groups) > 1:
+        ((n, _, _), _), ((m, _, _), idx) = groups[:2]
+        raise ValueError(f"malformed family fixture: sample at "
+                         f"theta={loop.thetas[idx[0]]} is a relation in "
+                         f"C^{m} + C^{m}, not in C^{n} + C^{n} as the first "
+                         "sample")
     winding = fi.relation_family_index(loop)
     report = fi.IndexReport(spectral_flow=None, winding=winding,
                             consistent=True)
@@ -169,7 +178,10 @@ def _build_parser():
     p_index.add_argument("--family", default="rellich",
                          help="fixture path or the built-in name 'rellich'")
     p_index.add_argument("--tol", type=float, default=None,
-                         help=f"tolerance (default: ${_ENV_TOL} or 1e-9)")
+                         help="self-adjointness gap tolerance of each "
+                              f"sample (default: ${_ENV_TOL} or 1e-9); "
+                              "values below 1e-8, the default among them, "
+                              "act as 1e-8")
     for p in (p_verify, p_index):
         p.add_argument("--format", choices=("json", "csv"), default="json")
     for p in (p_rellich, p_verify, p_index):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sturm
-from .relspace import DEFAULT_TOL, cayley_unitaries, cayley_unitary
+from .relspace import cayley_unitaries, cayley_unitary
 from .triplet import reduced_triplet, transform_boundary_conditions
 
 __all__ = [
@@ -391,12 +391,12 @@ def _sampled_loop(batch, samples):
                       generator=lambda theta: batch([theta])[0])
 
 
-def _relation_batch(kappa_of, tol):
+def _relation_batch(kappa_of):
     """Batched generator of the relation loop: the transformed Robin
     relations of the given thetas as one RelationStack."""
-    rt = reduced_triplet(sturm.RellichBoundaryProblem(tol=tol))
+    rt = reduced_triplet(sturm.RellichBoundaryProblem())
     return lambda thetas: transform_boundary_conditions(
-        rt, sturm.robin_relations([kappa_of(t) for t in thetas], tol))
+        rt, sturm.robin_relations([kappa_of(t) for t in thetas]))
 
 
 def _eigenvalue_batch(kappa_of, lambda_max):
@@ -406,9 +406,9 @@ def _eigenvalue_batch(kappa_of, lambda_max):
         [kappa_of(t) for t in thetas], lambda_max=lambda_max)
 
 
-def rellich_boundary_family(samples=720, tol=DEFAULT_TOL):
+def rellich_boundary_family(samples=720):
     """Loop of transformed boundary relations of the Robin family."""
-    return _sampled_loop(_relation_batch(sturm.kappa_of_theta, tol), samples)
+    return _sampled_loop(_relation_batch(sturm.kappa_of_theta), samples)
 
 
 def rellich_eigenvalue_samples(samples=720, lambda_max=400.0):
@@ -429,7 +429,7 @@ def _robin_index(kappa_of, samples, lambda_max):
     eig_loop = _sampled_loop(eig_batch, samples)
     flow, crossings = _flow_walk(eig_loop, 0.0, 1.0)
     wind = relation_family_index(
-        _sampled_loop(_relation_batch(kappa_of, DEFAULT_TOL), samples))
+        _sampled_loop(_relation_batch(kappa_of), samples))
     crossing_kappa = None
     if crossings:
         theta = _polish_crossing(eig_batch, *crossings[0])

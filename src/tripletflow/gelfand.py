@@ -37,15 +37,15 @@ __all__ = [
 ]
 
 
-def _check_hpd(gram, name, tol):
+def _check_hpd(gram, name):
     gram = np.asarray(gram, dtype=complex)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     if gram.shape[0] == 0:
         return gram
-    gram = _hermitian_part(gram, tol, f"{name} is not Hermitian")
+    gram = _hermitian_part(gram, DEFAULT_TOL, f"{name} is not Hermitian")
     evals = np.linalg.eigvalsh(gram)
-    if evals.min() <= tol * max(1.0, evals.max()):
+    if evals.min() <= DEFAULT_TOL * max(1.0, evals.max()):
         raise ValueError(f"{name} is not positive definite")
     return gram
 
@@ -57,13 +57,13 @@ class GelfandTriple:
     Derived data: the embedding adjoint iota_star = gram_K^(-1) gram_partial,
     the nonnegative operator j = iota o iota_star, its principal square root
     lam taken in the pivot metric (lam_prime equals lam as a matrix), and the
-    Gram matrix of the dual space.
+    Gram matrix of the dual space.  The Hermitian and positivity checks
+    use the rank tolerance DEFAULT_TOL.
     """
 
     dim: int
     gram_K: np.ndarray
     gram_partial: np.ndarray
-    tol: float = DEFAULT_TOL
     iota_star: np.ndarray = field(init=False, repr=False)
     j: np.ndarray = field(init=False, repr=False)
     lam: np.ndarray = field(init=False, repr=False)
@@ -71,8 +71,8 @@ class GelfandTriple:
     gram_dual: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        gk = _check_hpd(self.gram_K, "gram_K", self.tol)
-        gp = _check_hpd(self.gram_partial, "gram_partial", self.tol)
+        gk = _check_hpd(self.gram_K, "gram_K")
+        gp = _check_hpd(self.gram_partial, "gram_partial")
         if gk.shape[0] != self.dim or gp.shape[0] != self.dim:
             raise ValueError("Gram matrices do not match the stated dimension")
         if self.dim == 0:
@@ -89,7 +89,7 @@ class GelfandTriple:
         sym = chol.conj().T @ jmat @ np.linalg.inv(chol.conj().T)
         sym = 0.5 * (sym + sym.conj().T)
         evals, evecs = np.linalg.eigh(sym)
-        if evals.min() <= self.tol * max(1.0, evals.max()):
+        if evals.min() <= DEFAULT_TOL * max(1.0, evals.max()):
             raise ValueError("embedding operator j is not strictly positive")
         root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
         lam = np.linalg.solve(chol.conj().T, root @ chol.conj().T)
@@ -127,16 +127,15 @@ class GelfandTriple:
         return out
 
 
-def build_triple(gram_K, gram_partial, tol=DEFAULT_TOL):
+def build_triple(gram_K, gram_partial):
     """Construct the Gelfand triple associated with the pair of Grams."""
     gram_K = np.asarray(gram_K, dtype=complex)
     return GelfandTriple(dim=gram_K.shape[0], gram_K=gram_K,
-                         gram_partial=np.asarray(gram_partial, dtype=complex),
-                         tol=tol)
+                         gram_partial=np.asarray(gram_partial, dtype=complex))
 
 
-def identity_triple(dim, tol=DEFAULT_TOL):
-    return build_triple(np.eye(dim), np.eye(dim), tol=tol)
+def identity_triple(dim):
+    return build_triple(np.eye(dim), np.eye(dim))
 
 
 def triple_to_json(triple):
@@ -144,9 +143,9 @@ def triple_to_json(triple):
             "gram_partial": matrix_to_json(triple.gram_partial)}
 
 
-def triple_from_json(obj, tol=DEFAULT_TOL):
+def triple_from_json(obj):
     return build_triple(matrix_from_json(obj["gram_K"]),
-                        matrix_from_json(obj["gram_partial"]), tol=tol)
+                        matrix_from_json(obj["gram_partial"]))
 
 
 def dual_pairing(triple, y, x):

@@ -1,7 +1,9 @@
 """Subspaces of C^n and linear relations in C^n + C^m.
 
 Subspaces are carried as matrices with orthonormal columns obtained from an
-SVD; rank decisions use a threshold relative to the largest singular value.
+SVD; rank decisions use the one threshold DEFAULT_TOL relative to the largest
+singular value, and every other bound of the package that decides a rank or
+a membership is a fixed multiple of it.
 Linear relations are subspaces of the direct sum of domain and codomain and
 are the common carrier for boundary conditions, deficiency spaces and
 Lagrangian planes.  All values are immutable and all operations are pure.
@@ -66,10 +68,10 @@ def _freeze(a):
     return a
 
 
-def _orthonormal_columns(columns, tol):
+def _orthonormal_columns(columns):
     """Orthonormal basis of the column span of a matrix, or of each matrix
-    in a stack (..., m, k); directions with singular value <= tol * s_max
-    of their own matrix are dropped.
+    in a stack (..., m, k); directions with singular value <= DEFAULT_TOL *
+    s_max of their own matrix are dropped.
 
     Columns are normalized first so that the relative threshold reflects
     angles between directions, not disparate column scales.  Columns that
@@ -94,7 +96,7 @@ def _orthonormal_columns(columns, tol):
         norms = np.where(nonzero, norms, 1.0)
     u, s, _ = np.linalg.svd(columns / norms[..., None, :],
                             full_matrices=False)
-    ranks = (s > tol * s[..., :1]).sum(axis=-1)
+    ranks = (s > DEFAULT_TOL * s[..., :1]).sum(axis=-1)
     rank = int(ranks.max()) if batch else int(ranks)
     u = u[..., :rank]
     if batch and (ranks < rank).any():
@@ -103,31 +105,31 @@ def _orthonormal_columns(columns, tol):
 
 
 class Subspace:
-    """A subspace of C^n carried by an orthonormal column basis."""
+    """A subspace of C^n carried by an orthonormal column basis.
 
-    __slots__ = ("ambient_dim", "basis", "tol")
+    The constructor takes the basis as given; `from_span` is the constructor
+    that orthonormalizes arbitrary spanning columns.
+    """
 
-    def __init__(self, basis, ambient_dim=None, tol=DEFAULT_TOL, _trusted=False):
-        basis = _as_matrix(basis, rows=ambient_dim)
-        if not _trusted:
-            basis = _orthonormal_columns(basis, tol)[0]
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, basis):
+        basis = _as_matrix(basis)
         self.ambient_dim = basis.shape[0]
         self.basis = _freeze(basis)
-        self.tol = float(tol)
 
     @classmethod
-    def from_span(cls, columns, ambient_dim=None, tol=DEFAULT_TOL):
+    def from_span(cls, columns, ambient_dim=None):
         columns = _as_matrix(columns, rows=ambient_dim)
-        return cls(_orthonormal_columns(columns, tol)[0], tol=tol,
-                   _trusted=True)
+        return cls(_orthonormal_columns(columns)[0])
 
     @classmethod
-    def zero(cls, ambient_dim, tol=DEFAULT_TOL):
-        return cls(np.zeros((ambient_dim, 0)), tol=tol, _trusted=True)
+    def zero(cls, ambient_dim):
+        return cls(np.zeros((ambient_dim, 0)))
 
     @classmethod
-    def full(cls, ambient_dim, tol=DEFAULT_TOL):
-        return cls(np.eye(ambient_dim), tol=tol, _trusted=True)
+    def full(cls, ambient_dim):
+        return cls(np.eye(ambient_dim))
 
     @property
     def dim(self):
@@ -136,9 +138,9 @@ class Subspace:
     def complement(self):
         """Orthogonal complement."""
         if self.dim == 0:
-            return Subspace.full(self.ambient_dim, tol=self.tol)
+            return Subspace.full(self.ambient_dim)
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(u[:, self.dim:], tol=self.tol, _trusted=True)
+        return Subspace(u[:, self.dim:])
 
     def gap(self, other):
         """Largest principal-angle sine between two subspaces of the same
@@ -158,16 +160,16 @@ class Subspace:
         s = np.linalg.svd(resid, compute_uv=False)
         return float(min(1.0, s[0]))
 
-    def contains(self, other, tol=None):
-        """Whether a vector or a subspace lies in this subspace (within tol)."""
-        tol = self.tol if tol is None else tol
+    def contains(self, other):
+        """Whether a vector or a subspace lies in this subspace: its residual
+        off the subspace is at most 10 * DEFAULT_TOL * max(1, its norm)."""
         if isinstance(other, Subspace):
             mat = other.basis
         else:
             mat = _as_matrix(other, rows=self.ambient_dim)
         resid = mat - self.basis @ (self.basis.conj().T @ mat)
         scale = max(1.0, np.linalg.norm(mat))
-        return bool(np.linalg.norm(resid) <= 10 * tol * scale)
+        return bool(np.linalg.norm(resid) <= 10 * DEFAULT_TOL * scale)
 
     def intersect(self, other):
         """Intersection via the null space of stacked orthogonality constraints."""
@@ -177,21 +179,20 @@ class Subspace:
             self.complement().basis.conj().T,
             other.complement().basis.conj().T,
         ])
-        return Subspace.from_span(_null_space(cons, self.tol),
-                                  ambient_dim=self.ambient_dim, tol=self.tol)
+        return Subspace.from_span(_null_space(cons),
+                                  ambient_dim=self.ambient_dim)
 
     def add(self, other):
         """Span of the union."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
-        return Subspace.from_span(np.hstack([self.basis, other.basis]),
-                                  tol=min(self.tol, other.tol))
+        return Subspace.from_span(np.hstack([self.basis, other.basis]))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _null_space(a, tol):
+def _null_space(a):
     """Orthonormal basis of Ker a, with the same relative rank threshold.
 
     For a stack (..., m, n) the null space of each member: member i has the
@@ -202,7 +203,7 @@ def _null_space(a, tol):
     if m == 0 or not a.any():
         return np.tile(np.eye(n, dtype=complex), (*batch, 1, 1))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    ranks = (s > tol * s[..., :1]).sum(axis=-1)
+    ranks = (s > DEFAULT_TOL * s[..., :1]).sum(axis=-1)
     low = int(ranks.min()) if batch else int(ranks)
     null = vh[..., low:, :].conj().swapaxes(-1, -2)
     if batch and (ranks > low).any():
@@ -211,15 +212,13 @@ def _null_space(a, tol):
     return null
 
 
-def span_orthonormalize(columns, tol=DEFAULT_TOL):
+def span_orthonormalize(columns):
     """Subspace spanned by the given columns.
 
-    Singular directions with singular value <= tol * (largest singular value)
-    are dropped.  Non-finite entries are rejected.
+    Singular directions with singular value <= DEFAULT_TOL * (largest
+    singular value) are dropped.  Non-finite entries are rejected.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return Subspace.from_span(_as_matrix(columns), tol=tol)
+    return Subspace.from_span(columns)
 
 
 class LinearRelation:
@@ -235,36 +234,32 @@ class LinearRelation:
         self.graph = graph
 
     @classmethod
-    def from_span(cls, dom_dim, cod_dim, columns, tol=DEFAULT_TOL):
-        sub = Subspace.from_span(columns, ambient_dim=dom_dim + cod_dim, tol=tol)
+    def from_span(cls, dom_dim, cod_dim, columns):
+        sub = Subspace.from_span(columns, ambient_dim=dom_dim + cod_dim)
         return cls(dom_dim, cod_dim, sub)
 
     @classmethod
-    def from_blocks(cls, x_block, y_block, tol=DEFAULT_TOL):
+    def from_blocks(cls, x_block, y_block):
         x_block = _as_matrix(x_block)
         y_block = _as_matrix(y_block)
         return cls.from_span(x_block.shape[0], y_block.shape[0],
-                             np.vstack([x_block, y_block]), tol=tol)
+                             np.vstack([x_block, y_block]))
 
     @classmethod
-    def graph_of(cls, matrix, tol=DEFAULT_TOL):
+    def graph_of(cls, matrix):
         """The graph {(x, Mx)} of a matrix."""
         matrix = _as_matrix(matrix)
         n = matrix.shape[1]
-        return cls.from_blocks(np.eye(n), matrix, tol=tol)
+        return cls.from_blocks(np.eye(n), matrix)
 
     @classmethod
-    def zero_times_full(cls, dim, tol=DEFAULT_TOL):
+    def zero_times_full(cls, dim):
         """The purely multivalued relation 0 + C^dim."""
-        return cls.from_blocks(np.zeros((dim, dim)), np.eye(dim), tol=tol)
+        return cls.from_blocks(np.zeros((dim, dim)), np.eye(dim))
 
     @property
     def dim(self):
         return self.graph.dim
-
-    @property
-    def tol(self):
-        return self.graph.tol
 
     def dom_block(self):
         return self.graph.basis[: self.dom_dim]
@@ -274,15 +269,15 @@ class LinearRelation:
 
     def kernel_at(self, shift):
         """The subspace {x : (x, shift*x) in relation}."""
-        coeff = _null_space(self.cod_block() - shift * self.dom_block(), self.tol)
+        coeff = _null_space(self.cod_block() - shift * self.dom_block())
         return Subspace.from_span(self.dom_block() @ coeff,
-                                  ambient_dim=self.dom_dim, tol=self.tol)
+                                  ambient_dim=self.dom_dim)
 
     def multivalued_part(self):
         """The subspace {y : (0, y) in relation}."""
-        coeff = _null_space(self.dom_block(), self.tol)
+        coeff = _null_space(self.dom_block())
         return Subspace.from_span(self.cod_block() @ coeff,
-                                  ambient_dim=self.cod_dim, tol=self.tol)
+                                  ambient_dim=self.cod_dim)
 
     def contains_relation(self, other):
         return self.graph.contains(other.graph)
@@ -298,20 +293,19 @@ class LinearRelation:
 
 
 class RelationStack:
-    """A read-only sequence of relations in C^dom_dim + C^cod_dim with one
-    tolerance, carried as one stack of graph bases (N, dom_dim + cod_dim,
-    r) with the columns of member i past ranks[i] zero.
+    """A read-only sequence of relations in C^dom_dim + C^cod_dim, carried
+    as one stack of graph bases (N, dom_dim + cod_dim, r) with the columns
+    of member i past ranks[i] zero.
 
     The stacked relation code reads the bases directly; indexing or
     iterating builds the member as a `LinearRelation` on demand.
     """
 
-    __slots__ = ("dom_dim", "cod_dim", "tol", "bases", "ranks")
+    __slots__ = ("dom_dim", "cod_dim", "bases", "ranks")
 
-    def __init__(self, dom_dim, cod_dim, tol, bases, ranks):
+    def __init__(self, dom_dim, cod_dim, bases, ranks):
         self.dom_dim = int(dom_dim)
         self.cod_dim = int(cod_dim)
-        self.tol = float(tol)
         self.bases = _freeze(bases)
         self.ranks = _freeze(np.asarray(ranks, dtype=int))
 
@@ -320,8 +314,7 @@ class RelationStack:
 
     def __getitem__(self, i):
         basis = self.bases[i][:, :self.ranks[i]]
-        return LinearRelation(self.dom_dim, self.cod_dim,
-                              Subspace(basis, tol=self.tol, _trusted=True))
+        return LinearRelation(self.dom_dim, self.cod_dim, Subspace(basis))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -332,17 +325,16 @@ class RelationStack:
 
 
 def _groups(rels):
-    """Indices of the relations grouped by (dom_dim, cod_dim, dim, tol), in
+    """Indices of the relations grouped by (dom_dim, cod_dim, dim), in
     order of first appearance; the members of a group stack.  A
     RelationStack is grouped by the ranks of its members."""
     if isinstance(rels, RelationStack):
-        return [((rels.dom_dim, rels.cod_dim, k, rels.tol),
+        return [((rels.dom_dim, rels.cod_dim, k),
                  np.flatnonzero(rels.ranks == k))
                 for k in dict.fromkeys(rels.ranks.tolist())]
     groups = {}
     for i, rel in enumerate(rels):
-        groups.setdefault((rel.dom_dim, rel.cod_dim, rel.dim, rel.tol),
-                          []).append(i)
+        groups.setdefault((rel.dom_dim, rel.cod_dim, rel.dim), []).append(i)
     return groups.items()
 
 
@@ -358,9 +350,9 @@ def _graph_stack(rels, idx):
     return np.array([rels[i].graph.basis for i in idx])
 
 
-def relations_from_span(dom_dim, cod_dim, columns, tol=DEFAULT_TOL):
+def relations_from_span(dom_dim, cod_dim, columns):
     """One relation per matrix of a stack (N, dom_dim + cod_dim, k): member i
-    is `LinearRelation.from_span(dom_dim, cod_dim, columns[i], tol)`, all
+    is `LinearRelation.from_span(dom_dim, cod_dim, columns[i])`, all
     orthonormalized by one stacked SVD into a RelationStack."""
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 3 or columns.shape[1] != dom_dim + cod_dim:
@@ -369,11 +361,10 @@ def relations_from_span(dom_dim, cod_dim, columns, tol=DEFAULT_TOL):
                          f"{columns.shape}")
     if not np.isfinite(columns).all():
         raise ValueError("non-finite entries in input matrix")
-    return RelationStack(dom_dim, cod_dim, tol,
-                         *_orthonormal_columns(columns, tol))
+    return RelationStack(dom_dim, cod_dim, *_orthonormal_columns(columns))
 
 
-def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod, tol):
+def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
     """Graph bases of the adjoints of a relation, or of each member of a
     stack of graph bases (..., dom_dim + cod_dim, k).
 
@@ -389,7 +380,7 @@ def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod, tol):
     # row j of the constraint matrix: <b_j, x>_cod - <a_j, y>_dom = 0
     cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
                            -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
-    return _orthonormal_columns(_null_space(cons, tol), tol)
+    return _orthonormal_columns(_null_space(cons))
 
 
 def adjoint_relation(rel, gram_dom=None, gram_cod=None):
@@ -400,25 +391,25 @@ def adjoint_relation(rel, gram_dom=None, gram_cod=None):
     C^cod_dim + C^dom_dim.
     """
     basis, _ = _adjoint_bases(rel.graph.basis, rel.dom_dim, gram_dom,
-                              gram_cod, rel.tol)
-    return LinearRelation(rel.cod_dim, rel.dom_dim,
-                          Subspace(basis, tol=rel.tol, _trusted=True))
+                              gram_cod)
+    return LinearRelation(rel.cod_dim, rel.dom_dim, Subspace(basis))
 
 
 def is_self_adjoint_batch(rels, tol=None, gram=None):
     """`is_self_adjoint` of every relation of a sequence, as a boolean array.
 
     Relations of equal shape share one stacked adjoint and one stacked gap
-    computation; each is judged against its own threshold max(tol,
-    100 * rel.tol).  A relation with dom_dim != cod_dim is not
-    self-adjoint.
+    computation; each is judged by its gap to its adjoint against the
+    threshold max(tol, 100 * DEFAULT_TOL), so a tol below that floor acts
+    as the floor.  A relation with dom_dim != cod_dim is not self-adjoint.
     """
     flags = np.zeros(len(rels), dtype=bool)
-    for (n, cod_dim, k, rel_tol), idx in _groups(rels):
+    limit = 100 * DEFAULT_TOL if tol is None else max(tol, 100 * DEFAULT_TOL)
+    for (n, cod_dim, k), idx in _groups(rels):
         if n != cod_dim:
             continue
         bases = _graph_stack(rels, idx)
-        adj, adj_dims = _adjoint_bases(bases, n, gram, gram, rel_tol)
+        adj, adj_dims = _adjoint_bases(bases, n, gram, gram)
         # gap of subspaces: 1 when the dimensions differ, else the largest
         # principal-angle sine, as in Subspace.gap
         same = adj_dims == k
@@ -430,16 +421,16 @@ def is_self_adjoint_batch(rels, tol=None, gram=None):
             resid = other - bases @ (bases.conj().swapaxes(-1, -2) @ other)
             top = np.linalg.svd(resid, compute_uv=False)[..., 0]
             gaps[same] = np.minimum(1.0, top)
-        limit = max(rel_tol if tol is None else tol, 100 * rel_tol)
         flags[idx] = gaps <= limit
     return flags
 
 
-def is_self_adjoint(rel, tol=None, gram=None):
-    """Whether a square relation equals its adjoint within the gap tolerance."""
+def is_self_adjoint(rel, gram=None):
+    """Whether a square relation equals its adjoint within the gap tolerance
+    100 * DEFAULT_TOL."""
     if rel.dom_dim != rel.cod_dim:
         raise ValueError("self-adjointness needs dom_dim == cod_dim")
-    return bool(is_self_adjoint_batch([rel], tol, gram)[0])
+    return bool(is_self_adjoint_batch([rel], gram=gram)[0])
 
 
 def cayley_unitaries(rels):
@@ -450,7 +441,7 @@ def cayley_unitaries(rels):
     Every relation is checked for a numerically singular Y + iX.
     """
     out = [None] * len(rels)
-    for (n, cod_dim, k, rel_tol), idx in _groups(rels):
+    for (n, cod_dim, k), idx in _groups(rels):
         if n != cod_dim:
             raise ValueError("Cayley transform needs dom_dim == cod_dim")
         if k != n:
@@ -463,7 +454,8 @@ def cayley_unitaries(rels):
         denom = y_blk + 1j * x_blk
         if n > 0:
             svals = np.linalg.svd(denom, compute_uv=False)
-            bad = svals[..., -1] <= rel_tol * np.maximum(1.0, svals[..., 0])
+            bad = (svals[..., -1]
+                   <= DEFAULT_TOL * np.maximum(1.0, svals[..., 0]))
             if bad.any():
                 raise np.linalg.LinAlgError(
                     "Y + iX is numerically singular: the relation is not "
@@ -491,22 +483,21 @@ def parts_decomposition(rel):
     restriction B /\\ (C^n + mul^perp), so B = operator_part (+) (0 + mul).
     """
     mul = rel.multivalued_part()
-    op = restrict_relation(rel, Subspace.full(rel.dom_dim, tol=rel.tol),
-                           mul.complement())
+    op = restrict_relation(rel, Subspace.full(rel.dom_dim), mul.complement())
     return op, mul
 
 
 def map_relation(lin_map, rel):
     """Image of a relation under an invertible linear map of C^dom + C^cod."""
     lin_map = _as_matrix(lin_map, rows=rel.dom_dim + rel.cod_dim)
-    _check_invertible(lin_map, rel.tol)
+    _check_invertible(lin_map)
     return LinearRelation.from_span(rel.dom_dim, rel.cod_dim,
-                                    lin_map @ rel.graph.basis, tol=rel.tol)
+                                    lin_map @ rel.graph.basis)
 
 
-def _check_invertible(lin_map, tol):
+def _check_invertible(lin_map):
     svals = np.linalg.svd(lin_map, compute_uv=False)
-    if svals[-1] <= tol * max(1.0, svals[0]):
+    if svals[-1] <= DEFAULT_TOL * max(1.0, svals[0]):
         raise ValueError("map_relation requires an invertible map")
 
 
@@ -518,9 +509,9 @@ def restrict_relation(rel, dom_sub, cod_sub):
         dom_sub.complement().basis.conj().T @ rel.dom_block(),
         cod_sub.complement().basis.conj().T @ rel.cod_block(),
     ])
-    coeff = _null_space(cons, rel.tol)
+    coeff = _null_space(cons)
     return LinearRelation.from_span(rel.dom_dim, rel.cod_dim,
-                                    rel.graph.basis @ coeff, tol=rel.tol)
+                                    rel.graph.basis @ coeff)
 
 
 def matrix_to_json(mat):
@@ -563,7 +554,7 @@ def _complex_pairs(flat):
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[:, 0]
 
 
-def relation_from_json(obj, tol=DEFAULT_TOL):
+def relation_from_json(obj):
     dom_dim = int(obj["dom_dim"])
     cod_dim = int(obj["cod_dim"])
     if dom_dim < 0 or cod_dim < 0 or dom_dim + cod_dim == 0:
@@ -574,4 +565,4 @@ def relation_from_json(obj, tol=DEFAULT_TOL):
         raise ValueError("basis length is not a multiple of dom_dim + cod_dim")
     # the entries run down the columns
     mat = np.ascontiguousarray(flat.reshape(-1, rows).T)
-    return LinearRelation.from_span(dom_dim, cod_dim, mat, tol=tol)
+    return LinearRelation.from_span(dom_dim, cod_dim, mat)

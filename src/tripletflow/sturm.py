@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .gelfand import identity_triple
-from .relspace import DEFAULT_TOL, relations_from_span
+from .relspace import relations_from_span
 
 __all__ = [
     "ExpPoly",
@@ -272,7 +272,7 @@ def deficiency_basis(mu):
     return [exponential(rate), exponential(-rate)]
 
 
-def robin_relations(kappas, tol=DEFAULT_TOL):
+def robin_relations(kappas):
     """The boundary relations {(0, b, c, -kappa b)} in trace coordinates,
     one per kappa, orthonormalized by one stacked SVD into a RelationStack.
 
@@ -289,13 +289,13 @@ def robin_relations(kappas, tol=DEFAULT_TOL):
     cols[finite, 3, 0] = -kap[finite]
     cols[infinite, 2, 0] = 1.0
     cols[infinite, 3, 1] = 1.0
-    return relations_from_span(2, 2, cols, tol=tol)
+    return relations_from_span(2, 2, cols)
 
 
-def robin_relation(kappa, tol=DEFAULT_TOL):
+def robin_relation(kappa):
     """The boundary relation {(0, b, c, -kappa b)}; the single-kappa form
     of `robin_relations`."""
-    return robin_relations([kappa], tol)[0]
+    return robin_relations([kappa])[0]
 
 
 def kappa_of_theta(theta):
@@ -522,10 +522,9 @@ class RellichBoundaryProblem:
     the raw ones up to the Dirichlet-to-Neumann correction.
     """
 
-    def __init__(self, tol=DEFAULT_TOL):
-        self.tol = tol
+    def __init__(self):
         self.boundary_dim = 2
-        self.triple = identity_triple(2, tol=tol)
+        self.triple = identity_triple(2)
         self._inner_maps = None
 
     # -- element operations -------------------------------------------------

@@ -18,10 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relspace import (DEFAULT_TOL, LinearRelation, Subspace,
-                       _hermitian_part, cayley_unitary, matrix_from_json,
-                       matrix_to_json)
+from .relspace import (LinearRelation, Subspace, _hermitian_part,
+                       cayley_unitary, matrix_from_json, matrix_to_json)
 from .famindex import det_winding
+
+# tolerance of the Hermitian, invertibility and graded-shape checks of a
+# SymbolPoint
+_SYMBOL_TOL = 1e-9
 
 __all__ = [
     "SymbolPoint",
@@ -44,15 +47,14 @@ class SymbolPoint:
     sigma: np.ndarray
     tau: np.ndarray
     dirac_like: bool = False
-    tol: float = 1e-9
     rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sigma = _hermitian_part(self.sigma, self.tol,
+        sigma = _hermitian_part(self.sigma, _SYMBOL_TOL,
                                 "sigma must be Hermitian")
-        tau = _hermitian_part(self.tau, self.tol, "tau must be Hermitian")
+        tau = _hermitian_part(self.tau, _SYMBOL_TOL, "tau must be Hermitian")
         svals = np.linalg.svd(sigma, compute_uv=False)
-        if svals[-1] <= self.tol * svals[0]:
+        if svals[-1] <= _SYMBOL_TOL * svals[0]:
             raise ValueError("sigma must be invertible")
         self.sigma = sigma
         self.tau = tau
@@ -63,26 +65,27 @@ class SymbolPoint:
                 raise ValueError("graded symbols need even dimension")
             half = n // 2
             off = self.rho[:half, half:]
-            _hermitian_part(-off, 10 * self.tol,
+            _hermitian_part(-off, 10 * _SYMBOL_TOL,
                             "off-diagonal block of rho must be skew-adjoint",
                             skew=True)
             blocks_ok = (
-                np.linalg.norm(self.rho[:half, :half]) <= self.tol
-                and np.linalg.norm(self.rho[half:, half:]) <= self.tol
-                and np.linalg.norm(self.rho[half:, :half] - off) <= self.tol)
+                np.linalg.norm(self.rho[:half, :half]) <= _SYMBOL_TOL
+                and np.linalg.norm(self.rho[half:, half:]) <= _SYMBOL_TOL
+                and np.linalg.norm(self.rho[half:, :half] - off)
+                <= _SYMBOL_TOL)
             if not blocks_ok:
                 raise ValueError("rho does not have the graded block shape")
 
     @classmethod
-    def dirac(cls, tau_bold, tol=1e-9):
+    def dirac(cls, tau_bold):
         """Graded point with rho = [[0, -tb], [-tb, 0]], tb skew-adjoint.
 
         The Hermitian coefficient of the normal direction is the grading
         diag(1, -1), which anticommutes with the skew-Hermitian rho, so the
         tangential part stays Hermitian.
         """
-        tb = _hermitian_part(tau_bold, tol, "tau_bold must be skew-adjoint",
-                             skew=True)
+        tb = _hermitian_part(tau_bold, _SYMBOL_TOL,
+                             "tau_bold must be skew-adjoint", skew=True)
         half = tb.shape[0]
         sigma = np.zeros((2 * half, 2 * half), dtype=complex)
         sigma[:half, :half] = np.eye(half)
@@ -90,7 +93,7 @@ class SymbolPoint:
         tau = np.zeros_like(sigma)
         tau[:half, half:] = -tb
         tau[half:, :half] = tb
-        return cls(sigma=sigma, tau=tau, dirac_like=True, tol=tol)
+        return cls(sigma=sigma, tau=tau, dirac_like=True)
 
     @property
     def half_dim(self):
@@ -102,10 +105,10 @@ class SymbolPoint:
                 "dirac_like": self.dirac_like}
 
     @classmethod
-    def from_json(cls, obj, tol=1e-9):
+    def from_json(cls, obj):
         return cls(sigma=matrix_from_json(obj["sigma"]),
                    tau=matrix_from_json(obj["tau"]),
-                   dirac_like=bool(obj.get("dirac_like", False)), tol=tol)
+                   dirac_like=bool(obj.get("dirac_like", False)))
 
 
 def matrix_sign(mat):
@@ -151,7 +154,7 @@ def _projector_range(proj):
     if rank <= 0:
         return Subspace.zero(n)
     u, _, _ = np.linalg.svd(proj)
-    return Subspace(u[:, :rank], tol=DEFAULT_TOL, _trusted=True)
+    return Subspace(u[:, :rank])
 
 
 def spectral_split(rho):

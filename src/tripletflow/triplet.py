@@ -56,11 +56,10 @@ class MatrixBoundaryProblem:
     on the small space.
     """
 
-    def __init__(self, model, gram_small=None, mix=None, tol=None):
+    def __init__(self, model, gram_small=None, mix=None):
         if model.mu != 1j:
             raise ValueError("boundary problems are built at mu = i")
         self.model = model
-        self.tol = model.tol if tol is None else tol
         basis, g0, g1, _ = _cayley.boundary_data(model)
         self._pair_basis = basis
         self._g0_inner = g0
@@ -79,7 +78,7 @@ class MatrixBoundaryProblem:
             self._g0 = e_mat @ g0
             self._g1 = np.linalg.inv(e_mat.conj().T) @ (h_mat @ g0 + g1)
         gram = np.eye(d) if gram_small is None else gram_small
-        self.triple = build_triple(gram, np.eye(d), tol=self.tol)
+        self.triple = build_triple(gram, np.eye(d))
         # reference solve: A = graph of an invertible relation
         ya = model.A.cod_block()
         self._a_dom = model.A.dom_block()
@@ -128,7 +127,7 @@ class MatrixBoundaryProblem:
         return [b[:, j] for j in range(b.shape[1])]
 
     def gamma1_kernel_elements(self):
-        coeff = _null_space(self._g1, self.tol)
+        coeff = _null_space(self._g1)
         b = self._pair_basis @ coeff
         return [b[:, j] for j in range(b.shape[1])]
 
@@ -348,17 +347,15 @@ def kernel_report(bp, rt=None, rng=None, count=10):
         basis, g0, g1 = bp.coefficient_view()
         _, g1_bold, _ = rt._reduce(g0, g1)
         m = basis.shape[1]
-        ker_bold = Subspace.from_span(_null_space(g1_bold, bp.tol),
-                                      ambient_dim=m, tol=bp.tol)
+        ker_bold = Subspace.from_span(_null_space(g1_bold), ambient_dim=m)
         t_coeff = basis.conj().T @ bp.model.T.graph.basis
         k_coeff = basis.conj().T @ np.column_stack(rt.kernel.elements)
         span = Subspace.from_span(np.hstack([t_coeff, k_coeff]),
-                                  ambient_dim=m, tol=bp.tol)
+                                  ambient_dim=m)
         record("kernel_of_corrected_trace_gap", ker_bold.gap(span))
-        ker_both = Subspace.from_span(
-            _null_space(np.vstack([g0, g1_bold]), bp.tol), ambient_dim=m,
-            tol=bp.tol)
-        t_sub = Subspace.from_span(t_coeff, ambient_dim=m, tol=bp.tol)
+        ker_both = Subspace.from_span(_null_space(np.vstack([g0, g1_bold])),
+                                      ambient_dim=m)
+        t_sub = Subspace.from_span(t_coeff, ambient_dim=m)
         record("joint_kernel_equals_minimal_domain_gap", ker_both.gap(t_sub))
     return checks
 
@@ -380,22 +377,21 @@ def transform_boundary_conditions(rt, rels):
     d = rt.triple.dim
     groups = list(_groups(rels))
     if len(groups) > 1:
-        raise ValueError("boundary relations differ in shape or tolerance")
-    (((dom_dim, cod_dim, k, tol), idx),) = groups
+        raise ValueError("boundary relations differ in shape")
+    (((dom_dim, cod_dim, k), idx),) = groups
     if dom_dim != d or cod_dim != d:
         raise ValueError("boundary relation does not match the triple")
     shear = np.eye(2 * d, dtype=complex)
     shear[d:, :d] = -rt.dtn
     lam_map = rt.triple.shift_map
-    _check_invertible(shear, tol)
-    _check_invertible(lam_map, tol)
+    _check_invertible(shear)
+    _check_invertible(lam_map)
     bases = _graph_stack(rels, idx).reshape(len(idx), 2 * d, k)
     # restriction to the full small space: every pair stays, with the
     # identity as null-space coefficients of its empty constraint set
-    bases, _ = _orthonormal_columns(bases @ np.eye(k, dtype=complex), tol)
-    bases, _ = _orthonormal_columns(shear @ bases, tol)
-    return RelationStack(d, d, tol, *_orthonormal_columns(lam_map @ bases,
-                                                          tol))
+    bases, _ = _orthonormal_columns(bases @ np.eye(k, dtype=complex))
+    bases, _ = _orthonormal_columns(shear @ bases)
+    return RelationStack(d, d, *_orthonormal_columns(lam_map @ bases))
 
 
 def transform_boundary_condition(rt, rel):
@@ -411,11 +407,10 @@ def neumann_graph_check(bp, rt=None):
     rt = reduced_triplet(bp) if rt is None else rt
     bar0, _, bar1 = _trace_table(rt, bp.gamma1_kernel_elements())
     d = bp.boundary_dim
-    actual = LinearRelation.from_span(d, d, np.vstack([bar0, bar1]),
-                                      tol=bp.tol)
+    actual = LinearRelation.from_span(d, d, np.vstack([bar0, bar1]))
     expected_mat = -rt.triple.lam_inv @ rt.dtn @ np.linalg.inv(
         rt.triple.lam_prime)
-    expected = LinearRelation.graph_of(expected_mat, tol=bp.tol)
+    expected = LinearRelation.graph_of(expected_mat)
     return actual.gap(expected)
 
 
@@ -490,5 +485,5 @@ def boundary_condition_domain(bp, rel, rt=None, reduced=False):
     if reduced:
         rt = reduced_triplet(bp) if rt is None else rt
         g0, _, g1 = rt._reduce(g0, g1)
-    return Subspace.from_span(_cayley._boundary_cut(g0, g1, rel, bp.tol),
-                              ambient_dim=basis.shape[1], tol=bp.tol)
+    return Subspace.from_span(_cayley._boundary_cut(g0, g1, rel),
+                              ambient_dim=basis.shape[1])

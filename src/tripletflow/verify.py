@@ -118,7 +118,7 @@ def suite_cayley(trials=50, seed=0):
             np.vstack([model.kplus.basis, mu * model.kplus.basis]),
             np.vstack([model.kminus.basis, np.conj(mu) * model.kminus.basis]),
         ])
-        span = rs.Subspace.from_span(stacked, tol=model.tol)
+        span = rs.Subspace.from_span(stacked)
         span_gap = max(span_gap, span.gap(model.Tstar.graph))
         u_t = cy.partial_cayley(model.T, mu)
         v0 = vmat @ model.kplus.basis.conj().T
@@ -268,10 +268,9 @@ def suite_triplet(trials=12, seed=0):
         # graph of the zero-point Weyl matrix is the boundary data of the kernel
         cauchy = rs.LinearRelation.from_span(
             bp.boundary_dim, bp.boundary_dim,
-            np.vstack([rt.kernel.trace0_matrix, rt.kernel.trace1_matrix]),
-            tol=1e-10)
+            np.vstack([rt.kernel.trace0_matrix, rt.kernel.trace1_matrix]))
         graph_gap = max(graph_gap, cauchy.gap(
-            rs.LinearRelation.graph_of(rt.dtn, tol=1e-10)))
+            rs.LinearRelation.graph_of(rt.dtn)))
         m_sa = max(m_sa, 0.0 if gf.is_triple_self_adjoint(
             bp.triple, rs.LinearRelation.graph_of(rt.dtn)) else 1.0)
         if hasattr(bp, "coefficient_view"):

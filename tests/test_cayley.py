@@ -268,7 +268,7 @@ def test_conjugate_twin_shares_adjoint_and_swaps_kernels(rng):
     assert twin.mu == -1j
     assert twin.Tstar is model.Tstar
     assert twin.kplus is model.kminus and twin.kminus is model.kplus
-    assert twin.T is model.T and twin.A is model.A and twin.tol == model.tol
+    assert twin.T is model.T and twin.A is model.A
     back = twin.with_mu(model.mu)
     assert back.kplus is model.kplus and back.kminus is model.kminus
     assert back.Tstar is model.Tstar
@@ -329,8 +329,7 @@ def _old_factorization_check(model, brel):
     a_prime = cy.extension_from_relation(model, brel)
     u_bh_minus = cy.embed_boundary_unitary(model.kminus, u_b)
     res_plus = np.linalg.norm(rs.cayley_unitary(a_prime) - u_bh_minus @ u_a)
-    model_minus = cy.SymmetricModel(model.dim, model.T, model.A, mu=-1j,
-                                    tol=model.tol)
+    model_minus = cy.SymmetricModel(model.dim, model.T, model.A, mu=-1j)
     a_second = cy.extension_from_relation(model_minus, brel)
     u_bh_plus = cy.embed_boundary_unitary(model.kplus, u_b)
     res_minus = np.linalg.norm(rs.cayley_unitary(a_second) - u_a @ u_bh_plus)

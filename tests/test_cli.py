@@ -157,7 +157,7 @@ def test_index_names_the_one_non_selfadjoint_sample(tmp_path, capsys, odd):
 
 @pytest.mark.parametrize("case", ["string-entry", "null-entry",
                                   "top-level-list", "zero-dims",
-                                  "negative-dim"])
+                                  "negative-dim", "mixed-sizes"])
 def test_index_malformed_fixture_is_input_error(tmp_path, capsys, case):
     thetas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
     fam = tmp_path / "malformed.json"
@@ -174,6 +174,10 @@ def test_index_malformed_fixture_is_input_error(tmp_path, capsys, case):
     elif case == "negative-dim":
         # the basis length still divides dom_dim + cod_dim = 1
         rel["dom_dim"], rel["cod_dim"] = -1, 2
+    elif case == "mixed-sizes":
+        # self-adjoint, but in C^1 + C^1 among samples in C^2 + C^2
+        obj["samples"][3]["relation"] = rs.relation_to_json(
+            rs.LinearRelation.graph_of(np.eye(1)))
     else:
         obj = obj["samples"]
     fam.write_text(json.dumps(obj))
@@ -183,6 +187,31 @@ def test_index_malformed_fixture_is_input_error(tmp_path, capsys, case):
     assert "Traceback" not in err
     # a malformed fixture is reported as such, not as a bad sample
     assert "self-adjoint" not in err
+    if case == "mixed-sizes":
+        assert f"sample at theta={float(thetas[3])} is a relation in" in err
+
+
+@pytest.mark.parametrize("eps, extra, code", [
+    (5e-9, [], 0), (5e-9, ["--tol", "1e-12"], 0),
+    (1e-6, [], 2), (1e-6, ["--tol", "1e-12"], 2),
+    (1e-6, ["--tol", "1e-5"], 0),
+])
+def test_index_tol_sets_the_self_adjointness_gap(tmp_path, capsys, eps,
+                                                 extra, code):
+    # entry [0, 0] of sample 5's basis moved by eps: a gap of about eps to
+    # its adjoint, judged against max(--tol, 1e-8)
+    thetas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+    fam = tmp_path / "perturbed.json"
+    write_family(fam, thetas, [robin_relation(kappa_of_theta(t))
+                               for t in thetas])
+    obj = json.loads(fam.read_text())
+    obj["samples"][5]["relation"]["basis"][0][0] += eps
+    fam.write_text(json.dumps(obj))
+    assert run_cli(["index", "--family", str(fam), "--out", str(tmp_path)]
+                   + extra) == code
+    if code:
+        assert (f"sample at theta={float(thetas[5])} is not a self-adjoint "
+                "relation") in capsys.readouterr().err
 
 
 def test_missing_family_file_is_input_error(tmp_path, capsys):

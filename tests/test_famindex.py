@@ -145,15 +145,6 @@ def test_transformed_family_matches_plain_robin_part():
     assert fi.relation_family_index(raw_loop) == 1
 
 
-def test_relation_family_keeps_the_tolerance():
-    # the Robin relations, not only the boundary problem, take the tolerance
-    loop = fi.rellich_boundary_family(samples=16, tol=1e-6)
-    assert loop.payloads.tol == 1e-6
-    assert loop.generator(0.3).tol == 1e-6
-    default = fi.rellich_boundary_family(samples=16)
-    assert default.payloads.tol == rs.DEFAULT_TOL
-
-
 def test_conjugation_invariance(rng):
     h = random_complex(rng, 2, 2)
     h = h + h.conj().T

@@ -23,8 +23,6 @@ def test_span_orthonormalize_examples():
 def test_span_orthonormalize_rejects_bad_input():
     with pytest.raises(ValueError):
         rs.span_orthonormalize(np.array([[np.nan], [1.0]]))
-    with pytest.raises(ValueError):
-        rs.span_orthonormalize(np.eye(2), tol=0.0)
 
 
 def test_subspace_gap_and_ops(rng):

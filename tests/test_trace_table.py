@@ -108,17 +108,15 @@ def kernel_report_ref(bp, rt, rng, count, tol=1e-8):
         basis, g0, g1 = bp.coefficient_view()
         g1_bold = g1 - rt.dtn @ g0
         m = basis.shape[1]
-        ker_bold = Subspace.from_span(_null_space(g1_bold, bp.tol),
-                                      ambient_dim=m, tol=bp.tol)
+        ker_bold = Subspace.from_span(_null_space(g1_bold), ambient_dim=m)
         t_coeff = basis.conj().T @ bp.model.T.graph.basis
         k_coeff = basis.conj().T @ np.column_stack(bp.kernel_basis())
         span = Subspace.from_span(np.hstack([t_coeff, k_coeff]),
-                                  ambient_dim=m, tol=bp.tol)
+                                  ambient_dim=m)
         record("kernel_of_corrected_trace_gap", ker_bold.gap(span))
-        ker_both = Subspace.from_span(
-            _null_space(np.vstack([g0, g1_bold]), bp.tol), ambient_dim=m,
-            tol=bp.tol)
-        t_sub = Subspace.from_span(t_coeff, ambient_dim=m, tol=bp.tol)
+        ker_both = Subspace.from_span(_null_space(np.vstack([g0, g1_bold])),
+                                      ambient_dim=m)
+        t_sub = Subspace.from_span(t_coeff, ambient_dim=m)
         record("joint_kernel_equals_minimal_domain_gap", ker_both.gap(t_sub))
     return checks
 
@@ -128,10 +126,10 @@ def neumann_graph_check_ref(bp, rt):
     cols = [np.concatenate([bar0_ref(rt, u), bar1_ref(rt, u)])
             for u in elems]
     d = bp.boundary_dim
-    actual = LinearRelation.from_span(d, d, np.column_stack(cols), tol=bp.tol)
+    actual = LinearRelation.from_span(d, d, np.column_stack(cols))
     expected_mat = -rt.triple.lam_inv @ rt.dtn @ np.linalg.inv(
         rt.triple.lam_prime)
-    expected = LinearRelation.graph_of(expected_mat, tol=bp.tol)
+    expected = LinearRelation.graph_of(expected_mat)
     return actual.gap(expected)
 
 
@@ -184,8 +182,8 @@ def boundary_condition_domain_ref(bp, rel, rt):
     g1 = rt.triple.lam_inv @ (g1 - rt.dtn @ g0)
     g0 = rt.triple.lam_prime @ g0
     perp = rel.graph.complement().basis
-    coeff = _null_space(perp.conj().T @ np.vstack([g0, g1]), bp.tol)
-    return Subspace.from_span(coeff, ambient_dim=basis.shape[1], tol=bp.tol)
+    coeff = _null_space(perp.conj().T @ np.vstack([g0, g1]))
+    return Subspace.from_span(coeff, ambient_dim=basis.shape[1])
 
 
 # -- the checks against the references ------------------------------------------
