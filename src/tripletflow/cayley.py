@@ -50,8 +50,9 @@ def _inner(u, v):
 class SymmetricModel:
     """A symmetric relation T with reference extension A and parameter mu.
 
-    Models are immutable; the isometry V of the reference extension is
-    computed on first use and cached on the model.
+    Models are immutable; the isometry V of the reference extension and the
+    split of the T* basis are computed on first use and cached on the
+    model.  The conjugate twin of `with_mu` derives both from its parent.
     """
 
     dim: int
@@ -61,6 +62,9 @@ class SymmetricModel:
     Tstar: LinearRelation = field(init=False, repr=False)
     kplus: Subspace = field(init=False, repr=False)
     kminus: Subspace = field(init=False, repr=False)
+    # the model at conj(mu) that a conjugate twin derives its cached data
+    # from; a class attribute, not a field
+    _parent = None
 
     def __post_init__(self):
         if self.mu.imag == 0:
@@ -92,7 +96,9 @@ class SymmetricModel:
         The twin at conj(mu) is not rebuilt: it shares T* and swaps K+ and
         K-, since Ker(T* - conj(mu)) is K+ at conj(mu).  Every check of the
         constructor gives the same answer at mu and conj(mu), so none is
-        lost.  Any other mu builds a full model.
+        lost.  The twin takes its split, its isometry and the invertibility
+        of A from this model, on first use.  Any other mu builds a full
+        model.
         """
         if mu != np.conj(self.mu):
             return SymmetricModel(self.dim, self.T, self.A, mu=mu)
@@ -101,11 +107,14 @@ class SymmetricModel:
         for f in fields(self):
             object.__setattr__(twin, f.name,
                                swapped.get(f.name, getattr(self, f.name)))
+        object.__setattr__(twin, "_parent", self)
         return twin
 
     @cached_property
     def _a_invertible(self):
         """Whether A has neither a kernel nor a multivalued part."""
+        if self._parent is not None:
+            return self._parent._a_invertible
         return (self.A.multivalued_part().dim == 0
                 and self.A.kernel_at(0.0).dim == 0)
 
@@ -114,8 +123,19 @@ class SymmetricModel:
         """V = (A - mu)(A - conj(mu))^(-1) on the K+ basis, read-only.
 
         One resolvent solve within A for all basis vectors y of K+, each
-        checked against its own residual bound.
+        checked against its own residual bound.  A conjugate twin inverts
+        its parent's V instead: with W = K-^H V, unitary on the orthonormal
+        defect bases, V^(-1) = K+ W^H, checked by the unitarity of W against
+        the bound of the resolvent solve.
         """
+        parent = self._parent
+        if parent is not None:
+            w = parent.kminus.basis.conj().T @ parent._isometry
+            if (np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]))
+                    > 1e3 * DEFAULT_TOL):
+                raise np.linalg.LinAlgError("isometry of the reference "
+                                            "extension is not unitary")
+            return _freeze(parent.kplus.basis @ w.conj().T)
         mu = self.mu
         y = self.kplus.basis
         w, _, resid = relation_resolvent_apply(self.A, np.conj(mu),
@@ -124,6 +144,21 @@ class SymmetricModel:
                       * np.maximum(1.0, np.linalg.norm(y, axis=0))):
             raise np.linalg.LinAlgError("resolvent solve failed within A")
         return _freeze(y - w)
+
+    @cached_property
+    def _split(self):
+        """Coefficients (c_plus, c_minus) of the T* basis on the bases of K+
+        and K-, from one split along T (+) K+ (+) K-, read-only.
+
+        A conjugate twin swaps its parent's: the decomposition is the same,
+        with K+ and K- trading places.
+        """
+        if self._parent is not None:
+            c_plus, c_minus = self._parent._split
+            return c_minus, c_plus
+        _, c_plus, c_minus, _ = _split_block(self, self.Tstar.graph.basis)
+        # copies, so that the coefficients on T are not kept with them
+        return _freeze(c_plus.copy()), _freeze(c_minus.copy())
 
 
 def random_symmetric_model(rng, dim, defect, mu=1j):
@@ -320,12 +355,10 @@ def boundary_data(model):
     Returns (basis, g0, g1, vmat): `basis` is the pair basis of T*, and the
     columns of g0, g1 are the coordinates of the two boundary values of each
     basis pair with respect to the orthonormal basis of K-.  The whole basis
-    is split in one solve.
+    is split in one solve, once per model and its conjugate twin.
     """
-    basis = model.Tstar.graph.basis
-    _, c_plus, c_minus, _ = _split_block(model, basis)
-    g0, g1 = _boundary_coords(model, c_plus, c_minus)
-    return basis, g0, g1, extension_isometry(model)
+    g0, g1 = _boundary_coords(model, *model._split)
+    return model.Tstar.graph.basis, g0, g1, extension_isometry(model)
 
 
 def extension_from_relation(model, boundary_rel):
@@ -336,10 +369,10 @@ def extension_from_relation(model, boundary_rel):
     relation is; a non-self-adjoint input is accepted but flagged.
     """
     _check_boundary_relation(model, boundary_rel)
-    return _extension(model, boundary_rel)
+    return _extension(model, boundary_rel.graph.complement().basis)
 
 
-def _check_boundary_relation(model, boundary_rel):
+def _check_boundary_relation(model, boundary_rel, stacklevel=3):
     """Reject a boundary relation of the wrong size and warn, in the frame
     of the public function's caller, when it is not self-adjoint."""
     d = model.kminus.dim
@@ -347,19 +380,22 @@ def _check_boundary_relation(model, boundary_rel):
         raise ValueError("boundary relation does not match the defect space")
     if not is_self_adjoint(boundary_rel):
         warnings.warn("boundary relation is not self-adjoint; the extension "
-                      "will not be self-adjoint either", stacklevel=3)
+                      "will not be self-adjoint either",
+                      stacklevel=stacklevel)
 
 
-def _extension(model, boundary_rel):
+def _extension(model, perp):
+    """Extension of T cut by the boundary relation whose graph has the
+    orthogonal complement spanned by `perp`."""
     basis, g0, g1, _ = boundary_data(model)
-    coeff = _boundary_cut(g0, g1, boundary_rel)
+    coeff = _boundary_cut(g0, g1, perp)
     return LinearRelation.from_span(model.dim, model.dim, basis @ coeff)
 
 
-def _boundary_cut(g0, g1, boundary_rel):
+def _boundary_cut(g0, g1, perp):
     """Coefficients of the combinations of the columns of (g0; g1) that
-    lie in the boundary relation."""
-    perp = boundary_rel.graph.complement().basis
+    lie in the boundary relation whose graph has the orthogonal complement
+    spanned by `perp`."""
     return _null_space(perp.conj().T @ np.vstack([g0, g1]))
 
 
@@ -391,20 +427,30 @@ def cayley_factorization_check(model, boundary_rel):
     K+ = Ker(T* - i) for the twin identity U(A') = U(A) U(B)_H obtained
     from mu = -i.  Requires mu = i in the model.  The -i model is the
     conj(mu) twin of `SymmetricModel.with_mu`, which shares T* and swaps
-    K+ and K-; the boundary relation is checked once for both identities.
+    K+ and K-, and derives its split and its isometry from the model's, so
+    the check makes one split and one resolvent solve.  The boundary
+    relation is checked once for both identities.
     """
+    res_plus, res_minus, _ = _factorization(model, boundary_rel)
+    return res_plus, res_minus
+
+
+def _factorization(model, boundary_rel):
+    """`cayley_factorization_check`, also returning the two extensions
+    (at i and at -i) that it built."""
     if model.mu != 1j:
         raise ValueError("factorization check requires mu = i")
     u_a = cayley_unitary(model.A)
     u_b = cayley_unitary(boundary_rel)
-    _check_boundary_relation(model, boundary_rel)
+    # stacklevel 4: the caller of cayley_factorization_check
+    _check_boundary_relation(model, boundary_rel, stacklevel=4)
+    perp = boundary_rel.graph.complement().basis
 
-    a_prime = _extension(model, boundary_rel)
+    a_prime = _extension(model, perp)
     u_bh_minus = embed_boundary_unitary(model.kminus, u_b)
     res_plus = np.linalg.norm(cayley_unitary(a_prime) - u_bh_minus @ u_a)
 
-    model_minus = model.with_mu(-1j)
-    a_second = _extension(model_minus, boundary_rel)
+    a_second = _extension(model.with_mu(-1j), perp)
     u_bh_plus = embed_boundary_unitary(model.kplus, u_b)
     res_minus = np.linalg.norm(cayley_unitary(a_second) - u_a @ u_bh_plus)
-    return float(res_plus), float(res_minus)
+    return float(res_plus), float(res_minus), (a_prime, a_second)

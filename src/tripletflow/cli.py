@@ -101,8 +101,10 @@ def cmd_verify(args):
 
 
 def _load_family(spec_path):
+    """The loop of a family fixture and the fixture's "dim" key, None when
+    it has none (and for the built-in family)."""
     if spec_path == "rellich":
-        return fi.rellich_boundary_family()
+        return fi.rellich_boundary_family(), None
     with open(spec_path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     thetas = []
@@ -111,11 +113,12 @@ def _load_family(spec_path):
         for sample in obj["samples"]:
             thetas.append(float(sample["theta"]))
             rels.append(relation_from_json(sample["relation"]))
+        dim = obj.get("dim")
     except TypeError as exc:
         # a JSON value of the wrong kind where an object, list or number
         # belongs
         raise ValueError(f"malformed family fixture: {exc}") from None
-    return fi.FamilyLoop(thetas, rels)
+    return fi.FamilyLoop(thetas, rels), dim
 
 
 def cmd_index(args):
@@ -125,7 +128,7 @@ def cmd_index(args):
         tol = float(os.environ.get(_ENV_TOL, 1e-9))
     if tol <= 0:
         raise ValueError("tol must be positive")
-    loop = _load_family(args.family)
+    loop, dim = _load_family(args.family)
     flags = is_self_adjoint_batch(loop.payloads, tol=tol)
     bad = np.flatnonzero(~flags)
     if bad.size:
@@ -140,6 +143,12 @@ def cmd_index(args):
                          f"theta={loop.thetas[idx[0]]} is a relation in "
                          f"C^{m} + C^{m}, not in C^{n} + C^{n} as the first "
                          "sample")
+    if dim is not None and groups:
+        (n, _, _), _ = groups[0]
+        if type(dim) is not int or dim != n:
+            raise ValueError(f"malformed family fixture: \"dim\" is {dim!r}, "
+                             f"but the samples are relations in C^{n} + "
+                             f"C^{n}")
     winding = fi.relation_family_index(loop)
     report = fi.IndexReport(spectral_flow=None, winding=winding,
                             consistent=True)
@@ -170,7 +179,7 @@ def _build_parser():
     p_verify.add_argument(
         "--trials", type=int, default=50,
         help="trials per suite (default: 50, which overrides each suite's "
-             "own default: 12 for triplet, 40 for sturm, 20 for famindex)")
+             "own default: 12 for triplet, 40 for sturm)")
     p_verify.add_argument("--seed", type=int, default=42,
                           help="seed of the random draws (default: 42)")
     p_index = sub.add_parser(

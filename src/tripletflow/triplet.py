@@ -485,5 +485,5 @@ def boundary_condition_domain(bp, rel, rt=None, reduced=False):
     if reduced:
         rt = reduced_triplet(bp) if rt is None else rt
         g0, _, g1 = rt._reduce(g0, g1)
-    return Subspace.from_span(_cayley._boundary_cut(g0, g1, rel),
-                              ambient_dim=basis.shape[1])
+    coeff = _cayley._boundary_cut(g0, g1, rel.graph.complement().basis)
+    return Subspace.from_span(coeff, ambient_dim=basis.shape[1])

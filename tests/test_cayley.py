@@ -287,8 +287,9 @@ def test_conjugate_twin_bit_equal_to_rebuild(mu):
         assert _bit_equal(twin.Tstar.graph.basis, full.Tstar.graph.basis)
         assert _bit_equal(twin.kplus.basis, full.kplus.basis)
         assert _bit_equal(twin.kminus.basis, full.kminus.basis)
-        assert _bit_equal(cy.extension_isometry(twin),
-                          cy.extension_isometry(full))
+        # the twin inverts V instead of solving again: equal to rounding
+        assert np.linalg.norm(cy.extension_isometry(twin)
+                              - cy.extension_isometry(full)) <= 1e-13
 
 
 def test_with_mu_other_than_conjugate_builds_full_model(rng, monkeypatch):
@@ -342,8 +343,11 @@ def test_factorization_residuals_match_full_rebuild():
     for dim, defect in shapes:
         model = cy.random_symmetric_model(rng, dim, defect)
         brel = cy.random_selfadjoint_relation(rng, defect)
-        assert (cy.cayley_factorization_check(model, brel)
-                == _old_factorization_check(model, brel))
+        r_plus, r_minus = cy.cayley_factorization_check(model, brel)
+        ref_plus, ref_minus = _old_factorization_check(model, brel)
+        assert r_plus == ref_plus
+        # the -i twin derives its split and V^(-1) from the model at i
+        assert abs(r_minus - ref_minus) <= 1e-13
 
 
 def test_reconstruction_skipped_when_reference_not_invertible():
@@ -399,3 +403,70 @@ def test_split_is_linear(seed, dim, data, alpha, beta):
     for name in ("z_T", "z_plus", "z_minus", "z0", "z1"):
         combo = alpha * getattr(sx, name) + beta * getattr(sz, name)
         assert np.linalg.norm(getattr(sc, name) - combo) <= 1e-10 * scale
+
+
+def _max_rel(a, b):
+    """Largest entry of |a - b|, relative to max(1, largest |b|)."""
+    return (np.abs(a - b).max(initial=0.0)
+            / max(1.0, np.abs(b).max(initial=0.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(8, 3), (6, 6), (5, 0), (2, 1)]),
+       mu=st.sampled_from([1j, 0.3 + 2j, -1.5 - 0.7j]))
+def test_derived_twin_matches_full_rebuild(seed, shape, mu):
+    rng = np.random.default_rng(seed)
+    model = cy.random_symmetric_model(rng, *shape, mu=mu)
+    twin = model.with_mu(np.conj(mu))
+    full = cy.SymmetricModel(model.dim, model.T, model.A, mu=np.conj(mu))
+    assert _max_rel(cy.extension_isometry(twin),
+                    cy.extension_isometry(full)) <= 1e-12
+    _, g0, g1, _ = cy.boundary_data(twin)
+    _, g0_ref, g1_ref, _ = cy.boundary_data(full)
+    assert _max_rel(g0, g0_ref) <= 1e-12
+    assert _max_rel(g1, g1_ref) <= 1e-12
+    basis = twin.Tstar.graph.basis
+    x = basis @ random_complex(rng, basis.shape[1])
+    z = basis @ random_complex(rng, basis.shape[1])
+    assert (cy.lagrange_residual(twin, x, z)
+            / max(1.0, np.linalg.norm(x) * np.linalg.norm(z))) <= 1e-10
+
+
+def test_twin_takes_split_and_invertibility_from_parent(rng, monkeypatch):
+    model = cy.random_symmetric_model(rng, 6, 2)
+    twin = model.with_mu(-1j)
+    c_plus, c_minus = model._split
+    vmat = cy.extension_isometry(model)
+    for name in ("relation_resolvent_apply", "_split_block"):
+        monkeypatch.setattr(cy, name,
+                            lambda *args: pytest.fail("twin solved again"))
+    cy.boundary_data(twin)
+    assert twin._split[0] is c_minus and twin._split[1] is c_plus
+    assert not c_plus.flags.writeable and not c_minus.flags.writeable
+    assert model._split[0] is c_plus
+    assert twin._a_invertible is model._a_invertible
+    back = twin.with_mu(model.mu)
+    assert back._split[0] is c_plus and back._split[1] is c_minus
+    assert np.linalg.norm(cy.extension_isometry(back) - vmat) <= 1e-13
+
+
+def test_twin_rejects_a_nonunitary_isometry(rng):
+    model = cy.random_symmetric_model(rng, 6, 2)
+    # a parent V off the unitary group by more than the resolvent bound
+    model.__dict__["_isometry"] = 1.001 * model._isometry
+    with pytest.raises(np.linalg.LinAlgError, match="not unitary"):
+        cy.extension_isometry(model.with_mu(-1j))
+
+
+def test_factorization_makes_two_least_squares_solves(rng, monkeypatch):
+    model = cy.random_symmetric_model(rng, 8, 3)
+    brel = cy.random_selfadjoint_relation(rng, 3)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kw: calls.append(1)
+                        or lstsq(*args, **kw))
+    cy.cayley_factorization_check(model, brel)
+    # one split of the T* basis and one resolvent solve, both at i
+    assert len(calls) == 2

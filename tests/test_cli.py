@@ -191,6 +191,29 @@ def test_index_malformed_fixture_is_input_error(tmp_path, capsys, case):
         assert f"sample at theta={float(thetas[3])} is a relation in" in err
 
 
+@pytest.mark.parametrize("dim, code", [(7, 2), ("1", 2), (None, 0),
+                                       (1, 0)])
+def test_index_checks_the_declared_dim(tmp_path, capsys, dim, code):
+    thetas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+    fam = tmp_path / "dim.json"
+    write_family(fam, thetas,
+                 [rs.LinearRelation.graph_of(np.array([[1.0]]))] * 16)
+    obj = json.loads(fam.read_text())
+    if dim is None:
+        del obj["dim"]
+    else:
+        obj["dim"] = dim
+    fam.write_text(json.dumps(obj))
+    assert run_cli(["index", "--family", str(fam)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == (f"input error: malformed family fixture: "
+                                f"\"dim\" is {dim!r}, but the samples are "
+                                "relations in C^1 + C^1\n")
+    else:
+        assert json.loads(captured.out)["winding"] == 0
+
+
 @pytest.mark.parametrize("eps, extra, code", [
     (5e-9, [], 0), (5e-9, ["--tol", "1e-12"], 0),
     (1e-6, [], 2), (1e-6, ["--tol", "1e-12"], 2),
