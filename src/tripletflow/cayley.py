@@ -386,10 +386,15 @@ def _check_boundary_relation(model, boundary_rel, stacklevel=3):
 
 def _extension(model, perp):
     """Extension of T cut by the boundary relation whose graph has the
-    orthogonal complement spanned by `perp`."""
+    orthogonal complement spanned by `perp`.
+
+    Its graph basis is the orthonormal basis of T* times the orthonormal
+    null-space coefficients of the cut, orthonormal as it is, so it is
+    taken as given.
+    """
     basis, g0, g1, _ = boundary_data(model)
     coeff = _boundary_cut(g0, g1, perp)
-    return LinearRelation.from_span(model.dim, model.dim, basis @ coeff)
+    return LinearRelation(model.dim, model.dim, Subspace(basis @ coeff))
 
 
 def _boundary_cut(g0, g1, perp):

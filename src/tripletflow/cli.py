@@ -78,7 +78,8 @@ def cmd_rellich(args):
            ("\n".join(csv_lines) + "\n").encode())
     _write(os.path.join(args.out, "rellich_report.json"),
            _json_bytes(report.to_dict()))
-    ok = report.consistent and abs(report.winding) == 1
+    # +1 is the sign of the Robin loop; -1 would be the loop reversed
+    ok = report.consistent and report.winding == 1
     print(report.to_json())
     return 0 if ok else 1
 

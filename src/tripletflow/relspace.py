@@ -4,6 +4,10 @@ Subspaces are carried as matrices with orthonormal columns obtained from an
 SVD; rank decisions use the one threshold DEFAULT_TOL relative to the largest
 singular value, and every other bound of the package that decides a rank or
 a membership is a fixed multiple of it.
+Each basis is orthonormalized once: `from_span` is for arbitrary spanning
+columns, while a basis that is orthonormal by construction, such as the
+right singular vectors of an SVD null space or an orthonormal basis times
+an orthonormal coefficient block, is taken as given by `Subspace(basis)`.
 Linear relations are subspaces of the direct sum of domain and codomain and
 are the common carrier for boundary conditions, deficiency spaces and
 Lagrangian planes.  All values are immutable and all operations are pure.
@@ -199,9 +203,16 @@ def _null_space(a):
     last n - rank_i columns of the result, and any columns before those are
     zero.
     """
+    return _null_space_dims(a)[0]
+
+
+def _null_space_dims(a):
+    """`_null_space` of a matrix or a stack, with the null dimension
+    n - rank_i of each member."""
     *batch, m, n = a.shape
     if m == 0 or not a.any():
-        return np.tile(np.eye(n, dtype=complex), (*batch, 1, 1))
+        return (np.tile(np.eye(n, dtype=complex), (*batch, 1, 1)),
+                np.full(batch, n))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     ranks = (s > DEFAULT_TOL * s[..., :1]).sum(axis=-1)
     low = int(ranks.min()) if batch else int(ranks)
@@ -209,7 +220,7 @@ def _null_space(a):
     if batch and (ranks > low).any():
         null = np.where(np.arange(low, n) >= ranks[..., None, None], null,
                         0.0)
-    return null
+    return null, n - ranks
 
 
 def span_orthonormalize(columns):
@@ -369,8 +380,10 @@ def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
     stack of graph bases (..., dom_dim + cod_dim, k).
 
     The adjoint is the null space of the constraints <b_j, x>_cod -
-    <a_j, y>_dom = 0, orthonormalized as `LinearRelation.from_span` does.
-    Returns (basis, ranks) as `_orthonormal_columns`.
+    <a_j, y>_dom = 0, whose SVD basis is orthonormal and is returned as it
+    is.  Returns (basis, ranks) laid out as `_orthonormal_columns` lays out
+    a stack: the ranks are the null dimensions, and on a stack each member
+    has its null columns first and its zero columns last.
     """
     a_blk = bases[..., :dom_dim, :]
     b_blk = bases[..., dom_dim:, :]
@@ -380,7 +393,14 @@ def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
     # row j of the constraint matrix: <b_j, x>_cod - <a_j, y>_dom = 0
     cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
                            -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
-    return _orthonormal_columns(_null_space(cons))
+    null, dims = _null_space_dims(cons)
+    width = null.shape[-1]
+    if (dims < width).any():
+        # _null_space puts the zero columns of a member first: rotate each
+        # member's columns by its count of them, an index permutation
+        cols = (np.arange(width) + (width - dims)[..., None]) % width
+        null = np.take_along_axis(null, cols[..., None, :], axis=-1)
+    return null, dims
 
 
 def adjoint_relation(rel, gram_dom=None, gram_cod=None):

@@ -420,13 +420,23 @@ def eigenfunction(lam):
 
 
 def boundary_residual(kappa, lam):
-    """Residual of the Robin condition at the candidate eigenvalue."""
-    u = eigenfunction(lam)
-    du = u.derivative()
+    """Residual of the Robin condition at the candidate eigenvalue, per
+    max(1, |kappa|).
+
+    For a negative lam = -s^2 the eigenfunction sinh(s x) is normalized by
+    cosh(s), so that u(1) = tanh(s) and u'(1) = s: the residual is then
+    relative in u, as it is for the other eigenfunctions (|u| <= 1), and
+    cannot overflow, where sinh(s) grows like e^s.
+    """
+    if lam < 0:
+        s = math.sqrt(-lam)
+        u1, du1 = math.tanh(s), s
+    else:
+        u = eigenfunction(lam)
+        u1, du1 = u(1.0), u.derivative()(1.0)
     if kappa is None or (isinstance(kappa, float) and math.isinf(kappa)):
-        return abs(u(1.0))
-    scale = max(1.0, abs(kappa))
-    return abs(du(1.0) - kappa * u(1.0)) / scale
+        return abs(u1)
+    return abs(du1 - kappa * u1) / max(1.0, abs(kappa))
 
 
 def galerkin_sine(n_modes):

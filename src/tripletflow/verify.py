@@ -367,7 +367,7 @@ def suite_sturm(trials=40, seed=0):
            abs(sturm.secular_eigenvalues(2.0)[0] - lam_oracle), 1e-8)
 
     eigres = 0.0
-    for kappa in (-2.0, 0.3, 1.0, 4.0):
+    for kappa in (-2.0, 0.3, 1.0, 4.0, 14.0, 1e6):
         for lam in sturm.secular_eigenvalues(kappa, lambda_max=150.0):
             eigres = max(eigres, sturm.boundary_residual(kappa, lam))
     _check(rec, "sturm", "eigenfunction_boundary_residual", eigres, 1e-10)

@@ -6,6 +6,7 @@ import pytest
 
 from tripletflow import cli
 from tripletflow import relspace as rs
+from tripletflow import sturm
 from tripletflow.sturm import kappa_of_theta, robin_relation
 
 
@@ -19,13 +20,27 @@ def test_rellich_command(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "rellich_report.json").read_text())
     assert report["consistent"] is True
-    assert abs(report["winding"]) == 1
+    assert report["winding"] == 1
     assert report["spectral_flow"] == report["winding"]
     lines = (out / "rellich_branches.csv").read_text().split("\n")
     assert lines[0] == "theta,kappa,branch_id,lambda"
     assert len(lines) > 180
     printed = capsys.readouterr().out
     assert '"consistent": true' in printed
+
+
+def test_rellich_fails_on_the_reversed_loop(tmp_path, monkeypatch, capsys):
+    # the Robin loop traversed clockwise: both index computations agree on
+    # -1, which is not the sign of the Robin loop
+    forward = kappa_of_theta
+    monkeypatch.setattr(sturm, "kappa_of_theta",
+                        lambda t: forward((2.0 * math.pi - t)
+                                          % (2.0 * math.pi)))
+    code = run_cli(["rellich", "--samples", "180", "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "rellich_report.json").read_text())
+    assert report["consistent"] is True
+    assert report["winding"] == report["spectral_flow"] == -1
 
 
 def test_rellich_small_sample_budget(tmp_path):
@@ -40,7 +55,7 @@ def test_rellich_truncation_keeps_index(tmp_path):
                     "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "rellich_report.json").read_text())
-    assert abs(report["winding"]) == 1
+    assert report["winding"] == 1
 
 
 def test_verify_deterministic(tmp_path, capsys):
@@ -96,7 +111,7 @@ def test_index_builtin_family(tmp_path, capsys):
     code = run_cli(["index", "--family", "rellich", "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "index_report.json").read_text())
-    assert abs(report["winding"]) == 1
+    assert report["winding"] == 1
 
 
 def write_family(path, thetas, relations):
@@ -126,7 +141,7 @@ def test_index_mobius_family_file(tmp_path, capsys):
     code = run_cli(["index", "--family", str(fam), "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "index_report.json").read_text())
-    assert abs(report["winding"]) == 1
+    assert report["winding"] == 1
 
 
 def test_index_rejects_non_selfadjoint(tmp_path, capsys):

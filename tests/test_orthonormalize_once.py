@@ -1,0 +1,144 @@
+"""Bases that are orthonormal by construction are taken as given.
+
+The adjoint of a relation is the SVD null space of its constraints, and an
+extension of the engine is the orthonormal basis of T* times orthonormal
+null-space coefficients.  Neither is orthonormalized a second time; the
+references below are the paths that did, kept to compare against.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tripletflow import cayley as cy
+from tripletflow import relspace as rs
+
+from conftest import random_complex
+
+
+def old_adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
+    """`_adjoint_bases` with the null space orthonormalized again."""
+    a_blk = bases[..., :dom_dim, :]
+    b_blk = bases[..., dom_dim:, :]
+    cod_dim = b_blk.shape[-2]
+    gcod = np.eye(cod_dim) if gram_cod is None else np.asarray(gram_cod)
+    gdom = np.eye(dom_dim) if gram_dom is None else np.asarray(gram_dom)
+    cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
+                           -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
+    return rs._orthonormal_columns(rs._null_space(cons))
+
+
+def old_extension(model, perp):
+    """`cayley._extension` through `LinearRelation.from_span`."""
+    basis, g0, g1, _ = cy.boundary_data(model)
+    coeff = cy._boundary_cut(g0, g1, perp)
+    return rs.LinearRelation.from_span(model.dim, model.dim, basis @ coeff)
+
+
+def gram_matrix(rng, n):
+    root = random_complex(rng, n, n)
+    return root @ root.conj().T + n * np.eye(n)
+
+
+@st.composite
+def graph_stacks(draw):
+    """A stack of graph columns in C^dom + C^cod whose members have their
+    own ranks, so that their adjoints have mixed dimensions, with Gram
+    matrices for the two spaces or none."""
+    count = draw(st.integers(2, 5))
+    dom_dim = draw(st.integers(1, 4))
+    cod_dim = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = dom_dim + cod_dim
+    members = [random_complex(rng, m, rank) @ random_complex(rng, rank, k)
+               for rank in draw(st.lists(st.integers(0, min(m, k)),
+                                         min_size=count, max_size=count))]
+    grams = ((gram_matrix(rng, dom_dim), gram_matrix(rng, cod_dim))
+             if draw(st.booleans()) else (None, None))
+    return np.array(members), dom_dim, grams
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graph_stacks())
+def test_stacked_adjoint_bases_equal_per_matrix(case):
+    stack, dom_dim, (gram_dom, gram_cod) = case
+    bases, ranks = rs._adjoint_bases(stack, dom_dim, gram_dom, gram_cod)
+    assert ranks.shape == stack.shape[:1]
+    assert bases.shape[-1] == ranks.max()
+    for member, basis, rank in zip(stack, bases, ranks):
+        ref, ref_rank = rs._adjoint_bases(member, dom_dim, gram_dom,
+                                          gram_cod)
+        assert rank == ref_rank == ref.shape[1]
+        # the member's null columns first, its zero columns last
+        assert not basis[:, rank:].any()
+        if not member.any():
+            # all of the space, by another orthonormal basis than the
+            # identity of the single all-zero matrix
+            np.testing.assert_allclose(basis @ basis.conj().T,
+                                       np.eye(len(member)), atol=1e-12)
+            continue
+        np.testing.assert_array_equal(basis[:, :rank], ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graph_stacks())
+def test_adjoint_bases_match_the_orthonormalized_path(case):
+    stack, dom_dim, (gram_dom, gram_cod) = case
+    for bases in (stack, stack[0]):
+        new, ranks = rs._adjoint_bases(bases, dom_dim, gram_dom, gram_cod)
+        old, old_ranks = old_adjoint_bases(bases, dom_dim, gram_dom,
+                                           gram_cod)
+        np.testing.assert_array_equal(ranks, old_ranks)
+        if bases.ndim == 2:
+            new, old = new[None], old[None]
+        for basis, ref, rank in zip(new, old, np.atleast_1d(ranks)):
+            basis, ref = basis[:, :rank], ref[:, :rank]
+            assert np.linalg.norm(basis.conj().T @ basis
+                                  - np.eye(rank)) <= 1e-13
+            assert rs.Subspace(basis).gap(rs.Subspace(ref)) <= 1e-13
+
+
+def test_adjoint_relation_takes_the_null_space_as_given(rng, monkeypatch):
+    rel = rs.LinearRelation.from_span(3, 2, random_complex(rng, 5, 2))
+    monkeypatch.setattr(rs, "_orthonormal_columns",
+                        lambda *args: pytest.fail("orthonormalized again"))
+    adj = rs.adjoint_relation(rel)
+    assert (adj.dom_dim, adj.cod_dim, adj.dim) == (2, 3, 3)
+    assert rs.is_self_adjoint_batch([rel, rel]).tolist() == [False, False]
+
+
+@pytest.mark.parametrize("dim, defect, seed",
+                         [(8, 3, 0), (40, 10, 1), (80, 20, 2)])
+def test_extension_bases_are_orthonormal_and_match_from_span(
+        dim, defect, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    model = cy.random_symmetric_model(rng, dim, defect)
+    brel = cy.random_selfadjoint_relation(rng, defect)
+    perp = brel.graph.complement().basis
+    r_plus, r_minus, extensions = cy._factorization(model, brel)
+    for mod, ext in zip((model, model.with_mu(-1j)), extensions):
+        basis = ext.graph.basis
+        assert np.linalg.norm(basis.conj().T @ basis
+                              - np.eye(ext.dim)) <= 1e-13
+        assert ext.gap(old_extension(mod, perp)) <= 1e-13
+
+    # the old path: both bases orthonormalized again, on a fresh model
+    monkeypatch.setattr(rs, "_adjoint_bases", old_adjoint_bases)
+    monkeypatch.setattr(cy, "_extension", old_extension)
+    rng = np.random.default_rng(seed)
+    old_model = cy.random_symmetric_model(rng, dim, defect)
+    old_brel = cy.random_selfadjoint_relation(rng, defect)
+    old_plus, old_minus = cy.cayley_factorization_check(old_model, old_brel)
+    assert abs(r_plus - old_plus) <= 1e-13
+    assert abs(r_minus - old_minus) <= 1e-13
+
+
+def test_factorization_orthonormalizes_nothing_again(rng, monkeypatch):
+    model = cy.random_symmetric_model(rng, 8, 3)
+    brel = cy.random_selfadjoint_relation(rng, 3)
+    monkeypatch.setattr(rs, "_orthonormal_columns",
+                        lambda *args: pytest.fail("orthonormalized again"))
+    r_plus, r_minus = cy.cayley_factorization_check(model, brel)
+    assert max(r_plus, r_minus) <= 1e-13

@@ -301,11 +301,18 @@ def test_secular_roots_fill_every_bracket(kappa, top):
     assert eigs.size == top
     assert np.all(np.diff(eigs) > 0.0)
     for lam in eigs:
-        # the residual is absolute in u; the negative eigenvalue's sinh(s x)
-        # has u(1) = sinh(s), which grows like e^s, so it is taken per unit
-        # of u(1) there (|u| <= 1 for the other eigenfunctions)
-        size = math.sinh(math.sqrt(-lam)) if lam < 0 else 1.0
-        assert sturm.boundary_residual(kappa, lam) <= 1e-10 * max(1.0, size)
+        assert sturm.boundary_residual(kappa, lam) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa", [14.0, 40.0, 1e3, 1e6])
+def test_negative_branch_residual_is_relative_in_u(kappa):
+    # sinh(s x) has u(1) = sinh(s) ~ e^s / 2: absolute in u, the residual
+    # at the root exceeded 1e-10 at kappa = 14, and evaluating sinh(s)
+    # overflowed from kappa ~ 710 on
+    eigs = sturm.secular_eigenvalues(kappa, lambda_max=400.0)
+    assert eigs[0] < 0.0 < eigs[1]
+    for lam in eigs:
+        assert sturm.boundary_residual(kappa, lam) <= 1e-10
 
 
 def test_eigenfunction_residuals():
