@@ -11,7 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
+import operator
 import os
 import sys
 
@@ -65,17 +68,27 @@ def cmd_rellich(args):
     """Run the Robin family demonstration: branch CSV plus index report."""
     if args.samples < 8:
         raise ValueError("samples must be at least 8")
+    # the flow window at level 0 is [-1, 1]: every eigenvalue up to 1 is
+    # needed
+    if not (math.isfinite(args.lambda_max) and args.lambda_max >= 1.0):
+        raise ValueError("lambda-max must be a finite number of at least 1, "
+                         f"not {args.lambda_max!r}")
     # the branch table reuses the eigenvalue loop of the index comparison
     report, eig_loop = fi._robin_index(sturm.kappa_of_theta, args.samples,
                                        args.lambda_max)
     kappas = [sturm.kappa_of_theta(t) for t in eig_loop.thetas]
     rows = fi.branch_table(eig_loop.thetas, kappas, eig_loop.payloads)
     os.makedirs(args.out, exist_ok=True)
-    csv_lines = ["theta,kappa,branch_id,lambda"]
-    csv_lines.extend(f"{_fmt(t)},{_fmt(k)},{b},{_fmt(lam)}"
-                     for t, k, b, lam in rows)
-    _write(os.path.join(args.out, "rellich_branches.csv"),
-           ("\n".join(csv_lines) + "\n").encode())
+    # written line by line, so no joined copy of the whole table is held
+    with open(os.path.join(args.out, "rellich_branches.csv"), "w",
+              encoding="ascii", newline="\n") as handle:
+        handle.write("theta,kappa,branch_id,lambda\n")
+        # the rows of one sample share theta and kappa, formatted once
+        for (theta, kappa), group in itertools.groupby(
+                rows, key=operator.itemgetter(0, 1)):
+            head = f"{_fmt(theta)},{_fmt(kappa)},"
+            handle.writelines(f"{head}{b},{_fmt(lam)}\n"
+                              for _, _, b, lam in group)
     _write(os.path.join(args.out, "rellich_report.json"),
            _json_bytes(report.to_dict()))
     # +1 is the sign of the Robin loop; -1 would be the loop reversed

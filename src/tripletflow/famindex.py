@@ -210,26 +210,83 @@ def det_winding(unitaries, thetas=None, refine=None, max_inserts=20000):
 
 
 def _greedy_pairs(a, b, limit):
-    """Greedy nearest-neighbor pairing of two value arrays: index pairs
-    (i, j), closest first, each index taken once, with |a[i] - b[j]| <=
-    limit, a scalar or an array over b.  Ties go to the earlier entry of
-    the flat argsort."""
-    if not (a.size and b.size):
-        return []
-    dist = np.abs(a[:, None] - b[None, :])
-    order = np.argsort(dist, axis=None)
-    order = order[(dist <= limit).ravel()[order]]
-    pairs = []
-    used_a, used_b = set(), set()
-    for flat in order.tolist():
-        i, j = divmod(flat, b.size)
-        if i not in used_a and j not in used_b:
-            pairs.append((i, j))
-            used_a.add(i)
-            used_b.add(j)
-            if len(pairs) == min(a.size, b.size):
-                break
-    return pairs
+    """Greedy nearest-neighbor pairing of each row of two NaN-padded value
+    stacks a (K, m) and b (K, n).
+
+    In each row, pairs (i, j) with |a[i] - b[j]| <= limit (a scalar or a
+    (K, n) array over b) are taken closest first, each value once, and
+    among equal distances the lowest row-major (i, j) first; NaN pairs
+    with nothing.  Each round is one argmin over the m * n distances of
+    every row, with the rows and columns taken so far masked out.
+
+    Returns (ia, ib), each (K, min(m, n)): round t paired a[k, ia[k, t]]
+    with b[k, ib[k, t]], so a row lists its pairs in greedy order, and -1
+    marks the rounds after its last pair.
+    """
+    count, m = a.shape
+    n = b.shape[1]
+    limit = np.asarray(limit, dtype=float)
+    if limit.ndim:
+        limit = limit[:, None, :]
+    dist = np.subtract(a[:, :, None], b[:, None, :])
+    np.abs(dist, out=dist)
+    # padding and moves beyond the limit are never taken
+    dist[~(dist <= limit)] = np.inf
+    flat = dist.reshape(count, m * n)
+    rounds = min(m, n)
+    ia = np.full((count, rounds), -1)
+    ib = np.full((count, rounds), -1)
+    rows = np.arange(count)
+    for t in range(rounds):
+        # argmin returns the first minimum: the lowest (i, j) among ties
+        best = np.argmin(flat, axis=1)
+        live = flat[rows, best] < np.inf
+        if not live.any():
+            break
+        k = rows[live]
+        i, j = np.divmod(best[live], n)
+        ia[k, t], ib[k, t] = i, j
+        dist[k, i, :] = np.inf
+        dist[k, :, j] = np.inf
+    return ia, ib
+
+
+def _padded(rows):
+    """1-D value arrays as one NaN-padded stack, one row each."""
+    counts = np.array([r.size for r in rows], dtype=int)
+    out = np.full((counts.size, counts.max(initial=0)), np.nan)
+    if rows:
+        out[np.arange(out.shape[1]) < counts[:, None]] = np.concatenate(rows)
+    return out
+
+
+def _judge_intervals(e0, e1, level, window):
+    """The spectral-flow test of a stack of intervals, given as NaN-padded
+    stacks e0 and e1 of the eigenvalues at their two ends.
+
+    The values within `window` of the level are paired by `_greedy_pairs`
+    within the margin 0.45 * window.  Returns (accepted, la, lb, sign): an
+    interval is accepted when every value left unpaired lies within the
+    margin of the window edge; la[k, t], lb[k, t] is its t-th pair in
+    greedy order (NaN past the last), and sign[k, t] is +1 for a pair
+    crossing the level upward, -1 downward, else 0.  Values equal to the
+    level count as below.
+    """
+    margin = 0.45 * window
+    a = np.where(np.abs(e0 - level) <= window, e0, np.nan)
+    b = np.where(np.abs(e1 - level) <= window, e1, np.nan)
+    ia, ib = _greedy_pairs(a, b, margin)
+    paired = ia >= 0
+    la = np.where(paired, np.take_along_axis(a, np.maximum(ia, 0), 1), np.nan)
+    lb = np.where(paired, np.take_along_axis(b, np.maximum(ib, 0), 1), np.nan)
+    k = np.nonzero(paired)[0]
+    a[k, ia[paired]] = np.nan
+    b[k, ib[paired]] = np.nan
+    stray = (np.abs(np.abs(a - level) - window) > margin).any(axis=1)
+    stray |= (np.abs(np.abs(b - level) - window) > margin).any(axis=1)
+    sign = (((la <= level) & (level < lb)).astype(int)
+            - ((lb <= level) & (level < la)))
+    return ~stray, la, lb, sign
 
 
 def spectral_flow(loop, level=0.0, window=1.0, refine=None,
@@ -238,11 +295,13 @@ def spectral_flow(loop, level=0.0, window=1.0, refine=None,
 
     `loop` is a FamilyLoop of eigenvalue arrays, or a pair (thetas, lists).
     Branches inside a window around the level are matched between
-    consecutive samples by nearest neighbor; a matched pair straddling the
-    level counts +1 upward or -1 downward.  Members without a close partner
-    must sit near the window edge (traffic entering or leaving the window
-    far from the level); anything else forces a bisection of the interval
-    through the loop generator.  Values equal to the level count as below.
+    consecutive samples by nearest neighbor (`_greedy_pairs`: closest pairs
+    first, each value once, ties to the lowest index pair); a matched pair
+    straddling the level counts +1 upward or -1 downward.  Members without
+    a close partner must sit near the window edge (traffic entering or
+    leaving the window far from the level); anything else forces a
+    bisection of the interval through the loop generator.  Values equal to
+    the level count as below.
     """
     return _flow_walk(loop, level, window, refine, max_inserts)[0]
 
@@ -250,33 +309,49 @@ def spectral_flow(loop, level=0.0, window=1.0, refine=None,
 def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
     """The walk behind `spectral_flow`: returns the flow and the crossings,
     a list of (t0, t1, la, lb) for each matched pair straddling the level,
-    in loop order; t1 may exceed 2*pi on the wrap-around interval."""
+    in loop order and, within an interval, in greedy order; t1 may exceed
+    2*pi on the wrap-around interval.
+
+    All sample intervals, the wrap-around included, are judged as one
+    stack by `_judge_intervals`; the walk takes an accepted interval's
+    pairs from that sweep and bisects only the rejected ones, judging
+    each bisected interval as a stack of one.
+    """
     thetas, payloads, gen = _loop_parts(loop)
     refine = gen if refine is None else refine
     samples = [np.asarray(p, dtype=float) for p in payloads]
-    margin = 0.45 * window
+
+    def judge(e0, e1):
+        # the acceptance mask as a list, and the crossing pairs (sign, la,
+        # lb) of each interval that has any, in greedy order
+        accepted, la, lb, sign = _judge_intervals(e0, e1, level, window)
+        crossing = {}
+        rows, cols = np.nonzero(sign)
+        for k, t in zip(rows.tolist(), cols.tolist()):
+            crossing.setdefault(k, []).append((int(sign[k, t]), la[k, t],
+                                               lb[k, t]))
+        return accepted.tolist(), crossing
+
+    values = _padded(samples)
+    sweep = judge(values, np.roll(values, -1, axis=0))
+    ends = thetas[1:] + [thetas[0] + 2.0 * math.pi]
+    # bisection never reproduces a sample interval
+    swept = {key: k for k, key in enumerate(zip(thetas, ends))}
     flow = 0
     crossings = []
 
     def step(t0, t1, e0, e1):
         nonlocal flow
-        a = e0[np.abs(e0 - level) <= window]
-        b = e1[np.abs(e1 - level) <= window]
-        pairs = _greedy_pairs(a, b, margin)
-        if len(pairs) < max(a.size, b.size):
-            unmatched = np.concatenate([np.delete(a, [i for i, _ in pairs]),
-                                        np.delete(b, [j for _, j in pairs])])
-            if np.any(np.abs(np.abs(unmatched - level) - window) > margin):
-                return (f"cannot attribute branches on [{t0:.6f}, {t1:.6f}]"
-                        "; supply a finer loop or a generator")
-        for i, j in pairs:
-            la, lb = a[i], b[j]
-            if la <= level < lb:
-                flow += 1
-            elif lb <= level < la:
-                flow -= 1
-            else:
-                continue
+        k = swept.get((t0, t1))
+        if k is None:
+            (accepted, crossing), k = judge(e0[None], e1[None]), 0
+        else:
+            accepted, crossing = sweep
+        if not accepted[k]:
+            return (f"cannot attribute branches on [{t0:.6f}, {t1:.6f}]"
+                    "; supply a finer loop or a generator")
+        for sign, la, lb in crossing.get(k, ()):
+            flow += sign
             crossings.append((t0, t1, la, lb))
         return None
 
@@ -351,27 +426,41 @@ def relation_family_index(loop):
 
 
 def branch_table(thetas, kappas, eig_lists, match_tol=None):
-    """Rows (theta, kappa, branch_id, lambda) with ids assigned by greedy
-    nearest-neighbor continuation between consecutive samples."""
-    rows = []
-    next_id = 0
-    prev_vals = np.zeros(0)
-    prev_ids = None
-    for theta, kappa, eigs in zip(thetas, kappas, eig_lists):
-        eigs = np.asarray(eigs, dtype=float)
-        ids = np.full(eigs.shape, -1, dtype=int)
-        limit = (match_tol if match_tol is not None
-                 else 0.5 + 0.25 * np.abs(prev_vals))
-        for i, j in _greedy_pairs(eigs, prev_vals, limit):
-            ids[i] = prev_ids[j]
-        for i in range(eigs.size):
-            if ids[i] < 0:
-                ids[i] = next_id
-                next_id += 1
-        for lam, bid in zip(eigs, ids):
-            rows.append((float(theta), float(kappa), int(bid), float(lam)))
-        prev_vals, prev_ids = eigs, ids
-    return rows
+    """Rows (theta, kappa, branch_id, lambda), sample by sample, with ids
+    assigned by greedy nearest-neighbor continuation.
+
+    One `_greedy_pairs` call pairs the values of every sample with those
+    of the sample before it, closest first, each value once, within
+    `match_tol` or, by default, 0.5 + 0.25 |lambda| of the earlier value;
+    among equal moves the lowest (index in the later sample, index in the
+    earlier) goes first.  A paired value inherits its partner's id; the
+    others get fresh ids in (sample, index) order.
+    """
+    values = _padded([np.asarray(e, dtype=float) for e in eig_lists])
+    count, width = values.shape
+    prev = values[:-1]
+    limit = 0.5 + 0.25 * np.abs(prev) if match_tol is None else match_tol
+    ia, ib = _greedy_pairs(values[1:], prev, limit)
+    # each flat (sample, index) entry points at the entry it continues, or
+    # at itself when it starts a branch
+    entries = np.arange(count * width)
+    parent = entries.copy()
+    k, t = np.nonzero(ia >= 0)
+    parent[(k + 1) * width + ia[k, t]] = k * width + ib[k, t]
+    valid = ~np.isnan(values)
+    fresh = np.cumsum(valid.ravel() & (parent == entries)) - 1
+    # pointer jumping: after the loop each entry points at its branch start
+    while True:
+        root = parent[parent]
+        if np.array_equal(root, parent):
+            break
+        parent = root
+    ids = fresh[parent].reshape(count, width)
+    counts = valid.sum(axis=1)
+    return list(zip(
+        np.repeat(np.asarray(thetas, dtype=float), counts).tolist(),
+        np.repeat(np.asarray(kappas, dtype=float), counts).tolist(),
+        ids[valid].tolist(), values[valid].tolist()))
 
 
 # ---------------------------------------------------------------------------

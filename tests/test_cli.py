@@ -101,6 +101,18 @@ def test_invalid_samples_is_input_error(capsys):
             == "input error: samples must be at least 8\n")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0.5", "-5"])
+def test_invalid_lambda_max_is_input_error(tmp_path, capsys, value):
+    # the flow window at level 0 is [-1, 1] and needs every eigenvalue up to
+    # 1; below that the walk bisects in vain or misses the crossing
+    out = tmp_path / "run"
+    assert run_cli(["rellich", "--lambda-max", value, "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "input error: lambda-max must be a finite number of at least "
+               f"1, not {float(value)!r}\n")
+    assert not out.exists()
+
+
 def test_invalid_trials_is_input_error(capsys):
     assert run_cli(["verify", "--trials", "0"]) == 2
     assert (capsys.readouterr().err

@@ -85,10 +85,12 @@ def winding_reference(mats, thetas, refine=None, step_bound=0.5,
 
 def pairs_reference(a, b, margin):
     """Greedy nearest-neighbor pairing of two eigenvalue sets, walking the
-    flat argsort until the first move above the margin."""
+    stable flat argsort (ties in row-major order) until the first move
+    above the margin."""
     pairs, used_a, used_b = [], set(), set()
     if a.size and b.size:
-        order = np.argsort(np.abs(a[:, None] - b[None, :]), axis=None)
+        order = np.argsort(np.abs(a[:, None] - b[None, :]), axis=None,
+                           kind="stable")
         for flat in order:
             i, j = divmod(int(flat), b.size)
             if i in used_a or j in used_b:
@@ -168,7 +170,8 @@ def batched(generator):
 
 
 def branch_table_reference(thetas, kappas, eig_lists, match_tol=None):
-    """Branch ids by a per-pair loop over the flat argsort of all moves."""
+    """Branch ids by a per-pair loop over the stable flat argsort of all
+    moves (ties in row-major order)."""
     rows, next_id, prev_vals, prev_ids = [], 0, None, None
     for theta, kappa, eigs in zip(thetas, kappas, eig_lists):
         eigs = np.asarray(eigs, dtype=float)
@@ -176,7 +179,7 @@ def branch_table_reference(thetas, kappas, eig_lists, match_tol=None):
         if prev_vals is not None and prev_vals.size and eigs.size:
             used = set()
             order = np.argsort(np.abs(eigs[:, None] - prev_vals[None, :]),
-                               axis=None)
+                               axis=None, kind="stable")
             for flat in order:
                 i, j = divmod(int(flat), prev_vals.size)
                 if ids[i] >= 0 or j in used:
@@ -434,6 +437,47 @@ def test_flow_walk_matches_the_reference_walk(speeds, offsets, samples):
                                                            ref_crossings)
 
 
+def test_flow_walk_keeps_the_greedy_order_of_crossings_in_an_interval():
+    # two upward crossings in the first interval, two downward ones in the
+    # second: the closer pair of each is taken, and listed, first
+    thetas = [0.0, 2.0, 4.0]
+    eigs = [np.array([-0.1, -0.05]), np.array([0.05, 0.3]),
+            np.array([-0.1, -0.05])]
+    flow, crossings = fi._flow_walk((thetas, eigs), 0.0, 1.0)
+    assert (flow, crossings) == flow_reference(thetas, eigs)[:2]
+    assert crossings == [(0.0, 2.0, -0.05, 0.05), (0.0, 2.0, -0.1, 0.3),
+                         (2.0, 4.0, 0.05, -0.05), (2.0, 4.0, 0.3, -0.1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(speeds=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       offsets=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       samples=st.integers(3, 30),
+       level=st.sampled_from([0.0, 0.25]),
+       window=st.sampled_from([0.3, 0.5, 1.0]),
+       max_inserts=st.sampled_from([0, 3, 20000]))
+def test_flow_sweep_matches_the_reference_walk_on_random_loops(
+        speeds, offsets, samples, level, window, max_inserts):
+    # loops that may need bisection, with or without a generator and with
+    # a small insert budget: the same flow and crossings, or the same
+    # error text
+    thetas = list(np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False))
+    gen = branch_loop(speeds, np.array(offsets[:len(speeds)]) / 4)
+    eigs = [gen(t) for t in thetas]
+    for refine in (gen, None):
+        try:
+            ref = flow_reference(thetas, eigs, refine, level, window,
+                                 max_inserts)[:2]
+        except fi.RefinementError as ref_err:
+            with pytest.raises(fi.RefinementError) as err:
+                fi._flow_walk((thetas, eigs), level, window, refine,
+                              max_inserts)
+            assert str(err.value) == str(ref_err)
+        else:
+            assert fi._flow_walk((thetas, eigs), level, window, refine,
+                                 max_inserts) == ref
+
+
 def test_flow_walk_insert_budget_error_matches_the_reference_walk():
     thetas = list(np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False))
     gen = branch_loop((9, 4), (0.1, -0.2))
@@ -455,9 +499,65 @@ def test_flow_walk_insert_budget_error_matches_the_reference_walk():
 def test_greedy_pairs_equal_the_reference_matcher_with_ties(a, b, margin):
     a = np.sort(np.array(a, dtype=float) / 2)
     b = np.sort(np.array(b, dtype=float) / 2)
-    pairs = fi._greedy_pairs(a, b, margin)
+    ia, ib = fi._greedy_pairs(a[None], b[None], margin)
     ref_pairs, _ = pairs_reference(a, b, margin)
-    assert [(a[i], b[j]) for i, j in pairs] == ref_pairs
+    assert [(a[i], b[j]) for i, j in zip(ia[0], ib[0]) if i >= 0] == ref_pairs
+
+
+def row_pairs_reference(a, b, limit):
+    """Index pairs (i, j) of one row of NaN-padded values, by a per-pair
+    loop over the stable flat argsort of the moves between the non-NaN
+    values; `limit` is a scalar or an array over b."""
+    keep_a, keep_b = np.flatnonzero(~np.isnan(a)), np.flatnonzero(~np.isnan(b))
+    limit = np.broadcast_to(limit, b.shape)[keep_b]
+    a, b = a[keep_a], b[keep_b]
+    pairs, used_a, used_b = [], set(), set()
+    if a.size and b.size:
+        order = np.argsort(np.abs(a[:, None] - b[None, :]), axis=None,
+                           kind="stable")
+        for flat in order:
+            i, j = divmod(int(flat), b.size)
+            if i in used_a or j in used_b or abs(a[i] - b[j]) > limit[j]:
+                continue
+            pairs.append((int(keep_a[i]), int(keep_b[j])))
+            used_a.add(i)
+            used_b.add(j)
+    return pairs
+
+
+def nan_padded(rows, width):
+    """Rows of half-integers or None (a NaN gap) padded with NaN."""
+    out = np.full((len(rows), width), np.nan)
+    for k, row in enumerate(rows):
+        out[k, :len(row)] = [np.nan if v is None else v / 2 for v in row]
+    return out
+
+
+half_integer_rows = st.lists(st.one_of(st.none(), st.integers(-4, 4)),
+                             max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(half_integer_rows, half_integer_rows), max_size=6),
+       st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.just(None)))
+def test_stacked_pairs_equal_the_per_row_reference(rows, margin):
+    # ragged rows with tied half-integers, NaN gaps and empty rows; margin
+    # None asks for a limit over b, 0.25 + 0.25 |b|, met with equality by
+    # some moves
+    a = nan_padded([ra for ra, _ in rows], max([len(r) for r, _ in rows],
+                                               default=0))
+    b = nan_padded([rb for _, rb in rows], max([len(r) for _, r in rows],
+                                               default=0))
+    limit = 0.25 + 0.25 * np.abs(b) if margin is None else margin
+    ia, ib = fi._greedy_pairs(a, b, limit)
+    assert ia.shape == ib.shape == (len(rows), min(a.shape[1], b.shape[1]))
+    for k in range(len(rows)):
+        taken = [(i, j) for i, j in zip(ia[k].tolist(), ib[k].tolist())
+                 if i >= 0]
+        assert ia[k, len(taken):].tolist() == [-1] * (ia.shape[1]
+                                                     - len(taken))
+        row_limit = limit if margin is not None else limit[k]
+        assert taken == row_pairs_reference(a[k], b[k], row_limit)
 
 
 @pytest.mark.parametrize("match_tol", [None, 0.05, 0.5, 3.0, 40.0])
@@ -467,6 +567,14 @@ def test_branch_table_matches_the_reference_matcher(match_tol):
     rows = fi.branch_table(loop.thetas, kappas, loop.payloads, match_tol)
     assert rows == branch_table_reference(loop.thetas, kappas,
                                           loop.payloads, match_tol)
+
+
+def test_branch_table_matches_the_reference_matcher_on_the_robin_loop():
+    # the configuration `rellich` runs by default
+    loop = fi.rellich_eigenvalue_samples(samples=720, lambda_max=400.0)
+    kappas = [sturm.kappa_of_theta(t) for t in loop.thetas]
+    rows = fi.branch_table(loop.thetas, kappas, loop.payloads)
+    assert rows == branch_table_reference(loop.thetas, kappas, loop.payloads)
 
 
 @pytest.mark.parametrize("match_tol", [None, 0.0, 0.5, 1.0])
