@@ -113,45 +113,57 @@ def _step_gaps(u_prev, u_next):
     return np.linalg.norm(u_next - u_prev, 2, axis=(-2, -1))
 
 
-def _walk_loop(thetas, samples, refine, step, max_inserts):
-    """Visit the intervals of a sampled loop in order, the wrap-around from
-    the last sample to thetas[0] + 2*pi included.
+def _walk_loop(thetas, samples, refine, judge, max_inserts):
+    """Walk a sampled loop interval by interval, the wrap-around from the
+    last sample to thetas[0] + 2*pi included, and return (t0, t1, value)
+    for each accepted interval, in loop order.
 
-    `step(t0, t1, s0, s1)` judges an interval: None accepts it, otherwise
-    the returned text says why not and the interval is bisected through
-    `refine` (theta -> sample), first half first.  The text is raised as
-    RefinementError once `refine` is missing or `max_inserts` samples have
-    been inserted.
+    `judge(t0s, t1s, s0s, s1s)` judges a stack of intervals, given by
+    their ends and the stacks of their end samples, and returns for each a
+    pair (True, value) or (False, message).  All sample intervals are
+    judged in one call.  A rejected interval is bisected through `refine`
+    (theta -> sample), first half first, each half judged as a stack of
+    one; its message is raised as RefinementError once `refine` is
+    missing, `max_inserts` samples have been inserted or the midpoint no
+    longer lies strictly inside the interval.
     """
     period = 2.0 * math.pi
-    count = len(samples)
+    t0s = list(thetas)
+    t1s = t0s[1:] + [t0s[0] + period]
+    nexts = np.roll(samples, -1, axis=0)
+    verdicts = judge(t0s, t1s, samples, nexts)
+    accepted = []
     inserted = 0
-    for i in range(count):
-        j = (i + 1) % count
-        stack = [(thetas[i], thetas[j] + (period if j == 0 else 0.0),
-                  samples[i], samples[j])]
+    for i, verdict in enumerate(verdicts):
+        stack = [(t0s[i], t1s[i], samples[i], nexts[i], verdict)]
         while stack:
-            t0, t1, s0, s1 = stack.pop()
-            error = step(t0, t1, s0, s1)
-            if error is None:
+            t0, t1, s0, s1, verdict = stack.pop()
+            ok, value = verdict or judge([t0], [t1], [s0], [s1])[0]
+            if ok:
+                accepted.append((t0, t1, value))
                 continue
-            if refine is None or inserted >= max_inserts:
-                raise RefinementError(error)
             tm = 0.5 * (t0 + t1)
+            if refine is None or inserted >= max_inserts or not t0 < tm < t1:
+                raise RefinementError(value)
             sm = refine(tm % period)
             inserted += 1
-            stack.append((tm, t1, sm, s1))
-            stack.append((t0, tm, s0, sm))
+            stack.append((tm, t1, sm, s1, None))
+            stack.append((t0, tm, s0, sm, None))
+    return accepted
 
 
 def _loop_parts(loop):
     """(thetas, payloads, generator) of a FamilyLoop, or of a pair
-    (thetas, payloads), which has no generator; the payloads are passed on
-    as given, so a RelationStack stays one stack."""
-    if isinstance(loop, FamilyLoop):
-        return list(loop.thetas), loop.payloads, loop.generator
-    thetas, payloads = loop
-    return list(thetas), payloads, None
+    (thetas, payloads), which is checked as a FamilyLoop without a
+    generator; the payloads are passed on as given, so a RelationStack
+    stays one stack."""
+    if not isinstance(loop, FamilyLoop):
+        loop = FamilyLoop(*loop)
+    return list(loop.thetas), loop.payloads, loop.generator
+
+
+def _theta_grid(samples):
+    return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
 
 
 def det_winding(unitaries, thetas=None, refine=None, max_inserts=20000):
@@ -161,46 +173,36 @@ def det_winding(unitaries, thetas=None, refine=None, max_inserts=20000):
     refinement callback (theta -> unitary) is available, offending intervals
     are bisected, otherwise an error names the first one.  The
     accumulated argument must land within 0.05 of an integer multiple of
-    2*pi.
+    2*pi.  The thetas, by default equally spaced, are checked as those of
+    a FamilyLoop.
 
     The steps between consecutive samples are measured as one stack; only
     intervals too coarse for the bound are bisected, and the angles are
     added in loop order.
     """
     mats = np.asarray(unitaries, dtype=complex)
-    if len(mats) < 2:
-        raise ValueError("need at least two samples")
     if thetas is None:
-        thetas = list(np.linspace(0.0, 2.0 * math.pi, len(mats),
-                                  endpoint=False))
-    thetas = list(thetas)
-    period = 2.0 * math.pi
-    # the pairs include the wrap (last -> first + period)
-    nexts = np.roll(mats, -1, axis=0)
-    fine = np.flatnonzero(_step_gaps(mats, nexts) < 0.5)
-    ends = thetas[1:] + [thetas[0] + period]
-    # swept angles by interval; bisection never reproduces a fine interval
-    swept = dict(zip([(thetas[i], ends[i]) for i in fine],
-                     _step_angles(mats[fine], nexts[fine])))
-    total = 0.0
+        thetas = _theta_grid(len(mats))
+    FamilyLoop(thetas, mats)
 
-    def step(t0, t1, u0, u1):
-        nonlocal total
-        angle = swept.get((t0, t1))
-        if angle is None:
-            gap = float(_step_gaps(u0, u1))
-            if gap >= 0.5:
-                return (f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
+    def judge(t0s, t1s, u0s, u1s):
+        u0s = np.asarray(u0s, dtype=complex)
+        u1s = np.asarray(u1s, dtype=complex)
+        gaps = _step_gaps(u0s, u1s)
+        fine = gaps < 0.5
+        angles = np.zeros(len(gaps))
+        angles[fine] = _step_angles(u0s[fine], u1s[fine])
+        return [(True, angle) if ok else
+                (False, f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
                         f"(||dU|| = {gap:.3f}); supply more samples or a "
                         "refinement callback")
-            angle = float(_step_angles(u0, u1))
-        total += angle
-        return None
+                for ok, angle, gap, t0, t1
+                in zip(fine.tolist(), angles, gaps, t0s, t1s)]
 
-    cb = None if refine is None else (
-        lambda t: np.asarray(refine(t), dtype=complex))
-    _walk_loop(thetas, mats, cb, step, max_inserts)
-    turns = total / period
+    total = 0.0
+    for _, _, angle in _walk_loop(thetas, mats, refine, judge, max_inserts):
+        total += angle
+    turns = total / (2.0 * math.pi)
     nearest = round(turns)
     if abs(turns - nearest) > 0.05:
         raise RefinementError(
@@ -252,7 +254,8 @@ def _greedy_pairs(a, b, limit):
 
 
 def _padded(rows):
-    """1-D value arrays as one NaN-padded stack, one row each."""
+    """1-D value sequences as one NaN-padded float stack, one row each."""
+    rows = [np.asarray(r, dtype=float) for r in rows]
     counts = np.array([r.size for r in rows], dtype=int)
     out = np.full((counts.size, counts.max(initial=0)), np.nan)
     if rows:
@@ -312,52 +315,35 @@ def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
     in loop order and, within an interval, in greedy order; t1 may exceed
     2*pi on the wrap-around interval.
 
-    All sample intervals, the wrap-around included, are judged as one
-    stack by `_judge_intervals`; the walk takes an accepted interval's
-    pairs from that sweep and bisects only the rejected ones, judging
-    each bisected interval as a stack of one.
+    The walk is `_walk_loop`, and its judge is `_judge_intervals`: an
+    accepted interval carries its crossing pairs, which are collected in
+    loop order.
     """
     thetas, payloads, gen = _loop_parts(loop)
-    refine = gen if refine is None else refine
-    samples = [np.asarray(p, dtype=float) for p in payloads]
 
-    def judge(e0, e1):
-        # the acceptance mask as a list, and the crossing pairs (sign, la,
-        # lb) of each interval that has any, in greedy order
-        accepted, la, lb, sign = _judge_intervals(e0, e1, level, window)
-        crossing = {}
+    def judge(t0s, t1s, e0s, e1s):
+        # an accepted interval's value is its crossing pairs (sign, la,
+        # lb), in greedy order
+        accepted, la, lb, sign = _judge_intervals(
+            np.asarray(e0s, dtype=float), np.asarray(e1s, dtype=float),
+            level, window)
+        pairs = [[] for _ in t0s]
         rows, cols = np.nonzero(sign)
         for k, t in zip(rows.tolist(), cols.tolist()):
-            crossing.setdefault(k, []).append((int(sign[k, t]), la[k, t],
-                                               lb[k, t]))
-        return accepted.tolist(), crossing
+            pairs[k].append((int(sign[k, t]), la[k, t], lb[k, t]))
+        return [(True, p) if ok else
+                (False, f"cannot attribute branches on [{t0:.6f}, {t1:.6f}]"
+                        "; supply a finer loop or a generator")
+                for ok, p, t0, t1 in zip(accepted.tolist(), pairs, t0s, t1s)]
 
-    values = _padded(samples)
-    sweep = judge(values, np.roll(values, -1, axis=0))
-    ends = thetas[1:] + [thetas[0] + 2.0 * math.pi]
-    # bisection never reproduces a sample interval
-    swept = {key: k for k, key in enumerate(zip(thetas, ends))}
     flow = 0
     crossings = []
-
-    def step(t0, t1, e0, e1):
-        nonlocal flow
-        k = swept.get((t0, t1))
-        if k is None:
-            (accepted, crossing), k = judge(e0[None], e1[None]), 0
-        else:
-            accepted, crossing = sweep
-        if not accepted[k]:
-            return (f"cannot attribute branches on [{t0:.6f}, {t1:.6f}]"
-                    "; supply a finer loop or a generator")
-        for sign, la, lb in crossing.get(k, ()):
+    for t0, t1, pairs in _walk_loop(thetas, _padded(payloads),
+                                    gen if refine is None else refine,
+                                    judge, max_inserts):
+        for sign, la, lb in pairs:
             flow += sign
             crossings.append((t0, t1, la, lb))
-        return None
-
-    cb = None if refine is None else (
-        lambda t: np.asarray(refine(t), dtype=float))
-    _walk_loop(thetas, samples, cb, step, max_inserts)
     return flow, crossings
 
 
@@ -436,7 +422,7 @@ def branch_table(thetas, kappas, eig_lists, match_tol=None):
     earlier) goes first.  A paired value inherits its partner's id; the
     others get fresh ids in (sample, index) order.
     """
-    values = _padded([np.asarray(e, dtype=float) for e in eig_lists])
+    values = _padded(eig_lists)
     count, width = values.shape
     prev = values[:-1]
     limit = 0.5 + 0.25 * np.abs(prev) if match_tol is None else match_tol
@@ -466,10 +452,6 @@ def branch_table(thetas, kappas, eig_lists, match_tol=None):
 # ---------------------------------------------------------------------------
 # the Robin family on the interval
 # ---------------------------------------------------------------------------
-
-def _theta_grid(samples):
-    return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-
 
 def _sampled_loop(batch, samples):
     """Loop over `samples` equally spaced thetas, evaluated by one call of

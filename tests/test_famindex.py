@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ def test_winding_needs_refinement_without_callback():
         coarse, thetas=np.linspace(0, 2 * math.pi, 8, endpoint=False),
         refine=lambda t: np.array([[np.exp(1j * t)]]))
     assert wind == 1
+
+
+@pytest.mark.parametrize("count", [40, 80])
+def test_loops_reject_thetas_of_another_length(count):
+    # 64 samples each
+    thetas = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    with pytest.raises(ValueError, match="differ in length"):
+        fi.det_winding(scalar_loop(1), thetas=thetas)
+    with pytest.raises(ValueError, match="differ in length"):
+        fi.spectral_flow((thetas, [np.array([math.cos(t)]) for t in THETA]))
+
+
+def test_winding_rejects_reversed_thetas():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fi.det_winding(scalar_loop(1)[::-1], thetas=THETA[::-1])
 
 
 def test_winding_mobius_relation_loop():
@@ -243,3 +259,70 @@ def test_family_loop_rejects_angles_outside_circle(thetas):
     # a theta >= 2*pi would make the wrap-around interval run backwards
     with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
         fi.FamilyLoop(thetas, [np.eye(1)] * len(thetas))
+
+
+# -- the loop walker -------------------------------------------------------------
+
+def counted(loop):
+    """The loop with its generator wrapped to count its calls in
+    `.generator.calls`."""
+    def generator(theta):
+        generator.calls += 1
+        return loop.generator(theta)
+
+    generator.calls = 0
+    return fi.FamilyLoop(loop.thetas, loop.payloads, generator)
+
+
+def count_calls(monkeypatch, name):
+    """Replace famindex.<name> by a wrapper that appends to the returned
+    list on each call."""
+    calls, inner = [], getattr(fi, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(fi, name, wrapped)
+    return calls
+
+
+def test_flow_walk_stops_at_a_collapsed_interval():
+    # at lambda_max 0.5 a branch leaves the list inside the window, so no
+    # bisection can attribute it: the walk narrows onto that point until
+    # the midpoint is an end of the interval, and stops there
+    loop = counted(fi.rellich_eigenvalue_samples(72, 0.5))
+    text = ("cannot attribute branches on [4.900615, 4.900615]; "
+            "supply a finer loop or a generator")
+    with pytest.raises(fi.RefinementError, match=re.escape(text)):
+        fi.spectral_flow(loop, 0.0, 1.0, max_inserts=200)
+    assert loop.generator.calls < 100
+
+
+def test_winding_stops_at_a_collapsed_interval():
+    # the loop jumps from 1 to -1 at theta = pi
+    def jump(theta):
+        return np.array([[1.0 if theta < math.pi else -1.0]])
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    loop = counted(fi.FamilyLoop(thetas, [jump(t) for t in thetas], jump))
+    text = ("loop step too coarse on [3.141593, 3.141593] (||dU|| = 2.000)"
+            "; supply more samples or a refinement callback")
+    with pytest.raises(fi.RefinementError, match=re.escape(text)):
+        fi.det_winding(loop.payloads, thetas=thetas, refine=loop.generator)
+    assert loop.generator.calls < 100
+
+
+@pytest.mark.parametrize("samples,inserts", [(720, (0, 0)), (8, (10, 6))])
+def test_each_interval_is_judged_once(monkeypatch, samples, inserts):
+    # the sweep judges every sample interval in one call, and each half of
+    # a bisection is judged once, as a stack of one
+    gaps = count_calls(monkeypatch, "_step_gaps")
+    judged = count_calls(monkeypatch, "_judge_intervals")
+    relations = counted(fi.rellich_boundary_family(samples))
+    eigenvalues = counted(fi.rellich_eigenvalue_samples(samples))
+    assert fi.relation_family_index(relations) == 1
+    assert fi.spectral_flow(eigenvalues, 0.0, 1.0) == 1
+    assert (relations.generator.calls, eigenvalues.generator.calls) == inserts
+    assert len(gaps) == 1 + 2 * relations.generator.calls
+    assert len(judged) == 1 + 2 * eigenvalues.generator.calls
