@@ -50,9 +50,9 @@ def _inner(u, v):
 class SymmetricModel:
     """A symmetric relation T with reference extension A and parameter mu.
 
-    Models are immutable; the isometry V of the reference extension and the
-    split of the T* basis are computed on first use and cached on the
-    model.  The conjugate twin of `with_mu` derives both from its parent.
+    Models are immutable; the isometry V of the reference extension is
+    computed on first use and cached on the model.  The conjugate twin of
+    `with_mu` derives it from its parent.
     """
 
     dim: int
@@ -96,9 +96,11 @@ class SymmetricModel:
         The twin at conj(mu) is not rebuilt: it shares T* and swaps K+ and
         K-, since Ker(T* - conj(mu)) is K+ at conj(mu).  Every check of the
         constructor gives the same answer at mu and conj(mu), so none is
-        lost.  The twin takes its split, its isometry and the invertibility
-        of A from this model, on first use.  Any other mu builds a full
-        model.
+        lost.  The twin takes its isometry and the invertibility of A from
+        this model, on first use; its von Neumann split needs nothing from
+        it, since the projections at conj(mu) onto the swapped kernels are
+        this model's with the K+ and K- coefficients traded, bit for bit.
+        Any other mu builds a full model.
         """
         if mu != np.conj(self.mu):
             return SymmetricModel(self.dim, self.T, self.A, mu=mu)
@@ -144,21 +146,6 @@ class SymmetricModel:
                       * np.maximum(1.0, np.linalg.norm(y, axis=0))):
             raise np.linalg.LinAlgError("resolvent solve failed within A")
         return _freeze(y - w)
-
-    @cached_property
-    def _split(self):
-        """Coefficients (c_plus, c_minus) of the T* basis on the bases of K+
-        and K-, from one split along T (+) K+ (+) K-, read-only.
-
-        A conjugate twin swaps its parent's: the decomposition is the same,
-        with K+ and K- trading places.
-        """
-        if self._parent is not None:
-            c_plus, c_minus = self._parent._split
-            return c_minus, c_plus
-        _, c_plus, c_minus, _ = _split_block(self, self.Tstar.graph.basis)
-        # copies, so that the coefficients on T are not kept with them
-        return _freeze(c_plus.copy()), _freeze(c_minus.copy())
 
 
 def random_symmetric_model(rng, dim, defect, mu=1j):
@@ -246,7 +233,7 @@ class VonNeumannSplit:
     z_minus: np.ndarray      # vector in K-
     z0: np.ndarray           # first boundary value, in K-
     z1: np.ndarray           # second boundary value, in K-
-    split_residual: float
+    split_residual: float    # distance of z_T from T
     reconstruction_residual: float | None
 
 
@@ -265,30 +252,26 @@ def _as_pair(model, z, action=None):
 
 
 def _split_block(model, pairs):
-    """Split the columns of a 2n x k block of pairs in T* in one solve.
+    """Coefficients of the deficiency parts of a 2n x k block of pairs in T*.
 
     Every column must lie in T* within 10 * DEFAULT_TOL * max(1, |column|),
-    the membership bound of `Subspace.contains`.  The
-    decomposition is along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}; returns
-    the coefficient blocks on the bases of T, K+ and K- and the split
-    residual of each column.
+    the membership bound of `Subspace.contains`.  The decomposition is
+    along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}, and its deficiency parts
+    are orthogonal projections: Im(T - conj(mu)) is orthogonal to K+, so a
+    pair (x, x') has c_plus = K+^H (x' - conj(mu) x) / (mu - conj(mu)), and
+    c_minus likewise with mu and conj(mu) traded.  Returns the coefficient
+    blocks (c_plus, c_minus) on the bases of K+ and K-.
     """
     graph = model.Tstar.graph
     outside = pairs - graph.basis @ (graph.basis.conj().T @ pairs)
     scale = np.maximum(1.0, np.linalg.norm(pairs, axis=0))
     if not np.all(np.linalg.norm(outside, axis=0) <= 10 * DEFAULT_TOL * scale):
         raise ValueError("input pair does not belong to T*")
-    mu = model.mu
-    kp = model.kplus.basis
-    km = model.kminus.basis
-    blocks = np.hstack([model.T.graph.basis,
-                        np.vstack([kp, mu * kp]),
-                        np.vstack([km, np.conj(mu) * km])])
-    coeff, *_ = np.linalg.lstsq(blocks, pairs, rcond=None)
-    split_resid = np.linalg.norm(blocks @ coeff - pairs, axis=0)
-    st = model.T.dim
-    sp = model.kplus.dim
-    return coeff[:st], coeff[st:st + sp], coeff[st + sp:], split_resid
+    mu, mu_bar = model.mu, np.conj(model.mu)
+    x, xp = pairs[:model.dim], pairs[model.dim:]
+    c_plus = model.kplus.basis.conj().T @ (xp - mu_bar * x) / (mu - mu_bar)
+    c_minus = model.kminus.basis.conj().T @ (xp - mu * x) / (mu_bar - mu)
+    return c_plus, c_minus
 
 
 def _boundary_coords(model, c_plus, c_minus):
@@ -314,23 +297,27 @@ def von_neumann_components(model, z, action=None, check_reconstruction=True):
     """
     pair = _as_pair(model, z, action)
     n = model.dim
-    c_t, c_plus, c_minus, split_resid = _split_block(model, pair[:, None])
+    c_plus, c_minus = _split_block(model, pair[:, None])
     g0, g1 = _boundary_coords(model, c_plus, c_minus)
+    mu = model.mu
     km = model.kminus.basis
-    z_t = (model.T.graph.basis @ c_t)[:, 0]
     z_plus = (model.kplus.basis @ c_plus)[:, 0]
     z_minus = (km @ c_minus)[:, 0]
+    z_t = pair - np.concatenate([z_plus + z_minus,
+                                 mu * z_plus + np.conj(mu) * z_minus])
+    t_basis = model.T.graph.basis
+    split_resid = np.linalg.norm(z_t - t_basis @ (t_basis.conj().T @ z_t))
     z0 = (km @ g0)[:, 0]
     z1 = (km @ g1)[:, 0]
     recon = None
     if check_reconstruction and model._a_invertible:
-        w, wp, r = relation_resolvent_apply(model.A, model.mu,
+        w, wp, r = relation_resolvent_apply(model.A, mu,
                                             np.column_stack([z0, z1]))
         recon = float(np.linalg.norm(pair[:n] - (z_t[:n] + wp[:, 0]
                                                  + w[:, 1]))
                       + r[0] + r[1])
     return VonNeumannSplit(z_t, z_plus, z_minus, z0, z1,
-                           float(split_resid[0]), recon)
+                           float(split_resid), recon)
 
 
 def lagrange_residual(model, x, z, x_action=None, z_action=None):
@@ -342,7 +329,7 @@ def lagrange_residual(model, x, z, x_action=None, z_action=None):
     xp = _as_pair(model, x, x_action)
     zp = _as_pair(model, z, z_action)
     n = model.dim
-    _, c_plus, c_minus, _ = _split_block(model, np.column_stack([xp, zp]))
+    c_plus, c_minus = _split_block(model, np.column_stack([xp, zp]))
     g0, g1 = _boundary_coords(model, c_plus, c_minus)
     lhs = _inner(xp[n:], zp[:n]) - _inner(xp[:n], zp[n:])
     rhs = _inner(g1[:, 0], g0[:, 1]) - _inner(g0[:, 0], g1[:, 1])
@@ -355,10 +342,11 @@ def boundary_data(model):
     Returns (basis, g0, g1, vmat): `basis` is the pair basis of T*, and the
     columns of g0, g1 are the coordinates of the two boundary values of each
     basis pair with respect to the orthonormal basis of K-.  The whole basis
-    is split in one solve, once per model and its conjugate twin.
+    is split at once, by its two projections onto K+ and K-.
     """
-    g0, g1 = _boundary_coords(model, *model._split)
-    return model.Tstar.graph.basis, g0, g1, extension_isometry(model)
+    basis = model.Tstar.graph.basis
+    g0, g1 = _boundary_coords(model, *_split_block(model, basis))
+    return basis, g0, g1, extension_isometry(model)
 
 
 def extension_from_relation(model, boundary_rel):
@@ -432,8 +420,8 @@ def cayley_factorization_check(model, boundary_rel):
     K+ = Ker(T* - i) for the twin identity U(A') = U(A) U(B)_H obtained
     from mu = -i.  Requires mu = i in the model.  The -i model is the
     conj(mu) twin of `SymmetricModel.with_mu`, which shares T* and swaps
-    K+ and K-, and derives its split and its isometry from the model's, so
-    the check makes one split and one resolvent solve.  The boundary
+    K+ and K-, and derives its isometry from the model's, so the check
+    makes one resolvent solve, its only least-squares solve.  The boundary
     relation is checked once for both identities.
     """
     res_plus, res_minus, _ = _factorization(model, boundary_rel)

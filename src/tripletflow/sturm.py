@@ -503,20 +503,14 @@ class _InnerBoundaryMaps:
             proj = proj + c * b
         return coords, proj
 
-    def split(self, u):
-        f = -1.0 * u.derivative().derivative()
-        _, pm = self._project(self.kminus, f + (-1j) * u)
-        _, pp = self._project(self.kplus, f + 1j * u)
-        u_minus = (1.0 / -2j) * pm
-        u_plus = (1.0 / 2j) * pp
-        return u_plus, u_minus
-
     def gamma(self, u):
         """Coordinates of the two boundary values in the K- basis."""
-        u_plus, u_minus = self.split(u)
-        cp = np.array([u_plus.inner(b) for b in self.kplus])
+        f = -1.0 * u.derivative().derivative()
+        _, pm = self._project(self.kminus, f + (-1j) * u)
+        cp, _ = self._project(self.kplus, f + 1j * u)
+        u_minus = (1.0 / -2j) * pm
         v_up = ExpPoly()
-        for c, img in zip(cp, self._v_images):
+        for c, img in zip(cp / 2j, self._v_images):
             v_up = v_up + c * img
         g0 = u_minus + v_up
         g1 = (-1j) * u_minus + 1j * v_up

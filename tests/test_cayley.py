@@ -436,18 +436,19 @@ def test_derived_twin_matches_full_rebuild(seed, shape, mu):
 def test_twin_takes_split_and_invertibility_from_parent(rng, monkeypatch):
     model = cy.random_symmetric_model(rng, 6, 2)
     twin = model.with_mu(-1j)
-    c_plus, c_minus = model._split
+    basis = model.Tstar.graph.basis
+    c_plus, c_minus = cy._split_block(model, basis)
     vmat = cy.extension_isometry(model)
-    for name in ("relation_resolvent_apply", "_split_block"):
-        monkeypatch.setattr(cy, name,
-                            lambda *args: pytest.fail("twin solved again"))
+    monkeypatch.setattr(cy, "relation_resolvent_apply",
+                        lambda *args: pytest.fail("twin solved again"))
     cy.boundary_data(twin)
-    assert twin._split[0] is c_minus and twin._split[1] is c_plus
-    assert not c_plus.flags.writeable and not c_minus.flags.writeable
-    assert model._split[0] is c_plus
+    # the projections at conj(mu) onto the swapped kernels are the parent's
+    # with K+ and K- traded, bit for bit
+    twin_plus, twin_minus = cy._split_block(twin, basis)
+    assert np.array_equal(twin_plus, c_minus)
+    assert np.array_equal(twin_minus, c_plus)
     assert twin._a_invertible is model._a_invertible
     back = twin.with_mu(model.mu)
-    assert back._split[0] is c_plus and back._split[1] is c_minus
     assert np.linalg.norm(cy.extension_isometry(back) - vmat) <= 1e-13
 
 
@@ -459,7 +460,7 @@ def test_twin_rejects_a_nonunitary_isometry(rng):
         cy.extension_isometry(model.with_mu(-1j))
 
 
-def test_factorization_makes_two_least_squares_solves(rng, monkeypatch):
+def test_factorization_makes_one_least_squares_solve(rng, monkeypatch):
     model = cy.random_symmetric_model(rng, 8, 3)
     brel = cy.random_selfadjoint_relation(rng, 3)
     calls = []
@@ -468,5 +469,70 @@ def test_factorization_makes_two_least_squares_solves(rng, monkeypatch):
                         lambda *args, **kw: calls.append(1)
                         or lstsq(*args, **kw))
     cy.cayley_factorization_check(model, brel)
-    # one split of the T* basis and one resolvent solve, both at i
-    assert len(calls) == 2
+    # the resolvent solve at i; the split is two projections
+    assert len(calls) == 1
+
+
+def _lstsq_split(model, pairs):
+    """Reference split: one least-squares solve along
+    T (+) {(y, mu y)} (+) {(y, conj(mu) y)}, returning the coefficients on
+    the bases of T, K+ and K-."""
+    mu = model.mu
+    kp = model.kplus.basis
+    km = model.kminus.basis
+    blocks = np.hstack([model.T.graph.basis,
+                        np.vstack([kp, mu * kp]),
+                        np.vstack([km, np.conj(mu) * km])])
+    coeff, *_ = np.linalg.lstsq(blocks, pairs, rcond=None)
+    st, sp = model.T.dim, model.kplus.dim
+    return coeff[:st], coeff[st:st + sp], coeff[st + sp:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(2, 1), (6, 6), (8, 3), (8, 0)]),
+       mu=st.sampled_from(MUS))
+def test_projection_split_matches_least_squares(seed, shape, mu):
+    rng = np.random.default_rng(seed)
+    model = cy.random_symmetric_model(rng, *shape, mu=mu)
+    basis = model.Tstar.graph.basis
+    pair = basis @ random_complex(rng, basis.shape[1])
+    scale = max(1.0, np.linalg.norm(pair))
+    c_plus, c_minus = cy._split_block(model, pair[:, None])
+    _, ref_plus, ref_minus = _lstsq_split(model, pair[:, None])
+    assert np.abs(c_plus - ref_plus).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(c_minus - ref_minus).max(initial=0.0) <= 1e-12 * scale
+    # a pair built from known parts gives them back
+    t = model.T.graph.basis @ random_complex(rng, model.T.dim)
+    y_plus = model.kplus.basis @ random_complex(rng, model.kplus.dim)
+    y_minus = model.kminus.basis @ random_complex(rng, model.kminus.dim)
+    built = t + np.concatenate([y_plus + y_minus,
+                                mu * y_plus + np.conj(mu) * y_minus])
+    split = cy.von_neumann_components(model, built,
+                                      check_reconstruction=False)
+    assert np.linalg.norm(split.z_T - t) <= 1e-12 * max(1.0, np.linalg.norm(t))
+    assert np.linalg.norm(split.z_plus - y_plus) <= 1e-12 * max(
+        1.0, np.linalg.norm(y_plus))
+    assert np.linalg.norm(split.z_minus - y_minus) <= 1e-12 * max(
+        1.0, np.linalg.norm(y_minus))
+    assert split.split_residual < 1e-12
+
+
+@pytest.mark.parametrize("dim,defect", [(40, 10), (80, 20)])
+def test_large_model_split_and_factorization(dim, defect):
+    rng = np.random.default_rng(100 * dim + defect)
+    model = cy.random_symmetric_model(rng, dim, defect)
+    basis, g0, g1, _ = cy.boundary_data(model)
+    bmh = model.kminus.basis.conj().T
+    for j in range(basis.shape[1]):
+        split = cy.von_neumann_components(model, basis[:, j],
+                                          check_reconstruction=False)
+        assert np.abs(g0[:, j] - bmh @ split.z0).max() <= 1e-12
+        assert np.abs(g1[:, j] - bmh @ split.z1).max() <= 1e-12
+    x = basis @ random_complex(rng, basis.shape[1])
+    z = basis @ random_complex(rng, basis.shape[1])
+    assert (cy.lagrange_residual(model, x, z)
+            / max(1.0, np.linalg.norm(x) * np.linalg.norm(z))) < 1e-10
+    brel = cy.random_selfadjoint_relation(rng, defect)
+    r_plus, r_minus = cy.cayley_factorization_check(model, brel)
+    assert r_plus < 1e-9 and r_minus < 1e-9
