@@ -132,7 +132,7 @@ class SymmetricModel:
         """
         parent = self._parent
         if parent is not None:
-            w = parent.kminus.basis.conj().T @ parent._isometry
+            w = parent._w
             if (np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]))
                     > 1e3 * DEFAULT_TOL):
                 raise np.linalg.LinAlgError("isometry of the reference "
@@ -146,6 +146,11 @@ class SymmetricModel:
                       * np.maximum(1.0, np.linalg.norm(y, axis=0))):
             raise np.linalg.LinAlgError("resolvent solve failed within A")
         return _freeze(y - w)
+
+    @cached_property
+    def _w(self):
+        """W = K-^H V, the isometry on the orthonormal defect bases."""
+        return self.kminus.basis.conj().T @ self._isometry
 
 
 def random_symmetric_model(rng, dim, defect, mu=1j):
@@ -274,15 +279,15 @@ def _split_block(model, pairs):
     return c_plus, c_minus
 
 
-def _boundary_coords(model, c_plus, c_minus):
+def _boundary_coords(w, mu, c_plus, c_minus):
     """Coordinates on the K- basis of the two boundary values.
 
     z0 = z_minus + V z_plus and z1 = -mu z_minus - conj(mu) V z_plus, from
-    the split coefficients of z_plus and z_minus.
+    the split coefficients of z_plus and z_minus and W = K-^H V.  The
+    interval model (`sturm`) applies it to coefficients on its four traces.
     """
-    v_plus = (model.kminus.basis.conj().T @ model._isometry) @ c_plus
-    return (c_minus + v_plus,
-            -model.mu * c_minus - np.conj(model.mu) * v_plus)
+    v_plus = w @ c_plus
+    return c_minus + v_plus, -mu * c_minus - np.conj(mu) * v_plus
 
 
 def von_neumann_components(model, z, action=None, check_reconstruction=True):
@@ -298,7 +303,7 @@ def von_neumann_components(model, z, action=None, check_reconstruction=True):
     pair = _as_pair(model, z, action)
     n = model.dim
     c_plus, c_minus = _split_block(model, pair[:, None])
-    g0, g1 = _boundary_coords(model, c_plus, c_minus)
+    g0, g1 = _boundary_coords(model._w, model.mu, c_plus, c_minus)
     mu = model.mu
     km = model.kminus.basis
     z_plus = (model.kplus.basis @ c_plus)[:, 0]
@@ -330,7 +335,7 @@ def lagrange_residual(model, x, z, x_action=None, z_action=None):
     zp = _as_pair(model, z, z_action)
     n = model.dim
     c_plus, c_minus = _split_block(model, np.column_stack([xp, zp]))
-    g0, g1 = _boundary_coords(model, c_plus, c_minus)
+    g0, g1 = _boundary_coords(model._w, model.mu, c_plus, c_minus)
     lhs = _inner(xp[n:], zp[:n]) - _inner(xp[:n], zp[n:])
     rhs = _inner(g1[:, 0], g0[:, 1]) - _inner(g0[:, 0], g1[:, 1])
     return abs(lhs - rhs)
@@ -345,7 +350,7 @@ def boundary_data(model):
     is split at once, by its two projections onto K+ and K-.
     """
     basis = model.Tstar.graph.basis
-    g0, g1 = _boundary_coords(model, *_split_block(model, basis))
+    g0, g1 = _boundary_coords(model._w, model.mu, *_split_block(model, basis))
     return basis, g0, g1, extension_isometry(model)
 
 

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cached_property
 
 import numpy as np
 
+from .cayley import _boundary_coords
 from .gelfand import identity_triple
 from .relspace import relations_from_span
 
@@ -475,47 +477,9 @@ def _orthonormalize_exppolys(funcs):
     return basis
 
 
-class _InnerBoundaryMaps:
-    """Boundary values of the deficiency triplet at mu = i, exactly.
-
-    A function u with action f = -u'' splits into a minimal-domain part plus
-    deficiency parts u_plus, u_minus; the parts are recovered by orthogonal
-    projection of f -+ i u onto the deficiency spaces and the isometry is
-    evaluated through an exact Dirichlet resolvent solve.
-    """
-
-    def __init__(self):
-        self.kplus = _orthonormalize_exppolys(deficiency_basis(1j))
-        self.kminus = _orthonormalize_exppolys(deficiency_basis(-1j))
-        self._v_images = [self._isometry(y) for y in self.kplus]
-
-    @staticmethod
-    def _isometry(y):
-        # (A - mu)(A - conj mu)^-1 y = y - 2i (A + i)^-1 y
-        w = helmholtz_dirichlet_solve(1j, 2j * y)
-        return y - w
-
-    @staticmethod
-    def _project(funcs, g):
-        coords = np.array([g.inner(b) for b in funcs])
-        proj = ExpPoly()
-        for c, b in zip(coords, funcs):
-            proj = proj + c * b
-        return coords, proj
-
-    def gamma(self, u):
-        """Coordinates of the two boundary values in the K- basis."""
-        f = -1.0 * u.derivative().derivative()
-        _, pm = self._project(self.kminus, f + (-1j) * u)
-        cp, _ = self._project(self.kplus, f + 1j * u)
-        u_minus = (1.0 / -2j) * pm
-        v_up = ExpPoly()
-        for c, img in zip(cp / 2j, self._v_images):
-            v_up = v_up + c * img
-        g0 = u_minus + v_up
-        g1 = (-1j) * u_minus + 1j * v_up
-        coords = lambda g: np.array([g.inner(b) for b in self.kminus])
-        return coords(g0), coords(g1)
+def _traces(u):
+    """The four traces tau(u) = (u(0), u(1), u'(0), -u'(1))."""
+    return np.concatenate([u.trace0(), u.trace1()])
 
 
 class RellichBoundaryProblem:
@@ -523,13 +487,14 @@ class RellichBoundaryProblem:
 
     Elements of the maximal domain are ExpPoly values; the boundary space is
     C^2 with the identity Gelfand triple, so the reduced maps coincide with
-    the raw ones up to the Dirichlet-to-Neumann correction.
+    the raw ones up to the Dirichlet-to-Neumann correction.  Its deficiency
+    triplet is two 2 x 4 matrices (G0, G1) on the four traces, built on
+    first use with the matrix engine's formula, `cayley._boundary_coords`.
     """
 
     def __init__(self):
         self.boundary_dim = 2
         self.triple = identity_triple(2)
-        self._inner_maps = None
 
     # -- element operations -------------------------------------------------
     @staticmethod
@@ -589,10 +554,32 @@ class RellichBoundaryProblem:
         return out[:count]
 
     # -- deficiency triplet ----------------------------------------------------
+    @cached_property
+    def _deficiency_maps(self):
+        """The deficiency triplet at mu = i as one 4 x 4 matrix (G0; G1) on
+        the traces, Gamma_j u = G_j tau(u) on the L2-orthonormal K- basis.
+
+        The minimal domain has all four traces zero, so both maps factor
+        through tau.  By Green's formula the split's projections are
+        boundary forms, <Au - conj(mu) u, y> = omega(tau u, tau y) on K+ with
+        omega(s, t) = <s1, t0> - <s0, t1> = t^H J s (likewise on K-), and
+        V y - y = -2i (A + i)^(-1) y has zero Dirichlet values, so
+        W = T0(K-)^(-1) T0(K+).
+        """
+        mu, mu_bar = 1j, -1j
+        kplus, kminus = (
+            np.column_stack([_traces(y) for y in
+                             _orthonormalize_exppolys(deficiency_basis(m))])
+            for m in (mu, mu_bar))
+        j_form = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
+        c_plus = kplus.conj().T @ j_form / (mu - mu_bar)
+        c_minus = kminus.conj().T @ j_form / (mu_bar - mu)
+        w = np.linalg.solve(kminus[:2], kplus[:2])
+        return np.vstack(_boundary_coords(w, mu, c_plus, c_minus))
+
     def inner_boundary_maps(self):
-        if self._inner_maps is None:
-            self._inner_maps = _InnerBoundaryMaps()
-        return self._inner_maps.gamma
+        maps = self._deficiency_maps
+        return lambda u: tuple(np.split(maps @ _traces(u), 2))
 
 
 def rellich_dtn_matrix():

@@ -212,10 +212,14 @@ def transversality_check(point):
     second = Subspace.from_span(np.eye(n)[:, half:], ambient_dim=n)
 
     def min_angle(sub, axis):
+        # atan2, not arccos: a cosine alone reads angles below 2e-8 as 0
         if sub.dim == 0 or axis.dim == 0:
             return float(np.pi / 2)
-        s = np.linalg.svd(sub.basis.conj().T @ axis.basis, compute_uv=False)
-        return float(np.arccos(min(1.0, s.max())))
+        small, large = sorted((sub.basis, axis.basis), key=np.shape)
+        proj = large.conj().T @ small
+        cos = np.linalg.svd(proj, compute_uv=False)[0]
+        sin = np.linalg.svd(small - large @ proj, compute_uv=False)[-1]
+        return float(np.arctan2(sin, cos))
 
     angles = {
         "lower_vs_first": min_angle(lower, first),

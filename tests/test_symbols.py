@@ -146,6 +146,23 @@ def test_transversality_dirac_and_degenerate(rng):
     assert angles["lower_vs_first"] < 1e-12
 
 
+@pytest.mark.parametrize("angle", [3e-9, 1e-8, 1e-6])
+def test_transversality_resolves_small_angles(angle):
+    # rho = diag(-i, i) rotated by the angle: its lower space makes that
+    # angle with the first axis, and its upper space with the second
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+
+    class _TiltedPoint:
+        rho = rot @ np.diag([-1j, 1j]) @ rot.T
+        half_dim = 1
+
+    angles = sy.transversality_check(_TiltedPoint())
+    assert angles["transversal"]
+    for key in ("lower_vs_first", "upper_vs_second"):
+        assert abs(angles[key] - angle) <= 1e-6 * angle
+
+
 def test_mixing_map_requirements(rng):
     sig = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     ups = 1j * sig
