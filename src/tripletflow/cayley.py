@@ -16,10 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .relspace import (DEFAULT_TOL, LinearRelation, Subspace, _freeze,
-                       _null_space, adjoint_relation, cayley_unitary,
-                       is_self_adjoint, relation_from_json, relation_to_json,
-                       restrict_relation)
+from .relspace import (DEFAULT_TOL, LinearRelation, Subspace, _complex_pairs,
+                       _freeze, _json_pairs, _null_space, adjoint_relation,
+                       cayley_unitary, is_self_adjoint, relation_from_json,
+                       relation_to_json, restrict_relation)
 
 __all__ = [
     "SymmetricModel",
@@ -193,13 +193,13 @@ def model_to_json(model):
     return {"dim": model.dim,
             "T": relation_to_json(model.T),
             "A": relation_to_json(model.A),
-            "mu": [model.mu.real, model.mu.imag]}
+            "mu": _json_pairs([model.mu])[0]}
 
 
 def model_from_json(obj):
-    re, im = obj["mu"]
+    mu = complex(_complex_pairs([obj["mu"]])[0])
     return SymmetricModel(int(obj["dim"]), relation_from_json(obj["T"]),
-                          relation_from_json(obj["A"]), mu=complex(re, im))
+                          relation_from_json(obj["A"]), mu=mu)
 
 
 def relation_resolvent_apply(rel, shift, rhs):

@@ -27,8 +27,6 @@ from .relspace import _groups, is_self_adjoint_batch, relation_from_json
 
 __all__ = ["main", "cmd_rellich", "cmd_verify", "cmd_index"]
 
-_ENV_TOL = "TRIPLETFLOW_TOL"
-
 
 def _fmt(x):
     return "%.17g" % float(x)
@@ -93,7 +91,7 @@ def cmd_rellich(args):
            _json_bytes(report.to_dict()))
     # +1 is the sign of the Robin loop; -1 would be the loop reversed
     ok = report.consistent and report.winding == 1
-    print(report.to_json())
+    print(json.dumps(report.to_dict(), sort_keys=True))
     return 0 if ok else 1
 
 
@@ -137,14 +135,8 @@ def _load_family(spec_path):
 
 def cmd_index(args):
     """Family index of a loop of self-adjoint relations from a fixture file."""
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get(_ENV_TOL, 1e-9))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     loop, dim = _load_family(args.family)
-    flags = is_self_adjoint_batch(loop.payloads, tol=tol)
-    bad = np.flatnonzero(~flags)
+    bad = np.flatnonzero(~is_self_adjoint_batch(loop.payloads))
     if bad.size:
         raise ValueError(f"sample at theta={loop.thetas[bad[0]]} is not a "
                          "self-adjoint relation")
@@ -185,26 +177,19 @@ def _build_parser():
     p_rellich = sub.add_parser(
         "rellich", help="spectral flow and Cayley winding of the Robin loop")
     p_rellich.add_argument("--samples", type=int, default=720)
-    p_rellich.add_argument("--lambda-max", type=float, default=400.0,
-                           dest="lambda_max")
+    p_rellich.add_argument("--lambda-max", type=float,
+                           default=sturm._ROBIN_LAMBDA_MAX, dest="lambda_max")
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all",
                           choices=sorted(vf.SUITES) + ["all"])
-    p_verify.add_argument(
-        "--trials", type=int, default=50,
-        help="trials per suite (default: 50, which overrides each suite's "
-             "own default: 12 for triplet, 40 for sturm)")
+    p_verify.add_argument("--trials", type=int, default=vf._TRIALS,
+                          help=f"trials per suite (default: {vf._TRIALS})")
     p_verify.add_argument("--seed", type=int, default=42,
                           help="seed of the random draws (default: 42)")
     p_index = sub.add_parser(
         "index", help="family index from a loop fixture file")
     p_index.add_argument("--family", default="rellich",
                          help="fixture path or the built-in name 'rellich'")
-    p_index.add_argument("--tol", type=float, default=None,
-                         help="self-adjointness gap tolerance of each "
-                              f"sample (default: ${_ENV_TOL} or 1e-9); "
-                              "values below 1e-8, the default among them, "
-                              "act as 1e-8")
     for p in (p_verify, p_index):
         p.add_argument("--format", choices=("json", "csv"), default="json")
     for p in (p_rellich, p_verify, p_index):

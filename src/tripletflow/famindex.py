@@ -16,7 +16,6 @@ report +1 for the classical Robin family on the interval.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -91,9 +90,6 @@ class IndexReport:
         if self.crossing_kappa is not None:
             out["crossing_kappa"] = self.crossing_kappa
         return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class RefinementError(RuntimeError):
@@ -292,8 +288,7 @@ def _judge_intervals(e0, e1, level, window):
     return ~stray, la, lb, sign
 
 
-def spectral_flow(loop, level=0.0, window=1.0, refine=None,
-                  max_inserts=20000):
+def spectral_flow(loop, level=0.0, window=1.0, *, max_inserts=20000):
     """Net number of eigenvalue branches crossing the level upward.
 
     `loop` is a FamilyLoop of eigenvalue arrays, or a pair (thetas, lists).
@@ -306,10 +301,10 @@ def spectral_flow(loop, level=0.0, window=1.0, refine=None,
     bisection of the interval through the loop generator.  Values equal to
     the level count as below.
     """
-    return _flow_walk(loop, level, window, refine, max_inserts)[0]
+    return _flow_walk(loop, level, window, max_inserts=max_inserts)[0]
 
 
-def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
+def _flow_walk(loop, level, window, *, max_inserts=20000):
     """The walk behind `spectral_flow`: returns the flow and the crossings,
     a list of (t0, t1, la, lb) for each matched pair straddling the level,
     in loop order and, within an interval, in greedy order; t1 may exceed
@@ -338,9 +333,8 @@ def _flow_walk(loop, level, window, refine=None, max_inserts=20000):
 
     flow = 0
     crossings = []
-    for t0, t1, pairs in _walk_loop(thetas, _padded(payloads),
-                                    gen if refine is None else refine,
-                                    judge, max_inserts):
+    for t0, t1, pairs in _walk_loop(thetas, _padded(payloads), gen, judge,
+                                    max_inserts):
         for sign, la, lb in pairs:
             flow += sign
             crossings.append((t0, t1, la, lb))
@@ -411,13 +405,13 @@ def relation_family_index(loop):
     return det_winding(cayley_unitaries(rels), thetas=thetas, refine=refine)
 
 
-def branch_table(thetas, kappas, eig_lists, match_tol=None):
+def branch_table(thetas, kappas, eig_lists):
     """Rows (theta, kappa, branch_id, lambda), sample by sample, with ids
     assigned by greedy nearest-neighbor continuation.
 
     One `_greedy_pairs` call pairs the values of every sample with those
     of the sample before it, closest first, each value once, within
-    `match_tol` or, by default, 0.5 + 0.25 |lambda| of the earlier value;
+    0.5 + 0.25 |lambda| of the earlier value;
     among equal moves the lowest (index in the later sample, index in the
     earlier) goes first.  A paired value inherits its partner's id; the
     others get fresh ids in (sample, index) order.
@@ -425,8 +419,7 @@ def branch_table(thetas, kappas, eig_lists, match_tol=None):
     values = _padded(eig_lists)
     count, width = values.shape
     prev = values[:-1]
-    limit = 0.5 + 0.25 * np.abs(prev) if match_tol is None else match_tol
-    ia, ib = _greedy_pairs(values[1:], prev, limit)
+    ia, ib = _greedy_pairs(values[1:], prev, 0.5 + 0.25 * np.abs(prev))
     # each flat (sample, index) entry points at the entry it continues, or
     # at itself when it starts a branch
     entries = np.arange(count * width)
@@ -482,7 +475,8 @@ def rellich_boundary_family(samples=720):
     return _sampled_loop(_relation_batch(sturm.kappa_of_theta), samples)
 
 
-def rellich_eigenvalue_samples(samples=720, lambda_max=400.0):
+def rellich_eigenvalue_samples(samples=720,
+                               lambda_max=sturm._ROBIN_LAMBDA_MAX):
     """Loop of Robin eigenvalue lists over the circle."""
     return _sampled_loop(_eigenvalue_batch(sturm.kappa_of_theta, lambda_max),
                          samples)
@@ -518,7 +512,7 @@ def verify_index_theorem(samples=720):
     winding of the Cayley loop of the transformed boundary relations; the
     report also records the Robin parameter of the level-zero crossing.
     """
-    return _robin_index(sturm.kappa_of_theta, samples, 400.0)[0]
+    return robin_index_report(sturm.kappa_of_theta, samples)
 
 
 def robin_index_report(robin_of_theta, samples=720):
@@ -529,4 +523,4 @@ def robin_index_report(robin_of_theta, samples=720):
     transformed boundary family of the same parameters.  The report records
     the Robin parameter of the first level-zero crossing, if any.
     """
-    return _robin_index(robin_of_theta, samples, 400.0)[0]
+    return _robin_index(robin_of_theta, samples, sturm._ROBIN_LAMBDA_MAX)[0]

@@ -415,16 +415,15 @@ def adjoint_relation(rel, gram_dom=None, gram_cod=None):
     return LinearRelation(rel.cod_dim, rel.dom_dim, Subspace(basis))
 
 
-def is_self_adjoint_batch(rels, tol=None, gram=None):
+def is_self_adjoint_batch(rels, *, gram=None):
     """`is_self_adjoint` of every relation of a sequence, as a boolean array.
 
     Relations of equal shape share one stacked adjoint and one stacked gap
-    computation; each is judged by its gap to its adjoint against the
-    threshold max(tol, 100 * DEFAULT_TOL), so a tol below that floor acts
-    as the floor.  A relation with dom_dim != cod_dim is not self-adjoint.
+    computation; each is judged by its gap to its adjoint against
+    100 * DEFAULT_TOL.  A relation with dom_dim != cod_dim is not
+    self-adjoint.
     """
     flags = np.zeros(len(rels), dtype=bool)
-    limit = 100 * DEFAULT_TOL if tol is None else max(tol, 100 * DEFAULT_TOL)
     for (n, cod_dim, k), idx in _groups(rels):
         if n != cod_dim:
             continue
@@ -441,7 +440,7 @@ def is_self_adjoint_batch(rels, tol=None, gram=None):
             resid = other - bases @ (bases.conj().swapaxes(-1, -2) @ other)
             top = np.linalg.svd(resid, compute_uv=False)[..., 0]
             gaps[same] = np.minimum(1.0, top)
-        flags[idx] = gaps <= limit
+        flags[idx] = gaps <= 100 * DEFAULT_TOL
     return flags
 
 
@@ -534,44 +533,46 @@ def restrict_relation(rel, dom_sub, cod_sub):
                                     rel.graph.basis @ coeff)
 
 
+def _json_pairs(values):
+    """[re, im] float pairs of a sequence of complex numbers, in order."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _complex_pairs(nested, depth=1):
+    """Complex array of lists of [re, im] number pairs nested `depth` deep,
+    equal bit for bit to complex(re, im) of each; ValueError on any other
+    entry."""
+    error = "basis entries must be [re, im] pairs of numbers"
+    try:
+        pairs = np.array(nested)
+    except ValueError:
+        # ragged nesting, such as a null entry among the pairs
+        raise ValueError(error) from None
+    if pairs.size == 0 and pairs.ndim == depth:
+        pairs = pairs.reshape(*pairs.shape, 2)
+    # strings and nulls give text or object arrays
+    if (pairs.dtype.kind not in "biuf" or pairs.ndim != depth + 1
+            or pairs.shape[-1] != 2):
+        raise ValueError(error)
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
 def matrix_to_json(mat):
     """Dense matrix as nested [re, im] pairs, row-major."""
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return [_json_pairs(row) for row in np.asarray(mat, dtype=complex)]
 
 
 def matrix_from_json(obj):
+    """Inverse of `matrix_to_json`; the empty list is the 0 x 0 matrix."""
     if not obj:
         return np.zeros((0, 0), dtype=complex)
-    return np.array([[complex(re, im) for re, im in row] for row in obj],
-                    dtype=complex).reshape(len(obj), -1)
+    return _complex_pairs(obj, depth=2)
 
 
 def relation_to_json(rel):
     """JSON-ready dict; basis entries are [re, im] pairs in column-major order."""
-    cols = []
-    for j in range(rel.dim):
-        col = rel.graph.basis[:, j]
-        cols.extend([[float(z.real), float(z.imag)] for z in col])
-    return {"dom_dim": rel.dom_dim, "cod_dim": rel.cod_dim, "basis": cols}
-
-
-def _complex_pairs(flat):
-    """Complex vector of a list of [re, im] number pairs, equal bit for bit
-    to complex(re, im) of each; ValueError on any other entry."""
-    error = "basis entries must be [re, im] pairs of numbers"
-    try:
-        pairs = np.array(flat)
-    except ValueError:
-        # ragged nesting, such as a null entry among the pairs
-        raise ValueError(error) from None
-    if pairs.shape == (0,):
-        pairs = pairs.reshape(0, 2)
-    # strings and nulls give text or object arrays
-    if (pairs.dtype.kind not in "biuf" or pairs.ndim != 2
-            or pairs.shape[1] != 2):
-        raise ValueError(error)
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[:, 0]
+    return {"dom_dim": rel.dom_dim, "cod_dim": rel.cod_dim,
+            "basis": _json_pairs(rel.graph.basis.T.ravel())}
 
 
 def relation_from_json(obj):

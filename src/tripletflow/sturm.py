@@ -53,6 +53,9 @@ __all__ = [
 
 _ZERO_COEF = 0.0 + 0.0j
 
+# the default eigenvalue cutoff of the Robin solver and of the Robin loops
+_ROBIN_LAMBDA_MAX = 400.0
+
 
 class ExpPoly:
     """Finite sum of terms coef * x**power * exp(rate*x) on [0, 1].
@@ -330,7 +333,7 @@ def _bisect_brackets(lo, hi, below_root):
     return 0.5 * (lo + hi)
 
 
-def secular_eigenvalues_batch(kappas, lambda_max=400.0):
+def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
     """Eigenvalues <= lambda_max of the Robin condition u(0) = 0,
     u'(1) = kappa u(1) for each kappa, as a list of sorted arrays; kappa =
     inf (or None) means u(1) = 0.
@@ -403,7 +406,7 @@ def secular_eigenvalues_batch(kappas, lambda_max=400.0):
     return np.split(lams[order], np.cumsum(counts)[:-1])
 
 
-def secular_eigenvalues(kappa, lambda_max=400.0):
+def secular_eigenvalues(kappa, lambda_max=_ROBIN_LAMBDA_MAX):
     """Eigenvalues (sorted, <= lambda_max) of the Robin condition
     u(0) = 0, u'(1) = kappa u(1); kappa = inf means u(1) = 0.
 

@@ -188,13 +188,14 @@ def dirac_unitary(tau_bold):
     Its graph is the lower splitting subspace of the graded block matrix
     [[0, -tb], [-tb, 0]].
     """
-    tb = _hermitian_part(tau_bold, 1e-9, "tau_bold must be skew-adjoint",
-                         skew=True)
+    tb = _hermitian_part(tau_bold, _SYMBOL_TOL,
+                         "tau_bold must be skew-adjoint", skew=True)
     herm = 1j * tb
     evals, evecs = np.linalg.eigh(herm)
-    if np.min(np.abs(evals)) <= 1e-9 * max(1.0, np.max(np.abs(evals))):
+    mags = np.abs(evals)
+    if mags.min() <= _SYMBOL_TOL * max(1.0, mags.max()):
         raise ValueError("tau_bold must be invertible")
-    absval = evecs @ np.diag(np.abs(evals)) @ evecs.conj().T
+    absval = evecs @ np.diag(mags) @ evecs.conj().T
     return -herm @ np.linalg.inv(absval)
 
 

@@ -22,6 +22,9 @@ from . import triplet as tp
 
 __all__ = ["SUITES", "run_suite", "all_pass"]
 
+# the default trial count of every suite, of run_suite and of the CLI
+_TRIALS = 50
+
 
 def _check(records, suite, name, residual, tol):
     residual = float(residual)
@@ -41,7 +44,7 @@ def _random_relation(rng, dom, cod):
     return rs.LinearRelation.from_span(dom, cod, cols)
 
 
-def suite_relspace(trials=50, seed=0):
+def suite_relspace(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     inv_gap = 0.0
@@ -98,7 +101,7 @@ def _random_model(rng):
     return cy.random_symmetric_model(rng, dim, defect)
 
 
-def suite_cayley(trials=50, seed=0):
+def suite_cayley(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     iso_res = 0.0
@@ -157,7 +160,7 @@ def _random_spd(rng, n):
     return a @ a.conj().T + n * np.eye(n)
 
 
-def suite_gelfand(trials=50, seed=0):
+def suite_gelfand(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     adjness = 0.0
@@ -238,7 +241,7 @@ def _finite_problem(rng, dim=None, defect=None, plain=False):
     return tp.MatrixBoundaryProblem(model, gram_small=gram, mix=(e_mat, h_mat))
 
 
-def suite_triplet(trials=12, seed=0):
+def suite_triplet(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     problems = [_finite_problem(rng) for _ in range(max(2, trials // 2))]
@@ -295,7 +298,7 @@ def suite_triplet(trials=12, seed=0):
     return rec
 
 
-def suite_sturm(trials=40, seed=0):
+def suite_sturm(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     lag_res = 0.0
@@ -390,7 +393,7 @@ def suite_sturm(trials=40, seed=0):
     return rec
 
 
-def suite_symbols(trials=50, seed=0):
+def suite_symbols(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     idem = comm = oracle = 0.0
@@ -478,9 +481,8 @@ def suite_symbols(trials=50, seed=0):
     return rec
 
 
-def suite_famindex(trials=None, seed=0):
-    """Fixed loops and one Robin index comparison; `trials` is accepted
-    like every suite's and not read."""
+def suite_famindex(trials=_TRIALS, seed=0):
+    """Fixed loops and one Robin index comparison; `trials` is not read."""
     rng = np.random.default_rng(seed)
     rec = []
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
@@ -561,20 +563,14 @@ SUITES = {
 }
 
 
-def run_suite(name, trials=None, seed=0):
+def run_suite(name, trials=_TRIALS, seed=0):
     """Run one suite, or all of them, and return the list of check records."""
-    if name == "all":
-        records = []
-        for key in SUITES:
-            records.extend(run_suite(key, trials=trials, seed=seed))
-        return records
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{sorted(SUITES)} or 'all'")
-    kwargs = {"seed": seed}
-    if trials is not None:
-        kwargs["trials"] = trials
-    return SUITES[name](**kwargs)
+    names = SUITES if name == "all" else [name]
+    return [record for key in names
+            for record in SUITES[key](trials=trials, seed=seed)]
 
 
 def all_pass(records):

@@ -97,9 +97,12 @@ def test_spectral_flow_constant_and_oscillating():
 def test_spectral_flow_counts_upward_crossing():
     # a single branch sweeping from -1 to 1 once around (sawtooth with the
     # jump far from the level)
-    eigs = [np.array([-1.0 + t / math.pi]) for t in THETA]
-    flow = fi.spectral_flow((list(THETA), eigs), level=0.0, window=0.4,
-                            refine=lambda t: np.array([-1.0 + t / math.pi]))
+    def branch(t):
+        return np.array([-1.0 + t / math.pi])
+
+    loop = fi.FamilyLoop(list(THETA), [branch(t) for t in THETA],
+                         generator=branch)
+    flow = fi.spectral_flow(loop, level=0.0, window=0.4)
     assert flow == 1
 
 

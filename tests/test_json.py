@@ -32,6 +32,20 @@ def test_matrix_layout_is_row_major_re_im_pairs():
     assert back.dtype == complex and np.array_equal(back, mat)
 
 
+@pytest.mark.parametrize("entry", [["1", "2"], [1, 2, 3], 1])
+def test_matrix_from_json_rejects_entries_that_are_not_pairs(entry):
+    # the relation decoder's error, from the same pair codec
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers"):
+        rs.matrix_from_json([[entry]])
+
+
+def test_model_mu_is_read_by_the_pair_codec(rng):
+    obj = through_text(cy.model_to_json(cy.random_symmetric_model(rng, 3, 1)))
+    obj["mu"] = [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers"):
+        cy.model_from_json(obj)
+
+
 def test_gelfand_keeps_the_matrix_codec_names():
     assert gf.matrix_to_json is rs.matrix_to_json
     assert gf.matrix_from_json is rs.matrix_from_json

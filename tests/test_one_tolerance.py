@@ -32,11 +32,11 @@ def _signatures(module):
                            inspect.signature(func))
 
 
-def test_only_the_self_adjointness_batch_takes_a_tolerance():
+def test_no_public_callable_takes_a_tolerance():
     with_tol = sorted(qualname for module in MODULES
                       for qualname, sig in _signatures(module)
                       if "tol" in sig.parameters)
-    assert with_tol == ["tripletflow.relspace.is_self_adjoint_batch"]
+    assert with_tol == []
 
 
 @pytest.mark.parametrize("cls", [cayley.SymmetricModel, gelfand.GelfandTriple,

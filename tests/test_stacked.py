@@ -330,9 +330,9 @@ def mixed_relations(rng):
 
 def test_self_adjoint_batch_equals_per_relation_gap(rng):
     rels = mixed_relations(rng)
-    flags = rs.is_self_adjoint_batch(rels, tol=1e-8)
-    expected = [rel.gap(rs.adjoint_relation(rel))
-                <= max(1e-8, 100 * rs.DEFAULT_TOL) for rel in rels]
+    flags = rs.is_self_adjoint_batch(rels)
+    expected = [rel.gap(rs.adjoint_relation(rel)) <= 100 * rs.DEFAULT_TOL
+                for rel in rels]
     assert flags.tolist() == expected
     assert any(expected) and not all(expected)
     skew = rs.LinearRelation.from_span(1, 2, np.eye(3))
@@ -465,17 +465,17 @@ def test_flow_sweep_matches_the_reference_walk_on_random_loops(
     gen = branch_loop(speeds, np.array(offsets[:len(speeds)]) / 4)
     eigs = [gen(t) for t in thetas]
     for refine in (gen, None):
+        loop = fi.FamilyLoop(thetas, eigs, generator=refine)
         try:
             ref = flow_reference(thetas, eigs, refine, level, window,
                                  max_inserts)[:2]
         except fi.RefinementError as ref_err:
             with pytest.raises(fi.RefinementError) as err:
-                fi._flow_walk((thetas, eigs), level, window, refine,
-                              max_inserts)
+                fi._flow_walk(loop, level, window, max_inserts=max_inserts)
             assert str(err.value) == str(ref_err)
         else:
-            assert fi._flow_walk((thetas, eigs), level, window, refine,
-                                 max_inserts) == ref
+            assert fi._flow_walk(loop, level, window,
+                                 max_inserts=max_inserts) == ref
 
 
 def test_flow_walk_insert_budget_error_matches_the_reference_walk():
@@ -487,8 +487,8 @@ def test_flow_walk_insert_budget_error_matches_the_reference_walk():
     with pytest.raises(fi.RefinementError) as ref_err:
         flow_reference(thetas, eigs, gen, window=0.5, max_inserts=3)
     with pytest.raises(fi.RefinementError) as err:
-        fi.spectral_flow((thetas, eigs), 0.0, 0.5, refine=gen,
-                         max_inserts=3)
+        fi.spectral_flow(fi.FamilyLoop(thetas, eigs, generator=gen), 0.0,
+                         0.5, max_inserts=3)
     assert str(err.value) == str(ref_err.value)
 
 
@@ -560,11 +560,11 @@ def test_stacked_pairs_equal_the_per_row_reference(rows, margin):
         assert taken == row_pairs_reference(a[k], b[k], row_limit)
 
 
-@pytest.mark.parametrize("match_tol", [None, 0.05, 0.5, 3.0, 40.0])
+@pytest.mark.parametrize("match_tol", [None])
 def test_branch_table_matches_the_reference_matcher(match_tol):
     loop = fi.rellich_eigenvalue_samples(samples=72, lambda_max=120.0)
     kappas = [sturm.kappa_of_theta(t) for t in loop.thetas]
-    rows = fi.branch_table(loop.thetas, kappas, loop.payloads, match_tol)
+    rows = fi.branch_table(loop.thetas, kappas, loop.payloads)
     assert rows == branch_table_reference(loop.thetas, kappas,
                                           loop.payloads, match_tol)
 
@@ -577,14 +577,14 @@ def test_branch_table_matches_the_reference_matcher_on_the_robin_loop():
     assert rows == branch_table_reference(loop.thetas, kappas, loop.payloads)
 
 
-@pytest.mark.parametrize("match_tol", [None, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("match_tol", [None])
 def test_branch_table_ties_match_the_reference_matcher(match_tol):
     rng = np.random.default_rng(7)
     eigs = [np.sort(rng.integers(-3, 4, rng.integers(0, 5)) / 2.0)
             for _ in range(40)]
     thetas = list(np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False))
     kappas = list(range(40))
-    rows = fi.branch_table(thetas, kappas, eigs, match_tol)
+    rows = fi.branch_table(thetas, kappas, eigs)
     assert rows == branch_table_reference(thetas, kappas, eigs, match_tol)
 
 
@@ -616,9 +616,8 @@ def test_robin_relation_stack_equals_the_list_path(samples):
     assert_same_relations(stack, rels)
     assert_same_unitaries(rs.cayley_unitaries(stack),
                           rs.cayley_unitaries(rels))
-    for tol in (None, 1e-8):
-        assert (rs.is_self_adjoint_batch(stack, tol).tolist()
-                == rs.is_self_adjoint_batch(rels, tol).tolist())
+    assert (rs.is_self_adjoint_batch(stack).tolist()
+            == rs.is_self_adjoint_batch(rels).tolist())
     assert rs.is_self_adjoint_batch(stack).all()
     assert (fi.relation_family_index((loop.thetas, stack))
             == fi.relation_family_index((loop.thetas, rels)) == 1)
@@ -650,8 +649,8 @@ def test_mixed_rank_stack_equals_the_list_path(rng):
     assert stack.ranks.tolist() == [2, 1, 2, 3, 2, 1]
     rels = [rs.LinearRelation.from_span(2, 2, m) for m in members]
     assert_same_relations(stack, rels)
-    flags = rs.is_self_adjoint_batch(stack, 1e-8)
-    assert flags.tolist() == rs.is_self_adjoint_batch(rels, 1e-8).tolist()
+    flags = rs.is_self_adjoint_batch(stack)
+    assert flags.tolist() == rs.is_self_adjoint_batch(rels).tolist()
     assert flags.tolist() == [True, False, True, False, False, False]
     with pytest.raises(ValueError) as ref_err:
         rs.cayley_unitaries(rels)
@@ -674,7 +673,7 @@ def test_robin_relation_loop_builds_no_relation_objects(monkeypatch):
     monkeypatch.setattr(rs.LinearRelation, "__init__", counting)
     loop = fi.rellich_boundary_family()
     assert fi.relation_family_index(loop) == 1
-    assert rs.is_self_adjoint_batch(loop.payloads, 1e-8).all()
+    assert rs.is_self_adjoint_batch(loop.payloads).all()
     assert not built
     assert isinstance(loop.generator(0.25), rs.LinearRelation)
     assert len(built) == 1

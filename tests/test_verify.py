@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import pytest
 
 from tripletflow import cayley as cy
+from tripletflow import cli
 from tripletflow import sturm
 from tripletflow import verify as vf
 
@@ -43,3 +45,10 @@ def test_forward_robin_loop_passes_the_index_checks():
     records = _by_name(vf.suite_famindex(seed=42))
     assert records["weyl_shift_homotopy_invariance"]["pass"]
     assert records["index_theorem_consistency"]["pass"]
+
+
+def test_every_suite_and_the_cli_share_one_trials_default():
+    defaults = {inspect.signature(f).parameters["trials"].default
+                for f in [*vf.SUITES.values(), vf.run_suite]}
+    args = cli._build_parser().parse_args(["verify"])
+    assert defaults == {args.trials} == {50}
