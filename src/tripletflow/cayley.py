@@ -11,7 +11,7 @@ formula of the extension calculus is applied at the level of pairs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,8 +51,7 @@ class SymmetricModel:
     """A symmetric relation T with reference extension A and parameter mu.
 
     Models are immutable; the isometry V of the reference extension is
-    computed on first use and cached on the model.  The conjugate twin of
-    `with_mu` derives it from its parent.
+    computed on first use and cached on the model.
     """
 
     dim: int
@@ -62,9 +61,6 @@ class SymmetricModel:
     Tstar: LinearRelation = field(init=False, repr=False)
     kplus: Subspace = field(init=False, repr=False)
     kminus: Subspace = field(init=False, repr=False)
-    # the model at conj(mu) that a conjugate twin derives its cached data
-    # from; a class attribute, not a field
-    _parent = None
 
     def __post_init__(self):
         if self.mu.imag == 0:
@@ -91,32 +87,12 @@ class SymmetricModel:
         return self.kminus.dim
 
     def with_mu(self, mu):
-        """The same T and A at another nonreal parameter mu.
-
-        The twin at conj(mu) is not rebuilt: it shares T* and swaps K+ and
-        K-, since Ker(T* - conj(mu)) is K+ at conj(mu).  Every check of the
-        constructor gives the same answer at mu and conj(mu), so none is
-        lost.  The twin takes its isometry and the invertibility of A from
-        this model, on first use; its von Neumann split needs nothing from
-        it, since the projections at conj(mu) onto the swapped kernels are
-        this model's with the K+ and K- coefficients traded, bit for bit.
-        Any other mu builds a full model.
-        """
-        if mu != np.conj(self.mu):
-            return SymmetricModel(self.dim, self.T, self.A, mu=mu)
-        twin = object.__new__(SymmetricModel)
-        swapped = {"mu": mu, "kplus": self.kminus, "kminus": self.kplus}
-        for f in fields(self):
-            object.__setattr__(twin, f.name,
-                               swapped.get(f.name, getattr(self, f.name)))
-        object.__setattr__(twin, "_parent", self)
-        return twin
+        """The full model of the same T and A at another nonreal mu."""
+        return SymmetricModel(self.dim, self.T, self.A, mu=mu)
 
     @cached_property
     def _a_invertible(self):
         """Whether A has neither a kernel nor a multivalued part."""
-        if self._parent is not None:
-            return self._parent._a_invertible
         return (self.A.multivalued_part().dim == 0
                 and self.A.kernel_at(0.0).dim == 0)
 
@@ -125,19 +101,8 @@ class SymmetricModel:
         """V = (A - mu)(A - conj(mu))^(-1) on the K+ basis, read-only.
 
         One resolvent solve within A for all basis vectors y of K+, each
-        checked against its own residual bound.  A conjugate twin inverts
-        its parent's V instead: with W = K-^H V, unitary on the orthonormal
-        defect bases, V^(-1) = K+ W^H, checked by the unitarity of W against
-        the bound of the resolvent solve.
+        checked against its own residual bound.
         """
-        parent = self._parent
-        if parent is not None:
-            w = parent._w
-            if (np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]))
-                    > 1e3 * DEFAULT_TOL):
-                raise np.linalg.LinAlgError("isometry of the reference "
-                                            "extension is not unitary")
-            return _freeze(parent.kplus.basis @ w.conj().T)
         mu = self.mu
         y = self.kplus.basis
         w, _, resid = relation_resolvent_apply(self.A, np.conj(mu),
@@ -198,7 +163,10 @@ def model_to_json(model):
 
 def model_from_json(obj):
     mu = complex(_complex_pairs([obj["mu"]])[0])
-    return SymmetricModel(int(obj["dim"]), relation_from_json(obj["T"]),
+    dim = obj["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be a JSON integer, not {dim!r}")
+    return SymmetricModel(dim, relation_from_json(obj["T"]),
                           relation_from_json(obj["A"]), mu=mu)
 
 
@@ -247,13 +215,10 @@ def _as_pair(model, z, action=None):
     z = np.asarray(z, dtype=complex).ravel()
     if action is not None:
         return np.concatenate([z, np.asarray(action, dtype=complex).ravel()])
-    if z.size == 2 * model.dim:
-        return z
-    # canonical completion: least-squares image within T*
-    coeff, *_ = np.linalg.lstsq(model.Tstar.dom_block(), z, rcond=None)
-    pair = model.Tstar.graph.basis @ coeff
-    pair[: model.dim] = z
-    return pair
+    if z.size != 2 * model.dim:
+        raise ValueError("a pair of T* has length 2n; give a vector of "
+                         "length n together with its action")
+    return z
 
 
 def _split_block(model, pairs):
@@ -294,7 +259,8 @@ def von_neumann_components(model, z, action=None, check_reconstruction=True):
     """Split a pair in T* along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}.
 
     Accepts either a stacked pair of length 2n, or a vector z together with
-    its image under the adjoint.  The boundary values are
+    its image under the adjoint; anything else raises ValueError.  The
+    boundary values are
     z0 = z_minus + V z_plus and z1 = -mu z_minus - conj(mu) V z_plus.
     When A is invertible the reconstruction identity
     z = z_T + A(A - mu)^(-1) z0 + (A - mu)^(-1) z1 is checked and its
@@ -344,14 +310,14 @@ def lagrange_residual(model, x, z, x_action=None, z_action=None):
 def boundary_data(model):
     """Boundary-value matrices of the deficiency triplet on a basis of T*.
 
-    Returns (basis, g0, g1, vmat): `basis` is the pair basis of T*, and the
+    Returns (basis, g0, g1): `basis` is the pair basis of T*, and the
     columns of g0, g1 are the coordinates of the two boundary values of each
     basis pair with respect to the orthonormal basis of K-.  The whole basis
     is split at once, by its two projections onto K+ and K-.
     """
     basis = model.Tstar.graph.basis
     g0, g1 = _boundary_coords(model._w, model.mu, *_split_block(model, basis))
-    return basis, g0, g1, extension_isometry(model)
+    return basis, g0, g1
 
 
 def extension_from_relation(model, boundary_rel):
@@ -362,7 +328,8 @@ def extension_from_relation(model, boundary_rel):
     relation is; a non-self-adjoint input is accepted but flagged.
     """
     _check_boundary_relation(model, boundary_rel)
-    return _extension(model, boundary_rel.graph.complement().basis)
+    _, g0, g1 = boundary_data(model)
+    return _extension(model, g0, g1, boundary_rel.graph.complement().basis)
 
 
 def _check_boundary_relation(model, boundary_rel, stacklevel=3):
@@ -377,17 +344,18 @@ def _check_boundary_relation(model, boundary_rel, stacklevel=3):
                       stacklevel=stacklevel)
 
 
-def _extension(model, perp):
+def _extension(model, g0, g1, perp):
     """Extension of T cut by the boundary relation whose graph has the
-    orthogonal complement spanned by `perp`.
+    orthogonal complement spanned by `perp`, from the boundary values
+    g0, g1 of the T* basis.
 
     Its graph basis is the orthonormal basis of T* times the orthonormal
     null-space coefficients of the cut, orthonormal as it is, so it is
     taken as given.
     """
-    basis, g0, g1, _ = boundary_data(model)
     coeff = _boundary_cut(g0, g1, perp)
-    return LinearRelation(model.dim, model.dim, Subspace(basis @ coeff))
+    return LinearRelation(model.dim, model.dim,
+                          Subspace(model.Tstar.graph.basis @ coeff))
 
 
 def _boundary_cut(g0, g1, perp):
@@ -423,11 +391,12 @@ def cayley_factorization_check(model, boundary_rel):
     The boundary relation (in defect-space coordinates) is read once on K-
     for the identity U(A') = U(B)_H U(A) with mu = i, and once on
     K+ = Ker(T* - i) for the twin identity U(A') = U(A) U(B)_H obtained
-    from mu = -i.  Requires mu = i in the model.  The -i model is the
-    conj(mu) twin of `SymmetricModel.with_mu`, which shares T* and swaps
-    K+ and K-, and derives its isometry from the model's, so the check
-    makes one resolvent solve, its only least-squares solve.  The boundary
-    relation is checked once for both identities.
+    from mu = -i.  Requires mu = i in the model.  At -i, K+ and K- trade
+    places, so do the two coefficient blocks of the split, and W = K-^H V
+    becomes W^(-1) = W^H: both extensions are cut from one split of the
+    T* basis, and the one least-squares solve is the resolvent solve at i.
+    A W farther than 1e3 * DEFAULT_TOL from unitary raises LinAlgError.
+    The boundary relation is checked once for both identities.
     """
     res_plus, res_minus, _ = _factorization(model, boundary_rel)
     return res_plus, res_minus
@@ -443,12 +412,20 @@ def _factorization(model, boundary_rel):
     # stacklevel 4: the caller of cayley_factorization_check
     _check_boundary_relation(model, boundary_rel, stacklevel=4)
     perp = boundary_rel.graph.complement().basis
+    w = model._w
+    if (np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]))
+            > 1e3 * DEFAULT_TOL):
+        raise np.linalg.LinAlgError("isometry of the reference extension is "
+                                    "not unitary")
+    c_plus, c_minus = _split_block(model, model.Tstar.graph.basis)
 
-    a_prime = _extension(model, perp)
+    a_prime = _extension(model, *_boundary_coords(w, 1j, c_plus, c_minus),
+                         perp)
     u_bh_minus = embed_boundary_unitary(model.kminus, u_b)
     res_plus = np.linalg.norm(cayley_unitary(a_prime) - u_bh_minus @ u_a)
 
-    a_second = _extension(model.with_mu(-1j), perp)
+    a_second = _extension(model, *_boundary_coords(w.conj().T, -1j, c_minus,
+                                                   c_plus), perp)
     u_bh_plus = embed_boundary_unitary(model.kplus, u_b)
     res_minus = np.linalg.norm(cayley_unitary(a_second) - u_a @ u_bh_plus)
     return float(res_plus), float(res_minus), (a_prime, a_second)

@@ -480,7 +480,7 @@ def cayley_unitaries(rels):
                     "Y + iX is numerically singular: the relation is not "
                     "self-adjoint within tolerance")
         unitaries = (y_blk - 1j * x_blk) @ np.linalg.inv(denom)
-        for i, u in zip(idx, unitaries.reshape(-1, n, n)):
+        for i, u in zip(idx, unitaries.reshape(len(idx), n, n)):
             out[i] = u
     return out
 
@@ -576,10 +576,13 @@ def relation_to_json(rel):
 
 
 def relation_from_json(obj):
-    dom_dim = int(obj["dom_dim"])
-    cod_dim = int(obj["cod_dim"])
-    if dom_dim < 0 or cod_dim < 0 or dom_dim + cod_dim == 0:
-        raise ValueError("dom_dim and cod_dim must be >= 0, not both 0")
+    dom_dim = obj["dom_dim"]
+    cod_dim = obj["cod_dim"]
+    # JSON integers only: not a float, a string or a bool
+    if (type(dom_dim) is not int or type(cod_dim) is not int
+            or dom_dim < 0 or cod_dim < 0 or dom_dim + cod_dim == 0):
+        raise ValueError("dom_dim and cod_dim must be integers >= 0, "
+                         "not both 0")
     flat = _complex_pairs(obj["basis"])
     rows = dom_dim + cod_dim
     if len(flat) % rows:

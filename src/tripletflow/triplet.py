@@ -60,7 +60,7 @@ class MatrixBoundaryProblem:
         if model.mu != 1j:
             raise ValueError("boundary problems are built at mu = i")
         self.model = model
-        basis, g0, g1, _ = _cayley.boundary_data(model)
+        basis, g0, g1 = _cayley.boundary_data(model)
         self._pair_basis = basis
         self._g0_inner = g0
         self._g1_inner = g1

@@ -568,6 +568,8 @@ def run_suite(name, trials=_TRIALS, seed=0):
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{sorted(SUITES)} or 'all'")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     names = SUITES if name == "all" else [name]
     return [record for key in names
             for record in SUITES[key](trials=trials, seed=seed)]

@@ -113,7 +113,7 @@ def test_extension_from_zero_operator_is_gamma1_kernel(rng):
     model = cy.random_symmetric_model(rng, 4, 2)
     brel = rs.LinearRelation.graph_of(np.zeros((2, 2)))
     a_prime = cy.extension_from_relation(model, brel)
-    _, g0, g1, _ = cy.boundary_data(model)
+    _, g0, g1 = cy.boundary_data(model)
     # every pair of the extension has vanishing second boundary value
     coords = model.Tstar.graph.basis.conj().T @ a_prime.graph.basis
     assert np.linalg.norm(g1 @ coords) < 1e-10
@@ -190,7 +190,7 @@ MUS = [1j, -1j, 0.3 + 2j]
 def test_boundary_data_matches_per_column_split(dim, defect, mu):
     rng = np.random.default_rng(1000 * dim + defect)
     model = cy.random_symmetric_model(rng, dim, defect, mu=mu)
-    basis, g0, g1, vmat = cy.boundary_data(model)
+    basis, g0, g1 = cy.boundary_data(model)
     bmh = model.kminus.basis.conj().T
     g0_ref = np.zeros_like(g0)
     g1_ref = np.zeros_like(g1)
@@ -203,7 +203,6 @@ def test_boundary_data_matches_per_column_split(dim, defect, mu):
     assert g0.shape == g1.shape == (defect, basis.shape[1])
     assert np.abs(g0 - g0_ref).max(initial=0.0) <= 1e-13
     assert np.abs(g1 - g1_ref).max(initial=0.0) <= 1e-13
-    assert vmat is cy.extension_isometry(model)
     # the residuals pinned by the per-vector tests keep their bounds
     x = basis @ random_complex(rng, basis.shape[1])
     z = basis @ random_complex(rng, basis.shape[1])
@@ -213,6 +212,16 @@ def test_boundary_data_matches_per_column_split(dim, defect, mu):
     assert split.reconstruction_residual < 1e-10 * scale
     assert (cy.lagrange_residual(model, x, z)
             / max(1.0, np.linalg.norm(x) * np.linalg.norm(z))) < 1e-10
+
+
+def test_split_rejects_a_vector_without_its_action(rng):
+    model = cy.random_symmetric_model(rng, 5, 2)
+    vec = model.Tstar.graph.basis[:5, 0]
+    with pytest.raises(ValueError, match="together with its action"):
+        cy.von_neumann_components(model, vec)
+    pair = model.Tstar.graph.basis[:, 0]
+    with pytest.raises(ValueError, match="together with its action"):
+        cy.lagrange_residual(model, pair, vec)
 
 
 def test_split_rejects_pairs_outside_adjoint(rng):
@@ -236,13 +245,13 @@ def test_extension_isometry_cached_per_model(rng):
         vmat[0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.mu = -1j
-    twin = model.with_mu(-1j)
-    vtwin = cy.extension_isometry(twin)
-    assert vtwin is not vmat
-    assert np.linalg.norm(vtwin - vmat) > 1e-3
+    conj = model.with_mu(-1j)
+    vconj = cy.extension_isometry(conj)
+    assert vconj is not vmat
+    assert np.linalg.norm(vconj - vmat) > 1e-3
     # at mu = -i the isometry is the inverse Cayley transform on K+(-i)
     u_a = rs.cayley_unitary(model.A)
-    assert np.linalg.norm(u_a.conj().T @ twin.kplus.basis - vtwin) < 1e-12
+    assert np.linalg.norm(u_a.conj().T @ conj.kplus.basis - vconj) < 1e-12
     assert np.linalg.norm(u_a @ model.kplus.basis - vmat) < 1e-12
     assert cy.extension_isometry(model) is vmat
 
@@ -262,37 +271,32 @@ def _bit_equal(a, b):
                                                  b.view(np.float64))
 
 
-def test_conjugate_twin_shares_adjoint_and_swaps_kernels(rng):
-    model = cy.random_symmetric_model(rng, 6, 2)
-    twin = model.with_mu(-1j)
-    assert twin.mu == -1j
-    assert twin.Tstar is model.Tstar
-    assert twin.kplus is model.kminus and twin.kminus is model.kplus
-    assert twin.T is model.T and twin.A is model.A
-    back = twin.with_mu(model.mu)
-    assert back.kplus is model.kplus and back.kminus is model.kminus
-    assert back.Tstar is model.Tstar
-
-
 @pytest.mark.parametrize("mu", [1j, 0.3 + 2j, -1.5 - 0.7j],
                          ids=["i", "0.3+2i", "-1.5-0.7i"])
 def test_conjugate_twin_bit_equal_to_rebuild(mu):
+    # the full model at conj(mu) has this model's K+ and K- swapped, and
+    # its split is this model's two coefficient blocks swapped, bit for
+    # bit: the factorization check reads both identities off one split
     rng = np.random.default_rng(8300)
     for dim, defect in ((8, 3), (40, 10), (5, 0), (6, 6)):
         model = cy.random_symmetric_model(rng, dim, defect, mu=mu)
-        twin = model.with_mu(np.conj(model.mu))
-        full = cy.SymmetricModel(model.dim, model.T, model.A,
-                                 mu=np.conj(model.mu))
-        assert twin.mu == full.mu
-        assert _bit_equal(twin.Tstar.graph.basis, full.Tstar.graph.basis)
-        assert _bit_equal(twin.kplus.basis, full.kplus.basis)
-        assert _bit_equal(twin.kminus.basis, full.kminus.basis)
-        # the twin inverts V instead of solving again: equal to rounding
-        assert np.linalg.norm(cy.extension_isometry(twin)
-                              - cy.extension_isometry(full)) <= 1e-13
+        conj = model.with_mu(np.conj(model.mu))
+        assert conj.mu == np.conj(mu)
+        assert conj.T is model.T and conj.A is model.A
+        assert _bit_equal(conj.Tstar.graph.basis, model.Tstar.graph.basis)
+        assert _bit_equal(conj.kplus.basis, model.kminus.basis)
+        assert _bit_equal(conj.kminus.basis, model.kplus.basis)
+        basis = model.Tstar.graph.basis
+        c_plus, c_minus = cy._split_block(model, basis)
+        conj_plus, conj_minus = cy._split_block(conj, basis)
+        assert _bit_equal(conj_plus, c_minus)
+        assert _bit_equal(conj_minus, c_plus)
+        # V at conj(mu) is V^(-1) = K+ W^H: equal to rounding
+        assert np.linalg.norm(cy.extension_isometry(conj)
+                              - model.kplus.basis @ model._w.conj().T) <= 1e-13
 
 
-def test_with_mu_other_than_conjugate_builds_full_model(rng, monkeypatch):
+def test_with_mu_builds_full_model(rng, monkeypatch):
     model = cy.random_symmetric_model(rng, 5, 2)
     calls = []
     adjoint = cy.adjoint_relation
@@ -300,10 +304,10 @@ def test_with_mu_other_than_conjugate_builds_full_model(rng, monkeypatch):
                         lambda rel: calls.append(rel) or adjoint(rel))
     with pytest.raises(ValueError, match="mu must be nonreal"):
         model.with_mu(2.0)
-    model.with_mu(-1j)
-    assert calls == []
+    conj = model.with_mu(-1j)
     other = model.with_mu(2j)
-    assert calls == [model.T]
+    assert calls == [model.T, model.T]
+    assert conj.Tstar is not model.Tstar
     assert other.mu == 2j and other.Tstar is not model.Tstar
     assert other.kplus.gap(model.Tstar.kernel_at(2j)) < 1e-12
     assert other.kminus.gap(model.Tstar.kernel_at(-2j)) < 1e-12
@@ -416,48 +420,30 @@ def _max_rel(a, b):
        shape=st.sampled_from([(8, 3), (6, 6), (5, 0), (2, 1)]),
        mu=st.sampled_from([1j, 0.3 + 2j, -1.5 - 0.7j]))
 def test_derived_twin_matches_full_rebuild(seed, shape, mu):
+    # the boundary values at conj(mu), derived from the split at mu with
+    # the blocks swapped and W^H, against those of the full model
     rng = np.random.default_rng(seed)
     model = cy.random_symmetric_model(rng, *shape, mu=mu)
-    twin = model.with_mu(np.conj(mu))
-    full = cy.SymmetricModel(model.dim, model.T, model.A, mu=np.conj(mu))
-    assert _max_rel(cy.extension_isometry(twin),
-                    cy.extension_isometry(full)) <= 1e-12
-    _, g0, g1, _ = cy.boundary_data(twin)
-    _, g0_ref, g1_ref, _ = cy.boundary_data(full)
+    full = model.with_mu(np.conj(mu))
+    basis, g0_ref, g1_ref = cy.boundary_data(full)
+    c_plus, c_minus = cy._split_block(model, basis)
+    g0, g1 = cy._boundary_coords(model._w.conj().T, np.conj(mu), c_minus,
+                                 c_plus)
     assert _max_rel(g0, g0_ref) <= 1e-12
     assert _max_rel(g1, g1_ref) <= 1e-12
-    basis = twin.Tstar.graph.basis
     x = basis @ random_complex(rng, basis.shape[1])
     z = basis @ random_complex(rng, basis.shape[1])
-    assert (cy.lagrange_residual(twin, x, z)
+    assert (cy.lagrange_residual(full, x, z)
             / max(1.0, np.linalg.norm(x) * np.linalg.norm(z))) <= 1e-10
 
 
-def test_twin_takes_split_and_invertibility_from_parent(rng, monkeypatch):
+def test_factorization_rejects_a_nonunitary_isometry(rng):
     model = cy.random_symmetric_model(rng, 6, 2)
-    twin = model.with_mu(-1j)
-    basis = model.Tstar.graph.basis
-    c_plus, c_minus = cy._split_block(model, basis)
-    vmat = cy.extension_isometry(model)
-    monkeypatch.setattr(cy, "relation_resolvent_apply",
-                        lambda *args: pytest.fail("twin solved again"))
-    cy.boundary_data(twin)
-    # the projections at conj(mu) onto the swapped kernels are the parent's
-    # with K+ and K- traded, bit for bit
-    twin_plus, twin_minus = cy._split_block(twin, basis)
-    assert np.array_equal(twin_plus, c_minus)
-    assert np.array_equal(twin_minus, c_plus)
-    assert twin._a_invertible is model._a_invertible
-    back = twin.with_mu(model.mu)
-    assert np.linalg.norm(cy.extension_isometry(back) - vmat) <= 1e-13
-
-
-def test_twin_rejects_a_nonunitary_isometry(rng):
-    model = cy.random_symmetric_model(rng, 6, 2)
-    # a parent V off the unitary group by more than the resolvent bound
+    brel = cy.random_selfadjoint_relation(rng, 2)
+    # a V off the unitary group by more than the resolvent bound
     model.__dict__["_isometry"] = 1.001 * model._isometry
     with pytest.raises(np.linalg.LinAlgError, match="not unitary"):
-        cy.extension_isometry(model.with_mu(-1j))
+        cy.cayley_factorization_check(model, brel)
 
 
 def test_factorization_makes_one_least_squares_solve(rng, monkeypatch):
@@ -466,11 +452,16 @@ def test_factorization_makes_one_least_squares_solve(rng, monkeypatch):
     calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",
-                        lambda *args, **kw: calls.append(1)
+                        lambda *args, **kw: calls.append("lstsq")
                         or lstsq(*args, **kw))
+    split_block = cy._split_block
+    monkeypatch.setattr(cy, "_split_block",
+                        lambda *args: calls.append("split")
+                        or split_block(*args))
     cy.cayley_factorization_check(model, brel)
-    # the resolvent solve at i; the split is two projections
-    assert len(calls) == 1
+    # the resolvent solve at i, and one split of the T* basis for both
+    # extensions; the split is two projections
+    assert sorted(calls) == ["lstsq", "split"]
 
 
 def _lstsq_split(model, pairs):
@@ -522,7 +513,7 @@ def test_projection_split_matches_least_squares(seed, shape, mu):
 def test_large_model_split_and_factorization(dim, defect):
     rng = np.random.default_rng(100 * dim + defect)
     model = cy.random_symmetric_model(rng, dim, defect)
-    basis, g0, g1, _ = cy.boundary_data(model)
+    basis, g0, g1 = cy.boundary_data(model)
     bmh = model.kminus.basis.conj().T
     for j in range(basis.shape[1]):
         split = cy.von_neumann_components(model, basis[:, j],
@@ -536,3 +527,18 @@ def test_large_model_split_and_factorization(dim, defect):
     brel = cy.random_selfadjoint_relation(rng, defect)
     r_plus, r_minus = cy.cayley_factorization_check(model, brel)
     assert r_plus < 1e-9 and r_minus < 1e-9
+
+
+@pytest.mark.parametrize("dim,defect",
+                         [(8, 3), (40, 10), (80, 20), (6, 6), (2, 1), (5, 0)])
+def test_minus_i_extension_matches_the_full_model(dim, defect):
+    # the -i extension, cut from the split at i, against the extension of
+    # the full model at -i; defect 0 takes the Cayley transform in C^0
+    rng = np.random.default_rng(10 * dim + defect)
+    model = cy.random_symmetric_model(rng, dim, defect)
+    brel = cy.random_selfadjoint_relation(rng, defect)
+    r_plus, r_minus, (a_prime, a_second) = cy._factorization(model, brel)
+    assert r_plus <= 1e-9 and r_minus <= 1e-9
+    assert a_prime.gap(cy.extension_from_relation(model, brel)) <= 1e-12
+    full = cy.extension_from_relation(model.with_mu(-1j), brel)
+    assert a_second.gap(full) <= 1e-12

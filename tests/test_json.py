@@ -64,6 +64,20 @@ def test_relation_round_trip(rng):
     assert back.gap(rel) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [1.9, 1.0, "1", True, None])
+def test_dimensions_must_be_json_integers(rng, bad):
+    obj = through_text(rs.relation_to_json(
+        rs.LinearRelation.graph_of(np.array([[1.0]]))))
+    obj["dom_dim"] = bad
+    with pytest.raises(ValueError, match="must be integers"):
+        rs.relation_from_json(obj)
+    model = through_text(cy.model_to_json(cy.random_symmetric_model(rng, 3,
+                                                                    1)))
+    model["dim"] = bad
+    with pytest.raises(ValueError, match="JSON integer"):
+        cy.model_from_json(model)
+
+
 def test_relation_from_json_reads_the_pairs_exactly(rng):
     # signed zeros, a subnormal, an integer and a large value survive the text
     # and the array conversion bit for bit: the relation read back is

@@ -76,6 +76,13 @@ def test_cayley_scalar_values():
     assert abs(u1[0, 0] - (1 - 1j) / (1 + 1j)) < 1e-14
 
 
+def test_cayley_unitary_in_the_zero_space():
+    zero = rs.LinearRelation.from_blocks(np.zeros((0, 0)), np.zeros((0, 0)))
+    assert zero.dim == 0
+    assert rs.cayley_unitary(zero).shape == (0, 0)
+    assert [u.shape for u in rs.cayley_unitaries([zero, zero])] == [(0, 0)] * 2
+
+
 def test_cayley_unitarity_and_formula(rng):
     for _ in range(25):
         n = int(rng.integers(1, 9))

@@ -14,18 +14,30 @@ def _by_name(records):
 
 
 def test_cayley_suite_builds_each_extension_once(monkeypatch):
-    calls = []
-    boundary_data = cy.boundary_data
-    monkeypatch.setattr(cy, "boundary_data",
-                        lambda model: calls.append(model.mu)
-                        or boundary_data(model))
+    splits = []
+    split_block = cy._split_block
+    monkeypatch.setattr(cy, "_split_block",
+                        lambda model, pairs: splits.append(
+                            pairs is model.Tstar.graph.basis)
+                        or split_block(model, pairs))
+    built = []
+    extension = cy._extension
+    monkeypatch.setattr(cy, "_extension",
+                        lambda *args: built.append(1) or extension(*args))
     monkeypatch.setattr(cy, "extension_from_relation",
                         lambda *args: pytest.fail("extension built twice"))
     records = _by_name(vf.suite_cayley(trials=4, seed=7))
-    # one extension at i and one at -i per trial, both from the check
-    assert calls == [1j, -1j] * 4
+    # one extension at i and one at -i per trial, both from the check's
+    # one split of the T* basis
+    assert len(built) == 2 * 4
+    assert splits.count(True) == 4
     assert records["selfadjoint_extensions"]["residual"] == 0.0
     assert records["selfadjoint_extensions"]["pass"]
+
+
+def test_run_suite_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        vf.run_suite("relspace", trials=0)
 
 
 def test_reversed_robin_loop_fails_the_index_checks(monkeypatch):
