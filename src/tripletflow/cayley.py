@@ -48,13 +48,13 @@ def _inner(u, v):
 
 @dataclass(frozen=True)
 class SymmetricModel:
-    """A symmetric relation T with reference extension A and parameter mu.
+    """A symmetric relation T with reference extension A and parameter mu,
+    both in one space C^n + C^n with n = `dim`.
 
     Models are immutable; the isometry V of the reference extension is
     computed on first use and cached on the model.
     """
 
-    dim: int
     T: LinearRelation
     A: LinearRelation
     mu: complex = 1j
@@ -63,6 +63,9 @@ class SymmetricModel:
     kminus: Subspace = field(init=False, repr=False)
 
     def __post_init__(self):
+        dims = {self.T.dom_dim, self.T.cod_dim, self.A.dom_dim, self.A.cod_dim}
+        if len(dims) != 1:
+            raise ValueError("T and A must lie in one space C^n + C^n")
         if self.mu.imag == 0:
             raise ValueError("mu must be nonreal")
         tstar = adjoint_relation(self.T)
@@ -83,12 +86,16 @@ class SymmetricModel:
         object.__setattr__(self, "kminus", kminus)
 
     @property
+    def dim(self):
+        return self.T.dom_dim
+
+    @property
     def defect(self):
         return self.kminus.dim
 
     def with_mu(self, mu):
         """The full model of the same T and A at another nonreal mu."""
-        return SymmetricModel(self.dim, self.T, self.A, mu=mu)
+        return SymmetricModel(self.T, self.A, mu=mu)
 
     @cached_property
     def _a_invertible(self):
@@ -136,7 +143,7 @@ def random_symmetric_model(rng, dim, defect, mu=1j):
                              ambient_dim=dim)
     t_rel = LinearRelation.from_blocks(dom.basis, herm @ dom.basis)
     a_rel = LinearRelation.graph_of(herm)
-    return SymmetricModel(dim, t_rel, a_rel, mu=mu)
+    return SymmetricModel(t_rel, a_rel, mu=mu)
 
 
 def random_selfadjoint_relation(rng, dim):
@@ -163,11 +170,12 @@ def model_to_json(model):
 
 def model_from_json(obj):
     mu = complex(_complex_pairs([obj["mu"]])[0])
+    model = SymmetricModel(relation_from_json(obj["T"]),
+                           relation_from_json(obj["A"]), mu=mu)
     dim = obj["dim"]
-    if type(dim) is not int:
-        raise ValueError(f"dim must be a JSON integer, not {dim!r}")
-    return SymmetricModel(dim, relation_from_json(obj["T"]),
-                          relation_from_json(obj["A"]), mu=mu)
+    if type(dim) is not int or dim != model.dim:
+        raise ValueError(f"dim is {dim!r}, not the JSON integer {model.dim}")
+    return model
 
 
 def relation_resolvent_apply(rel, shift, rhs):
@@ -255,7 +263,7 @@ def _boundary_coords(w, mu, c_plus, c_minus):
     return c_minus + v_plus, -mu * c_minus - np.conj(mu) * v_plus
 
 
-def von_neumann_components(model, z, action=None, check_reconstruction=True):
+def von_neumann_components(model, z, action=None):
     """Split a pair in T* along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}.
 
     Accepts either a stacked pair of length 2n, or a vector z together with
@@ -281,7 +289,7 @@ def von_neumann_components(model, z, action=None, check_reconstruction=True):
     z0 = (km @ g0)[:, 0]
     z1 = (km @ g1)[:, 0]
     recon = None
-    if check_reconstruction and model._a_invertible:
+    if model._a_invertible:
         w, wp, r = relation_resolvent_apply(model.A, mu,
                                             np.column_stack([z0, z1]))
         recon = float(np.linalg.norm(pair[:n] - (z_t[:n] + wp[:, 0]

@@ -62,6 +62,15 @@ def _report_bytes(obj, fmt):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _emit_report(obj, args, stem):
+    """Write a report to args.out (unless '.') and then to stdout."""
+    data = _report_bytes(obj, args.format)
+    if args.out not in (".", ""):
+        os.makedirs(args.out, exist_ok=True)
+        _write(os.path.join(args.out, f"{stem}.{args.format}"), data)
+    sys.stdout.write(data.decode())
+
+
 def cmd_rellich(args):
     """Run the Robin family demonstration: branch CSV plus index report."""
     if args.samples < 8:
@@ -101,12 +110,7 @@ def cmd_verify(args):
     payload = {"suite": args.suite, "seed": args.seed,
                "trials": args.trials, "checks": records,
                "all_pass": vf.all_pass(records)}
-    data = _report_bytes(payload, args.format)
-    if args.out not in (".", ""):
-        os.makedirs(args.out, exist_ok=True)
-        name = f"verify_{args.suite}.{args.format}"
-        _write(os.path.join(args.out, name), data)
-    sys.stdout.write(data.decode())
+    _emit_report(payload, args, f"verify_{args.suite}")
     return 0 if payload["all_pass"] else 1
 
 
@@ -121,7 +125,11 @@ def _load_family(spec_path):
     rels = []
     try:
         for sample in obj["samples"]:
-            thetas.append(float(sample["theta"]))
+            theta = sample["theta"]
+            if type(theta) not in (int, float):
+                raise TypeError('"theta" must be a JSON number, not '
+                                f'{theta!r}')
+            thetas.append(float(theta))
             rels.append(relation_from_json(sample["relation"]))
         dim = obj.get("dim")
     except TypeError as exc:
@@ -153,15 +161,8 @@ def cmd_index(args):
             raise ValueError(f"malformed family fixture: \"dim\" is {dim!r}, "
                              f"but the samples are relations in C^{n} + "
                              f"C^{n}")
-    winding = fi.relation_family_index(loop)
-    report = fi.IndexReport(spectral_flow=None, winding=winding,
-                            consistent=True)
-    data = _report_bytes(report.to_dict(), args.format)
-    if args.out not in (".", ""):
-        os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, f"index_report.{args.format}"),
-               data)
-    sys.stdout.write(data.decode())
+    report = fi.IndexReport(None, fi.relation_family_index(loop))
+    _emit_report(report.to_dict(), args, "index_report")
     return 0
 
 

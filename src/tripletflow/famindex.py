@@ -47,13 +47,13 @@ CONVENTION = ("counterclockwise theta; upward eigenvalue crossings count +1; "
 
 @dataclass
 class FamilyLoop:
-    """A sampled loop over the circle.
+    """A sampled loop over the circle, as both index engines take it.
 
-    Payloads are relations (a list or a RelationStack) or eigenvalue
-    arrays; an optional generator maps theta to a fresh payload and enables
-    adaptive refinement.  Thetas must
-    be strictly increasing inside [0, 2*pi); the loop closes through the
-    wrap-around from the last sample back to the first.
+    Payloads are relations (a list or a RelationStack), unitaries or
+    eigenvalue arrays; an optional generator maps theta to a fresh payload
+    and enables adaptive refinement.  Thetas must be strictly increasing
+    inside [0, 2*pi); the loop closes through the wrap-around from the
+    last sample back to the first.
     """
 
     thetas: list
@@ -65,10 +65,9 @@ class FamilyLoop:
             raise ValueError("thetas and payloads differ in length")
         if len(self.thetas) < 2:
             raise ValueError("a loop needs at least two samples")
-        diffs = np.diff(self.thetas)
-        if np.any(diffs <= 0):
-            raise ValueError("thetas must be strictly increasing")
         thetas = np.asarray(self.thetas, dtype=float)
+        if np.any(np.diff(thetas) <= 0):
+            raise ValueError("thetas must be strictly increasing")
         if not np.all((thetas >= 0.0) & (thetas < 2.0 * math.pi)):
             raise ValueError("thetas must lie in [0, 2*pi)")
 
@@ -77,8 +76,11 @@ class FamilyLoop:
 class IndexReport:
     spectral_flow: int | None
     winding: int | None
-    consistent: bool
     crossing_kappa: float | None = None
+
+    @property
+    def consistent(self):
+        return self.spectral_flow in (None, self.winding)
 
     def to_dict(self):
         out = {
@@ -162,24 +164,23 @@ def _theta_grid(samples):
     return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
 
 
-def det_winding(unitaries, thetas=None, refine=None, max_inserts=20000):
+def det_winding(loop, *, max_inserts=20000):
     """Winding number of det along a closed loop of unitary matrices.
 
-    Consecutive samples must satisfy ||U_next - U_prev|| < 0.5; when a
-    refinement callback (theta -> unitary) is available, offending intervals
-    are bisected, otherwise an error names the first one.  The
-    accumulated argument must land within 0.05 of an integer multiple of
-    2*pi.  The thetas, by default equally spaced, are checked as those of
-    a FamilyLoop.
+    `loop` is a FamilyLoop of unitaries, refined through its generator
+    (theta -> unitary) if it has one, or a plain sequence of unitaries on
+    the equally spaced grid.  Consecutive samples must satisfy
+    ||U_next - U_prev|| < 0.5; offending intervals are bisected, and
+    without a generator an error names the first one.  The accumulated
+    argument must land within 0.05 of an integer multiple of 2*pi.
 
     The steps between consecutive samples are measured as one stack; only
     intervals too coarse for the bound are bisected, and the angles are
     added in loop order.
     """
-    mats = np.asarray(unitaries, dtype=complex)
-    if thetas is None:
-        thetas = _theta_grid(len(mats))
-    FamilyLoop(thetas, mats)
+    if not isinstance(loop, FamilyLoop):
+        loop = FamilyLoop(_theta_grid(len(loop)), loop)
+    mats = np.asarray(loop.payloads, dtype=complex)
 
     def judge(t0s, t1s, u0s, u1s):
         u0s = np.asarray(u0s, dtype=complex)
@@ -196,7 +197,8 @@ def det_winding(unitaries, thetas=None, refine=None, max_inserts=20000):
                 in zip(fine.tolist(), angles, gaps, t0s, t1s)]
 
     total = 0.0
-    for _, _, angle in _walk_loop(thetas, mats, refine, judge, max_inserts):
+    for _, _, angle in _walk_loop(loop.thetas, mats, loop.generator, judge,
+                                  max_inserts):
         total += angle
     turns = total / (2.0 * math.pi)
     nearest = round(turns)
@@ -402,7 +404,7 @@ def relation_family_index(loop):
     """Winding of the Cayley loop of a family of self-adjoint relations."""
     thetas, rels, gen = _loop_parts(loop)
     refine = None if gen is None else lambda t: cayley_unitary(gen(t))
-    return det_winding(cayley_unitaries(rels), thetas=thetas, refine=refine)
+    return det_winding(FamilyLoop(thetas, cayley_unitaries(rels), refine))
 
 
 def branch_table(thetas, kappas, eig_lists):
@@ -499,10 +501,7 @@ def _robin_index(kappa_of, samples, lambda_max):
     if crossings:
         theta = _polish_crossing(eig_batch, *crossings[0])
         crossing_kappa = float(kappa_of(theta))
-    report = IndexReport(spectral_flow=flow, winding=wind,
-                         consistent=(flow == wind),
-                         crossing_kappa=crossing_kappa)
-    return report, eig_loop
+    return IndexReport(flow, wind, crossing_kappa), eig_loop
 
 
 def verify_index_theorem(samples=720):

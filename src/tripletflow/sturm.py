@@ -281,11 +281,11 @@ def robin_relations(kappas):
     """The boundary relations {(0, b, c, -kappa b)} in trace coordinates,
     one per kappa, orthonormalized by one stacked SVD into a RelationStack.
 
-    At kappa = +-infinity (or None) the relation is {(0, 0, c, d)}: both
-    boundary values vanish and both second traces are free.
+    At kappa = +-infinity the relation is {(0, 0, c, d)}: both boundary
+    values vanish and both second traces are free.  A NaN kappa raises
+    ValueError.
     """
-    kap = np.array([math.inf if k is None else float(k) for k in kappas],
-                   dtype=float)
+    kap = np.array(kappas, dtype=float)
     infinite = np.isinf(kap)
     finite = ~infinite
     cols = np.zeros((kap.size, 4, 2), dtype=complex)
@@ -336,7 +336,7 @@ def _bisect_brackets(lo, hi, below_root):
 def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
     """Eigenvalues <= lambda_max of the Robin condition u(0) = 0,
     u'(1) = kappa u(1) for each kappa, as a list of sorted arrays; kappa =
-    inf (or None) means u(1) = 0.
+    inf means u(1) = 0, and a NaN kappa raises ValueError.
 
     Every root sits in a closed-form bracket, and all brackets of all
     kappas are bisected as one array:
@@ -348,8 +348,7 @@ def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
     * lam = -s^2 < 0: exactly one iff 1 < kappa < inf, with s the root of
       s - kappa tanh s in (0, kappa], a form that cannot overflow.
     """
-    kap = np.array([math.inf if k is None else float(k) for k in kappas],
-                   dtype=float)
+    kap = np.array(kappas, dtype=float)
     if np.isnan(kap).any():
         raise ValueError("kappa must not be NaN")
     if not kap.size:
@@ -439,7 +438,7 @@ def boundary_residual(kappa, lam):
     else:
         u = eigenfunction(lam)
         u1, du1 = u(1.0), u.derivative()(1.0)
-    if kappa is None or (isinstance(kappa, float) and math.isinf(kappa)):
+    if math.isinf(kappa):
         return abs(u1)
     return abs(du1 - kappa * u1) / max(1.0, abs(kappa))
 

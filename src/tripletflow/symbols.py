@@ -174,10 +174,9 @@ def spectral_split(rho):
     return lower, upper
 
 
-def calderon_symbol(point_or_rho):
-    """Projection onto the lower splitting subspace along the upper one."""
-    rho = (point_or_rho.rho if isinstance(point_or_rho, SymbolPoint)
-           else np.asarray(point_or_rho, dtype=complex))
+def calderon_symbol(rho):
+    """Projection onto the lower splitting subspace of rho along the upper."""
+    rho = np.asarray(rho, dtype=complex)
     sign = matrix_sign(1j * rho)
     return 0.5 * (np.eye(rho.shape[0]) + sign)
 
@@ -233,35 +232,23 @@ def transversality_check(point):
     return angles
 
 
-def mixing_map(upsilon, sigma=None):
+def mixing_map(upsilon, sigma):
     """The summand-mixing automorphism (a, b) -> (a - U^(-1) b, U a + b).
 
-    upsilon must be unitary; when sigma is supplied, the commutation
-    hypothesis that makes the graph boundary condition self-adjoint is
-    enforced.  Returns the pair (map, inverse) as block matrices on the
-    doubled space.
+    upsilon must be unitary and commute with sigma, the hypothesis that
+    makes the graph boundary condition self-adjoint.  Returns the pair
+    (map, inverse) as block matrices on the doubled space.
     """
     u = np.asarray(upsilon, dtype=complex)
-    n = u.shape[0]
-    if np.linalg.norm(u.conj().T @ u - np.eye(n)) > 1e-9:
+    u_inv, eye = u.conj().T, np.eye(u.shape[0])
+    if np.linalg.norm(u_inv @ u - eye) > 1e-9:
         raise ValueError("upsilon must be unitary")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=complex)
-        if np.linalg.norm(u @ sigma - sigma @ u) > 1e-9 * max(
-                1.0, np.linalg.norm(sigma)):
-            raise ValueError("upsilon must commute with sigma")
-    u_inv = u.conj().T
-    phi = np.zeros((2 * n, 2 * n), dtype=complex)
-    phi[:n, :n] = np.eye(n)
-    phi[:n, n:] = -u_inv
-    phi[n:, :n] = u
-    phi[n:, n:] = np.eye(n)
-    phi_inv = np.zeros_like(phi)
-    phi_inv[:n, :n] = 0.5 * np.eye(n)
-    phi_inv[:n, n:] = 0.5 * u_inv
-    phi_inv[n:, :n] = -0.5 * u
-    phi_inv[n:, n:] = 0.5 * np.eye(n)
-    return phi, phi_inv
+    sigma = np.asarray(sigma, dtype=complex)
+    if np.linalg.norm(u @ sigma - sigma @ u) > 1e-9 * max(
+            1.0, np.linalg.norm(sigma)):
+        raise ValueError("upsilon must commute with sigma")
+    return (np.block([[eye, -u_inv], [u, eye]]),
+            np.block([[0.5 * eye, 0.5 * u_inv], [-0.5 * u, 0.5 * eye]]))
 
 
 def split_form_lagrangian_gap(rel, sigma):

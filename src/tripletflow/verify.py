@@ -393,25 +393,30 @@ def suite_sturm(trials=_TRIALS, seed=0):
     return rec
 
 
+def _random_rho(rng):
+    """A random 2..6 square matrix whose eigenvalues are not real."""
+    n = int(rng.integers(2, 7))
+    d = np.diag(rng.standard_normal(n)
+                + 1j * rng.uniform(0.5, 2.0, n)
+                * np.where(rng.random(n) < 0.5, -1.0, 1.0))
+    v = _complex_normal(rng, (n, n))
+    return v @ d @ np.linalg.inv(v)
+
+
 def suite_symbols(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     idem = comm = oracle = 0.0
     for _ in range(trials):
-        n = int(rng.integers(2, 7))
-        d = np.diag(rng.standard_normal(n)
-                    + 1j * rng.uniform(0.5, 2.0, n)
-                    * np.where(rng.random(n) < 0.5, -1.0, 1.0))
-        v = _complex_normal(rng, (n, n))
-        rho = v @ d @ np.linalg.inv(v)
+        rho = _random_rho(rng)
         cplus = sy.calderon_symbol(rho)
         idem = max(idem, np.linalg.norm(cplus @ cplus - cplus))
         comm = max(comm, np.linalg.norm(cplus @ rho - rho @ cplus)
                    / max(1.0, np.linalg.norm(rho)))
         evals, evecs = np.linalg.eig(rho)
         vinv = np.linalg.inv(evecs)
-        proj = np.zeros((n, n), dtype=complex)
-        for j in range(n):
+        proj = np.zeros(rho.shape, dtype=complex)
+        for j in range(len(rho)):
             if evals[j].imag < 0:
                 proj += np.outer(evecs[:, j], vinv[j])
         oracle = max(oracle, np.linalg.norm(cplus - proj))
@@ -421,12 +426,7 @@ def suite_symbols(trials=_TRIALS, seed=0):
 
     swap_gap = 0.0
     for _ in range(trials // 2):
-        n = int(rng.integers(2, 7))
-        d = np.diag(rng.standard_normal(n)
-                    + 1j * rng.uniform(0.5, 2.0, n)
-                    * np.where(rng.random(n) < 0.5, -1.0, 1.0))
-        v = _complex_normal(rng, (n, n))
-        rho = v @ d @ np.linalg.inv(v)
+        rho = _random_rho(rng)
         lo1, up1 = sy.spectral_split(rho)
         lo2, _ = sy.spectral_split(-rho)
         swap_gap = max(swap_gap, up1.gap(lo2))

@@ -15,9 +15,19 @@ def test_deficiency_trivial_for_selfadjoint(rng):
     h = random_complex(rng, 3, 3)
     h = h + h.conj().T
     graph = rs.LinearRelation.graph_of(h)
-    model = cy.SymmetricModel(3, graph, graph)
+    model = cy.SymmetricModel(graph, graph)
     kp, km = cy.deficiency_spaces(model)
     assert kp.dim == 0 and km.dim == 0
+
+
+def test_model_needs_t_and_a_in_one_space():
+    three = rs.LinearRelation.graph_of(np.eye(3))
+    two = rs.LinearRelation.graph_of(np.eye(2))
+    wide = rs.LinearRelation.from_span(2, 3, np.eye(5)[:, :2])
+    for t, a in ((two, three), (three, two), (wide, wide)):
+        with pytest.raises(ValueError, match="one space C\\^n"):
+            cy.SymmetricModel(t, a)
+    assert cy.SymmetricModel(three, three).dim == 3
 
 
 def test_deficiency_restricted_diagonal():
@@ -25,7 +35,7 @@ def test_deficiency_restricted_diagonal():
     t_rel = rs.LinearRelation.from_blocks(np.array([[1.0], [0.0]]),
                                           np.zeros((2, 1)))
     a_rel = rs.LinearRelation.graph_of(np.zeros((2, 2)))
-    model = cy.SymmetricModel(2, t_rel, a_rel)
+    model = cy.SymmetricModel(t_rel, a_rel)
     kp, km = cy.deficiency_spaces(model)
     assert kp.dim == 1 and km.dim == 1
     # direct oracle: the adjoint is {((x1,x2),(y1,y2)) : y1 = 0}, so the
@@ -195,8 +205,7 @@ def test_boundary_data_matches_per_column_split(dim, defect, mu):
     g0_ref = np.zeros_like(g0)
     g1_ref = np.zeros_like(g1)
     for j in range(basis.shape[1]):
-        split = cy.von_neumann_components(model, basis[:, j],
-                                          check_reconstruction=False)
+        split = cy.von_neumann_components(model, basis[:, j])
         assert split.split_residual < 1e-10
         g0_ref[:, j] = bmh @ split.z0
         g1_ref[:, j] = bmh @ split.z1
@@ -334,7 +343,7 @@ def _old_factorization_check(model, brel):
     a_prime = cy.extension_from_relation(model, brel)
     u_bh_minus = cy.embed_boundary_unitary(model.kminus, u_b)
     res_plus = np.linalg.norm(rs.cayley_unitary(a_prime) - u_bh_minus @ u_a)
-    model_minus = cy.SymmetricModel(model.dim, model.T, model.A, mu=-1j)
+    model_minus = cy.SymmetricModel(model.T, model.A, mu=-1j)
     a_second = cy.extension_from_relation(model_minus, brel)
     u_bh_plus = cy.embed_boundary_unitary(model.kplus, u_b)
     res_minus = np.linalg.norm(rs.cayley_unitary(a_second) - u_a @ u_bh_plus)
@@ -364,7 +373,7 @@ def test_reconstruction_skipped_when_reference_not_invertible():
                                           np.zeros((2, 1)))
     with_ker = rs.LinearRelation.graph_of(np.zeros((2, 2)))
     for t, a in ((t_rel, with_mul), (t_ker, with_ker)):
-        model = cy.SymmetricModel(2, t, a)
+        model = cy.SymmetricModel(t, a)
         assert not model._a_invertible
         z = model.Tstar.graph.basis @ np.arange(1.0, model.Tstar.dim + 1)
         split = cy.von_neumann_components(model, z)
@@ -399,8 +408,7 @@ def test_split_is_linear(seed, dim, data, alpha, beta):
     basis = model.Tstar.graph.basis
     x = basis @ random_complex(rng, basis.shape[1])
     z = basis @ random_complex(rng, basis.shape[1])
-    sx, sz, sc = (cy.von_neumann_components(model, p,
-                                            check_reconstruction=False)
+    sx, sz, sc = (cy.von_neumann_components(model, p)
                   for p in (x, z, alpha * x + beta * z))
     scale = max(1.0, abs(alpha) * np.linalg.norm(x)
                 + abs(beta) * np.linalg.norm(z))
@@ -499,8 +507,7 @@ def test_projection_split_matches_least_squares(seed, shape, mu):
     y_minus = model.kminus.basis @ random_complex(rng, model.kminus.dim)
     built = t + np.concatenate([y_plus + y_minus,
                                 mu * y_plus + np.conj(mu) * y_minus])
-    split = cy.von_neumann_components(model, built,
-                                      check_reconstruction=False)
+    split = cy.von_neumann_components(model, built)
     assert np.linalg.norm(split.z_T - t) <= 1e-12 * max(1.0, np.linalg.norm(t))
     assert np.linalg.norm(split.z_plus - y_plus) <= 1e-12 * max(
         1.0, np.linalg.norm(y_plus))
@@ -516,8 +523,7 @@ def test_large_model_split_and_factorization(dim, defect):
     basis, g0, g1 = cy.boundary_data(model)
     bmh = model.kminus.basis.conj().T
     for j in range(basis.shape[1]):
-        split = cy.von_neumann_components(model, basis[:, j],
-                                          check_reconstruction=False)
+        split = cy.von_neumann_components(model, basis[:, j])
         assert np.abs(g0[:, j] - bmh @ split.z0).max() <= 1e-12
         assert np.abs(g1[:, j] - bmh @ split.z1).max() <= 1e-12
     x = basis @ random_complex(rng, basis.shape[1])

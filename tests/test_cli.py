@@ -241,6 +241,25 @@ def test_index_checks_the_declared_dim(tmp_path, capsys, dim, code):
         assert json.loads(captured.out)["winding"] == 0
 
 
+@pytest.mark.parametrize("theta", ["0.5", True, None, [0.5]])
+def test_index_theta_must_be_a_json_number(tmp_path, capsys, theta):
+    thetas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+    fam = tmp_path / "theta.json"
+    write_family(fam, thetas,
+                 [rs.LinearRelation.graph_of(np.array([[1.0]]))] * 16)
+    obj = json.loads(fam.read_text())
+    obj["samples"][0]["theta"] = theta
+    fam.write_text(json.dumps(obj))
+    assert run_cli(["index", "--family", str(fam)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: malformed family fixture: \"theta\" must be a JSON "
+        f"number, not {theta!r}\n")
+    # an integer theta is a JSON number
+    obj["samples"][0]["theta"] = 0
+    fam.write_text(json.dumps(obj))
+    assert run_cli(["index", "--family", str(fam)]) == 0
+
+
 @pytest.mark.parametrize("eps, code", [(5e-9, 0), (1e-6, 2)])
 def test_index_judges_the_self_adjointness_gap(tmp_path, capsys, eps, code):
     # entry [0, 0] of sample 5's basis moved by eps: a gap of about eps to

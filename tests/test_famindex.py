@@ -48,9 +48,9 @@ def test_winding_needs_refinement_without_callback():
     # steps of pi/4 produce ||dU|| ~ 0.76 > 0.5
     with pytest.raises(fi.RefinementError, match="refinement"):
         fi.det_winding(coarse)
-    wind = fi.det_winding(
-        coarse, thetas=np.linspace(0, 2 * math.pi, 8, endpoint=False),
-        refine=lambda t: np.array([[np.exp(1j * t)]]))
+    wind = fi.det_winding(fi.FamilyLoop(
+        np.linspace(0, 2 * math.pi, 8, endpoint=False), coarse,
+        generator=lambda t: np.array([[np.exp(1j * t)]])))
     assert wind == 1
 
 
@@ -59,14 +59,14 @@ def test_loops_reject_thetas_of_another_length(count):
     # 64 samples each
     thetas = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
     with pytest.raises(ValueError, match="differ in length"):
-        fi.det_winding(scalar_loop(1), thetas=thetas)
+        fi.det_winding(fi.FamilyLoop(thetas, scalar_loop(1)))
     with pytest.raises(ValueError, match="differ in length"):
         fi.spectral_flow((thetas, [np.array([math.cos(t)]) for t in THETA]))
 
 
 def test_winding_rejects_reversed_thetas():
     with pytest.raises(ValueError, match="strictly increasing"):
-        fi.det_winding(scalar_loop(1)[::-1], thetas=THETA[::-1])
+        fi.det_winding(fi.FamilyLoop(THETA[::-1], scalar_loop(1)[::-1]))
 
 
 def test_winding_mobius_relation_loop():
@@ -82,7 +82,15 @@ def test_winding_mobius_relation_loop():
         return rs.cayley_unitary(rel)
 
     loop = [unitary(t) for t in THETA]
-    assert fi.det_winding(loop, thetas=THETA, refine=unitary) == 1
+    assert fi.det_winding(fi.FamilyLoop(THETA, loop, unitary)) == 1
+
+
+def test_index_report_consistency_is_derived():
+    assert fi.IndexReport(spectral_flow=None, winding=3).consistent
+    assert fi.IndexReport(spectral_flow=2, winding=2).consistent
+    assert not fi.IndexReport(spectral_flow=1, winding=-1).consistent
+    report = fi.IndexReport(spectral_flow=None, winding=0).to_dict()
+    assert report["consistent"] is True and "crossing_kappa" not in report
 
 
 # -- spectral flow -------------------------------------------------------------
@@ -312,7 +320,7 @@ def test_winding_stops_at_a_collapsed_interval():
     text = ("loop step too coarse on [3.141593, 3.141593] (||dU|| = 2.000)"
             "; supply more samples or a refinement callback")
     with pytest.raises(fi.RefinementError, match=re.escape(text)):
-        fi.det_winding(loop.payloads, thetas=thetas, refine=loop.generator)
+        fi.det_winding(loop)
     assert loop.generator.calls < 100
 
 

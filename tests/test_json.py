@@ -78,6 +78,16 @@ def test_dimensions_must_be_json_integers(rng, bad):
         cy.model_from_json(model)
 
 
+def test_model_dim_must_match_its_relations(rng):
+    obj = through_text(cy.model_to_json(cy.random_symmetric_model(rng, 3,
+                                                                  1)))
+    assert obj["dim"] == 3
+    assert cy.model_from_json(obj).dim == 3
+    obj["dim"] = 7
+    with pytest.raises(ValueError, match="dim is 7, not the JSON integer 3"):
+        cy.model_from_json(obj)
+
+
 def test_relation_from_json_reads_the_pairs_exactly(rng):
     # signed zeros, a subnormal, an integer and a large value survive the text
     # and the array conversion bit for bit: the relation read back is

@@ -242,6 +242,16 @@ def test_batch_equals_scalar_on_loop_grid():
         sturm.secular_eigenvalues_batch([0.0, float("nan")])
 
 
+def test_kappa_infinity_has_one_spelling():
+    # None is not read as infinity: it reads as NaN and is rejected
+    with pytest.raises(ValueError, match="NaN"):
+        sturm.secular_eigenvalues(None)
+    with pytest.raises(ValueError, match="non-finite"):
+        sturm.robin_relations([None])
+    with pytest.raises(TypeError):
+        sturm.boundary_residual(None, math.pi ** 2)
+
+
 def _bisect_reference(lo, hi, below_root):
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -171,7 +171,7 @@ def test_mixing_map_requirements(rng):
     phi, phi_inv = sy.mixing_map(ups, sigma=sig)
     assert np.linalg.norm(phi @ phi_inv - np.eye(4)) < 1e-14
     with pytest.raises(ValueError):
-        sy.mixing_map(2.0 * np.eye(2))
+        sy.mixing_map(2.0 * np.eye(2), sig)
     with pytest.raises(ValueError):
         sy.mixing_map(np.diag([1.0, -1.0]) + 0j, sigma=sig)
 

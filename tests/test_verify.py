@@ -64,3 +64,10 @@ def test_every_suite_and_the_cli_share_one_trials_default():
                 for f in [*vf.SUITES.values(), vf.run_suite]}
     args = cli._build_parser().parse_args(["verify"])
     assert defaults == {args.trials} == {50}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_every_suite_passes_in_process(seed):
+    records = vf.run_suite("all", 50, seed)
+    assert {r["suite"] for r in records} == set(vf.SUITES)
+    assert [r["name"] for r in records if not r["pass"]] == []
