@@ -17,9 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .relspace import (DEFAULT_TOL, LinearRelation, Subspace, _complex_pairs,
-                       _freeze, _json_pairs, _null_space, adjoint_relation,
-                       cayley_unitary, is_self_adjoint, relation_from_json,
-                       relation_to_json, restrict_relation)
+                       _freeze, _json_pairs, _null_space, _null_space_dims,
+                       adjoint_relation, cayley_unitary, is_self_adjoint,
+                       relation_from_json, relation_to_json,
+                       restrict_relation)
 
 __all__ = [
     "SymmetricModel",
@@ -76,14 +77,18 @@ class SymmetricModel:
         if not (self.A.contains_relation(self.T)
                 and tstar.contains_relation(self.A)):
             raise ValueError("A is not squeezed between T and T*")
-        kplus = tstar.kernel_at(self.mu)
-        kminus = tstar.kernel_at(np.conj(self.mu))
-        if kplus.dim != kminus.dim:
+        # K+ = Ker(T* - mu) = Im(T - conj(mu))^perp and K- likewise: the
+        # left null spaces of the two images of T's graph basis, by one
+        # stacked SVD, orthonormal as they come
+        x, y = self.T.dom_block(), self.T.cod_block()
+        images = np.stack([y - np.conj(self.mu) * x, y - self.mu * x])
+        null, dims = _null_space_dims(images.conj().swapaxes(-1, -2))
+        if dims[0] != dims[1]:
             raise ValueError("defect numbers disagree; no reference "
                              "extension can exist")
         object.__setattr__(self, "Tstar", tstar)
-        object.__setattr__(self, "kplus", kplus)
-        object.__setattr__(self, "kminus", kminus)
+        object.__setattr__(self, "kplus", Subspace(null[0]))
+        object.__setattr__(self, "kminus", Subspace(null[1]))
 
     @property
     def dim(self):
@@ -129,7 +134,10 @@ def random_symmetric_model(rng, dim, defect, mu=1j):
     """Random model: a Hermitian matrix restricted to a random subspace.
 
     The spectrum of the Hermitian core is kept away from zero so that the
-    reference extension is invertible.
+    reference extension is invertible.  T's graph is orthonormalized once,
+    from the random draw Z and its image; A's graph comes from the
+    eigenpairs (q_j, l_j) as the columns (q_j, l_j q_j) / sqrt(1 + l_j^2),
+    orthonormal by construction.
     """
     if not 0 <= defect <= dim:
         raise ValueError("defect must lie between 0 and dim")
@@ -138,22 +146,27 @@ def random_symmetric_model(rng, dim, defect, mu=1j):
     signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
     evals = signs * rng.uniform(0.5, 3.0, size=dim)
     herm = q @ np.diag(evals) @ q.conj().T
-    dom = Subspace.from_span(rng.standard_normal((dim, dim - defect))
-                             + 1j * rng.standard_normal((dim, dim - defect)),
-                             ambient_dim=dim)
-    t_rel = LinearRelation.from_blocks(dom.basis, herm @ dom.basis)
-    a_rel = LinearRelation.graph_of(herm)
+    z = (rng.standard_normal((dim, dim - defect))
+         + 1j * rng.standard_normal((dim, dim - defect)))
+    t_rel = LinearRelation.from_blocks(z, herm @ z)
+    scale = 1.0 / np.sqrt(1.0 + evals ** 2)
+    a_rel = LinearRelation(dim, dim, Subspace(np.vstack(
+        [q * scale, q * (evals * scale)])))
     return SymmetricModel(t_rel, a_rel, mu=mu)
 
 
 def random_selfadjoint_relation(rng, dim):
-    """Random self-adjoint relation on C^dim, via the inverse Cayley map."""
+    """Random self-adjoint relation on C^dim, via the inverse Cayley map.
+
+    For a unitary U the graph basis [i(U - I)/2; (U + I)/2] is orthonormal,
+    X^H X + Y^H Y = I, so it is taken as given.
+    """
     q, r = np.linalg.qr(rng.standard_normal((dim, dim))
                         + 1j * rng.standard_normal((dim, dim)))
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     x_blk = 0.5j * (u - np.eye(dim))
     y_blk = 0.5 * (u + np.eye(dim))
-    return LinearRelation.from_blocks(x_blk, y_blk)
+    return LinearRelation(dim, dim, Subspace(np.vstack([x_blk, y_blk])))
 
 
 def deficiency_spaces(model):

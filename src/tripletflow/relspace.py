@@ -6,8 +6,10 @@ singular value, and every other bound of the package that decides a rank or
 a membership is a fixed multiple of it.
 Each basis is orthonormalized once: `from_span` is for arbitrary spanning
 columns, while a basis that is orthonormal by construction, such as the
-right singular vectors of an SVD null space or an orthonormal basis times
-an orthonormal coefficient block, is taken as given by `Subspace(basis)`.
+right singular vectors of an SVD null space (an adjoint, or the deficiency
+spaces of `cayley.SymmetricModel`), an orthonormal basis times an
+orthonormal coefficient block, or the graphs built by the random builders
+of `cayley` from unitary matrices, is taken as given by `Subspace(basis)`.
 Linear relations are subspaces of the direct sum of domain and codomain and
 are the common carrier for boundary conditions, deficiency spaces and
 Lagrangian planes.  All values are immutable and all operations are pure.

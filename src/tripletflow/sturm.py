@@ -430,8 +430,11 @@ def boundary_residual(kappa, lam):
     For a negative lam = -s^2 the eigenfunction sinh(s x) is normalized by
     cosh(s), so that u(1) = tanh(s) and u'(1) = s: the residual is then
     relative in u, as it is for the other eigenfunctions (|u| <= 1), and
-    cannot overflow, where sinh(s) grows like e^s.
+    cannot overflow, where sinh(s) grows like e^s.  A NaN kappa raises
+    ValueError, as in `secular_eigenvalues_batch`.
     """
+    if math.isnan(kappa):
+        raise ValueError("kappa must not be NaN")
     if lam < 0:
         s = math.sqrt(-lam)
         u1, du1 = math.tanh(s), s

@@ -314,15 +314,15 @@ def reduced_residuals(bp, rt=None, rng=None, count=10):
     }
 
 
-def kernel_report(bp, rt=None, rng=None, count=10):
+def kernel_report(bp, rt=None, rng=None):
     """Checks of the kernel identities of the corrected trace.
 
     The corrected second trace vanishes on the minimal domain and on the
     kernel of the action; conversely, for every test element the regular
     projection has vanishing first trace and carries the whole corrected
-    trace, which pins Ker of the corrected trace to their direct sum.
-    On finite models the same identities are also verified as honest
-    subspace gaps in coefficient space.
+    trace, which pins Ker of the corrected trace to their direct sum;
+    there are 10 test elements.  On finite models the same identities are
+    also verified as honest subspace gaps in coefficient space.
     """
     rt = reduced_triplet(bp) if rt is None else rt
     checks = []
@@ -336,7 +336,7 @@ def kernel_report(bp, rt=None, rng=None, count=10):
         record(f"corrected_trace_vanishes_on_{name}",
                _column_norms(_trace_table(rt, elems)[1],
                              [bp.element_norm(u) for u in elems]))
-    elems = bp.test_elements(rng=rng, count=count)
+    elems = bp.test_elements(rng=rng, count=10)
     res0, res1 = _projection_defects(bp, elems,
                                      [bp.element_norm(u) for u in elems],
                                      _trace_table(rt, elems)[1])

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,23 @@ def test_factorization_large_model():
     brel = cy.random_selfadjoint_relation(rng, 20)
     r1, r2 = cy.cayley_factorization_check(model, brel)
     assert r1 <= 1e-9 and r2 <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_factorization_on_the_benchmark_extension_mix(seed):
+    # the extension benchmark's inputs: 100 models 8/3, 3 of 40/10 and one
+    # of 80/20 with their boundary relations, drawn from one generator
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim, defect, count in ((8, 3, 100), (40, 10, 3), (80, 20, 1)):
+            for _ in range(count):
+                model = cy.random_symmetric_model(rng, dim, defect)
+                brel = cy.random_selfadjoint_relation(rng, defect)
+                worst = max(worst,
+                            *cy.cayley_factorization_check(model, brel))
+    assert worst <= 1e-9
 
 
 def _bit_equal(a, b):

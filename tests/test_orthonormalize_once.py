@@ -1,9 +1,12 @@
 """Bases that are orthonormal by construction are taken as given.
 
-The adjoint of a relation is the SVD null space of its constraints, and an
+The adjoint of a relation is the SVD null space of its constraints, an
 extension of the engine is the orthonormal basis of T* times orthonormal
-null-space coefficients.  Neither is orthonormalized a second time; the
-references below are the paths that did, kept to compare against.
+null-space coefficients, the deficiency spaces of a model are the left
+null spaces of the two images of T's graph basis, and the graphs of the
+random builders are orthonormal by their formulas.  None is orthonormalized
+a second time; the references below are the paths that did, kept to
+compare against.
 """
 
 import numpy as np
@@ -143,3 +146,90 @@ def test_factorization_orthonormalizes_nothing_again(rng, monkeypatch):
                         lambda *args: pytest.fail("orthonormalized again"))
     r_plus, r_minus = cy.cayley_factorization_check(model, brel)
     assert max(r_plus, r_minus) <= 1e-13
+
+
+def old_random_symmetric_model(rng, dim, defect, mu=1j):
+    """`cayley.random_symmetric_model` with the domain orthonormalized
+    before T's graph is, and A's graph orthonormalized from [I; H]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
+    evals = signs * rng.uniform(0.5, 3.0, size=dim)
+    herm = q @ np.diag(evals) @ q.conj().T
+    dom = rs.Subspace.from_span(rng.standard_normal((dim, dim - defect))
+                                + 1j * rng.standard_normal((dim,
+                                                            dim - defect)),
+                                ambient_dim=dim)
+    t_rel = rs.LinearRelation.from_blocks(dom.basis, herm @ dom.basis)
+    return cy.SymmetricModel(t_rel, rs.LinearRelation.graph_of(herm), mu=mu)
+
+
+def old_random_selfadjoint_relation(rng, dim):
+    """`cayley.random_selfadjoint_relation` through `from_blocks`."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return rs.LinearRelation.from_blocks(0.5j * (u - np.eye(dim)),
+                                         0.5 * (u + np.eye(dim)))
+
+
+def orthonormality_defect(basis):
+    return np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1]))
+
+
+@pytest.mark.parametrize("mu", [1j, -1j, 0.3 + 2j], ids=["i", "-i", "0.3+2i"])
+@pytest.mark.parametrize("dim, defect",
+                         [(8, 3), (40, 10), (80, 20), (5, 0), (6, 6), (3, 1)])
+def test_deficiency_spaces_match_the_kernels_of_the_adjoint(dim, defect, mu):
+    rng = np.random.default_rng(1000 * dim + defect)
+    model = cy.random_symmetric_model(rng, dim, defect, mu=mu)
+    for space, shift in ((model.kplus, mu), (model.kminus, np.conj(mu))):
+        assert space.dim == defect
+        assert orthonormality_defect(space.basis) <= 1e-13
+        assert space.gap(model.Tstar.kernel_at(shift)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, defect, seed",
+                         [(8, 3, 0), (40, 10, 1), (80, 20, 2), (5, 0, 3),
+                          (6, 6, 4)])
+def test_random_model_graphs_match_the_orthonormalized_path(dim, defect,
+                                                            seed):
+    # the same draws in the same order: T, and A = graph_of(herm), are the
+    # same relations as on the old path
+    model = cy.random_symmetric_model(np.random.default_rng(seed), dim,
+                                      defect)
+    old = old_random_symmetric_model(np.random.default_rng(seed), dim,
+                                     defect)
+    assert orthonormality_defect(model.A.graph.basis) <= 1e-13
+    assert model.A.gap(old.A) <= 1e-13
+    assert model.T.gap(old.T) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", range(9))
+def test_random_selfadjoint_relation_is_orthonormal_as_given(dim):
+    rel = cy.random_selfadjoint_relation(np.random.default_rng(dim), dim)
+    old = old_random_selfadjoint_relation(np.random.default_rng(dim), dim)
+    assert (rel.dom_dim, rel.cod_dim, rel.dim) == (dim, dim, dim)
+    assert orthonormality_defect(rel.graph.basis) <= 1e-13
+    assert rel.gap(old) <= 1e-13
+
+
+def test_model_construction_svd_count(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(0)
+    cy.random_symmetric_model(rng, 8, 3)
+    # T's graph, the adjoint, the self-adjointness of A (adjoint and
+    # gap), and K+ and K- together: one SVD of the stack of the two
+    # 5 x 8 images of T's graph basis
+    assert len(calls) == 5
+    assert calls[-1] == (2, 5, 8)
+    calls.clear()
+    cy.random_selfadjoint_relation(rng, 3)
+    assert len(calls) == 0

@@ -252,6 +252,14 @@ def test_kappa_infinity_has_one_spelling():
         sturm.boundary_residual(None, math.pi ** 2)
 
 
+def test_boundary_residual_rejects_nan_kappa():
+    # a NaN kappa is named, as by the secular solvers, not turned into a
+    # NaN residual
+    for lam in (-4.0, 0.0, math.pi ** 2):
+        with pytest.raises(ValueError, match="kappa must not be NaN"):
+            sturm.boundary_residual(float("nan"), lam)
+
+
 def _bisect_reference(lo, hi, below_root):
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -217,17 +217,20 @@ def test_checks_equal_the_per_element_references(kind, seed):
     assert same_array(ksm.trace0_matrix, ksm_ref.trace0_matrix)
     assert same_array(ksm.trace1_matrix, ksm_ref.trace1_matrix)
 
-    def pair(fn, ref, count):
-        # both sides draw the same random test elements
-        return (fn(bp, rt, rng=np.random.default_rng(seed + 100),
-                   count=count),
-                ref(bp, rt, np.random.default_rng(seed + 100), count))
+    def pair(fn, ref, ref_count, **opts):
+        # both sides draw the same random test elements; `opts` passes the
+        # count to a check that takes one
+        return (fn(bp, rt, rng=np.random.default_rng(seed + 100), **opts),
+                ref(bp, rt, np.random.default_rng(seed + 100), ref_count))
 
-    got, want = pair(tp.reduced_residuals, reduced_residuals_ref, 8)
+    got, want = pair(tp.reduced_residuals, reduced_residuals_ref, 8,
+                     count=8)
     assert got == want
+    # kernel_report draws its fixed 10 test elements
     got, want = pair(tp.kernel_report, kernel_report_ref, 10)
     assert got == want
-    got, want = pair(tp.compare_triplets, compare_triplets_ref, 12)
+    got, want = pair(tp.compare_triplets, compare_triplets_ref, 12,
+                     count=12)
     assert got.residuals == want.residuals
     assert same_array(got.d_matrix, want.d_matrix)
     assert same_array(got.p_matrix, want.p_matrix)
