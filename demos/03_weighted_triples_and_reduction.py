@@ -42,13 +42,13 @@ bp = MatrixBoundaryProblem(model, gram_small=gram @ gram.conj().T
                            + d * np.eye(d), mix=(e_mat, h_mat))
 rt = reduced_triplet(bp)
 print("zero-point Weyl matrix:\n", np.round(rt.dtn, 4))
-for name, value in reduced_residuals(bp, rt, rng=rng).items():
+for name, value in reduced_residuals(rt, rng).items():
     print(f"  {name:32s} {value:.2e}")
 print("Neumann-type relation vs. negated Weyl graph (gap):",
-      neumann_graph_check(bp, rt))
+      neumann_graph_check(rt))
 
 print("\n== comparison with the deficiency triplet ==")
-comparison = compare_triplets(bp, rt, rng=rng)
+comparison = compare_triplets(rt, rng)
 print("D =\n", np.round(comparison.d_matrix, 4))
 print("P =\n", np.round(comparison.p_matrix, 4))
 for name, value in comparison.residuals.items():

@@ -231,14 +231,12 @@ class VonNeumannSplit:
     reconstruction_residual: float | None
 
 
-def _as_pair(model, z, action=None):
-    """Stacked pair of length 2n from a pair, or a vector and its action."""
+def _as_pair(model, z):
+    """A stacked pair (z, z') of length 2n as a flat complex vector; any
+    other length raises ValueError."""
     z = np.asarray(z, dtype=complex).ravel()
-    if action is not None:
-        return np.concatenate([z, np.asarray(action, dtype=complex).ravel()])
     if z.size != 2 * model.dim:
-        raise ValueError("a pair of T* has length 2n; give a vector of "
-                         "length n together with its action")
+        raise ValueError("a pair of T* is stacked as (z, z') of length 2n")
     return z
 
 
@@ -276,18 +274,17 @@ def _boundary_coords(w, mu, c_plus, c_minus):
     return c_minus + v_plus, -mu * c_minus - np.conj(mu) * v_plus
 
 
-def von_neumann_components(model, z, action=None):
+def von_neumann_components(model, z):
     """Split a pair in T* along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}.
 
-    Accepts either a stacked pair of length 2n, or a vector z together with
-    its image under the adjoint; anything else raises ValueError.  The
-    boundary values are
+    Takes the pair stacked as (z, z') of length 2n; any other length raises
+    ValueError.  The boundary values are
     z0 = z_minus + V z_plus and z1 = -mu z_minus - conj(mu) V z_plus.
     When A is invertible the reconstruction identity
     z = z_T + A(A - mu)^(-1) z0 + (A - mu)^(-1) z1 is checked and its
     residual reported; otherwise that field is None.
     """
-    pair = _as_pair(model, z, action)
+    pair = _as_pair(model, z)
     n = model.dim
     c_plus, c_minus = _split_block(model, pair[:, None])
     g0, g1 = _boundary_coords(model._w, model.mu, c_plus, c_minus)
@@ -312,14 +309,15 @@ def von_neumann_components(model, z, action=None):
                            float(split_resid), recon)
 
 
-def lagrange_residual(model, x, z, x_action=None, z_action=None):
-    """Residual of the abstract Lagrange identity for two pairs in T*.
+def lagrange_residual(model, x, z):
+    """Residual of the abstract Lagrange identity for two pairs in T*, each
+    stacked as in `von_neumann_components`.
 
     |<x', z> - <x, z'> - (<G1 x, G0 z> - <G0 x, G1 z>)| with the boundary
     values from one von Neumann split of both pairs.
     """
-    xp = _as_pair(model, x, x_action)
-    zp = _as_pair(model, z, z_action)
+    xp = _as_pair(model, x)
+    zp = _as_pair(model, z)
     n = model.dim
     c_plus, c_minus = _split_block(model, np.column_stack([xp, zp]))
     g0, g1 = _boundary_coords(model._w, model.mu, c_plus, c_minus)

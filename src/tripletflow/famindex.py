@@ -150,16 +150,6 @@ def _walk_loop(thetas, samples, refine, judge, max_inserts):
     return accepted
 
 
-def _loop_parts(loop):
-    """(thetas, payloads, generator) of a FamilyLoop, or of a pair
-    (thetas, payloads), which is checked as a FamilyLoop without a
-    generator; the payloads are passed on as given, so a RelationStack
-    stays one stack."""
-    if not isinstance(loop, FamilyLoop):
-        loop = FamilyLoop(*loop)
-    return list(loop.thetas), loop.payloads, loop.generator
-
-
 def _theta_grid(samples):
     return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
 
@@ -293,14 +283,14 @@ def _judge_intervals(e0, e1, level, window):
 def spectral_flow(loop, level=0.0, window=1.0, *, max_inserts=20000):
     """Net number of eigenvalue branches crossing the level upward.
 
-    `loop` is a FamilyLoop of eigenvalue arrays, or a pair (thetas, lists).
-    Branches inside a window around the level are matched between
-    consecutive samples by nearest neighbor (`_greedy_pairs`: closest pairs
-    first, each value once, ties to the lowest index pair); a matched pair
-    straddling the level counts +1 upward or -1 downward.  Members without
-    a close partner must sit near the window edge (traffic entering or
-    leaving the window far from the level); anything else forces a
-    bisection of the interval through the loop generator.  Values equal to
+    `loop` is a FamilyLoop of eigenvalue arrays.  Branches inside a window
+    around the level are matched between consecutive samples by nearest
+    neighbor (`_greedy_pairs`: closest pairs first, each value once, ties
+    to the lowest index pair); a matched pair straddling the level counts
+    +1 upward or -1 downward.  Members without a close partner must sit
+    near the window edge (traffic entering or leaving the window far from
+    the level); anything else forces a bisection of the interval through
+    the loop's generator (theta -> eigenvalue array).  Values equal to
     the level count as below.
     """
     return _flow_walk(loop, level, window, max_inserts=max_inserts)[0]
@@ -316,8 +306,6 @@ def _flow_walk(loop, level, window, *, max_inserts=20000):
     accepted interval carries its crossing pairs, which are collected in
     loop order.
     """
-    thetas, payloads, gen = _loop_parts(loop)
-
     def judge(t0s, t1s, e0s, e1s):
         # an accepted interval's value is its crossing pairs (sign, la,
         # lb), in greedy order
@@ -335,8 +323,8 @@ def _flow_walk(loop, level, window, *, max_inserts=20000):
 
     flow = 0
     crossings = []
-    for t0, t1, pairs in _walk_loop(thetas, _padded(payloads), gen, judge,
-                                    max_inserts):
+    for t0, t1, pairs in _walk_loop(loop.thetas, _padded(loop.payloads),
+                                    loop.generator, judge, max_inserts):
         for sign, la, lb in pairs:
             flow += sign
             crossings.append((t0, t1, la, lb))
@@ -401,10 +389,13 @@ def _polish_crossing(batch, t0, t1, la, lb, level=0.0):
 
 
 def relation_family_index(loop):
-    """Winding of the Cayley loop of a family of self-adjoint relations."""
-    thetas, rels, gen = _loop_parts(loop)
+    """Winding of the Cayley loop of a FamilyLoop of self-adjoint relations
+    (a list or one RelationStack), refined through its generator if it
+    has one."""
+    gen = loop.generator
     refine = None if gen is None else lambda t: cayley_unitary(gen(t))
-    return det_winding(FamilyLoop(thetas, cayley_unitaries(rels), refine))
+    unitaries = cayley_unitaries(loop.payloads)
+    return det_winding(FamilyLoop(loop.thetas, unitaries, refine))
 
 
 def branch_table(thetas, kappas, eig_lists):

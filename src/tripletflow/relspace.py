@@ -178,15 +178,15 @@ class Subspace:
         return bool(np.linalg.norm(resid) <= 10 * DEFAULT_TOL * scale)
 
     def intersect(self, other):
-        """Intersection via the null space of stacked orthogonality constraints."""
+        """Intersection: the null space of the stacked orthogonality
+        constraints, orthonormal as the SVD returns it."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
         cons = np.vstack([
             self.complement().basis.conj().T,
             other.complement().basis.conj().T,
         ])
-        return Subspace.from_span(_null_space(cons),
-                                  ambient_dim=self.ambient_dim)
+        return Subspace(_null_space(cons))
 
     def add(self, other):
         """Span of the union."""
@@ -518,7 +518,8 @@ def map_relation(lin_map, rel):
 
 def _check_invertible(lin_map):
     svals = np.linalg.svd(lin_map, compute_uv=False)
-    if svals[-1] <= DEFAULT_TOL * max(1.0, svals[0]):
+    # the map of the zero space (no singular values) is invertible
+    if svals.size and svals[-1] <= DEFAULT_TOL * max(1.0, svals[0]):
         raise ValueError("map_relation requires an invertible map")
 
 

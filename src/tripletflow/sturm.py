@@ -541,14 +541,11 @@ class RellichBoundaryProblem:
         cubic = ExpPoly([(3.0, 2, 0.0), (-2.0, 3, 0.0)])
         return [one(), cubic]
 
-    def test_elements(self, rng=None, count=8):
-        base = [one(), xvar(), ExpPoly([(1.0, 2, 0.0)]),
-                ExpPoly([(1.0, 3, 0.0)]), exponential(1.0), exponential(-1.0),
-                sin_wave(math.pi), cos_wave(2.0)]
-        if rng is None:
-            return base[:count] if count <= len(base) else base
+    def test_elements(self, rng, count):
+        out = [one(), xvar(), ExpPoly([(1.0, 2, 0.0)]),
+               ExpPoly([(1.0, 3, 0.0)]), exponential(1.0), exponential(-1.0),
+               sin_wave(math.pi), cos_wave(2.0)]
         rates = [0.0, 1.0, -1.0, 2.0, 1j * math.pi, -1j * math.pi]
-        out = list(base)
         while len(out) < count:
             terms = []
             for _ in range(3):

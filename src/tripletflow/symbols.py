@@ -120,10 +120,12 @@ def matrix_sign(mat):
     above the floor, so one more step, which squares the error, is taken
     before returning.  Fails when an eigenvalue sits too close to the
     imaginary axis, which is exactly the degenerate case excluded by
-    ellipticity.
+    ellipticity.  The 0 x 0 matrix is its own sign.
     """
     s = np.asarray(mat, dtype=complex)
     n = s.shape[0]
+    if not n:
+        return s
     converged = False
     for _ in range(100):
         det = np.linalg.det(s)
@@ -208,8 +210,9 @@ def transversality_check(point):
     lower, upper = spectral_split(point.rho)
     half = point.half_dim
     n = 2 * half
-    first = Subspace.from_span(np.eye(n)[:, :half], ambient_dim=n)
-    second = Subspace.from_span(np.eye(n)[:, half:], ambient_dim=n)
+    # coordinate half-spaces: orthonormal as they are
+    first = Subspace(np.eye(n)[:, :half])
+    second = Subspace(np.eye(n)[:, half:])
 
     def min_angle(sub, axis):
         # atan2, not arccos: a cosine alone reads angles below 2e-8 as 0

@@ -16,6 +16,7 @@ the exact interval model from `sturm`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,12 +132,9 @@ class MatrixBoundaryProblem:
         b = self._pair_basis @ coeff
         return [b[:, j] for j in range(b.shape[1])]
 
-    def test_elements(self, rng=None, count=8):
+    def test_elements(self, rng, count):
         b = self._pair_basis
-        cols = [b[:, j] for j in range(b.shape[1])]
-        if rng is None:
-            return cols[:count] if count <= len(cols) else cols
-        out = list(cols)
+        out = [b[:, j] for j in range(b.shape[1])]
         while len(out) < count:
             c = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(
                 b.shape[1])
@@ -277,16 +275,20 @@ def _projection_defects(bp, elems, norms, bold):
     return _column_norms(g0p, norms), _column_norms(bold - g1p, norms)
 
 
-def reduced_residuals(bp, rt=None, rng=None, count=10):
-    """Residuals of the defining identities of the reduced triplet.
+def reduced_residuals(rt, rng):
+    """Residuals of the defining identities of the reduced triplet of the
+    boundary problem `rt.bp`, on 8 test elements drawn from rng.
 
     Returns a dict with: the defect of the corrected trace against the trace
     of the regular projection, the standard-form Lagrange defect of the
     barred maps, the surjectivity margin of the combined trace, and the
-    vanishing of the corrected trace on the reference kernel.
+    vanishing of the corrected trace on the reference kernel.  The margin
+    is the 2d-th singular value of the combined trace on the test
+    elements, 0.0 when there are fewer than 2d of them, and math.inf on a
+    zero boundary space (d = 0), onto which every map is surjective.
     """
-    rt = reduced_triplet(bp) if rt is None else rt
-    elems = bp.test_elements(rng=rng, count=count)
+    bp = rt.bp
+    elems = bp.test_elements(rng, 8)
     norms = [bp.element_norm(u) for u in elems]
     bar0, bold, bar1 = _trace_table(rt, elems)
     _, proj_res = _projection_defects(bp, elems, norms, bold)
@@ -303,7 +305,11 @@ def reduced_residuals(bp, rt=None, rng=None, count=10):
                            / max(1.0, norms[i] * norms[j]))
     svals = np.linalg.svd(np.vstack([bar0, bar1]), compute_uv=False)
     d = bp.boundary_dim
-    surj_margin = float(svals[2 * d - 1]) if len(elems) >= 2 * d else 0.0
+    if not d:
+        # onto the zero boundary space: vacuously surjective
+        surj_margin = math.inf
+    else:
+        surj_margin = float(svals[2 * d - 1]) if len(elems) >= 2 * d else 0.0
     kern = rt.kernel.elements
     kern_res = _column_norms(_trace_table(rt, kern)[1], [1.0] * len(kern))
     return {
@@ -314,8 +320,9 @@ def reduced_residuals(bp, rt=None, rng=None, count=10):
     }
 
 
-def kernel_report(bp, rt=None, rng=None):
-    """Checks of the kernel identities of the corrected trace.
+def kernel_report(rt, rng):
+    """Checks of the kernel identities of the corrected trace of the
+    boundary problem `rt.bp`.
 
     The corrected second trace vanishes on the minimal domain and on the
     kernel of the action; conversely, for every test element the regular
@@ -324,7 +331,7 @@ def kernel_report(bp, rt=None, rng=None):
     there are 10 test elements.  On finite models the same identities are
     also verified as honest subspace gaps in coefficient space.
     """
-    rt = reduced_triplet(bp) if rt is None else rt
+    bp = rt.bp
     checks = []
 
     def record(name, residual):
@@ -336,7 +343,7 @@ def kernel_report(bp, rt=None, rng=None):
         record(f"corrected_trace_vanishes_on_{name}",
                _column_norms(_trace_table(rt, elems)[1],
                              [bp.element_norm(u) for u in elems]))
-    elems = bp.test_elements(rng=rng, count=10)
+    elems = bp.test_elements(rng, 10)
     res0, res1 = _projection_defects(bp, elems,
                                      [bp.element_norm(u) for u in elems],
                                      _trace_table(rt, elems)[1])
@@ -349,7 +356,9 @@ def kernel_report(bp, rt=None, rng=None):
         m = basis.shape[1]
         ker_bold = Subspace.from_span(_null_space(g1_bold), ambient_dim=m)
         t_coeff = basis.conj().T @ bp.model.T.graph.basis
-        k_coeff = basis.conj().T @ np.column_stack(rt.kernel.elements)
+        (kern,) = _columns([(k,) for k in rt.kernel.elements],
+                           basis.shape[0], 1)
+        k_coeff = basis.conj().T @ kern
         span = Subspace.from_span(np.hstack([t_coeff, k_coeff]),
                                   ambient_dim=m)
         record("kernel_of_corrected_trace_gap", ker_bold.gap(span))
@@ -400,11 +409,11 @@ def transform_boundary_condition(rt, rel):
     return transform_boundary_conditions(rt, [rel])[0]
 
 
-def neumann_graph_check(bp, rt=None):
+def neumann_graph_check(rt):
     """Gap between the reduced boundary relation of the second-trace kernel
-    and the graph of the negated, triple-conjugated Dirichlet-to-Neumann
-    operator."""
-    rt = reduced_triplet(bp) if rt is None else rt
+    of `rt.bp` and the graph of the negated, triple-conjugated
+    Dirichlet-to-Neumann operator."""
+    bp = rt.bp
     bar0, _, bar1 = _trace_table(rt, bp.gamma1_kernel_elements())
     d = bp.boundary_dim
     actual = LinearRelation.from_span(d, d, np.vstack([bar0, bar1]))
@@ -423,10 +432,10 @@ class TripletComparison:
     residuals: dict
 
 
-def compare_triplets(bp, rt=None, rng=None, count=12):
+def compare_triplets(rt, rng):
     """The isomorphism D and self-adjoint block P relating the reduced
-    triplet to the deficiency triplet of the same model, checked on test
-    elements.
+    triplet to the deficiency triplet of the same model `rt.bp`, checked
+    on 12 test elements drawn from rng.
 
     The reduced and deficiency traces satisfy gamma0_bar = D^-1 Gamma0 and
     gamma1_bar = D* Gamma1 + P gamma0_bar, and gamma1_bar vanishes on the
@@ -435,7 +444,7 @@ def compare_triplets(bp, rt=None, rng=None, count=12):
     The test elements check both relations; the Hermitian defect of P is
     reported, not enforced.
     """
-    rt = reduced_triplet(bp) if rt is None else rt
+    bp = rt.bp
     inner_gamma = bp.inner_boundary_maps()
     d = bp.boundary_dim
     kern = rt.kernel.elements
@@ -447,7 +456,7 @@ def compare_triplets(bp, rt=None, rng=None, count=12):
     d_star = np.linalg.solve(gp, d_matrix.conj().T)
     p_matrix = -d_star @ g1_in_k @ bar0_k_inv
 
-    elems = bp.test_elements(rng=rng, count=count)
+    elems = bp.test_elements(rng, 12)
     g0_in, g1_in = _columns([inner_gamma(u) for u in elems], d, 2)
     g0_bar, _, g1_bar = _trace_table(rt, elems)
 
@@ -478,12 +487,12 @@ def compare_triplets(bp, rt=None, rng=None, count=12):
         })
 
 
-def boundary_condition_domain(bp, rel, rt=None, reduced=False):
-    """Coefficient subspace of the extension domain cut out by a boundary
-    relation, through either the raw or the reduced maps (finite models)."""
-    basis, g0, g1 = bp.coefficient_view()
+def boundary_condition_domain(rt, rel, reduced=False):
+    """Coefficient subspace of the extension domain of `rt.bp` cut out by a
+    boundary relation, through either the raw or the reduced maps (finite
+    models)."""
+    basis, g0, g1 = rt.bp.coefficient_view()
     if reduced:
-        rt = reduced_triplet(bp) if rt is None else rt
         g0, _, g1 = rt._reduce(g0, g1)
     coeff = _cayley._boundary_cut(g0, g1, rel.graph.complement().basis)
     return Subspace.from_span(coeff, ambient_dim=basis.shape[1])

@@ -254,14 +254,14 @@ def suite_triplet(trials=_TRIALS, seed=0):
     m_sa = 0.0
     for bp in problems:
         rt = tp.reduced_triplet(bp)
-        res = tp.reduced_residuals(bp, rt, rng=rng, count=8)
+        res = tp.reduced_residuals(rt, rng)
         proj = max(proj, res["gamma1_bold_vs_projection"])
         lagr = max(lagr, res["standard_lagrange"])
         surj = max(surj, 0.0 if res["surjectivity_margin"] > 1e-6 else 1.0)
-        for chk in tp.kernel_report(bp, rt, rng=rng):
+        for chk in tp.kernel_report(rt, rng):
             kergap = max(kergap, chk["residual"])
-        neum = max(neum, tp.neumann_graph_check(bp, rt))
-        comparison = tp.compare_triplets(bp, rt, rng=rng)
+        neum = max(neum, tp.neumann_graph_check(rt))
+        comparison = tp.compare_triplets(rt, rng)
         cmp_first = max(cmp_first, comparison.residuals["first_trace_match"])
         cmp_second = max(cmp_second,
                          comparison.residuals["second_trace_match"])
@@ -278,10 +278,9 @@ def suite_triplet(trials=_TRIALS, seed=0):
             bp.triple, rs.LinearRelation.graph_of(rt.dtn)) else 1.0)
         if hasattr(bp, "coefficient_view"):
             brel = cy.random_selfadjoint_relation(rng, bp.boundary_dim)
-            raw = tp.boundary_condition_domain(bp, brel)
+            raw = tp.boundary_condition_domain(rt, brel)
             red = tp.boundary_condition_domain(
-                bp, tp.transform_boundary_condition(rt, brel), rt=rt,
-                reduced=True)
+                rt, tp.transform_boundary_condition(rt, brel), reduced=True)
             dom_gap = max(dom_gap, raw.gap(red))
     _check(rec, "triplet", "corrected_trace_vs_projection", proj, 1e-9)
     _check(rec, "triplet", "standard_lagrange", lagr, 1e-9)

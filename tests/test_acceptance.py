@@ -169,13 +169,13 @@ def test_criterion_8_reduced_triplet_suite():
              "cmp": 0.0, "herm": 0.0}
     for bp in problems:
         rt = tp.reduced_triplet(bp)
-        res = tp.reduced_residuals(bp, rt, rng=rng, count=8)
+        res = tp.reduced_residuals(rt, rng)
         worst["proj"] = max(worst["proj"], res["gamma1_bold_vs_projection"])
         worst["lagr"] = max(worst["lagr"], res["standard_lagrange"])
-        for chk in tp.kernel_report(bp, rt, rng=rng):
+        for chk in tp.kernel_report(rt, rng):
             worst["ker"] = max(worst["ker"], chk["residual"])
-        worst["neum"] = max(worst["neum"], tp.neumann_graph_check(bp, rt))
-        comparison = tp.compare_triplets(bp, rt, rng=rng)
+        worst["neum"] = max(worst["neum"], tp.neumann_graph_check(rt))
+        comparison = tp.compare_triplets(rt, rng)
         worst["cmp"] = max(worst["cmp"],
                            comparison.residuals["first_trace_match"],
                            comparison.residuals["second_trace_match"],

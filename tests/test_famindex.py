@@ -60,8 +60,6 @@ def test_loops_reject_thetas_of_another_length(count):
     thetas = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
     with pytest.raises(ValueError, match="differ in length"):
         fi.det_winding(fi.FamilyLoop(thetas, scalar_loop(1)))
-    with pytest.raises(ValueError, match="differ in length"):
-        fi.spectral_flow((thetas, [np.array([math.cos(t)]) for t in THETA]))
 
 
 def test_winding_rejects_reversed_thetas():
@@ -97,9 +95,10 @@ def test_index_report_consistency_is_derived():
 
 def test_spectral_flow_constant_and_oscillating():
     eigs = [np.array([1.0, 5.0]) for _ in THETA]
-    assert fi.spectral_flow((list(THETA), eigs), level=0.0) == 0
+    assert fi.spectral_flow(fi.FamilyLoop(list(THETA), eigs), level=0.0) == 0
     cosine = [np.array([math.cos(t)]) for t in THETA]
-    assert fi.spectral_flow((list(THETA), cosine), level=0.0, window=0.6) == 0
+    assert fi.spectral_flow(fi.FamilyLoop(list(THETA), cosine), level=0.0,
+                            window=0.6) == 0
 
 
 def test_spectral_flow_counts_upward_crossing():
@@ -115,12 +114,10 @@ def test_spectral_flow_counts_upward_crossing():
 
 
 def test_spectral_flow_refinement_error():
-    eigs = [np.array([math.sin(8 * t) * 2.0])
-            for t in np.linspace(0, 2 * math.pi, 10, endpoint=False)]
+    thetas = list(np.linspace(0, 2 * math.pi, 10, endpoint=False))
+    eigs = [np.array([math.sin(8 * t) * 2.0]) for t in thetas]
     with pytest.raises(fi.RefinementError):
-        fi.spectral_flow((list(np.linspace(0, 2 * math.pi, 10,
-                                           endpoint=False)), eigs),
-                         level=0.0, window=0.25)
+        fi.spectral_flow(fi.FamilyLoop(thetas, eigs), level=0.0, window=0.25)
 
 
 @pytest.mark.parametrize("shift", [0.3, 1.1, 2.5])
@@ -150,7 +147,7 @@ def test_relation_family_constant_is_zero(rng):
     h = random_complex(rng, 2, 2)
     h = h + h.conj().T
     rels = [rs.LinearRelation.graph_of(h) for _ in THETA]
-    assert fi.relation_family_index((list(THETA), rels)) == 0
+    assert fi.relation_family_index(fi.FamilyLoop(list(THETA), rels)) == 0
 
 
 def test_transformed_family_matches_plain_robin_part():

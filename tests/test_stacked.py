@@ -430,11 +430,11 @@ def test_flow_walk_matches_the_reference_walk(speeds, offsets, samples):
         flow_reference(thetas, eigs, window=0.5)
     except fi.RefinementError as ref_err:
         with pytest.raises(fi.RefinementError) as err:
-            fi._flow_walk((thetas, eigs), 0.0, 0.5)
+            fi._flow_walk(fi.FamilyLoop(thetas, eigs), 0.0, 0.5)
         assert str(err.value) == str(ref_err)
     else:
-        assert fi._flow_walk((thetas, eigs), 0.0, 0.5) == (ref_flow,
-                                                           ref_crossings)
+        assert fi._flow_walk(fi.FamilyLoop(thetas, eigs), 0.0, 0.5) == (
+            ref_flow, ref_crossings)
 
 
 def test_flow_walk_keeps_the_greedy_order_of_crossings_in_an_interval():
@@ -443,7 +443,7 @@ def test_flow_walk_keeps_the_greedy_order_of_crossings_in_an_interval():
     thetas = [0.0, 2.0, 4.0]
     eigs = [np.array([-0.1, -0.05]), np.array([0.05, 0.3]),
             np.array([-0.1, -0.05])]
-    flow, crossings = fi._flow_walk((thetas, eigs), 0.0, 1.0)
+    flow, crossings = fi._flow_walk(fi.FamilyLoop(thetas, eigs), 0.0, 1.0)
     assert (flow, crossings) == flow_reference(thetas, eigs)[:2]
     assert crossings == [(0.0, 2.0, -0.05, 0.05), (0.0, 2.0, -0.1, 0.3),
                          (2.0, 4.0, 0.05, -0.05), (2.0, 4.0, 0.3, -0.1)]
@@ -619,8 +619,9 @@ def test_robin_relation_stack_equals_the_list_path(samples):
     assert (rs.is_self_adjoint_batch(stack).tolist()
             == rs.is_self_adjoint_batch(rels).tolist())
     assert rs.is_self_adjoint_batch(stack).all()
-    assert (fi.relation_family_index((loop.thetas, stack))
-            == fi.relation_family_index((loop.thetas, rels)) == 1)
+    assert (fi.relation_family_index(fi.FamilyLoop(loop.thetas, stack))
+            == fi.relation_family_index(fi.FamilyLoop(loop.thetas, rels))
+            == 1)
     rt = reduced_triplet(sturm.RellichBoundaryProblem())
     kappas = [sturm.kappa_of_theta(t) for t in loop.thetas]
     raw = sturm.robin_relations(kappas)
@@ -697,8 +698,8 @@ def test_polish_equals_the_bisection_on_sawtooth_loops(shift):
         return np.array([((theta - shift) % (2 * math.pi)) / math.pi - 1.0])
 
     thetas = list(np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
-    _, crossings = fi._flow_walk((thetas, [sawtooth(t) for t in thetas]),
-                                 0.0, 0.4)
+    _, crossings = fi._flow_walk(
+        fi.FamilyLoop(thetas, [sawtooth(t) for t in thetas]), 0.0, 0.4)
     assert (fi._polish_crossing(batched(sawtooth), *crossings[0])
             == polish_reference(sawtooth, *crossings[0]))
 

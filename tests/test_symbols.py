@@ -54,6 +54,14 @@ def test_spectral_split_against_eigendecomposition(rng):
         assert upper.gap(up_oracle) < 1e-9
 
 
+def test_empty_symbol_has_empty_split_and_projection():
+    empty = np.zeros((0, 0))
+    assert sy.matrix_sign(empty).shape == (0, 0)
+    lower, upper = sy.spectral_split(empty)
+    assert (lower.dim, upper.dim, lower.ambient_dim) == (0, 0, 0)
+    assert sy.calderon_symbol(empty).shape == (0, 0)
+
+
 def test_calderon_symbol_examples(rng):
     assert np.allclose(sy.calderon_symbol(np.diag([-1j, 1j])),
                        np.diag([1.0, 0.0]))

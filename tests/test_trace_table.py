@@ -217,30 +217,27 @@ def test_checks_equal_the_per_element_references(kind, seed):
     assert same_array(ksm.trace0_matrix, ksm_ref.trace0_matrix)
     assert same_array(ksm.trace1_matrix, ksm_ref.trace1_matrix)
 
-    def pair(fn, ref, ref_count, **opts):
-        # both sides draw the same random test elements; `opts` passes the
-        # count to a check that takes one
-        return (fn(bp, rt, rng=np.random.default_rng(seed + 100), **opts),
+    def pair(fn, ref, ref_count):
+        # both sides draw the same random test elements, as many as the
+        # check draws
+        return (fn(rt, np.random.default_rng(seed + 100)),
                 ref(bp, rt, np.random.default_rng(seed + 100), ref_count))
 
-    got, want = pair(tp.reduced_residuals, reduced_residuals_ref, 8,
-                     count=8)
+    got, want = pair(tp.reduced_residuals, reduced_residuals_ref, 8)
     assert got == want
-    # kernel_report draws its fixed 10 test elements
     got, want = pair(tp.kernel_report, kernel_report_ref, 10)
     assert got == want
-    got, want = pair(tp.compare_triplets, compare_triplets_ref, 12,
-                     count=12)
+    got, want = pair(tp.compare_triplets, compare_triplets_ref, 12)
     assert got.residuals == want.residuals
     assert same_array(got.d_matrix, want.d_matrix)
     assert same_array(got.p_matrix, want.p_matrix)
-    assert tp.neumann_graph_check(bp, rt) == neumann_graph_check_ref(bp, rt)
+    assert tp.neumann_graph_check(rt) == neumann_graph_check_ref(bp, rt)
 
     if kind != "rellich":
         brel = cy.random_selfadjoint_relation(np.random.default_rng(seed),
                                               bp.boundary_dim)
         red = tp.transform_boundary_condition(rt, brel)
-        got = tp.boundary_condition_domain(bp, red, rt=rt, reduced=True)
+        got = tp.boundary_condition_domain(rt, red, reduced=True)
         want = boundary_condition_domain_ref(bp, red, rt)
         assert same_array(got.basis, want.basis)
 
@@ -290,14 +287,14 @@ def test_each_element_is_traced_once_per_call(kind):
     rt = tp.reduced_triplet(bp)
     seen = count_evaluations(bp)
     rng = np.random.default_rng(0)
-    tp.reduced_residuals(bp, rt, rng=rng, count=8)
+    tp.reduced_residuals(rt, rng)
     assert seen["gamma0"] and not seen["deficiency"]
     assert_each_seen_once(seen)
-    tp.kernel_report(bp, rt, rng=rng)
+    tp.kernel_report(rt, rng)
     assert_each_seen_once(seen)
-    tp.neumann_graph_check(bp, rt)
+    tp.neumann_graph_check(rt)
     assert_each_seen_once(seen)
-    tp.compare_triplets(bp, rt, rng=rng, count=12)
+    tp.compare_triplets(rt, rng)
     assert len(seen["deficiency"]) == len(bp.kernel_basis()) + 12
     assert_each_seen_once(seen)
     tp.kernel_solution_map(bp)
@@ -317,8 +314,8 @@ def test_kernel_is_solved_once_per_reduced_triplet():
     bp.kernel_basis = counting
     rng = np.random.default_rng(0)
     rt = tp.reduced_triplet(bp)
-    tp.reduced_residuals(bp, rt, rng=rng, count=8)
-    tp.kernel_report(bp, rt, rng=rng)
-    tp.compare_triplets(bp, rt, rng=rng)
-    tp.neumann_graph_check(bp, rt)
+    tp.reduced_residuals(rt, rng)
+    tp.kernel_report(rt, rng)
+    tp.compare_triplets(rt, rng)
+    tp.neumann_graph_check(rt)
     assert len(calls) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,28 @@ def test_empty_kernel_map(rng):
         tp.kernel_solution_map(bp)(np.zeros(0))
 
 
+@pytest.mark.parametrize("plain", [True, False])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_defect_zero_problem_passes_every_check(dim, plain):
+    # d = 0: the kernel of the action and the boundary space are both zero
+    rng = np.random.default_rng(dim)
+    bp = finite_problem(rng, dim=dim, defect=0, plain=plain)
+    rt = tp.reduced_triplet(bp)
+    res = tp.reduced_residuals(rt, rng)
+    assert res["surjectivity_margin"] == math.inf
+    assert max(res["gamma1_bold_vs_projection"], res["standard_lagrange"],
+               res["gamma1_bold_on_kernel"]) < 1e-9
+    for check in tp.kernel_report(rt, rng):
+        assert check["pass"], check
+    assert tp.neumann_graph_check(rt) < 1e-8
+    assert max(tp.compare_triplets(rt, rng).residuals.values()) < 1e-9
+    brel = cy.random_selfadjoint_relation(rng, 0)
+    raw = tp.boundary_condition_domain(rt, brel)
+    red = tp.boundary_condition_domain(
+        rt, tp.transform_boundary_condition(rt, brel), reduced=True)
+    assert raw.dim == dim and raw.gap(red) < 1e-9
+
+
 def test_kernel_map_inverts_first_trace(rng):
     bp = finite_problem(rng)
     ksm = tp.kernel_solution_map(bp)
@@ -136,7 +160,7 @@ def test_reduced_trace_trivial_cases(rng):
 def test_reduced_residuals_both_realizations(rng):
     for bp in (finite_problem(rng), finite_problem(rng, dim=6, defect=3),
                sturm.RellichBoundaryProblem()):
-        res = tp.reduced_residuals(bp, rng=rng, count=8)
+        res = tp.reduced_residuals(tp.reduced_triplet(bp), rng)
         assert res["gamma1_bold_vs_projection"] < 1e-9
         assert res["standard_lagrange"] < 1e-9
         assert res["surjectivity_margin"] > 1e-6
@@ -148,7 +172,7 @@ def test_kernel_report_three_instances(rng):
                  finite_problem(rng, dim=4, defect=1),
                  finite_problem(rng, dim=6, defect=2)]
     for bp in instances:
-        for check in tp.kernel_report(bp, rng=rng):
+        for check in tp.kernel_report(tp.reduced_triplet(bp), rng):
             assert check["pass"], check
 
 
@@ -193,16 +217,17 @@ def test_raw_and_reduced_extensions_agree(rng):
     bp = finite_problem(rng)
     rt = tp.reduced_triplet(bp)
     brel = cy.random_selfadjoint_relation(rng, bp.boundary_dim)
-    raw = tp.boundary_condition_domain(bp, brel)
+    raw = tp.boundary_condition_domain(rt, brel)
     red = tp.boundary_condition_domain(
-        bp, tp.transform_boundary_condition(rt, brel), rt=rt, reduced=True)
+        rt, tp.transform_boundary_condition(rt, brel), reduced=True)
     assert raw.gap(red) < 1e-9
 
 
 def test_multivalued_condition_gives_reference_domain(rng):
     bp = finite_problem(rng)
     d = bp.boundary_dim
-    dom = tp.boundary_condition_domain(bp, rs.LinearRelation.zero_times_full(d))
+    dom = tp.boundary_condition_domain(tp.reduced_triplet(bp),
+                                       rs.LinearRelation.zero_times_full(d))
     basis, _, _ = bp.coefficient_view()
     a_coeff = rs.Subspace.from_span(basis.conj().T @ bp.model.A.graph.basis,
                                     ambient_dim=basis.shape[1])
@@ -213,10 +238,10 @@ def test_multivalued_condition_gives_reference_domain(rng):
 
 def test_neumann_graph_rellich():
     bp = sturm.RellichBoundaryProblem()
-    assert tp.neumann_graph_check(bp) < 1e-12
+    rt = tp.reduced_triplet(bp)
+    assert tp.neumann_graph_check(rt) < 1e-12
     # with the identity triple the expected relation is the negated
     # Dirichlet-to-Neumann matrix itself
-    rt = tp.reduced_triplet(bp)
     want = rs.LinearRelation.graph_of(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     elems = bp.gamma1_kernel_elements()
     cols = [np.concatenate([rt.gamma0_bar(u), rt.gamma1_bar(u)])
@@ -228,14 +253,14 @@ def test_neumann_graph_rellich():
 def test_neumann_graph_finite_models(rng):
     for bp in (finite_problem(rng), finite_problem(rng, dim=6, defect=3),
                finite_problem(rng, plain=True)):
-        assert tp.neumann_graph_check(bp) < 1e-8
+        assert tp.neumann_graph_check(tp.reduced_triplet(bp)) < 1e-8
 
 
 # -- comparison with the deficiency triplet ----------------------------------
 
 def test_comparison_scalar_defect(rng):
     bp = finite_problem(rng, dim=4, defect=1)
-    comparison = tp.compare_triplets(bp, rng=rng)
+    comparison = tp.compare_triplets(tp.reduced_triplet(bp), rng)
     assert abs(comparison.d_matrix[0, 0]) > 1e-8
     assert abs(comparison.p_matrix[0, 0].imag) < 1e-9
     for value in comparison.residuals.values():
@@ -244,7 +269,7 @@ def test_comparison_scalar_defect(rng):
 
 def test_comparison_defect_two(rng):
     bp = finite_problem(rng, dim=6, defect=2)
-    comparison = tp.compare_triplets(bp, rng=rng)
+    comparison = tp.compare_triplets(tp.reduced_triplet(bp), rng)
     for value in comparison.residuals.values():
         assert value < 1e-9
 
@@ -253,7 +278,7 @@ def test_comparison_plain_problem(rng):
     # with untouched traces the intertwiner is the identity and the
     # Hermitian block is exactly the negated zero-point Weyl matrix
     bp = finite_problem(rng, plain=True)
-    comparison = tp.compare_triplets(bp, rng=rng)
+    comparison = tp.compare_triplets(tp.reduced_triplet(bp), rng)
     d = bp.boundary_dim
     assert np.linalg.norm(comparison.d_matrix - np.eye(d)) < 1e-9
     assert np.linalg.norm(comparison.p_matrix
@@ -261,7 +286,8 @@ def test_comparison_plain_problem(rng):
 
 
 def test_comparison_rellich(rng):
-    comparison = tp.compare_triplets(sturm.RellichBoundaryProblem(), rng=rng)
+    comparison = tp.compare_triplets(
+        tp.reduced_triplet(sturm.RellichBoundaryProblem()), rng)
     for value in comparison.residuals.values():
         assert value < 1e-9
 
