@@ -11,10 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -83,19 +81,19 @@ def cmd_rellich(args):
     # the branch table reuses the eigenvalue loop of the index comparison
     report, eig_loop = fi._robin_index(sturm.kappa_of_theta, args.samples,
                                        args.lambda_max)
-    kappas = [sturm.kappa_of_theta(t) for t in eig_loop.thetas]
-    rows = fi.branch_table(eig_loop.thetas, kappas, eig_loop.payloads)
+    values, ids, valid = fi._branch_ids(eig_loop.payloads)
     os.makedirs(args.out, exist_ok=True)
-    # written line by line, so no joined copy of the whole table is held
+    # the rows of `fi.branch_table`, written sample by sample from the
+    # arrays, so neither the row list nor a joined copy of it is held
     with open(os.path.join(args.out, "rellich_branches.csv"), "w",
               encoding="ascii", newline="\n") as handle:
         handle.write("theta,kappa,branch_id,lambda\n")
-        # the rows of one sample share theta and kappa, formatted once
-        for (theta, kappa), group in itertools.groupby(
-                rows, key=operator.itemgetter(0, 1)):
-            head = f"{_fmt(theta)},{_fmt(kappa)},"
-            handle.writelines(f"{head}{b},{_fmt(lam)}\n"
-                              for _, _, b, lam in group)
+        for theta, lams, bids, keep in zip(eig_loop.thetas, values, ids,
+                                           valid):
+            # the rows of one sample share theta and kappa, formatted once
+            head = f"{_fmt(theta)},{_fmt(sturm.kappa_of_theta(theta))},"
+            handle.writelines(f"{head}{b},{_fmt(lam)}\n" for b, lam in
+                              zip(bids[keep].tolist(), lams[keep].tolist()))
     _write(os.path.join(args.out, "rellich_report.json"),
            _json_bytes(report.to_dict()))
     # +1 is the sign of the Robin loop; -1 would be the loop reversed

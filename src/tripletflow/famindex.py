@@ -398,16 +398,12 @@ def relation_family_index(loop):
     return det_winding(FamilyLoop(loop.thetas, unitaries, refine))
 
 
-def branch_table(thetas, kappas, eig_lists):
-    """Rows (theta, kappa, branch_id, lambda), sample by sample, with ids
-    assigned by greedy nearest-neighbor continuation.
+def _branch_ids(eig_lists):
+    """Branch ids of the eigenvalue lists of a loop, sample by sample, by
+    greedy nearest-neighbor continuation (see `branch_table`).
 
-    One `_greedy_pairs` call pairs the values of every sample with those
-    of the sample before it, closest first, each value once, within
-    0.5 + 0.25 |lambda| of the earlier value;
-    among equal moves the lowest (index in the later sample, index in the
-    earlier) goes first.  A paired value inherits its partner's id; the
-    others get fresh ids in (sample, index) order.
+    Returns (values, ids, valid): the NaN-padded value stack (K, m), the
+    branch id of each entry and the mask of the entries that hold a value.
     """
     values = _padded(eig_lists)
     count, width = values.shape
@@ -427,7 +423,21 @@ def branch_table(thetas, kappas, eig_lists):
         if np.array_equal(root, parent):
             break
         parent = root
-    ids = fresh[parent].reshape(count, width)
+    return values, fresh[parent].reshape(count, width), valid
+
+
+def branch_table(thetas, kappas, eig_lists):
+    """Rows (theta, kappa, branch_id, lambda), sample by sample, with ids
+    assigned by greedy nearest-neighbor continuation.
+
+    One `_greedy_pairs` call pairs the values of every sample with those
+    of the sample before it, closest first, each value once, within
+    0.5 + 0.25 |lambda| of the earlier value;
+    among equal moves the lowest (index in the later sample, index in the
+    earlier) goes first.  A paired value inherits its partner's id; the
+    others get fresh ids in (sample, index) order.
+    """
+    values, ids, valid = _branch_ids(eig_lists)
     counts = valid.sum(axis=1)
     return list(zip(
         np.repeat(np.asarray(thetas, dtype=float), counts).tolist(),

@@ -80,16 +80,33 @@ def _orthonormal_columns(columns):
     s_max of their own matrix are dropped.
 
     Columns are normalized first so that the relative threshold reflects
-    angles between directions, not disparate column scales.  Columns that
-    are zero in every matrix are dropped; a column zero in only some members
-    stays as a zero column of those.
+    angles between directions, not disparate column scales; a column whose
+    norm overflows or underflows is measured again after scaling, so no
+    column is lost to its scale alone.  Columns that are zero in every
+    matrix are dropped; a column zero in only some members stays as a zero
+    column of those.
 
     Returns (basis, ranks): basis has shape (..., m, r) with r the largest
     rank in the stack, and the columns of a member past its own rank are
     zero.  For a single matrix basis is exactly (m, rank).
     """
     *batch, m, _ = columns.shape
-    norms = np.linalg.norm(columns, axis=-2)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(columns, axis=-2)
+    redo = (norms == 0.0) | np.isinf(norms)
+    if redo.any():
+        # the sum of squares overflowed or underflowed: measure those
+        # columns again after scaling each by its largest real or
+        # imaginary part, with real divisions (a modulus could overflow,
+        # and so could numpy's complex division by a subnormal); the other
+        # columns are divided by 1.0 and keep their bits
+        peak = np.maximum(abs(columns.real), abs(columns.imag)).max(
+            axis=-2, initial=0.0)
+        scale = np.where(redo & (peak > 0.0), peak, 1.0)[..., None, :]
+        columns = columns.copy()
+        columns.real /= scale
+        columns.imag /= scale
+        norms = np.where(redo, np.linalg.norm(columns, axis=-2), norms)
     nonzero = norms > 0.0
     keep = nonzero.any(axis=tuple(range(len(batch)))) if batch else nonzero
     if not keep.all():

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cayley import _boundary_coords
 from .gelfand import identity_triple
-from .relspace import relations_from_span
+from .relspace import RelationStack
 
 __all__ = [
     "ExpPoly",
@@ -279,22 +279,27 @@ def deficiency_basis(mu):
 
 def robin_relations(kappas):
     """The boundary relations {(0, b, c, -kappa b)} in trace coordinates,
-    one per kappa, orthonormalized by one stacked SVD into a RelationStack.
+    one per kappa, as a RelationStack of closed-form orthonormal graphs.
 
-    At kappa = +-infinity the relation is {(0, 0, c, d)}: both boundary
-    values vanish and both second traces are free.  A NaN kappa raises
-    ValueError.
+    For finite kappa the graph columns are (0, 1, 0, -kappa) / h and
+    (0, 0, 1, 0) with h = hypot(1, kappa), orthonormal as written, so no
+    SVD is made and no kappa is large enough for a column to be lost.  At
+    kappa = +-infinity the relation is {(0, 0, c, d)}: both boundary values
+    vanish and both second traces are free.  A NaN kappa raises ValueError.
     """
     kap = np.array(kappas, dtype=float)
+    if np.isnan(kap).any():
+        raise ValueError("non-finite entries in input matrix")
     infinite = np.isinf(kap)
     finite = ~infinite
     cols = np.zeros((kap.size, 4, 2), dtype=complex)
-    cols[finite, 1, 0] = 1.0
+    h = np.hypot(1.0, kap[finite])
+    cols[finite, 1, 0] = 1.0 / h
+    cols[finite, 3, 0] = -kap[finite] / h
     cols[finite, 2, 1] = 1.0
-    cols[finite, 3, 0] = -kap[finite]
     cols[infinite, 2, 0] = 1.0
     cols[infinite, 3, 1] = 1.0
-    return relations_from_span(2, 2, cols)
+    return RelationStack(2, 2, cols, np.full(kap.size, 2))
 
 
 def robin_relation(kappa):

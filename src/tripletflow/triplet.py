@@ -277,18 +277,20 @@ def _projection_defects(bp, elems, norms, bold):
 
 def reduced_residuals(rt, rng):
     """Residuals of the defining identities of the reduced triplet of the
-    boundary problem `rt.bp`, on 8 test elements drawn from rng.
+    boundary problem `rt.bp`, on max(8, 2d) test elements drawn from rng,
+    with d the boundary dimension.
 
     Returns a dict with: the defect of the corrected trace against the trace
     of the regular projection, the standard-form Lagrange defect of the
     barred maps, the surjectivity margin of the combined trace, and the
     vanishing of the corrected trace on the reference kernel.  The margin
     is the 2d-th singular value of the combined trace on the test
-    elements, 0.0 when there are fewer than 2d of them, and math.inf on a
-    zero boundary space (d = 0), onto which every map is surjective.
+    elements, of which there are at least 2d, and math.inf on a zero
+    boundary space (d = 0), onto which every map is surjective.
     """
     bp = rt.bp
-    elems = bp.test_elements(rng, 8)
+    d = bp.boundary_dim
+    elems = bp.test_elements(rng, max(8, 2 * d))
     norms = [bp.element_norm(u) for u in elems]
     bar0, bold, bar1 = _trace_table(rt, elems)
     _, proj_res = _projection_defects(bp, elems, norms, bold)
@@ -304,12 +306,8 @@ def reduced_residuals(rt, rng):
             lagr_res = max(lagr_res, abs(bp.lagrange_form(u, v) - pairing)
                            / max(1.0, norms[i] * norms[j]))
     svals = np.linalg.svd(np.vstack([bar0, bar1]), compute_uv=False)
-    d = bp.boundary_dim
-    if not d:
-        # onto the zero boundary space: vacuously surjective
-        surj_margin = math.inf
-    else:
-        surj_margin = float(svals[2 * d - 1]) if len(elems) >= 2 * d else 0.0
+    # onto the zero boundary space: vacuously surjective
+    surj_margin = float(svals[2 * d - 1]) if d else math.inf
     kern = rt.kernel.elements
     kern_res = _column_norms(_trace_table(rt, kern)[1], [1.0] * len(kern))
     return {
@@ -372,14 +370,15 @@ def kernel_report(rt, rng):
 def transform_boundary_conditions(rt, rels):
     """Rewrite boundary conditions of equal shape for the reduced triplet.
 
-    Each relation is restricted to the small space, the restricted
-    Dirichlet-to-Neumann operator is subtracted from its second component,
-    and the result is pushed through the triple isometries, with the graph
-    re-orthonormalized after each step as `restrict_relation` and
-    `map_relation` do.  All relations, a sequence or a RelationStack, go
-    through one stacked SVD per step and come back as a RelationStack; the
-    shear and the isometry map are built and checked for invertibility
-    once per call.
+    The Dirichlet-to-Neumann operator is subtracted from the second
+    component of each relation, and the result is pushed through the
+    triple isometries Lambda' (+) Lambda^-1, with the graph
+    re-orthonormalized after each of the two steps as `map_relation` does.
+    There is no restriction step: the restriction to the full small space
+    is the relation itself, whose graph basis is already orthonormal.  All
+    relations, a sequence or a RelationStack, go through one stacked SVD
+    per step and come back as a RelationStack; the shear and the isometry
+    map are built and checked for invertibility once per call.
     """
     if not len(rels):
         return []
@@ -396,9 +395,6 @@ def transform_boundary_conditions(rt, rels):
     _check_invertible(shear)
     _check_invertible(lam_map)
     bases = _graph_stack(rels, idx).reshape(len(idx), 2 * d, k)
-    # restriction to the full small space: every pair stays, with the
-    # identity as null-space coefficients of its empty constraint set
-    bases, _ = _orthonormal_columns(bases @ np.eye(k, dtype=complex))
     bases, _ = _orthonormal_columns(shear @ bases)
     return RelationStack(d, d, *_orthonormal_columns(lam_map @ bases))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tripletflow import cli
+from tripletflow import famindex as fi
 from tripletflow import relspace as rs
 from tripletflow import sturm
 from tripletflow.sturm import kappa_of_theta, robin_relation
@@ -27,6 +28,19 @@ def test_rellich_command(tmp_path, capsys):
     assert len(lines) > 180
     printed = capsys.readouterr().out
     assert '"consistent": true' in printed
+
+
+def test_rellich_csv_rows_are_the_branch_table(tmp_path):
+    assert run_cli(["rellich", "--samples", "97", "--lambda-max", "120",
+                    "--out", str(tmp_path)]) == 0
+    loop = fi.rellich_eigenvalue_samples(samples=97, lambda_max=120.0)
+    kappas = [kappa_of_theta(t) for t in loop.thetas]
+    rows = fi.branch_table(loop.thetas, kappas, loop.payloads)
+    expected = "".join(
+        f"{cli._fmt(theta)},{cli._fmt(kappa)},{bid},{cli._fmt(lam)}\n"
+        for theta, kappa, bid, lam in rows)
+    text = (tmp_path / "rellich_branches.csv").read_text()
+    assert text == "theta,kappa,branch_id,lambda\n" + expected
 
 
 def test_rellich_fails_on_the_reversed_loop(tmp_path, monkeypatch, capsys):

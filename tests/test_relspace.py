@@ -25,6 +25,24 @@ def test_span_orthonormalize_rejects_bad_input():
         rs.span_orthonormalize(np.array([[np.nan], [1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_from_span_keeps_columns_at_extreme_scales():
+    # each squared norm below overflows or underflows
+    full = rs.Subspace.full(2)
+    for cols in ([[1e200, 0], [1, 1]], [[1e-200, 0], [1e-200, 1]],
+                 [[1e308 + 1e308j, 0], [1e308, 1]], [[5e-324, 0], [0, 1]]):
+        sub = rs.Subspace.from_span(cols)
+        assert sub.dim == 2
+        assert sub.gap(full) <= 1e-15
+    diagonal = rs.Subspace.from_span([[1e-200, 1.0], [1e-200, 0.0]])
+    assert diagonal.contains([1.0, 1.0])
+    # parallel columns stay one direction at any scale
+    assert rs.Subspace.from_span([[1e200, -3e250], [1e200, -3e250]]).dim == 1
+    stack = rs.relations_from_span(1, 1, np.array([[[1e200, 0], [1, 1]],
+                                                   [[1, 0], [0, 1]]]))
+    assert stack.ranks.tolist() == [2, 2]
+
+
 def test_subspace_gap_and_ops(rng):
     a = rs.span_orthonormalize(random_complex(rng, 5, 2))
     assert a.gap(a) < 1e-14

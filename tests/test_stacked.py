@@ -2,7 +2,9 @@
 
 The references below are the per-sample constructions the stacked code
 replaces: one SVD, adjoint, transform or walk step per relation.  They are
-kept here so the stacked paths can be compared with them exactly.
+kept here so the stacked paths can be compared with them exactly.  The
+transformed Robin loop, whose bases are fixed only up to the SVD's choice,
+is held to a 40-digit mpmath oracle of the same loop instead.
 """
 
 import math
@@ -12,11 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import mpmath
+except ImportError:  # the exact-loop oracle test is skipped without it
+    mpmath = None
+
+from tripletflow import cayley as cy
 from tripletflow import famindex as fi
 from tripletflow import relspace as rs
 from tripletflow import sturm
 from tripletflow.triplet import (reduced_triplet,
                                  transform_boundary_conditions)
+from tripletflow.verify import _finite_problem
 
 from conftest import random_complex
 
@@ -201,31 +210,120 @@ def branch_table_reference(thetas, kappas, eig_lists, match_tol=None):
 
 # -- the Robin relation loop ------------------------------------------------
 
+def mp_matrix(mat):
+    """A complex matrix as an mpmath matrix, entry for entry exact."""
+    return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row]
+                          for row in np.asarray(mat)])
+
+
+def exact_robin_loop(rt, kappas):
+    """(Cayley unitary, orthogonal projection onto the graph) of each
+    transformed Robin relation, in the working precision of mpmath.
+
+    The relation is (Lambda' (+) Lambda^-1) S R with R the exact Robin
+    relation of the float kappa and S the shear by -DtN, both maps taken
+    exactly from the same float `rt.dtn` and `rt.triple.shift_map` as the
+    stacked path; the unitary and the projection do not depend on the
+    spanning columns.
+    """
+    d = rt.triple.dim
+    shear = np.eye(2 * d, dtype=complex)
+    shear[d:, :d] = -rt.dtn
+    trans = mp_matrix(rt.triple.shift_map) * mp_matrix(shear)
+    out = []
+    for kappa in kappas:
+        if math.isinf(kappa):
+            raw = mpmath.matrix([[0, 0], [0, 0], [1, 0], [0, 1]])
+        else:
+            raw = mpmath.matrix([[0, 0], [1, 0], [0, 1],
+                                 [-mpmath.mpf(kappa), 0]])
+        cols = trans * raw
+        x_blk, y_blk = cols[:d, :], cols[d:, :]
+        unitary = (y_blk - 1j * x_blk) * mpmath.inverse(y_blk + 1j * x_blk)
+        proj = cols * mpmath.inverse(cols.H * cols) * cols.H
+        out.append((unitary, proj))
+    return out
+
+
 @pytest.mark.parametrize("samples", [72, 720])
-def test_robin_relation_loop_equals_per_sample_construction(samples):
+def test_robin_relation_loop_matches_the_exact_loop(samples):
+    pytest.importorskip("mpmath")
     loop = fi.rellich_boundary_family(samples=samples)
     rt = reduced_triplet(sturm.RellichBoundaryProblem())
-    stacked_unitaries = rs.cayley_unitaries(loop.payloads)
-    worst_basis = worst_unitary = 0.0
-    for theta, rel, u in zip(loop.thetas, loop.payloads, stacked_unitaries):
-        ref = transform_reference(
-            rt, robin_relation_reference(sturm.kappa_of_theta(theta)))
-        assert rel.graph.basis.shape == ref.graph.basis.shape
-        worst_basis = max(worst_basis, float(np.max(np.abs(
-            rel.graph.basis - ref.graph.basis))))
-        worst_unitary = max(worst_unitary, float(np.max(np.abs(
-            u - cayley_reference(ref)))))
-    assert worst_basis <= 1e-15
+    kappas = [sturm.kappa_of_theta(theta) for theta in loop.thetas]
+    worst_unitary = worst_gap = 0.0
+    with mpmath.workdps(40):
+        exact = exact_robin_loop(rt, kappas)
+        for rel, u, (u_exact, proj) in zip(
+                loop.payloads, rs.cayley_unitaries(loop.payloads), exact):
+            diff = mp_matrix(u) - u_exact
+            worst_unitary = max(worst_unitary, max(
+                float(abs(z)) for row in diff.tolist() for z in row))
+            # the gap: the largest singular value of the basis off the
+            # exact relation
+            basis = mp_matrix(rel.graph.basis)
+            resid = np.array((basis - proj * basis).tolist(), dtype=complex)
+            worst_gap = max(worst_gap, float(
+                np.linalg.svd(resid, compute_uv=False)[0]))
     assert worst_unitary <= 1e-15
+    assert worst_gap <= 1e-15
+
+
+def closed_form_robin_basis(kappa):
+    if math.isinf(kappa):
+        cols = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    else:
+        h = np.hypot(1.0, kappa)
+        cols = [[0.0, 0.0], [1.0 / h, 0.0], [0.0, 1.0], [-kappa / h, 0.0]]
+    return np.array(cols, dtype=complex)
 
 
 def test_robin_relations_equal_per_kappa_spans():
-    kappas = [0.0, -0.0, 1.0, -3.5, 60.0, math.inf, -math.inf]
-    for kappa, rel in zip(kappas, sturm.robin_relations(kappas)):
-        ref = robin_relation_reference(kappa)
-        np.testing.assert_array_equal(rel.graph.basis, ref.graph.basis)
+    # from 1e155 on the squared norm of the span column (0, 1, 0, -kappa)
+    # overflows
+    kappas = [0.0, -0.0, 1.0, -3.5, 60.0, 1e155, 1e300, -1e300, math.inf,
+              -math.inf]
+    stack = sturm.robin_relations(kappas)
+    assert stack.ranks.tolist() == [2] * len(kappas)
+    for kappa, rel in zip(kappas, stack):
+        assert rel.dim == 2
+        np.testing.assert_array_equal(rel.graph.basis,
+                                      closed_form_robin_basis(kappa))
+        assert rel.gap(robin_relation_reference(kappa)) <= 1e-15
     with pytest.raises(ValueError, match="non-finite"):
         sturm.robin_relations([0.5, float("nan")])
+
+
+def test_robin_relation_loop_svd_count(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    rt = reduced_triplet(sturm.RellichBoundaryProblem())
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    thetas = fi._theta_grid(720)
+    raw = sturm.robin_relations([sturm.kappa_of_theta(t) for t in thetas])
+    # the Robin graphs are orthonormal as written
+    assert not calls
+    transform_boundary_conditions(rt, raw)
+    # the invertibility checks of the shear and of the isometry map, then
+    # one stacked SVD per step
+    assert calls == [(4, 4), (4, 4), (720, 4, 2), (720, 4, 2)]
+
+
+def test_transform_equals_the_restricting_reference_chain():
+    # the restriction to the full small space keeps an orthonormal graph
+    rng = np.random.default_rng(3)
+    bp = _finite_problem(rng, dim=7, defect=3)
+    rt = reduced_triplet(bp)
+    rels = [cy.random_selfadjoint_relation(rng, 3) for _ in range(6)]
+    for got, rel in zip(transform_boundary_conditions(rt, rels), rels):
+        ref = transform_reference(rt, rel)
+        assert got.dim == ref.dim == 3
+        assert got.gap(ref) <= 1e-13
 
 
 def test_transform_rejects_mixed_shapes():

@@ -167,6 +167,17 @@ def test_reduced_residuals_both_realizations(rng):
         assert res["gamma1_bold_on_kernel"] < 1e-9
 
 
+@pytest.mark.parametrize("plain", [True, False])
+@pytest.mark.parametrize("defect", [5, 6])
+def test_surjectivity_margin_at_large_defect(rng, defect, plain):
+    # 2d > 8: the check draws 2d test elements, so the combined trace can
+    # reach its full rank 2d
+    bp = finite_problem(rng, dim=defect + 3, defect=defect, plain=plain)
+    res = tp.reduced_residuals(tp.reduced_triplet(bp), rng)
+    assert res["surjectivity_margin"] > 1e-6
+    assert res["standard_lagrange"] < 1e-9
+
+
 def test_kernel_report_three_instances(rng):
     instances = [sturm.RellichBoundaryProblem(),
                  finite_problem(rng, dim=4, defect=1),
