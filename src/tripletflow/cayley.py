@@ -18,9 +18,8 @@ import numpy as np
 
 from .relspace import (DEFAULT_TOL, LinearRelation, Subspace, _complex_pairs,
                        _freeze, _json_pairs, _null_space, _null_space_dims,
-                       adjoint_relation, cayley_unitary, is_self_adjoint,
-                       relation_from_json, relation_to_json,
-                       restrict_relation)
+                       _rescaled_norms, adjoint_relation, cayley_unitary,
+                       is_self_adjoint, relation_from_json, relation_to_json)
 
 __all__ = [
     "SymmetricModel",
@@ -79,7 +78,8 @@ class SymmetricModel:
             raise ValueError("A is not squeezed between T and T*")
         # K+ = Ker(T* - mu) = Im(T - conj(mu))^perp and K- likewise: the
         # left null spaces of the two images of T's graph basis, by one
-        # stacked SVD, orthonormal as they come
+        # stacked SVD, orthonormal as they come; with equal dims each is
+        # its whole block
         x, y = self.T.dom_block(), self.T.cod_block()
         images = np.stack([y - np.conj(self.mu) * x, y - self.mu * x])
         null, dims = _null_space_dims(images.conj().swapaxes(-1, -2))
@@ -244,7 +244,8 @@ def _split_block(model, pairs):
     """Coefficients of the deficiency parts of a 2n x k block of pairs in T*.
 
     Every column must lie in T* within 10 * DEFAULT_TOL * max(1, |column|),
-    the membership bound of `Subspace.contains`.  The decomposition is
+    the membership bound of `Subspace.contains`, measured on a scaled copy
+    of a column whose norm overflows.  The decomposition is
     along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}, and its deficiency parts
     are orthogonal projections: Im(T - conj(mu)) is orthogonal to K+, so a
     pair (x, x') has c_plus = K+^H (x' - conj(mu) x) / (mu - conj(mu)), and
@@ -252,8 +253,9 @@ def _split_block(model, pairs):
     blocks (c_plus, c_minus) on the bases of K+ and K-.
     """
     graph = model.Tstar.graph
-    outside = pairs - graph.basis @ (graph.basis.conj().T @ pairs)
-    scale = np.maximum(1.0, np.linalg.norm(pairs, axis=0))
+    scaled, norms = _rescaled_norms(pairs, axis=-2)
+    outside = scaled - graph.basis @ (graph.basis.conj().T @ scaled)
+    scale = np.maximum(1.0, norms)
     if not np.all(np.linalg.norm(outside, axis=0) <= 10 * DEFAULT_TOL * scale):
         raise ValueError("input pair does not belong to T*")
     mu, mu_bar = model.mu, np.conj(model.mu)

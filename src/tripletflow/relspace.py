@@ -28,13 +28,13 @@ __all__ = [
     "RelationStack",
     "span_orthonormalize",
     "adjoint_relation",
-    "relations_from_span",
     "is_self_adjoint",
     "is_self_adjoint_batch",
     "cayley_unitary",
     "cayley_unitaries",
     "parts_decomposition",
     "map_relation",
+    "map_relations",
     "restrict_relation",
     "matrix_to_json",
     "matrix_from_json",
@@ -74,57 +74,57 @@ def _freeze(a):
     return a
 
 
+def _rescaled_norms(a, axis=None, zeros=False):
+    """Norms of the columns of `a` (axis=-2) or of the whole matrix
+    (axis=None), with the reduced axes kept.  Where a norm overflows (or,
+    with `zeros`, underflows to 0), that column or matrix is divided by its
+    largest real or imaginary part and measured again; the divisions are
+    real, since a modulus could overflow, and so could numpy's complex
+    division by a subnormal.  Returns (a, norms), and whatever is measured
+    once keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=axis, keepdims=True)
+    redo = np.isinf(norms) | (zeros & (norms == 0.0))
+    if redo.any():
+        peak = np.maximum(abs(a.real), abs(a.imag)).max(
+            axis=axis, initial=0.0, keepdims=True)
+        scale = np.where(redo & (peak > 0.0), peak, 1.0)
+        a = a.copy()
+        a.real /= scale
+        a.imag /= scale
+        norms = np.where(redo, np.linalg.norm(a, axis=axis, keepdims=True),
+                         norms)
+    return a, norms
+
+
 def _orthonormal_columns(columns):
     """Orthonormal basis of the column span of a matrix, or of each matrix
-    in a stack (..., m, k); directions with singular value <= DEFAULT_TOL *
-    s_max of their own matrix are dropped.
+    of a stack (..., m, k) whose members have one rank; directions with
+    singular value <= DEFAULT_TOL * s_max of their own matrix are dropped.
 
     Columns are normalized first so that the relative threshold reflects
     angles between directions, not disparate column scales; a column whose
     norm overflows or underflows is measured again after scaling, so no
     column is lost to its scale alone.  Columns that are zero in every
-    matrix are dropped; a column zero in only some members stays as a zero
-    column of those.
-
-    Returns (basis, ranks): basis has shape (..., m, r) with r the largest
-    rank in the stack, and the columns of a member past its own rank are
-    zero.  For a single matrix basis is exactly (m, rank).
+    matrix are dropped.  Returns the basis (..., m, rank); members of a
+    stack that come out with different ranks raise ValueError.
     """
     *batch, m, _ = columns.shape
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(columns, axis=-2)
-    redo = (norms == 0.0) | np.isinf(norms)
-    if redo.any():
-        # the sum of squares overflowed or underflowed: measure those
-        # columns again after scaling each by its largest real or
-        # imaginary part, with real divisions (a modulus could overflow,
-        # and so could numpy's complex division by a subnormal); the other
-        # columns are divided by 1.0 and keep their bits
-        peak = np.maximum(abs(columns.real), abs(columns.imag)).max(
-            axis=-2, initial=0.0)
-        scale = np.where(redo & (peak > 0.0), peak, 1.0)[..., None, :]
-        columns = columns.copy()
-        columns.real /= scale
-        columns.imag /= scale
-        norms = np.where(redo, np.linalg.norm(columns, axis=-2), norms)
-    nonzero = norms > 0.0
-    keep = nonzero.any(axis=tuple(range(len(batch)))) if batch else nonzero
+    columns, norms = _rescaled_norms(columns, axis=-2, zeros=True)
+    keep = (norms > 0.0).any(axis=tuple(range(norms.ndim - 1)))
     if not keep.all():
-        columns, norms, nonzero = (columns[..., keep], norms[..., keep],
-                                   nonzero[..., keep])
+        columns, norms = columns[..., keep], norms[..., keep]
     if columns.shape[-1] == 0:
-        return (np.zeros((*batch, m, 0), dtype=complex),
-                np.zeros(batch, dtype=int))
-    if batch and not nonzero.all():
-        norms = np.where(nonzero, norms, 1.0)
-    u, s, _ = np.linalg.svd(columns / norms[..., None, :],
+        return np.zeros((*batch, m, 0), dtype=complex)
+    # a column zero in some members only spans nothing in those
+    u, s, _ = np.linalg.svd(columns / np.where(norms > 0.0, norms, 1.0),
                             full_matrices=False)
     ranks = (s > DEFAULT_TOL * s[..., :1]).sum(axis=-1)
-    rank = int(ranks.max()) if batch else int(ranks)
-    u = u[..., :rank]
-    if batch and (ranks < rank).any():
-        u = np.where(np.arange(rank) < ranks[..., None, None], u, 0.0)
-    return u, ranks
+    rank = ranks.flat[0]
+    if (ranks != rank).any():
+        raise ValueError("the members of the stack differ in rank")
+    return u[..., :rank]
 
 
 class Subspace:
@@ -144,7 +144,7 @@ class Subspace:
     @classmethod
     def from_span(cls, columns, ambient_dim=None):
         columns = _as_matrix(columns, rows=ambient_dim)
-        return cls(_orthonormal_columns(columns)[0])
+        return cls(_orthonormal_columns(columns))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -179,9 +179,7 @@ class Subspace:
             return 1.0
         if self.dim == 0:
             return 0.0
-        resid = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        s = np.linalg.svd(resid, compute_uv=False)
-        return float(min(1.0, s[0]))
+        return float(_gaps(self.basis, other.basis))
 
     def contains(self, other):
         """Whether a vector or a subspace lies in this subspace: its residual
@@ -190,9 +188,12 @@ class Subspace:
             mat = other.basis
         else:
             mat = _as_matrix(other, rows=self.ambient_dim)
+        # where its norm overflows the bound is relative, so a scaled copy
+        # is measured instead
+        mat, norm = _rescaled_norms(mat)
         resid = mat - self.basis @ (self.basis.conj().T @ mat)
-        scale = max(1.0, np.linalg.norm(mat))
-        return bool(np.linalg.norm(resid) <= 10 * DEFAULT_TOL * scale)
+        return bool(np.linalg.norm(resid)
+                    <= 10 * DEFAULT_TOL * max(1.0, norm.item()))
 
     def intersect(self, other):
         """Intersection: the null space of the stacked orthogonality
@@ -215,31 +216,34 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _null_space(a):
-    """Orthonormal basis of Ker a, with the same relative rank threshold.
+def _gaps(a, b):
+    """Largest principal-angle sine between the spans of two orthonormal
+    bases of one dimension, or between those of each pair of a stack."""
+    resid = b - a @ (a.conj().swapaxes(-1, -2) @ b)
+    return np.minimum(1.0, np.linalg.svd(resid, compute_uv=False)[..., 0])
 
-    For a stack (..., m, n) the null space of each member: member i has the
-    last n - rank_i columns of the result, and any columns before those are
-    zero.
-    """
+
+def _null_space(a):
+    """Orthonormal basis of Ker a, with the same relative rank threshold."""
     return _null_space_dims(a)[0]
 
 
 def _null_space_dims(a):
-    """`_null_space` of a matrix or a stack, with the null dimension
-    n - rank_i of each member."""
+    """Null space of a matrix, or of each member of a stack (..., m, n),
+    with the null dimension n - rank_i of each member.
+
+    The basis is the right singular vectors as the SVD returns them, as
+    many as the largest null dimension: member i's null space is its last
+    dims[i] columns, so a stack whose members differ in rank is read member
+    by member.
+    """
     *batch, m, n = a.shape
     if m == 0 or not a.any():
         return (np.tile(np.eye(n, dtype=complex), (*batch, 1, 1)),
                 np.full(batch, n))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     ranks = (s > DEFAULT_TOL * s[..., :1]).sum(axis=-1)
-    low = int(ranks.min()) if batch else int(ranks)
-    null = vh[..., low:, :].conj().swapaxes(-1, -2)
-    if batch and (ranks > low).any():
-        null = np.where(np.arange(low, n) >= ranks[..., None, None], null,
-                        0.0)
-    return null, n - ranks
+    return vh[..., ranks.min():, :].conj().swapaxes(-1, -2), n - ranks
 
 
 def span_orthonormalize(columns):
@@ -323,45 +327,47 @@ class LinearRelation:
 
 
 class RelationStack:
-    """A read-only sequence of relations in C^dom_dim + C^cod_dim, carried
-    as one stack of graph bases (N, dom_dim + cod_dim, r) with the columns
-    of member i past ranks[i] zero.
+    """A read-only sequence of relations of one dimension in
+    C^dom_dim + C^cod_dim, carried as one stack of graph bases
+    (N, dom_dim + cod_dim, dim).
 
     The stacked relation code reads the bases directly; indexing or
     iterating builds the member as a `LinearRelation` on demand.
     """
 
-    __slots__ = ("dom_dim", "cod_dim", "bases", "ranks")
+    __slots__ = ("dom_dim", "cod_dim", "bases")
 
-    def __init__(self, dom_dim, cod_dim, bases, ranks):
+    def __init__(self, dom_dim, cod_dim, bases):
         self.dom_dim = int(dom_dim)
         self.cod_dim = int(cod_dim)
         self.bases = _freeze(bases)
-        self.ranks = _freeze(np.asarray(ranks, dtype=int))
+
+    @property
+    def dim(self):
+        return self.bases.shape[-1]
 
     def __len__(self):
         return len(self.bases)
 
     def __getitem__(self, i):
-        basis = self.bases[i][:, :self.ranks[i]]
-        return LinearRelation(self.dom_dim, self.cod_dim, Subspace(basis))
+        return LinearRelation(self.dom_dim, self.cod_dim,
+                              Subspace(self.bases[i]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def __repr__(self):
         return (f"RelationStack(len={len(self)}, dom={self.dom_dim}, "
-                f"cod={self.cod_dim})")
+                f"cod={self.cod_dim}, dim={self.dim})")
 
 
 def _groups(rels):
     """Indices of the relations grouped by (dom_dim, cod_dim, dim), in
-    order of first appearance; the members of a group stack.  A
-    RelationStack is grouped by the ranks of its members."""
+    order of first appearance; the members of a group stack.  A nonempty
+    RelationStack is one group."""
     if isinstance(rels, RelationStack):
-        return [((rels.dom_dim, rels.cod_dim, k),
-                 np.flatnonzero(rels.ranks == k))
-                for k in dict.fromkeys(rels.ranks.tolist())]
+        return ([((rels.dom_dim, rels.cod_dim, rels.dim),
+                  np.arange(len(rels)))] if len(rels) else [])
     groups = {}
     for i, rel in enumerate(rels):
         groups.setdefault((rel.dom_dim, rel.cod_dim, rel.dim), []).append(i)
@@ -370,28 +376,11 @@ def _groups(rels):
 
 def _graph_stack(rels, idx):
     """Graph bases of the indexed relations, all of one dimension, as one
-    contiguous stack; a single relation of a list stays a plain matrix,
-    which the stack code treats as a zero-batch stack."""
+    contiguous stack: the bases of a RelationStack, which is one group, as
+    they are."""
     if isinstance(rels, RelationStack):
-        k = rels.ranks[idx[0]]
-        return np.ascontiguousarray(rels.bases[idx][..., :k])
-    if len(idx) == 1:
-        return rels[idx[0]].graph.basis
+        return rels.bases
     return np.array([rels[i].graph.basis for i in idx])
-
-
-def relations_from_span(dom_dim, cod_dim, columns):
-    """One relation per matrix of a stack (N, dom_dim + cod_dim, k): member i
-    is `LinearRelation.from_span(dom_dim, cod_dim, columns[i])`, all
-    orthonormalized by one stacked SVD into a RelationStack."""
-    columns = np.asarray(columns, dtype=complex)
-    if columns.ndim != 3 or columns.shape[1] != dom_dim + cod_dim:
-        raise ValueError(f"expected a stack of matrices with "
-                         f"{dom_dim + cod_dim} rows, got shape "
-                         f"{columns.shape}")
-    if not np.isfinite(columns).all():
-        raise ValueError("non-finite entries in input matrix")
-    return RelationStack(dom_dim, cod_dim, *_orthonormal_columns(columns))
 
 
 def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
@@ -400,9 +389,8 @@ def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
 
     The adjoint is the null space of the constraints <b_j, x>_cod -
     <a_j, y>_dom = 0, whose SVD basis is orthonormal and is returned as it
-    is.  Returns (basis, ranks) laid out as `_orthonormal_columns` lays out
-    a stack: the ranks are the null dimensions, and on a stack each member
-    has its null columns first and its zero columns last.
+    is.  Returns (basis, dims) as `_null_space_dims` lays out a stack:
+    member i's adjoint is its last dims[i] columns.
     """
     a_blk = bases[..., :dom_dim, :]
     b_blk = bases[..., dom_dim:, :]
@@ -412,14 +400,7 @@ def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
     # row j of the constraint matrix: <b_j, x>_cod - <a_j, y>_dom = 0
     cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
                            -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
-    null, dims = _null_space_dims(cons)
-    width = null.shape[-1]
-    if (dims < width).any():
-        # _null_space puts the zero columns of a member first: rotate each
-        # member's columns by its count of them, an index permutation
-        cols = (np.arange(width) + (width - dims)[..., None]) % width
-        null = np.take_along_axis(null, cols[..., None, :], axis=-1)
-    return null, dims
+    return _null_space_dims(cons)
 
 
 def adjoint_relation(rel, gram_dom=None, gram_cod=None):
@@ -453,12 +434,7 @@ def is_self_adjoint_batch(rels, *, gram=None):
         same = adj_dims == k
         gaps = np.where(same, 0.0, 1.0)
         if k and same.any():
-            if not same.all():
-                bases, adj = bases[same], adj[same]
-            other = adj[..., :k]
-            resid = other - bases @ (bases.conj().swapaxes(-1, -2) @ other)
-            top = np.linalg.svd(resid, compute_uv=False)[..., 0]
-            gaps[same] = np.minimum(1.0, top)
+            gaps = np.where(same, _gaps(bases, adj[..., -k:]), 1.0)
         flags[idx] = gaps <= 100 * DEFAULT_TOL
     return flags
 
@@ -499,7 +475,7 @@ def cayley_unitaries(rels):
                     "Y + iX is numerically singular: the relation is not "
                     "self-adjoint within tolerance")
         unitaries = (y_blk - 1j * x_blk) @ np.linalg.inv(denom)
-        for i, u in zip(idx, unitaries.reshape(len(idx), n, n)):
+        for i, u in zip(idx, unitaries):
             out[i] = u
     return out
 
@@ -525,12 +501,30 @@ def parts_decomposition(rel):
     return op, mul
 
 
-def map_relation(lin_map, rel):
-    """Image of a relation under an invertible linear map of C^dom + C^cod."""
-    lin_map = _as_matrix(lin_map, rows=rel.dom_dim + rel.cod_dim)
+def map_relations(lin_map, rels):
+    """Images of relations of one shape, a sequence or a RelationStack,
+    under an invertible linear map of C^dom + C^cod, as a RelationStack.
+
+    The map is checked for invertibility once, and the mapped graph bases
+    are orthonormalized by one stacked SVD; each image equals
+    `map_relation` of its relation.  Relations of different shapes, or no
+    relations, raise ValueError.
+    """
+    groups = list(_groups(rels))
+    if len(groups) != 1:
+        raise ValueError("relations differ in shape" if groups
+                         else "no relations to map")
+    (((dom_dim, cod_dim, _), idx),) = groups
+    lin_map = _as_matrix(lin_map, rows=dom_dim + cod_dim)
     _check_invertible(lin_map)
-    return LinearRelation.from_span(rel.dom_dim, rel.cod_dim,
-                                    lin_map @ rel.graph.basis)
+    return RelationStack(dom_dim, cod_dim, _orthonormal_columns(
+        lin_map @ _graph_stack(rels, idx)))
+
+
+def map_relation(lin_map, rel):
+    """Image of a relation under an invertible linear map of C^dom + C^cod:
+    the one-relation form of `map_relations`."""
+    return map_relations(lin_map, [rel])[0]
 
 
 def _check_invertible(lin_map):

@@ -299,7 +299,7 @@ def robin_relations(kappas):
     cols[finite, 2, 1] = 1.0
     cols[infinite, 2, 0] = 1.0
     cols[infinite, 3, 1] = 1.0
-    return RelationStack(2, 2, cols, np.full(kap.size, 2))
+    return RelationStack(2, 2, cols)
 
 
 def robin_relation(kappa):

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import cayley as _cayley
 from .gelfand import GelfandTriple, build_triple
-from .relspace import (LinearRelation, RelationStack, Subspace,
-                       _check_invertible, _graph_stack, _groups,
-                       _hermitian_part, _null_space, _orthonormal_columns)
+from .relspace import (LinearRelation, Subspace, _groups, _hermitian_part,
+                       _null_space, map_relations)
 
 __all__ = [
     "MatrixBoundaryProblem",
@@ -372,13 +371,12 @@ def transform_boundary_conditions(rt, rels):
 
     The Dirichlet-to-Neumann operator is subtracted from the second
     component of each relation, and the result is pushed through the
-    triple isometries Lambda' (+) Lambda^-1, with the graph
-    re-orthonormalized after each of the two steps as `map_relation` does.
-    There is no restriction step: the restriction to the full small space
-    is the relation itself, whose graph basis is already orthonormal.  All
-    relations, a sequence or a RelationStack, go through one stacked SVD
-    per step and come back as a RelationStack; the shear and the isometry
-    map are built and checked for invertibility once per call.
+    triple isometries Lambda' (+) Lambda^-1: two `map_relations` calls,
+    each of which checks its map for invertibility once and
+    re-orthonormalizes all graphs by one stacked SVD.  The relations, a
+    sequence or a RelationStack, come back as a RelationStack.  There is
+    no restriction step: the restriction to the full small space is the
+    relation itself, whose graph basis is already orthonormal.
     """
     if not len(rels):
         return []
@@ -386,17 +384,12 @@ def transform_boundary_conditions(rt, rels):
     groups = list(_groups(rels))
     if len(groups) > 1:
         raise ValueError("boundary relations differ in shape")
-    (((dom_dim, cod_dim, k), idx),) = groups
+    (((dom_dim, cod_dim, _), _),) = groups
     if dom_dim != d or cod_dim != d:
         raise ValueError("boundary relation does not match the triple")
     shear = np.eye(2 * d, dtype=complex)
     shear[d:, :d] = -rt.dtn
-    lam_map = rt.triple.shift_map
-    _check_invertible(shear)
-    _check_invertible(lam_map)
-    bases = _graph_stack(rels, idx).reshape(len(idx), 2 * d, k)
-    bases, _ = _orthonormal_columns(shear @ bases)
-    return RelationStack(d, d, *_orthonormal_columns(lam_map @ bases))
+    return map_relations(rt.triple.shift_map, map_relations(shear, rels))
 
 
 def transform_boundary_condition(rt, rel):

@@ -508,12 +508,15 @@ def suite_famindex(trials=_TRIALS, seed=0):
     h1 = _complex_normal(rng, (2, 2))
     h1 = h1 + h1.conj().T
 
-    def relation_loop(rel_of):
+    def relation_loop(rels, rel_of):
         return fi.relation_family_index(fi.FamilyLoop(
-            list(theta), [rel_of(t) for t in theta], generator=rel_of))
+            list(theta), rels, generator=rel_of))
 
     def robin(t):
         return sturm.robin_relation(sturm.kappa_of_theta(t))
+
+    robin_loop = sturm.robin_relations([sturm.kappa_of_theta(t)
+                                        for t in theta])
 
     def conjugated(t):
         evals, evecs = np.linalg.eigh(math.sin(t) * h1)
@@ -524,19 +527,22 @@ def suite_famindex(trials=_TRIALS, seed=0):
         return rs.map_relation(lmap, robin(t))
 
     _check(rec, "famindex", "conjugation_invariance",
-           abs(relation_loop(conjugated) - relation_loop(robin)), 0.5)
+           abs(relation_loop([conjugated(t) for t in theta], conjugated)
+               - relation_loop(robin_loop, robin)), 0.5)
 
     # shifting a relation family by a constant Hermitian matrix
     shift = _complex_normal(rng, (2, 2))
     shift = shift + shift.conj().T
     windings = set()
     for tpar in (0.0, 0.25, 0.5, 0.75, 1.0):
-        def shifted(t, tp=tpar):
-            smap = np.eye(4, dtype=complex)
-            smap[2:, :2] = -tp * shift
+        smap = np.eye(4, dtype=complex)
+        smap[2:, :2] = -tpar * shift
+
+        def shifted(t, smap=smap):
             return rs.map_relation(smap, robin(t))
 
-        windings.add(relation_loop(shifted))
+        windings.add(relation_loop(rs.map_relations(smap, robin_loop),
+                                   shifted))
     # every shift keeps the Robin loop's winding, +1
     _check(rec, "famindex", "weyl_shift_homotopy_invariance",
            0.0 if windings == {1} else 1.0, 0.5)

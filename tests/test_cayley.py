@@ -567,3 +567,17 @@ def test_minus_i_extension_matches_the_full_model(dim, defect):
     assert a_prime.gap(cy.extension_from_relation(model, brel)) <= 1e-12
     full = cy.extension_from_relation(model.with_mu(-1j), brel)
     assert a_second.gap(full) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_split_measures_overflowing_pairs_scaled():
+    model = cy.random_symmetric_model(np.random.default_rng(0), 4, 1)
+    # the norm of the pair overflows; its distance from T* does not vanish
+    with pytest.raises(ValueError, match="does not belong to T"):
+        cy.von_neumann_components(model, np.full(8, 1e200))
+    # a pair of T* stays one at any scale, and its coefficients scale
+    pair = model.Tstar.graph.basis @ np.array([1.0, -2.0, 0.5j, 1.0, 3.0])
+    c_plus, c_minus = cy._split_block(model, pair[:, None])
+    big_plus, big_minus = cy._split_block(model, 1e300 * pair[:, None])
+    np.testing.assert_allclose(big_plus, 1e300 * c_plus, rtol=1e-12)
+    np.testing.assert_allclose(big_minus, 1e300 * c_minus, rtol=1e-12)

@@ -21,7 +21,8 @@ from conftest import random_complex
 
 
 def old_adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
-    """`_adjoint_bases` with the null space orthonormalized again."""
+    """`_adjoint_bases` of one relation with the null space orthonormalized
+    again."""
     a_blk = bases[..., :dom_dim, :]
     b_blk = bases[..., dom_dim:, :]
     cod_dim = b_blk.shape[-2]
@@ -29,7 +30,8 @@ def old_adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
     gdom = np.eye(dom_dim) if gram_dom is None else np.asarray(gram_dom)
     cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
                            -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
-    return rs._orthonormal_columns(rs._null_space(cons))
+    null = rs._orthonormal_columns(rs._null_space(cons))
+    return null, np.array(null.shape[-1])
 
 
 def old_extension(model, g0, g1, perp):
@@ -67,22 +69,22 @@ def graph_stacks(draw):
 @given(case=graph_stacks())
 def test_stacked_adjoint_bases_equal_per_matrix(case):
     stack, dom_dim, (gram_dom, gram_cod) = case
-    bases, ranks = rs._adjoint_bases(stack, dom_dim, gram_dom, gram_cod)
-    assert ranks.shape == stack.shape[:1]
-    assert bases.shape[-1] == ranks.max()
-    for member, basis, rank in zip(stack, bases, ranks):
-        ref, ref_rank = rs._adjoint_bases(member, dom_dim, gram_dom,
-                                          gram_cod)
-        assert rank == ref_rank == ref.shape[1]
-        # the member's null columns first, its zero columns last
-        assert not basis[:, rank:].any()
+    bases, dims = rs._adjoint_bases(stack, dom_dim, gram_dom, gram_cod)
+    assert dims.shape == stack.shape[:1]
+    assert bases.shape[-1] == dims.max()
+    for member, basis, dim in zip(stack, bases, dims):
+        ref, ref_dim = rs._adjoint_bases(member, dom_dim, gram_dom,
+                                         gram_cod)
+        assert dim == ref_dim == ref.shape[1]
+        # the member's adjoint is its last dims[i] columns
+        own = basis[:, basis.shape[1] - dim:]
         if not member.any():
             # all of the space, by another orthonormal basis than the
             # identity of the single all-zero matrix
-            np.testing.assert_allclose(basis @ basis.conj().T,
+            np.testing.assert_allclose(own @ own.conj().T,
                                        np.eye(len(member)), atol=1e-12)
             continue
-        np.testing.assert_array_equal(basis[:, :rank], ref)
+        np.testing.assert_array_equal(own, ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,16 +92,18 @@ def test_stacked_adjoint_bases_equal_per_matrix(case):
 def test_adjoint_bases_match_the_orthonormalized_path(case):
     stack, dom_dim, (gram_dom, gram_cod) = case
     for bases in (stack, stack[0]):
-        new, ranks = rs._adjoint_bases(bases, dom_dim, gram_dom, gram_cod)
-        old, old_ranks = old_adjoint_bases(bases, dom_dim, gram_dom,
-                                           gram_cod)
-        np.testing.assert_array_equal(ranks, old_ranks)
-        if bases.ndim == 2:
-            new, old = new[None], old[None]
-        for basis, ref, rank in zip(new, old, np.atleast_1d(ranks)):
-            basis, ref = basis[:, :rank], ref[:, :rank]
+        new, dims = rs._adjoint_bases(bases, dom_dim, gram_dom, gram_cod)
+        members = bases.reshape(-1, *stack.shape[1:])
+        for member, basis, dim in zip(members,
+                                      new.reshape(len(members),
+                                                  *new.shape[-2:]),
+                                      np.ravel(dims)):
+            ref, ref_dim = old_adjoint_bases(member, dom_dim, gram_dom,
+                                             gram_cod)
+            assert dim == ref_dim
+            basis = basis[:, basis.shape[1] - dim:]
             assert np.linalg.norm(basis.conj().T @ basis
-                                  - np.eye(rank)) <= 1e-13
+                                  - np.eye(dim)) <= 1e-13
             assert rs.Subspace(basis).gap(rs.Subspace(ref)) <= 1e-13
 
 

@@ -1,0 +1,111 @@
+"""Property tests of the relation algebra on stacks of self-adjoint
+relations in C^n + C^n, n from 1 to 6, under random invertible maps.
+
+The maps are U diag(s) V^H with random unitaries U, V and singular values
+s in [0.2, 5], so every map is invertible with condition number at most 25
+and the gap bounds below measure the algebra, not the conditioning.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tripletflow import relspace as rs
+from tripletflow.cayley import random_selfadjoint_relation
+
+from conftest import random_complex
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(random_complex(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_invertible(rng, n):
+    left, right = random_unitary(rng, n), random_unitary(rng, n)
+    return left @ np.diag(rng.uniform(0.2, 5.0, size=n)) @ right.conj().T
+
+
+@st.composite
+def stacks(draw):
+    """(rng, n, relations): one to five random self-adjoint relations in
+    C^n + C^n, as a list or as a RelationStack."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rels = [random_selfadjoint_relation(rng, n) for _ in range(count)]
+    if draw(st.booleans()):
+        rels = rs.map_relations(np.eye(2 * n), rels)
+    return rng, n, rels
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks())
+def test_map_relations_equals_map_relation_bit_for_bit(case):
+    rng, n, rels = case
+    lin = random_invertible(rng, 2 * n)
+    images = rs.map_relations(lin, rels)
+    assert isinstance(images, rs.RelationStack)
+    assert (len(images), images.dom_dim, images.cod_dim, images.dim) == (
+        len(rels), n, n, n)
+    for image, rel in zip(images, rels):
+        np.testing.assert_array_equal(image.graph.basis,
+                                      rs.map_relation(lin, rel).graph.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks())
+def test_composed_maps_agree_with_their_product(case):
+    rng, n, rels = case
+    first = random_invertible(rng, 2 * n)
+    second = random_invertible(rng, 2 * n)
+    twice = rs.map_relations(second, rs.map_relations(first, rels))
+    once = rs.map_relations(second @ first, rels)
+    for lhs, rhs in zip(twice, once):
+        assert lhs.gap(rhs) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks())
+def test_symplectic_maps_keep_self_adjointness(case):
+    # diag(E, E^-H) keeps the form <y, x'> - <x, y'>, and with it every
+    # self-adjoint relation self-adjoint
+    rng, n, rels = case
+    e_mat = random_invertible(rng, n)
+    lin = np.zeros((2 * n, 2 * n), dtype=complex)
+    lin[:n, :n] = e_mat
+    lin[n:, n:] = np.linalg.inv(e_mat.conj().T)
+    assert rs.is_self_adjoint_batch(rels).all()
+    assert rs.is_self_adjoint_batch(rs.map_relations(lin, rels)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks())
+def test_adjoint_is_an_involution_with_complementary_dimension(case):
+    # a generic map takes a self-adjoint relation to a relation that is
+    # not; its adjoint lives in C^n + C^n again, of dimension 2n - dim
+    rng, n, rels = case
+    for rel in rs.map_relations(random_invertible(rng, 2 * n), rels):
+        adj = rs.adjoint_relation(rel)
+        assert (adj.dom_dim, adj.cod_dim) == (rel.cod_dim, rel.dom_dim)
+        assert rel.dim + adj.dim == rel.dom_dim + rel.cod_dim
+        assert rs.adjoint_relation(adj).gap(rel) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks(), data=st.data())
+def test_stacks_of_unequal_rank_raise(case, data):
+    rng, n, rels = case
+    # any dimension but n
+    k = (n + data.draw(st.integers(1, 2 * n))) % (2 * n + 1)
+    other = rs.LinearRelation.from_span(n, n, random_complex(rng, 2 * n, k))
+    assert other.dim != n
+    with pytest.raises(ValueError, match="differ in shape"):
+        rs.map_relations(np.eye(2 * n), [*rels, other])
+    if len(rels) > 1:
+        # the last member loses a direction
+        bases = np.array([rel.graph.basis for rel in rels])
+        bases[-1][:, -1] = 0.0
+        with pytest.raises(ValueError, match="differ in rank"):
+            rs._orthonormal_columns(bases)

@@ -38,9 +38,26 @@ def test_from_span_keeps_columns_at_extreme_scales():
     assert diagonal.contains([1.0, 1.0])
     # parallel columns stay one direction at any scale
     assert rs.Subspace.from_span([[1e200, -3e250], [1e200, -3e250]]).dim == 1
-    stack = rs.relations_from_span(1, 1, np.array([[[1e200, 0], [1, 1]],
-                                                   [[1, 0], [0, 1]]]))
-    assert stack.ranks.tolist() == [2, 2]
+    # a stack rescales the columns of each member the same way
+    bases = rs._orthonormal_columns(np.array([[[1e200, 0], [1, 1]],
+                                              [[1, 0], [0, 1]]],
+                                             dtype=complex))
+    assert bases.shape == (2, 2, 2)
+    for basis in bases:
+        assert rs.Subspace(basis).gap(full) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_contains_measures_overflowing_vectors_scaled():
+    # the squared norm of each vector below overflows
+    line = rs.Subspace.from_span([[1.0], [0.0]])
+    assert not line.contains([1e200, 1e200])
+    assert line.contains([1e200, 0.0])
+    diagonal = rs.Subspace.from_span([[1.0], [1.0]])
+    assert diagonal.contains([1e300 + 1e300j, 1e300 + 1e300j])
+    assert not diagonal.contains([1e300, -1e300])
+    assert rs.Subspace.full(2).contains(np.full((2, 2), 1e200))
+    assert not line.contains(np.array([[1e200, 0.0], [0.0, 1e200]]))
 
 
 def test_subspace_gap_and_ops(rng):

@@ -284,7 +284,7 @@ def test_robin_relations_equal_per_kappa_spans():
     kappas = [0.0, -0.0, 1.0, -3.5, 60.0, 1e155, 1e300, -1e300, math.inf,
               -math.inf]
     stack = sturm.robin_relations(kappas)
-    assert stack.ranks.tolist() == [2] * len(kappas)
+    assert stack.dim == 2
     for kappa, rel in zip(kappas, stack):
         assert rel.dim == 2
         np.testing.assert_array_equal(rel.graph.basis,
@@ -309,9 +309,9 @@ def test_robin_relation_loop_svd_count(monkeypatch):
     # the Robin graphs are orthonormal as written
     assert not calls
     transform_boundary_conditions(rt, raw)
-    # the invertibility checks of the shear and of the isometry map, then
-    # one stacked SVD per step
-    assert calls == [(4, 4), (4, 4), (720, 4, 2), (720, 4, 2)]
+    # two map_relations calls: each checks its map for invertibility,
+    # the shear and then the isometry map, and makes one stacked SVD
+    assert calls == [(4, 4), (720, 4, 2), (4, 4), (720, 4, 2)]
 
 
 def test_transform_equals_the_restricting_reference_chain():
@@ -337,22 +337,29 @@ def test_transform_rejects_mixed_shapes():
 # -- stacked orthonormalization ----------------------------------------------
 
 @st.composite
-def column_stacks(draw):
-    """A stack of complex matrices whose members have their own ranks and,
-    sometimes, their own zero columns."""
+def column_stacks(draw, one_rank=False):
+    """A stack of complex matrices whose members have their own ranks or,
+    with one_rank, one rank, and sometimes a zero column shared by all
+    members and zero columns of their own; with one_rank a column is zeroed
+    only where the member keeps its rank without it."""
     count = draw(st.integers(1, 5))
     m = draw(st.integers(1, 7))
     k = draw(st.integers(0, 5))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
+    common = draw(st.integers(0, min(m, k)))
+    # with one_rank, zeroing one column keeps a member's rank when
+    # spare >= 0, and zeroing two when spare >= 1
+    spare = k - 1 - (common if one_rank else 0)
+    shared = spare >= 0 and draw(st.booleans())
     members = []
     for _ in range(count):
-        rank = draw(st.integers(0, min(m, k)))
+        rank = common if one_rank else draw(st.integers(0, min(m, k)))
         mat = random_complex(rng, m, rank) @ random_complex(rng, rank, k)
-        if k and draw(st.booleans()):
+        if spare - shared >= 0 and draw(st.booleans()):
             mat[:, draw(st.integers(0, k - 1))] = 0.0
         members.append(mat)
-    if k and draw(st.booleans()):
+    if shared:
         column = draw(st.integers(0, k - 1))
         for mat in members:
             mat[:, column] = 0.0
@@ -360,55 +367,57 @@ def column_stacks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(stack=column_stacks())
+@given(stack=column_stacks(one_rank=True))
 def test_stacked_orthonormal_columns_equal_per_matrix(stack):
-    bases, ranks = rs._orthonormal_columns(stack)
-    assert ranks.shape == stack.shape[:1]
+    bases = rs._orthonormal_columns(stack)
     shared_zero = ~(np.linalg.norm(stack, axis=1) > 0).any(axis=0)
-    for member, basis, rank in zip(stack, bases, ranks):
-        ref, ref_rank = rs._orthonormal_columns(member)
-        assert rank == ref_rank == ref.shape[1]
-        assert not basis[:, rank:].any()
+    for member, basis in zip(stack, bases):
+        ref = rs._orthonormal_columns(member)
+        assert basis.shape == ref.shape
         own_zero = ~(np.linalg.norm(member, axis=0) > 0)
         if np.array_equal(own_zero, shared_zero):
             # the same matrix goes to the same SVD
-            np.testing.assert_array_equal(basis[:, :rank], ref)
+            np.testing.assert_array_equal(basis, ref)
         else:
             # a zero column kept for the stack spans nothing more
-            np.testing.assert_allclose(
-                basis[:, :rank] @ basis[:, :rank].conj().T,
-                ref @ ref.conj().T, atol=1e-12)
+            np.testing.assert_allclose(basis @ basis.conj().T,
+                                       ref @ ref.conj().T, atol=1e-12)
 
 
 def test_rank_rule_uses_each_members_own_largest_singular_value():
     # member 0: smallest singular value ~1.56e-10 against s_max ~1.41, so
-    # rank 3 by its own rule; member 1: three equal columns, s_max = 1.73,
-    # a threshold under which member 0 would lose a direction
+    # rank 3 by its own rule; member 1: three nearly parallel unit columns,
+    # s_max ~1.72, a threshold under which member 0 would lose a direction
     phi = 2.2e-10
     first = np.array([[1, 0, math.cos(phi)], [0, 1, 0], [0, 0, math.sin(phi)]],
                      dtype=complex)
-    second = np.ones((3, 3), dtype=complex)
-    bases, ranks = rs._orthonormal_columns(np.array([first, second]))
-    assert ranks.tolist() == [3, 1]
-    for member, basis, rank in zip((first, second), bases, ranks):
-        ref, _ = rs._orthonormal_columns(member)
-        np.testing.assert_array_equal(basis[:, :rank], ref)
+    second = np.array([[1, 1, 1], [0, 0.1, 0], [0, 0, 0.1]], dtype=complex)
+    bases = rs._orthonormal_columns(np.array([first, second]))
+    assert bases.shape == (2, 3, 3)
+    for member, basis in zip((first, second), bases):
+        np.testing.assert_array_equal(basis,
+                                      rs._orthonormal_columns(member))
+    # three equal columns have rank 1: the stack has no one rank
+    with pytest.raises(ValueError, match="differ in rank"):
+        rs._orthonormal_columns(np.array([first, np.ones((3, 3))]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(stack=column_stacks())
 def test_stacked_null_space_equals_per_matrix(stack):
-    nulls = rs._null_space(stack)
-    for member, null in zip(stack, nulls):
+    nulls, dims = rs._null_space_dims(stack)
+    assert nulls.shape[-1] == dims.max()
+    for member, null, dim in zip(stack, nulls, dims):
         ref = rs._null_space(member)
-        width = ref.shape[1]
+        assert dim == ref.shape[1]
+        # the member's null space is its last dims[i] columns
+        own = null[:, null.shape[1] - dim:]
         if not member.any():
             # all of C^k, by another orthonormal basis than the identity
-            np.testing.assert_allclose(null @ null.conj().T,
+            np.testing.assert_allclose(own @ own.conj().T,
                                        np.eye(member.shape[1]), atol=1e-12)
             continue
-        np.testing.assert_array_equal(null[:, null.shape[1] - width:], ref)
-        assert not null[:, :null.shape[1] - width].any()
+        np.testing.assert_array_equal(own, ref)
 
 
 # -- stacked self-adjointness and Cayley transforms ---------------------------
@@ -727,36 +736,32 @@ def test_robin_relation_stack_equals_the_list_path(samples):
                           transform_boundary_conditions(rt, list(raw)))
 
 
-def test_mixed_rank_stack_equals_the_list_path(rng):
-    # ranks 2, 1, 2, 3, 2, 1 in C^2 + C^2: self-adjoint graphs, their
-    # non-self-adjoint neighbours and relations of the wrong dimension
-    def graph(mat):
-        # three spanning columns, none of them zero
-        cols = np.vstack([np.eye(2), mat])
-        return np.hstack([cols, cols @ np.array([[1.0], [2.0]])])
-
-    members = []
+def test_mixed_rank_relations_are_grouped_by_dimension(rng):
+    # dimensions 2, 1, 2, 3, 2, 1 in C^2 + C^2: self-adjoint graphs, their
+    # non-self-adjoint neighbours and relations of the wrong dimension; a
+    # list of them is judged relation by relation, and only its members
+    # of one dimension stack
+    rels = []
     for rank in (2, 1, 2, 3, 2, 1):
         if rank == 2:
             h = random_complex(rng, 2, 2)
-            members.append(graph(h + h.conj().T))
+            rels.append(rs.LinearRelation.graph_of(h + h.conj().T))
         else:
-            cols = random_complex(rng, 4, rank)
-            members.append(np.hstack([cols, cols[:, :1]] * 3)[:, :3])
-    members[4] = graph(random_complex(rng, 2, 2))
-    stack = rs.relations_from_span(2, 2, np.array(members))
-    assert stack.ranks.tolist() == [2, 1, 2, 3, 2, 1]
-    rels = [rs.LinearRelation.from_span(2, 2, m) for m in members]
-    assert_same_relations(stack, rels)
-    flags = rs.is_self_adjoint_batch(stack)
-    assert flags.tolist() == rs.is_self_adjoint_batch(rels).tolist()
+            rels.append(rs.LinearRelation.from_span(
+                2, 2, random_complex(rng, 4, rank)))
+    rels[4] = rs.LinearRelation.graph_of(random_complex(rng, 2, 2))
+    assert [rel.dim for rel in rels] == [2, 1, 2, 3, 2, 1]
+    flags = rs.is_self_adjoint_batch(rels)
+    assert flags.tolist() == [rs.is_self_adjoint(rel) for rel in rels]
     assert flags.tolist() == [True, False, True, False, False, False]
-    with pytest.raises(ValueError) as ref_err:
+    with pytest.raises(ValueError, match="cannot be self-adjoint"):
         rs.cayley_unitaries(rels)
-    with pytest.raises(ValueError) as err:
-        rs.cayley_unitaries(stack)
-    assert str(err.value) == str(ref_err.value)
-    square = rs.relations_from_span(2, 2, np.array(members)[[0, 2, 4]])
+    with pytest.raises(ValueError, match="differ in shape"):
+        rs.map_relations(np.eye(4), rels)
+    square = rs.map_relations(np.eye(4), [rels[i] for i in (0, 2, 4)])
+    assert square.dim == 2
+    assert (rs.is_self_adjoint_batch(square).tolist()
+            == [True, True, False])
     assert_same_unitaries(rs.cayley_unitaries(square),
                           rs.cayley_unitaries(list(square)))
 
