@@ -276,6 +276,18 @@ def _boundary_coords(w, mu, c_plus, c_minus):
     return c_minus + v_plus, -mu * c_minus - np.conj(mu) * v_plus
 
 
+def _unit_scaled(pair):
+    """(pair, 1.0) for a pair of finite norm; for a pair whose norm
+    overflows, the copy of it that `_rescaled_norms` measures, divided by
+    its largest real or imaginary part, and that part.  A residual that is
+    linear in the pair is measured on the copy and multiplied back by the
+    part, so it is finite wherever its value is representable."""
+    scaled, _ = _rescaled_norms(pair)
+    if scaled is pair:
+        return pair, 1.0
+    return scaled, float(np.maximum(abs(pair.real), abs(pair.imag)).max())
+
+
 def von_neumann_components(model, z):
     """Split a pair in T* along T (+) {(y, mu y)} (+) {(y, conj(mu) y)}.
 
@@ -284,9 +296,11 @@ def von_neumann_components(model, z):
     z0 = z_minus + V z_plus and z1 = -mu z_minus - conj(mu) V z_plus.
     When A is invertible the reconstruction identity
     z = z_T + A(A - mu)^(-1) z0 + (A - mu)^(-1) z1 is checked and its
-    residual reported; otherwise that field is None.
+    residual reported; otherwise that field is None.  A pair whose norm
+    overflows is split as a copy scaled by its largest part, and its parts
+    and residuals are scaled back.
     """
-    pair = _as_pair(model, z)
+    pair, scale = _unit_scaled(_as_pair(model, z))
     n = model.dim
     c_plus, c_minus = _split_block(model, pair[:, None])
     g0, g1 = _boundary_coords(model._w, model.mu, c_plus, c_minus)
@@ -306,9 +320,11 @@ def von_neumann_components(model, z):
                                             np.column_stack([z0, z1]))
         recon = float(np.linalg.norm(pair[:n] - (z_t[:n] + wp[:, 0]
                                                  + w[:, 1]))
-                      + r[0] + r[1])
-    return VonNeumannSplit(z_t, z_plus, z_minus, z0, z1,
-                           float(split_resid), recon)
+                      + r[0] + r[1]) * scale
+    parts = (z_t, z_plus, z_minus, z0, z1)
+    if scale != 1.0:
+        parts = [vec * scale for vec in parts]
+    return VonNeumannSplit(*parts, float(split_resid) * scale, recon)
 
 
 def lagrange_residual(model, x, z):
@@ -316,16 +332,20 @@ def lagrange_residual(model, x, z):
     stacked as in `von_neumann_components`.
 
     |<x', z> - <x, z'> - (<G1 x, G0 z> - <G0 x, G1 z>)| with the boundary
-    values from one von Neumann split of both pairs.
+    values from one von Neumann split of both pairs.  A pair whose norm
+    overflows is measured as a copy scaled by its largest part, and the
+    residual is scaled back.
     """
-    xp = _as_pair(model, x)
-    zp = _as_pair(model, z)
+    xp, x_scale = _unit_scaled(_as_pair(model, x))
+    zp, z_scale = _unit_scaled(_as_pair(model, z))
     n = model.dim
     c_plus, c_minus = _split_block(model, np.column_stack([xp, zp]))
     g0, g1 = _boundary_coords(model._w, model.mu, c_plus, c_minus)
     lhs = _inner(xp[n:], zp[:n]) - _inner(xp[:n], zp[n:])
     rhs = _inner(g1[:, 0], g0[:, 1]) - _inner(g0[:, 0], g1[:, 1])
-    return abs(lhs - rhs)
+    # Python floats: a product past the largest float is inf, with no
+    # warning
+    return abs(lhs - rhs) * x_scale * z_scale
 
 
 def boundary_data(model):

@@ -21,7 +21,7 @@ import numpy as np
 from . import famindex as fi
 from . import sturm
 from . import verify as vf
-from .relspace import _groups, is_self_adjoint_batch, relation_from_json
+from .relspace import is_self_adjoint_batch, relation_from_json
 
 __all__ = ["main", "cmd_rellich", "cmd_verify", "cmd_index"]
 
@@ -113,10 +113,10 @@ def cmd_verify(args):
 
 
 def _load_family(spec_path):
-    """The loop of a family fixture and the fixture's "dim" key, None when
-    it has none (and for the built-in family)."""
+    """The loop of a family fixture, checked where it is read, or of the
+    built-in family, which is self-adjoint by construction."""
     if spec_path == "rellich":
-        return fi.rellich_boundary_family(), None
+        return fi.rellich_boundary_family()
     with open(spec_path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     thetas = []
@@ -134,31 +134,29 @@ def _load_family(spec_path):
         # a JSON value of the wrong kind where an object, list or number
         # belongs
         raise ValueError(f"malformed family fixture: {exc}") from None
-    return fi.FamilyLoop(thetas, rels), dim
+    loop = fi.FamilyLoop(thetas, rels)
+    bad = np.flatnonzero(~is_self_adjoint_batch(rels))
+    if bad.size:
+        raise ValueError(f"sample at theta={thetas[bad[0]]} is not a "
+                         "self-adjoint relation")
+    # every sample is now self-adjoint: its space is C^m + C^m, m = dom_dim
+    n = rels[0].dom_dim
+    other = [i for i, rel in enumerate(rels) if rel.dom_dim != n]
+    if other:
+        m = rels[other[0]].dom_dim
+        raise ValueError(f"malformed family fixture: sample at "
+                         f"theta={thetas[other[0]]} is a relation in "
+                         f"C^{m} + C^{m}, not in C^{n} + C^{n} as the first "
+                         "sample")
+    if dim is not None and (type(dim) is not int or dim != n):
+        raise ValueError(f"malformed family fixture: \"dim\" is {dim!r}, "
+                         f"but the samples are relations in C^{n} + C^{n}")
+    return loop
 
 
 def cmd_index(args):
     """Family index of a loop of self-adjoint relations from a fixture file."""
-    loop, dim = _load_family(args.family)
-    bad = np.flatnonzero(~is_self_adjoint_batch(loop.payloads))
-    if bad.size:
-        raise ValueError(f"sample at theta={loop.thetas[bad[0]]} is not a "
-                         "self-adjoint relation")
-    # every sample is now self-adjoint, so one group per space C^n + C^n,
-    # the first sample's group first
-    groups = list(_groups(loop.payloads))
-    if len(groups) > 1:
-        ((n, _, _), _), ((m, _, _), idx) = groups[:2]
-        raise ValueError(f"malformed family fixture: sample at "
-                         f"theta={loop.thetas[idx[0]]} is a relation in "
-                         f"C^{m} + C^{m}, not in C^{n} + C^{n} as the first "
-                         "sample")
-    if dim is not None and groups:
-        (n, _, _), _ = groups[0]
-        if type(dim) is not int or dim != n:
-            raise ValueError(f"malformed family fixture: \"dim\" is {dim!r}, "
-                             f"but the samples are relations in C^{n} + "
-                             f"C^{n}")
+    loop = _load_family(args.family)
     report = fi.IndexReport(None, fi.relation_family_index(loop))
     _emit_report(report.to_dict(), args, "index_report")
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sturm
-from .relspace import cayley_unitaries, cayley_unitary
+from .relspace import DEFAULT_TOL, cayley_unitaries, cayley_unitary
 from .triplet import reduced_triplet, transform_boundary_conditions
 
 __all__ = [
@@ -154,12 +154,32 @@ def _theta_grid(samples):
     return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
 
 
+def _unitary_samples(thetas, unitaries):
+    """The unitaries as one complex array, each checked against the bound
+    ||U^H U - I||_F <= 1e3 * DEFAULT_TOL of the W check of the extension
+    engine; ValueError names the first theta whose sample is not unitary."""
+    mats = np.asarray(unitaries, dtype=complex)
+    # the difference is made in place and its norms summed by einsum, so
+    # the check holds at most two arrays of the loop's size at once
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    gram -= np.eye(mats.shape[-1])
+    defects = np.sqrt(np.einsum("...ij,...ij->...", gram.real, gram.real)
+                      + np.einsum("...ij,...ij->...", gram.imag, gram.imag))
+    bad = np.flatnonzero(~(defects <= 1e3 * DEFAULT_TOL))
+    if bad.size:
+        raise ValueError(f"sample at theta={thetas[bad[0]]} is not unitary "
+                         f"(||U^H U - I|| = {defects[bad[0]]:.3g})")
+    return mats
+
+
 def det_winding(loop, *, max_inserts=20000):
     """Winding number of det along a closed loop of unitary matrices.
 
     `loop` is a FamilyLoop of unitaries, refined through its generator
     (theta -> unitary) if it has one, or a plain sequence of unitaries on
-    the equally spaced grid.  Consecutive samples must satisfy
+    the equally spaced grid.  Every sample, refined ones included, must be
+    unitary, ||U^H U - I||_F <= 1e3 * DEFAULT_TOL; otherwise ValueError
+    names the first theta that is not.  Consecutive samples must satisfy
     ||U_next - U_prev|| < 0.5; offending intervals are bisected, and
     without a generator an error names the first one.  The accumulated
     argument must land within 0.05 of an integer multiple of 2*pi.
@@ -170,7 +190,10 @@ def det_winding(loop, *, max_inserts=20000):
     """
     if not isinstance(loop, FamilyLoop):
         loop = FamilyLoop(_theta_grid(len(loop)), loop)
-    mats = np.asarray(loop.payloads, dtype=complex)
+    mats = _unitary_samples(loop.thetas, loop.payloads)
+    gen = loop.generator
+    refine = None if gen is None else (
+        lambda t: _unitary_samples([t], [gen(t)])[0])
 
     def judge(t0s, t1s, u0s, u1s):
         u0s = np.asarray(u0s, dtype=complex)
@@ -187,7 +210,7 @@ def det_winding(loop, *, max_inserts=20000):
                 in zip(fine.tolist(), angles, gaps, t0s, t1s)]
 
     total = 0.0
-    for _, _, angle in _walk_loop(loop.thetas, mats, loop.generator, judge,
+    for _, _, angle in _walk_loop(loop.thetas, mats, refine, judge,
                                   max_inserts):
         total += angle
     turns = total / (2.0 * math.pi)
@@ -389,9 +412,13 @@ def _polish_crossing(batch, t0, t1, la, lb, level=0.0):
 
 
 def relation_family_index(loop):
-    """Winding of the Cayley loop of a FamilyLoop of self-adjoint relations
+    """Winding of the Cayley loop of a FamilyLoop of relations of one shape
     (a list or one RelationStack), refined through its generator if it
-    has one."""
+    has one.
+
+    The samples must be self-adjoint; they are not checked here, but a
+    sample whose Cayley transform is not unitary, or whose Y + iX is
+    singular, raises (see `det_winding` and `cayley_unitaries`)."""
     gen = loop.generator
     refine = None if gen is None else lambda t: cayley_unitary(gen(t))
     unitaries = cayley_unitaries(loop.payloads)

@@ -61,7 +61,6 @@ class GelfandTriple:
     use the rank tolerance DEFAULT_TOL.
     """
 
-    dim: int
     gram_K: np.ndarray
     gram_partial: np.ndarray
     iota_star: np.ndarray = field(init=False, repr=False)
@@ -73,9 +72,9 @@ class GelfandTriple:
     def __post_init__(self):
         gk = _check_hpd(self.gram_K, "gram_K")
         gp = _check_hpd(self.gram_partial, "gram_partial")
-        if gk.shape[0] != self.dim or gp.shape[0] != self.dim:
-            raise ValueError("Gram matrices do not match the stated dimension")
-        if self.dim == 0:
+        if gk.shape != gp.shape:
+            raise ValueError("Gram matrices differ in size")
+        if gk.shape[0] == 0:
             empty = np.zeros((0, 0), dtype=complex)
             for name in ("gram_K", "gram_partial", "iota_star", "j", "lam",
                          "lam_inv", "gram_dual"):
@@ -101,6 +100,10 @@ class GelfandTriple:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam_inv", np.linalg.inv(lam))
         object.__setattr__(self, "gram_dual", gp @ inv_gk @ gp)
+
+    @property
+    def dim(self):
+        return self.gram_K.shape[0]
 
     # -- inner products ---------------------------------------------------
     def inner_K(self, u, v):
@@ -129,9 +132,8 @@ class GelfandTriple:
 
 def build_triple(gram_K, gram_partial):
     """Construct the Gelfand triple associated with the pair of Grams."""
-    gram_K = np.asarray(gram_K, dtype=complex)
-    return GelfandTriple(dim=gram_K.shape[0], gram_K=gram_K,
-                         gram_partial=np.asarray(gram_partial, dtype=complex))
+    return GelfandTriple(np.asarray(gram_K, dtype=complex),
+                         np.asarray(gram_partial, dtype=complex))
 
 
 def identity_triple(dim):
@@ -176,7 +178,7 @@ def triple_adjoint(triple, rel):
     """
     if rel.dom_dim != triple.dim or rel.cod_dim != triple.dim:
         raise ValueError("relation does not match the triple dimension")
-    return adjoint_relation(rel, triple.gram_partial, triple.gram_partial)
+    return adjoint_relation(rel, triple.gram_partial)
 
 
 def is_triple_self_adjoint(triple, rel):

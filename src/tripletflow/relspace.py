@@ -362,56 +362,64 @@ class RelationStack:
 
 
 def _groups(rels):
-    """Indices of the relations grouped by (dom_dim, cod_dim, dim), in
-    order of first appearance; the members of a group stack.  A nonempty
-    RelationStack is one group."""
+    """The relations grouped by shape (dom_dim, cod_dim, dim), in order of
+    first appearance, as a list of (shape, indices, bases) with the graph
+    bases of each group as one contiguous stack.  A nonempty
+    RelationStack is one group, with its bases as they are."""
     if isinstance(rels, RelationStack):
         return ([((rels.dom_dim, rels.cod_dim, rels.dim),
-                  np.arange(len(rels)))] if len(rels) else [])
+                  np.arange(len(rels)), rels.bases)] if len(rels) else [])
     groups = {}
     for i, rel in enumerate(rels):
         groups.setdefault((rel.dom_dim, rel.cod_dim, rel.dim), []).append(i)
-    return groups.items()
+    return [(shape, idx, np.array([rels[i].graph.basis for i in idx]))
+            for shape, idx in groups.items()]
 
 
-def _graph_stack(rels, idx):
-    """Graph bases of the indexed relations, all of one dimension, as one
-    contiguous stack: the bases of a RelationStack, which is one group, as
-    they are."""
-    if isinstance(rels, RelationStack):
-        return rels.bases
-    return np.array([rels[i].graph.basis for i in idx])
+def _one_shape(rels):
+    """(dom_dim, cod_dim, bases) of relations of one shape, a sequence or a
+    RelationStack; relations of different shapes, or no relations, raise
+    ValueError."""
+    groups = _groups(rels)
+    if len(groups) != 1:
+        raise ValueError("relations differ in shape" if groups
+                         else "no relations")
+    (((dom_dim, cod_dim, _), _, bases),) = groups
+    return dom_dim, cod_dim, bases
 
 
-def _adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
+def _adjoint_bases(bases, dom_dim, gram):
     """Graph bases of the adjoints of a relation, or of each member of a
-    stack of graph bases (..., dom_dim + cod_dim, k).
+    stack of graph bases (..., dom_dim + cod_dim, k), for the standard
+    inner products or for the Gram matrix `gram` on both components.
 
-    The adjoint is the null space of the constraints <b_j, x>_cod -
-    <a_j, y>_dom = 0, whose SVD basis is orthonormal and is returned as it
-    is.  Returns (basis, dims) as `_null_space_dims` lays out a stack:
-    member i's adjoint is its last dims[i] columns.
+    The adjoint is the null space of the constraints <b_j, x> -
+    <a_j, y> = 0, whose SVD basis is orthonormal and is returned as it is.
+    Returns (basis, dims) as `_null_space_dims` lays out a stack: member
+    i's adjoint is its last dims[i] columns.
     """
     a_blk = bases[..., :dom_dim, :]
     b_blk = bases[..., dom_dim:, :]
     cod_dim = b_blk.shape[-2]
-    gcod = np.eye(cod_dim) if gram_cod is None else np.asarray(gram_cod)
-    gdom = np.eye(dom_dim) if gram_dom is None else np.asarray(gram_dom)
-    # row j of the constraint matrix: <b_j, x>_cod - <a_j, y>_dom = 0
+    gcod = np.eye(cod_dim) if gram is None else np.asarray(gram)
+    gdom = np.eye(dom_dim) if gram is None else gcod
+    # row j of the constraint matrix: <b_j, x> - <a_j, y> = 0
     cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
                            -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
     return _null_space_dims(cons)
 
 
-def adjoint_relation(rel, gram_dom=None, gram_cod=None):
+def adjoint_relation(rel, gram=None):
     """Adjoint of a relation: pairs (x, y) with <b, x> = <a, y> for all (a, b).
 
-    Inner products default to the standard ones; optional Gram matrices give
-    the inner products of weighted ambient spaces.  The result lives in
+    Inner products default to the standard ones; an optional Gram matrix
+    gives the inner product of a weighted space, the same on both
+    components, so it needs dom_dim == cod_dim.  The result lives in
     C^cod_dim + C^dom_dim.
     """
-    basis, _ = _adjoint_bases(rel.graph.basis, rel.dom_dim, gram_dom,
-                              gram_cod)
+    if gram is not None and rel.dom_dim != rel.cod_dim:
+        raise ValueError("a Gram matrix needs dom_dim == cod_dim")
+    basis, _ = _adjoint_bases(rel.graph.basis, rel.dom_dim, gram)
     return LinearRelation(rel.cod_dim, rel.dom_dim, Subspace(basis))
 
 
@@ -419,16 +427,15 @@ def is_self_adjoint_batch(rels, *, gram=None):
     """`is_self_adjoint` of every relation of a sequence, as a boolean array.
 
     Relations of equal shape share one stacked adjoint and one stacked gap
-    computation; each is judged by its gap to its adjoint against
-    100 * DEFAULT_TOL.  A relation with dom_dim != cod_dim is not
-    self-adjoint.
+    computation, so a list may mix shapes, as a fixture's samples do; each
+    is judged by its gap to its adjoint against 100 * DEFAULT_TOL.  A
+    relation with dom_dim != cod_dim is not self-adjoint.
     """
     flags = np.zeros(len(rels), dtype=bool)
-    for (n, cod_dim, k), idx in _groups(rels):
+    for (n, cod_dim, k), idx, bases in _groups(rels):
         if n != cod_dim:
             continue
-        bases = _graph_stack(rels, idx)
-        adj, adj_dims = _adjoint_bases(bases, n, gram, gram)
+        adj, adj_dims = _adjoint_bases(bases, n, gram)
         # gap of subspaces: 1 when the dimensions differ, else the largest
         # principal-angle sine, as in Subspace.gap
         same = adj_dims == k
@@ -448,36 +455,30 @@ def is_self_adjoint(rel, gram=None):
 
 
 def cayley_unitaries(rels):
-    """Cayley transforms of a sequence of self-adjoint relations, each as
-    `cayley_unitary` gives it, by one stacked SVD and inverse per relation
-    shape.
+    """Cayley transforms of self-adjoint relations of one shape, a sequence
+    or a RelationStack, as one array (N, n, n) whose members are as
+    `cayley_unitary` gives them: one stacked SVD checks every Y + iX for
+    numerical singularity, and one stacked inverse divides by it.
 
-    Every relation is checked for a numerically singular Y + iX.
+    Relations of different shapes, or no relations, raise ValueError.
     """
-    out = [None] * len(rels)
-    for (n, cod_dim, k), idx in _groups(rels):
-        if n != cod_dim:
-            raise ValueError("Cayley transform needs dom_dim == cod_dim")
-        if k != n:
-            raise ValueError(
-                f"relation of dimension {k} in C^{n}+C^{n} cannot be "
-                "self-adjoint")
-        bases = _graph_stack(rels, idx)
-        x_blk = bases[..., :n, :]
-        y_blk = bases[..., n:, :]
-        denom = y_blk + 1j * x_blk
-        if n > 0:
-            svals = np.linalg.svd(denom, compute_uv=False)
-            bad = (svals[..., -1]
-                   <= DEFAULT_TOL * np.maximum(1.0, svals[..., 0]))
-            if bad.any():
-                raise np.linalg.LinAlgError(
-                    "Y + iX is numerically singular: the relation is not "
-                    "self-adjoint within tolerance")
-        unitaries = (y_blk - 1j * x_blk) @ np.linalg.inv(denom)
-        for i, u in zip(idx, unitaries):
-            out[i] = u
-    return out
+    n, cod_dim, bases = _one_shape(rels)
+    if n != cod_dim:
+        raise ValueError("Cayley transform needs dom_dim == cod_dim")
+    if bases.shape[-1] != n:
+        raise ValueError(f"relation of dimension {bases.shape[-1]} in "
+                         f"C^{n}+C^{n} cannot be self-adjoint")
+    x_blk = bases[..., :n, :]
+    y_blk = bases[..., n:, :]
+    denom = y_blk + 1j * x_blk
+    if n > 0:
+        svals = np.linalg.svd(denom, compute_uv=False)
+        if (svals[..., -1]
+                <= DEFAULT_TOL * np.maximum(1.0, svals[..., 0])).any():
+            raise np.linalg.LinAlgError(
+                "Y + iX is numerically singular: the relation is not "
+                "self-adjoint within tolerance")
+    return (y_blk - 1j * x_blk) @ np.linalg.inv(denom)
 
 
 def cayley_unitary(rel):
@@ -510,15 +511,11 @@ def map_relations(lin_map, rels):
     `map_relation` of its relation.  Relations of different shapes, or no
     relations, raise ValueError.
     """
-    groups = list(_groups(rels))
-    if len(groups) != 1:
-        raise ValueError("relations differ in shape" if groups
-                         else "no relations to map")
-    (((dom_dim, cod_dim, _), idx),) = groups
+    dom_dim, cod_dim, bases = _one_shape(rels)
     lin_map = _as_matrix(lin_map, rows=dom_dim + cod_dim)
     _check_invertible(lin_map)
-    return RelationStack(dom_dim, cod_dim, _orthonormal_columns(
-        lin_map @ _graph_stack(rels, idx)))
+    return RelationStack(dom_dim, cod_dim,
+                         _orthonormal_columns(lin_map @ bases))
 
 
 def map_relation(lin_map, rel):

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import cayley as _cayley
 from .gelfand import GelfandTriple, build_triple
-from .relspace import (LinearRelation, Subspace, _groups, _hermitian_part,
-                       _null_space, map_relations)
+from .relspace import (LinearRelation, RelationStack, Subspace,
+                       _hermitian_part, _null_space, map_relations)
 
 __all__ = [
     "MatrixBoundaryProblem",
@@ -376,17 +376,17 @@ def transform_boundary_conditions(rt, rels):
     re-orthonormalizes all graphs by one stacked SVD.  The relations, a
     sequence or a RelationStack, come back as a RelationStack.  There is
     no restriction step: the restriction to the full small space is the
-    relation itself, whose graph basis is already orthonormal.
+    relation itself, whose graph basis is already orthonormal.  Relations
+    of different shapes, no relations, or relations outside C^d + C^d
+    raise ValueError.
     """
-    if not len(rels):
-        return []
     d = rt.triple.dim
-    groups = list(_groups(rels))
-    if len(groups) > 1:
-        raise ValueError("boundary relations differ in shape")
-    (((dom_dim, cod_dim, _), _),) = groups
-    if dom_dim != d or cod_dim != d:
-        raise ValueError("boundary relation does not match the triple")
+    # map_relations rejects mixed shapes and no relations; a stack gives
+    # its space without building its first member
+    if len(rels):
+        first = rels if isinstance(rels, RelationStack) else rels[0]
+        if (first.dom_dim, first.cod_dim) != (d, d):
+            raise ValueError("boundary relation does not match the triple")
     shear = np.eye(2 * d, dtype=complex)
     shear[d:, :d] = -rt.dtn
     return map_relations(rt.triple.shift_map, map_relations(shear, rels))

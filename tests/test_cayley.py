@@ -581,3 +581,52 @@ def test_split_measures_overflowing_pairs_scaled():
     big_plus, big_minus = cy._split_block(model, 1e300 * pair[:, None])
     np.testing.assert_allclose(big_plus, 1e300 * c_plus, rtol=1e-12)
     np.testing.assert_allclose(big_minus, 1e300 * c_minus, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_von_neumann_residuals_of_overflowing_pairs(scale):
+    model = cy.random_symmetric_model(np.random.default_rng(0), 4, 1)
+    c = np.random.default_rng(1).standard_normal(model.Tstar.graph.dim)
+    pair = model.Tstar.graph.basis @ c
+    unit = cy.von_neumann_components(model, pair)
+    big = cy.von_neumann_components(model, scale * pair)
+    # the residuals are representable and scale with the pair
+    for got, ref in ((big.split_residual, unit.split_residual),
+                     (big.reconstruction_residual,
+                      unit.reconstruction_residual)):
+        assert np.isfinite(got)
+        assert got <= 1e-10 * scale * np.linalg.norm(pair)
+        assert abs(np.log10(got / (scale * ref))) < 1.0
+    for part in ("z_T", "z_plus", "z_minus", "z0", "z1"):
+        np.testing.assert_allclose(getattr(big, part),
+                                   scale * getattr(unit, part),
+                                   rtol=1e-12, atol=0.0)
+    # the Lagrange residual is that of the unit pairs times both scales:
+    # finite while that product is, inf past it, never NaN
+    small = cy.lagrange_residual(model, pair, pair)
+    got = cy.lagrange_residual(model, scale * pair, pair)
+    assert np.isfinite(got)
+    assert got <= 1e-10 * scale * np.linalg.norm(pair) ** 2
+    both = cy.lagrange_residual(model, scale * pair, scale * pair)
+    if small * scale * scale < np.finfo(float).max:
+        assert np.isfinite(both)
+    else:
+        assert both == np.inf
+
+
+def test_von_neumann_split_of_finite_norm_keeps_its_bits():
+    # no scaled copy for a pair whose norm is finite: the split equals the
+    # direct computation from the projection coefficients bit for bit
+    model = cy.random_symmetric_model(np.random.default_rng(2), 5, 2)
+    basis = model.Tstar.graph.basis
+    pair = 1e150 * (basis @ np.random.default_rng(3).standard_normal(
+        basis.shape[1]))
+    split = cy.von_neumann_components(model, pair)
+    c_plus, c_minus = cy._split_block(model, pair[:, None])
+    np.testing.assert_array_equal(split.z_plus,
+                                  (model.kplus.basis @ c_plus)[:, 0])
+    z_t = split.z_T
+    t_basis = model.T.graph.basis
+    assert split.split_residual == float(
+        np.linalg.norm(z_t - t_basis @ (t_basis.conj().T @ z_t)))

@@ -140,6 +140,34 @@ def test_index_builtin_family(tmp_path, capsys):
     assert report["winding"] == 1
 
 
+def test_index_of_the_builtin_family_checks_nothing_again(tmp_path,
+                                                          monkeypatch):
+    # the built-in loop is self-adjoint by construction: index makes the
+    # SVDs of rellich's relation loop and no self-adjointness check
+    svd = np.linalg.svd
+    counts = {}
+    for argv in (["index", "--family", "rellich"],
+                 ["rellich", "--out", str(tmp_path)]):
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert run_cli(argv) == 0
+        counts[argv[0]] = calls
+    assert counts["index"] == counts["rellich"]
+    assert len(counts["index"]) == 5
+
+
+def test_cli_reads_no_private_relation_helper():
+    imported = [name for name in vars(cli)
+                if name.startswith("_") and not name.startswith("__")
+                and getattr(rs, name, None) is getattr(cli, name)]
+    assert imported == []
+
+
 def write_family(path, thetas, relations):
     payload = {"dim": relations[0].dom_dim,
                "samples": [{"theta": float(t),

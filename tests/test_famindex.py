@@ -83,6 +83,38 @@ def test_winding_mobius_relation_loop():
     assert fi.det_winding(fi.FamilyLoop(THETA, loop, unitary)) == 1
 
 
+@pytest.mark.parametrize("symbol", [
+    lambda t: 2.0 * np.exp(1j * t),
+    lambda t: 0.5 * np.exp(1j * t),
+    lambda t: 0.5j + np.cos(t),
+])
+def test_relation_index_rejects_loops_that_are_not_unitary(symbol):
+    # graphs of 1 x 1 matrices, real at no more than two samples: the
+    # Cayley transforms of the others are not unitary, and no integer is
+    # attached to the loop
+    rels = [rs.LinearRelation.graph_of(np.array([[symbol(t)]]))
+            for t in THETA]
+    bad = np.flatnonzero(~rs.is_self_adjoint_batch(rels))
+    assert len(bad) >= len(THETA) - 2
+    with pytest.raises(ValueError, match=re.escape(
+            f"sample at theta={THETA[bad[0]]} is not unitary")):
+        fi.relation_family_index(fi.FamilyLoop(THETA, rels))
+
+
+def test_winding_checks_refined_samples_for_unitarity():
+    coarse = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+
+    def generator(t):
+        # unitary on the grid only: every refined sample is scaled
+        scale = 1.0 if np.isclose(coarse, t).any() else 1.01
+        return np.array([[scale * np.exp(1j * t)]])
+
+    with pytest.raises(ValueError, match=r"theta=0\.39269\d* is not "
+                                         "unitary"):
+        fi.det_winding(fi.FamilyLoop(coarse, [generator(t) for t in coarse],
+                                     generator))
+
+
 def test_index_report_consistency_is_derived():
     assert fi.IndexReport(spectral_flow=None, winding=3).consistent
     assert fi.IndexReport(spectral_flow=2, winding=2).consistent

@@ -41,6 +41,30 @@ def test_build_triple_rejects_bad_grams(rng):
         gf.build_triple(np.diag([1.0, -1.0]), np.eye(2))
 
 
+def test_triple_dimension_is_that_of_its_grams(rng):
+    triple = gf.GelfandTriple(random_spd(rng, 3), random_spd(rng, 3))
+    assert triple.dim == 3
+    assert gf.identity_triple(0).dim == 0
+    with pytest.raises(ValueError, match="differ in size"):
+        gf.build_triple(random_spd(rng, 3), random_spd(rng, 2))
+
+
+def test_weighted_adjoint_takes_one_gram(rng):
+    gram = random_spd(rng, 2)
+    rel = rs.LinearRelation.from_span(2, 2, random_complex(rng, 4, 2))
+    adj = rs.adjoint_relation(rel, gram)
+    # <b, x>_gram = <a, y>_gram for every (a, b) of rel and (x, y) of adj
+    a_blk, b_blk = rel.dom_block(), rel.cod_block()
+    x_blk, y_blk = adj.dom_block(), adj.cod_block()
+    resid = b_blk.conj().T @ gram @ x_blk - a_blk.conj().T @ gram @ y_blk
+    assert np.linalg.norm(resid) < 1e-12
+    assert adj.gap(gf.triple_adjoint(gf.build_triple(np.eye(2), gram),
+                                     rel)) < 1e-14
+    skew = rs.LinearRelation.from_span(1, 2, np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="dom_dim == cod_dim"):
+        rs.adjoint_relation(skew, gram)
+
+
 def test_random_triple_invariants(rng):
     for _ in range(20):
         n = int(rng.integers(1, 7))

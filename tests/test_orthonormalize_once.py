@@ -20,14 +20,14 @@ from tripletflow import relspace as rs
 from conftest import random_complex
 
 
-def old_adjoint_bases(bases, dom_dim, gram_dom, gram_cod):
+def old_adjoint_bases(bases, dom_dim, gram):
     """`_adjoint_bases` of one relation with the null space orthonormalized
     again."""
     a_blk = bases[..., :dom_dim, :]
     b_blk = bases[..., dom_dim:, :]
     cod_dim = b_blk.shape[-2]
-    gcod = np.eye(cod_dim) if gram_cod is None else np.asarray(gram_cod)
-    gdom = np.eye(dom_dim) if gram_dom is None else np.asarray(gram_dom)
+    gcod = np.eye(cod_dim) if gram is None else np.asarray(gram)
+    gdom = np.eye(dom_dim) if gram is None else np.asarray(gram)
     cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
                            -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
     null = rs._orthonormal_columns(rs._null_space(cons))
@@ -49,32 +49,31 @@ def gram_matrix(rng, n):
 @st.composite
 def graph_stacks(draw):
     """A stack of graph columns in C^dom + C^cod whose members have their
-    own ranks, so that their adjoints have mixed dimensions, with Gram
-    matrices for the two spaces or none."""
+    own ranks, so that their adjoints have mixed dimensions, with one Gram
+    matrix for both spaces, which then have one dimension, or none."""
     count = draw(st.integers(2, 5))
+    weighted = draw(st.booleans())
     dom_dim = draw(st.integers(1, 4))
-    cod_dim = draw(st.integers(1, 4))
+    cod_dim = dom_dim if weighted else draw(st.integers(1, 4))
     k = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = dom_dim + cod_dim
     members = [random_complex(rng, m, rank) @ random_complex(rng, rank, k)
                for rank in draw(st.lists(st.integers(0, min(m, k)),
                                          min_size=count, max_size=count))]
-    grams = ((gram_matrix(rng, dom_dim), gram_matrix(rng, cod_dim))
-             if draw(st.booleans()) else (None, None))
-    return np.array(members), dom_dim, grams
+    gram = gram_matrix(rng, dom_dim) if weighted else None
+    return np.array(members), dom_dim, gram
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=graph_stacks())
 def test_stacked_adjoint_bases_equal_per_matrix(case):
-    stack, dom_dim, (gram_dom, gram_cod) = case
-    bases, dims = rs._adjoint_bases(stack, dom_dim, gram_dom, gram_cod)
+    stack, dom_dim, gram = case
+    bases, dims = rs._adjoint_bases(stack, dom_dim, gram)
     assert dims.shape == stack.shape[:1]
     assert bases.shape[-1] == dims.max()
     for member, basis, dim in zip(stack, bases, dims):
-        ref, ref_dim = rs._adjoint_bases(member, dom_dim, gram_dom,
-                                         gram_cod)
+        ref, ref_dim = rs._adjoint_bases(member, dom_dim, gram)
         assert dim == ref_dim == ref.shape[1]
         # the member's adjoint is its last dims[i] columns
         own = basis[:, basis.shape[1] - dim:]
@@ -90,16 +89,15 @@ def test_stacked_adjoint_bases_equal_per_matrix(case):
 @settings(max_examples=150, deadline=None)
 @given(case=graph_stacks())
 def test_adjoint_bases_match_the_orthonormalized_path(case):
-    stack, dom_dim, (gram_dom, gram_cod) = case
+    stack, dom_dim, gram = case
     for bases in (stack, stack[0]):
-        new, dims = rs._adjoint_bases(bases, dom_dim, gram_dom, gram_cod)
+        new, dims = rs._adjoint_bases(bases, dom_dim, gram)
         members = bases.reshape(-1, *stack.shape[1:])
         for member, basis, dim in zip(members,
                                       new.reshape(len(members),
                                                   *new.shape[-2:]),
                                       np.ravel(dims)):
-            ref, ref_dim = old_adjoint_bases(member, dom_dim, gram_dom,
-                                             gram_cod)
+            ref, ref_dim = old_adjoint_bases(member, dom_dim, gram)
             assert dim == ref_dim
             basis = basis[:, basis.shape[1] - dim:]
             assert np.linalg.norm(basis.conj().T @ basis

@@ -7,7 +7,9 @@ transformed Robin loop, whose bases are fixed only up to the SVD's choice,
 is held to a 40-digit mpmath oracle of the same loop instead.
 """
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ try:
 except ImportError:  # the exact-loop oracle test is skipped without it
     mpmath = None
 
+import tripletflow
 from tripletflow import cayley as cy
 from tripletflow import famindex as fi
 from tripletflow import relspace as rs
@@ -331,7 +334,12 @@ def test_transform_rejects_mixed_shapes():
     short = rs.LinearRelation.from_span(2, 2, np.eye(4)[:, :1])
     with pytest.raises(ValueError, match="differ"):
         transform_boundary_conditions(rt, [sturm.robin_relation(1.0), short])
-    assert transform_boundary_conditions(rt, []) == []
+    # an empty batch has no shape: map_relations rejects it
+    with pytest.raises(ValueError, match="no relations"):
+        transform_boundary_conditions(rt, [])
+    with pytest.raises(ValueError, match="does not match the triple"):
+        transform_boundary_conditions(
+            rt, [rs.LinearRelation.graph_of(np.eye(3))])
 
 
 # -- stacked orthonormalization ----------------------------------------------
@@ -452,10 +460,24 @@ def test_cayley_unitaries_equal_per_relation(rng):
     rels = mixed_relations(rng)
     rels = [rel for rel, sa in zip(rels, rs.is_self_adjoint_batch(rels))
             if sa]
-    unitaries = rs.cayley_unitaries(rels)
-    assert len({u.shape for u in unitaries}) > 1
-    for rel, u in zip(rels, unitaries):
-        np.testing.assert_array_equal(u, cayley_reference(rel))
+    # one call per space C^n + C^n, each returning one array
+    shapes = sorted({rel.dom_dim for rel in rels})
+    assert len(shapes) > 1
+    for n in shapes:
+        same = [rel for rel in rels if rel.dom_dim == n]
+        unitaries = rs.cayley_unitaries(same)
+        assert isinstance(unitaries, np.ndarray)
+        assert unitaries.shape == (len(same), n, n)
+        for rel, u in zip(same, unitaries):
+            np.testing.assert_array_equal(u, cayley_reference(rel))
+
+
+def test_only_relspace_groups_relations():
+    names = [info.name for info in pkgutil.iter_modules(tripletflow.__path__)
+             if info.name != "__main__"]
+    readers = [name for name in names if "_groups" in vars(
+        importlib.import_module(f"tripletflow.{name}"))]
+    assert readers == ["relspace"]
 
 
 def test_cayley_unitaries_keep_the_singularity_check():
@@ -740,7 +762,7 @@ def test_mixed_rank_relations_are_grouped_by_dimension(rng):
     # dimensions 2, 1, 2, 3, 2, 1 in C^2 + C^2: self-adjoint graphs, their
     # non-self-adjoint neighbours and relations of the wrong dimension; a
     # list of them is judged relation by relation, and only its members
-    # of one dimension stack
+    # of one dimension stack, for the Cayley transform as for a map
     rels = []
     for rank in (2, 1, 2, 3, 2, 1):
         if rank == 2:
@@ -754,10 +776,15 @@ def test_mixed_rank_relations_are_grouped_by_dimension(rng):
     flags = rs.is_self_adjoint_batch(rels)
     assert flags.tolist() == [rs.is_self_adjoint(rel) for rel in rels]
     assert flags.tolist() == [True, False, True, False, False, False]
-    with pytest.raises(ValueError, match="cannot be self-adjoint"):
+    with pytest.raises(ValueError, match="differ in shape"):
         rs.cayley_unitaries(rels)
     with pytest.raises(ValueError, match="differ in shape"):
         rs.map_relations(np.eye(4), rels)
+    # one shape, of the wrong dimension
+    with pytest.raises(ValueError, match="cannot be self-adjoint"):
+        rs.cayley_unitaries(rs.map_relations(np.eye(4), [rels[1], rels[5]]))
+    with pytest.raises(ValueError, match="no relations"):
+        rs.cayley_unitaries([])
     square = rs.map_relations(np.eye(4), [rels[i] for i in (0, 2, 4)])
     assert square.dim == 2
     assert (rs.is_self_adjoint_batch(square).tolist()
