@@ -320,22 +320,258 @@ def kappa_of_theta(theta):
     return -math.tan(half) + 0.0  # normalize -0.0
 
 
-def _bisect_brackets(lo, hi, below_root):
-    """Bisect every bracket [lo, hi] at once, down to adjacent floats.
+# The first bracket and the negative one within _NEAR_UNIT of kappa = 1 take
+# their Newton steps in lam = omega^2 (lam = -s^2 on the negative one), where
+# the secular equation omega cot omega = kappa reads lam R(lam) = 1 - kappa
+# with R(lam) = (1 - omega cot omega) / lam.  The Taylor coefficients
+# |B_2n| 4^n / (2n)! of R, n = 8, ..., 1 (highest first), give it to
+# rounding for |lam| <= 0.1, and 1 - kappa is exact there, so the equation
+# keeps its digits where omega cot omega and kappa nearly cancel.
+_NEAR_UNIT = 1.0 / 32.0
+_COT_SERIES = (3617 / 162820783125, 4 / 18243225, 1382 / 638512875,
+               2 / 93555, 1 / 4725, 2 / 945, 1 / 45, 1 / 3)
 
-    Each bracket holds exactly one sign change; `below_root(x)` is True
-    where x lies below the root of its own bracket.
+# quarter points of a search interval, one trial point per column
+_QUARTERS = np.array([0.25, 0.5, 0.75])
+
+
+class _SecularEquations:
+    """Sign tests and Newton steps of a batch of secular brackets, laid
+    out as slices: [:n1] positive brackets stepped on atan2, [n1:npos]
+    positive and [npos:n3] negative ones stepped on the series, [n3:]
+    negative ones stepped on tanh.  x is omega on the positive brackets
+    and s on the negative ones."""
+
+    def __init__(self, kappa, offset, n1, npos, n3):
+        self.kappa, self.offset = kappa, offset
+        self.kappa_col = kappa[:, None]
+        self.n1, self.npos, self.n3 = n1, npos, n3
+        with np.errstate(over="ignore"):
+            self.kappa2 = kappa[:n1] * kappa[:n1]
+        self.sign = np.where(np.arange(n1, n3) < npos, 1.0, -1.0)
+
+    def take(self, keep):
+        """The brackets where `keep` is True, in the same layout."""
+        n1, npos, n3 = (np.count_nonzero(keep[:n])
+                        for n in (self.n1, self.npos, self.n3))
+        return _SecularEquations(self.kappa[keep], self.offset[keep],
+                                n1, npos, n3)
+
+    def below(self, t):
+        """The unchanged sign tests, True below the root of the bracket,
+        for trial points t of shape (n, m): (omega cos omega - kappa
+        sin omega) sign(sin omega) > 0 and s - kappa tanh s < 0."""
+        npos = self.npos
+        below = np.empty(t.shape, dtype=bool)
+        if npos:
+            w = t[:npos]
+            sin_w = np.sin(w)
+            below[:npos] = ((w * np.cos(w) - self.kappa_col[:npos] * sin_w)
+                            * np.sign(sin_w) > 0.0)
+        if npos < len(t):
+            s = t[npos:]
+            below[npos:] = s - self.kappa_col[npos:] * np.tanh(s) < 0.0
+        return below
+
+    def newton(self, x):
+        """The Newton point of every bracket from x: on
+        omega - k pi - atan2(omega, kappa), increasing and free of poles;
+        on lam R(lam) = 1 - kappa, taking its slope R + lam R' as
+        2 R - 1/3; on s - kappa tanh s."""
+        n1, n3 = self.n1, self.n3
+        out = np.empty_like(x)
+        w, kap = x[:n1], self.kappa[:n1]
+        out[:n1] = w - ((w - self.offset[:n1] - np.arctan2(w, kap))
+                        / (1.0 - kap / (w * w + self.kappa2)))
+        if n3 > n1:
+            u = x[n1:n3]
+            lam = self.sign * (u * u)
+            r = np.full_like(lam, _COT_SERIES[0])
+            for coef in _COT_SERIES[1:]:
+                r = r * lam + coef
+            out[n1:n3] = np.sqrt(self.sign * (
+                lam - (lam * r - (1.0 - self.kappa[n1:n3]))
+                / (2.0 * r - 1.0 / 3.0)))
+        if x.size > n3:
+            s, kap = x[n3:], self.kappa[n3:]
+            tanh_s = np.tanh(s)
+            out[n3:] = s - (s - kap * tanh_s) / (1.0 - kap * (1.0 - tanh_s
+                                                              * tanh_s))
+        return out
+
+
+# Newton steps taken before the sign tests start
+_NEWTON_STEPS = 8
+
+
+def _nearest_changes():
+    """_NEAREST_CHANGE[c, pattern]: the interval [e[i], e[i + 1]] of
+    e = (lo, t0, t1, t2, hi) in which the sign test changes, nearest to
+    interval c (the lower one on a tie).  lo is below the root, hi is not,
+    and t_i is where bit 2 - i of pattern is set."""
+    table = np.zeros((4, 8), dtype=int)
+    for pattern in range(8):
+        below = [True] + [bool(pattern >> (2 - i) & 1) for i in range(3)]
+        below.append(False)
+        changes = [i for i in range(4) if below[i] and not below[i + 1]]
+        for c in range(4):
+            table[c, pattern] = min(changes, key=lambda i: (abs(i - c), i))
+    return table
+
+
+_NEAREST_CHANGE = _nearest_changes()
+_PATTERN = np.array([4, 2, 1])
+
+
+def _bracket_roots(eqs, lo, hi, start, tol):
+    """Root of every bracket [lo, hi] at once, down to adjacent floats,
+    and the number of sign-test rounds taken.
+
+    Each bracket holds a sign change of `eqs.below`, below the root at lo
+    and not at hi; `tol` bounds how far from the root of the Newton
+    equation of `eqs.newton` that change may lie, and is at least two
+    floats.  First the Newton iteration runs from `start` in every
+    bracket, kept inside it, until its correction is at most tol (at most
+    _NEWTON_STEPS steps); where it gives no point, the midpoint stands in
+    and the whole bracket is searched.  Then each round judges the
+    quarter points of the part of the bracket within g of that point, the
+    center, with g the last correction but at least tol.  g grows
+    fourfold whenever all three points fall on one side of the change,
+    and once it spans the bracket the rounds quarter the bracket.  The
+    bracket becomes the interval between its ends and the three points
+    in which the sign test changes, the one nearest the center where it
+    changes more than once, so below(lo) and not below(hi) hold
+    throughout; a bracket with no float between its ends stops.  No step
+    of a bracket reads another one, so each takes the same steps
+    whatever brackets it is solved with.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(200):
+    x = start
+    step = np.full(lo.size, np.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            moving = step > tol
+            if not moving.any():
+                break
+            p = np.minimum(np.maximum(eqs.newton(x), lo), hi)
+            step = np.where(moving, np.abs(p - x), step)
+            x = np.where(moving, p, x)
+    found = ~np.isnan(x)
+    center = np.where(found, x, 0.5 * (lo + hi))
+    reach = np.where(found, np.maximum(step, tol), np.inf)
+
+    roots = np.empty(lo.size)
+    index = np.arange(lo.size)
+    rows = None
+    windowed = True
+    rounds = 0
+    while True:
         mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
-            break
-        below = below_root(mid)
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
-    return 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        count = np.count_nonzero(live)
+        if rows is None or 2 * count <= live.size:
+            # set the finished roots aside and go on with the live ones
+            roots[index[~live]] = mid[~live]
+            if not count:
+                return roots, rounds
+            if count < live.size:
+                lo, hi, center, reach, index = (
+                    a[live] for a in (lo, hi, center, reach, index))
+                eqs = eqs.take(live)
+                live = live[live]
+            rows = 3 * np.arange(count)
+        rounds += 1
+        center = np.minimum(np.maximum(center, lo), hi)
+        a, b = lo, hi
+        if windowed:
+            windowed = (reach < hi - lo).any()
+        if windowed:
+            a = np.maximum(center - reach, lo)
+            b = np.minimum(center + reach, hi)
+        t = (b - a)[:, None] * _QUARTERS
+        t += a[:, None]
+        np.minimum(t, np.nextafter(hi, lo)[:, None], out=t)
+        np.maximum(t, np.nextafter(lo, hi)[:, None], out=t)
+        # the new bracket is [t[i - 1], t[i]], lo and hi standing in for
+        # t[-1] and t[3]
+        i = _NEAREST_CHANGE[(t < center[:, None]).sum(axis=1),
+                            eqs.below(t).dot(_PATTERN)]
+        at = rows + i
+        flat = t.ravel()
+        lo = np.where(live & (i > 0), flat[at - 1], lo)
+        hi = np.where(live & (i < 3), flat[at - (i == 3)], hi)
+        if windowed:
+            reach = np.where(i % 3 == 0, 4.0 * reach, reach)
+
+
+def _unit_band(kap):
+    """Where kappa counts as 1, so that lam = 0 is an eigenvalue."""
+    return np.isfinite(kap) & (np.abs(1.0 - kap)
+                               <= 1e-12 * np.maximum(1.0, np.abs(kap)))
+
+
+def _secular_brackets(kap, lambda_max):
+    """The secular brackets of the kappas in `kap`, as (owner, eqs, lo,
+    hi, start, tol) for `_bracket_roots`; owner is the index in `kap` of
+    each bracket's kappa.
+
+    The positive brackets, x = omega, come first: (k pi, (k+1) pi) for
+    1 <= k <= sqrt(lambda_max) / pi, and (0, pi) where kappa < 1; then
+    the negative ones, x = s in (0, kappa], where kappa > 1.  Infinite
+    kappas and those of the unit band have no bracket here.  The Newton
+    iteration starts from k pi + atan2(k pi + pi/2, kappa); in the first
+    and the negative bracket from the root of the [1/1] Pade form
+    (1 - 2 lam/5) / (1 - lam/15) = kappa of omega cot omega (s coth s for
+    lam = -s^2), lam = 15 (1 - kappa) / (6 - kappa), which is about
+    3 (1 - kappa) near kappa = 1, or from atan2(pi/2, kappa) (from kappa
+    on the negative bracket) where that is smaller.
+    """
+    top = int(math.sqrt(max(lambda_max, 0.0)) / math.pi)
+    finite = np.nonzero(np.isfinite(kap))[0]
+    rows = np.repeat(finite, top)
+    single = finite[~_unit_band(kap[finite])]
+    first = single[kap[single] < 1.0]
+    neg = single[kap[single] > 1.0]
+    near_first = 1.0 - kap[first] <= _NEAR_UNIT
+    near_neg = kap[neg] - 1.0 <= _NEAR_UNIT
+    owner = np.concatenate([rows, first[~near_first], first[near_first],
+                            neg[near_neg], neg[~near_neg]])
+    n1 = rows.size + int((~near_first).sum())
+    npos = rows.size + first.size
+    n3 = npos + int(near_neg.sum())
+    kappa = kap[owner]
+    lo = np.zeros(owner.size)
+    lo[:rows.size] = np.tile(np.arange(1, top + 1) * math.pi, finite.size)
+    hi = lo + math.pi
+    hi[npos:] = kappa[npos:]
+
+    start = lo + np.arctan2(lo + 0.5 * math.pi, kappa)
+    start[npos:] = kappa[npos:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pade = np.sqrt(15.0 * np.abs(1.0 - kappa) / (6.0 - kappa))
+    np.fmin(start, pade, out=start, where=lo == 0.0)
+    # near its root x the sign test errs by about 2 eps |x cos x| on the
+    # positive brackets (2 eps x on the negative ones), and its slope is
+    # |kappa (1 - kappa) -+ x^2| / |kappa| times |cos x| (times 1), so it
+    # may change sign that far from the root: many floats near kappa = 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x2 = np.where(np.arange(owner.size) < npos, 1.0, -1.0) * start * start
+        noise = (2.0 ** -51 * start * np.abs(kappa)
+                 / np.abs(kappa * (1.0 - kappa) - x2))
+    tol = np.fmax(noise, 2.0 * np.spacing(start))
+    eqs = _SecularEquations(kappa, lo, n1, npos, n3)
+    return owner, eqs, lo, hi, start, tol
+
+
+def _secular_roots(kap, lambda_max):
+    """Roots of the secular brackets of the kappas in `kap` (see
+    `_secular_brackets`) and the sign-test rounds of their solve, as
+    (rows_pos, omega, rows_neg, s, rounds): omega is a root of
+    omega cot omega = kap[rows_pos], s the root of s - kappa tanh s for
+    kappa = kap[rows_neg]."""
+    owner, eqs, lo, hi, start, tol = _secular_brackets(kap, lambda_max)
+    roots, rounds = _bracket_roots(eqs, lo, hi, start, tol)
+    npos = eqs.npos
+    return owner[:npos], roots[:npos], owner[npos:], roots[npos:], rounds
 
 
 def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
@@ -343,66 +579,38 @@ def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
     u'(1) = kappa u(1) for each kappa, as a list of sorted arrays; kappa =
     inf means u(1) = 0, and a NaN kappa raises ValueError.
 
-    Every root sits in a closed-form bracket, and all brackets of all
-    kappas are bisected as one array:
+    Every root sits in a closed-form bracket:
 
     * kappa = inf: exactly (k pi)^2 for k >= 1;
     * lam = omega^2 > 0: one root of omega cot omega = kappa in each
       (k pi, (k+1) pi) for k >= 1, and one in (0, pi) iff kappa < 1;
     * lam = 0 iff kappa = 1 (u = x);
     * lam = -s^2 < 0: exactly one iff 1 < kappa < inf, with s the root of
-      s - kappa tanh s in (0, kappa], a form that cannot overflow.
+      s - kappa tanh s in (0, kappa], a form that cannot overflow; lam
+      is -inf where s^2 exceeds the float range.
+
+    All brackets of all kappas are solved as one array, down to adjacent
+    floats at which the sign test of the bracket changes, by a bracketed
+    Newton iteration (`_bracket_roots`): each round judges three points
+    of every bracket by the sign test alone, so each root carries the
+    certificate bisection gives, and is the same whatever kappas it is
+    solved with.
     """
     kap = np.array(kappas, dtype=float)
     if np.isnan(kap).any():
         raise ValueError("kappa must not be NaN")
     if not kap.size:
         return []
+    ks = np.arange(1, int(math.sqrt(max(lambda_max, 0.0)) / math.pi) + 1)
+    rows_pos, omega, rows_neg, s, _ = _secular_roots(kap, lambda_max)
     infinite = np.isinf(kap)
-    unit = ~infinite & (np.abs(1.0 - kap)
-                        <= 1e-12 * np.maximum(1.0, np.abs(kap)))
-    ks = np.arange(int(math.sqrt(max(lambda_max, 0.0)) / math.pi) + 1)
-    parts = []
-
-    # kappa = inf: the Dirichlet eigenvalues, in closed form
-    rows, cols = np.nonzero(infinite[:, None] & (ks >= 1)[None, :])
-    parts.append((rows, (ks[cols] * math.pi) ** 2))
-
-    # positive eigenvalues: omega cot omega - kappa changes sign once per
-    # bracket, evaluated without the poles of cot
-    first_bracket = ~infinite & (kap < 1.0) & ~unit
-    rows_pos, cols = np.nonzero((~infinite)[:, None]
-                                & ((ks >= 1)[None, :]
-                                   | first_bracket[:, None]))
-    lo_pos = ks[cols] * math.pi
-    # the negative eigenvalue: s - kappa tanh s changes sign in (0, kappa]
-    rows_neg = np.nonzero(~infinite & (kap > 1.0) & ~unit)[0]
-    kn = kap[rows_neg]
-
-    # both kinds of bracket are bisected together, each by its own sign
-    # test: the positive ones first, then the negative ones
-    npos = rows_pos.size
-    kp = kap[rows_pos]
-
-    def below_root(x):
-        w = x[:npos]
-        sin_w = np.sin(w)
-        below = (w * np.cos(w) - kp * sin_w) * np.sign(sin_w) > 0.0
-        if kn.size:
-            s = x[npos:]
-            below = np.concatenate([below, s - kn * np.tanh(s) < 0.0])
-        return below
-
-    roots = _bisect_brackets(np.concatenate([lo_pos, np.zeros_like(kn)]),
-                             np.concatenate([lo_pos + math.pi, kn]),
-                             below_root)
-    omega, s = roots[:npos], roots[npos:]
-    parts.append((rows_pos, omega * omega))
-    parts.append((np.nonzero(unit)[0], np.zeros(int(unit.sum()))))
-    parts.append((rows_neg, -(s * s)))
-
-    owner = np.concatenate([p[0] for p in parts])
-    lams = np.concatenate([p[1] for p in parts])
+    unit = np.nonzero(_unit_band(kap))[0]
+    with np.errstate(over="ignore"):
+        neg = -(s * s)
+    owner = np.concatenate([np.repeat(np.nonzero(infinite)[0], ks.size),
+                            rows_pos, unit, rows_neg])
+    lams = np.concatenate([np.tile((ks * math.pi) ** 2, int(infinite.sum())),
+                           omega * omega, np.zeros(unit.size), neg])
     keep = lams <= lambda_max
     owner, lams = owner[keep], lams[keep]
     order = np.lexsort((lams, owner))

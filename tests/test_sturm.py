@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tripletflow import famindex
 from tripletflow import relspace as rs
 from tripletflow import sturm
 from tripletflow.gelfand import identity_triple
@@ -260,53 +261,95 @@ def test_boundary_residual_rejects_nan_kappa():
             sturm.boundary_residual(float("nan"), lam)
 
 
-def _bisect_reference(lo, hi, below_root):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            break
-        below = below_root(mid)
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _nonzero_roots_reference(kappa, lambda_max):
-    """Positive and negative brackets of one finite kappa, bisected by two
-    separate loops."""
-    top = int(math.sqrt(lambda_max) / math.pi)
-    first = 0 if kappa < 1.0 and abs(1.0 - kappa) > 1e-12 else 1
-    lo = np.arange(first, top + 1) * math.pi
-    kk = np.full(lo.shape, kappa)
-
-    def omega_below(w):
-        sin_w = np.sin(w)
-        return (w * np.cos(w) - kk * sin_w) * np.sign(sin_w) > 0.0
-
-    omega = _bisect_reference(lo, lo + math.pi, omega_below)
-    lams = list(omega * omega)
-    if kappa > 1.0 and abs(1.0 - kappa) > 1e-12 * kappa:
-        kn = np.array([kappa])
-        s = _bisect_reference(np.zeros(1), kn,
-                              lambda s: s - kn * np.tanh(s) < 0.0)
-        lams.append(-(s[0] * s[0]))
-    return sorted(lam for lam in lams if lam <= lambda_max)
-
-
-def test_one_bisection_equals_separate_positive_and_negative_ones():
-    # both kinds of bracket share one bisection loop; the roots must be
-    # those of bisecting each kind on its own, to the last bit
+def test_one_solve_equals_separate_positive_and_negative_ones():
+    # both kinds of bracket share one solve; the roots must be those of
+    # solving each kind on its own, to the last bit
     thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     kappas = [sturm.kappa_of_theta(t) for t in thetas]
     kappas = [k for k in kappas if not math.isinf(k)]
     kappas += [1.0 + 1e-9, 1.0 - 1e-9, 1.5, 14.0, 229.0, 1e6, -1e6]
+    owner, eqs, lo, hi, start, tol = sturm._secular_brackets(
+        np.array(kappas), 400.0)
+    joint, _ = sturm._bracket_roots(eqs, lo, hi, start, tol)
+    positive = np.arange(owner.size) < eqs.npos
+    assert positive.any() and not positive.all()
+    for kind in (positive, ~positive):
+        alone, _ = sturm._bracket_roots(eqs.take(kind), lo[kind], hi[kind],
+                                        start[kind], tol[kind])
+        assert np.array_equal(alone, joint[kind])
     batch = sturm.secular_eigenvalues_batch(kappas, lambda_max=400.0)
     for kappa, eigs in zip(kappas, batch):
-        if abs(1.0 - kappa) <= 1e-12:
-            continue
-        ref = _nonzero_roots_reference(kappa, 400.0)
-        assert eigs.tolist() == ref
         assert np.array_equal(sturm.secular_eigenvalues(kappa, 400.0), eigs)
+
+
+def _below(kappa, x, positive):
+    """The sign tests of the secular brackets, written out: True below the
+    root."""
+    if positive:
+        sin_x = np.sin(x)
+        return bool((x * np.cos(x) - kappa * sin_x) * np.sign(sin_x) > 0.0)
+    return bool(x - kappa * np.tanh(x) < 0.0)
+
+
+def _at_sign_change(kappa, x, positive):
+    """x is one end of two adjacent floats, below the root at the lower
+    one and not at the upper one."""
+    down, up = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+    return ((_below(kappa, x, positive) and not _below(kappa, up, positive))
+            or (_below(kappa, down, positive)
+                and not _below(kappa, x, positive)))
+
+
+_NEAR_UNIT_KAPPAS = st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d).filter(
+    lambda k: abs(1.0 - k) > 1e-12 * max(1.0, abs(k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappas=st.lists(st.one_of(st.floats(-1e6, 1e6), _NEAR_UNIT_KAPPAS),
+                       min_size=1, max_size=5))
+def test_roots_carry_the_sign_change_certificate(kappas):
+    # every root sits at adjacent floats where the unchanged sign test
+    # changes, one root in every bracket, and the batch is the scalar call
+    kap = np.array(kappas)
+    rows_pos, omega, rows_neg, s, _ = sturm._secular_roots(kap, 400.0)
+    top = int(math.sqrt(400.0) / math.pi)
+    for row, kappa in enumerate(kappas):
+        unit = abs(1.0 - kappa) <= 1e-12 * max(1.0, abs(kappa))
+        first = 0 if kappa < 1.0 and not unit else 1
+        roots = np.sort(omega[rows_pos == row])
+        assert roots.size == top + 1 - first
+        for k, w in enumerate(roots, start=first):
+            assert k * math.pi <= w <= (k + 1) * math.pi
+            assert _at_sign_change(kappa, w, True)
+        negative = s[rows_neg == row]
+        assert negative.size == (kappa > 1.0 and not unit)
+        for root in negative:
+            assert 0.0 < root <= kappa
+            assert _at_sign_change(kappa, root, False)
+    batch = sturm.secular_eigenvalues_batch(kappas, lambda_max=400.0)
+    for kappa, eigs in zip(kappas, batch):
+        assert np.array_equal(sturm.secular_eigenvalues(kappa, 400.0), eigs)
+
+
+def test_sign_test_rounds_of_the_robin_index(monkeypatch):
+    # the 720-sample solve and the crossing polish, counted in rounds of
+    # sign tests; bisection took 57 rounds for the loop and 59-74 for each
+    # polish solve, 806 in all.  Near the crossing (|1 - kappa| ~ 1e-12)
+    # the sign test of the first bracket is flat over ~4e11 floats around
+    # the root, and three points a round resolve two bits of them
+    rounds = []
+    solve = sturm._secular_roots
+
+    def counted(kap, lambda_max):
+        result = solve(kap, lambda_max)
+        rounds.append(result[-1])
+        return result
+
+    monkeypatch.setattr(sturm, "_secular_roots", counted)
+    famindex._robin_index(sturm.kappa_of_theta, 720, 400.0)
+    assert rounds[0] <= 15
+    assert len(rounds) > 1 and max(rounds[1:]) <= 22
+    assert sum(rounds) <= 250
 
 
 @settings(max_examples=80, deadline=None)
