@@ -436,8 +436,8 @@ def _bracket_roots(eqs, lo, hi, start, tol):
     and the whole bracket is searched.  Then each round judges the
     quarter points of the part of the bracket within g of that point, the
     center, with g the last correction but at least tol.  g grows
-    fourfold whenever all three points fall on one side of the change,
-    and once it spans the bracket the rounds quarter the bracket.  The
+    fourfold whenever the bracket that follows lies outside the three
+    points, and once it spans the bracket the rounds quarter it.  The
     bracket becomes the interval between its ends and the three points
     in which the sign test changes, the one nearest the center where it
     changes more than once, so below(lo) and not below(hi) hold
