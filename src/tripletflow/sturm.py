@@ -395,8 +395,8 @@ class _SecularEquations:
         if x.size > n3:
             s, kap = x[n3:], self.kappa[n3:]
             tanh_s = np.tanh(s)
-            out[n3:] = s - (s - kap * tanh_s) / (1.0 - kap * (1.0 - tanh_s
-                                                              * tanh_s))
+            slope = 1.0 - kap * (1.0 - tanh_s * tanh_s)
+            out[n3:] = s - (s - kap * tanh_s) / slope
         return out
 
 
@@ -405,10 +405,11 @@ _NEWTON_STEPS = 8
 
 
 def _nearest_changes():
-    """_NEAREST_CHANGE[c, pattern]: the interval [e[i], e[i + 1]] of
-    e = (lo, t0, t1, t2, hi) in which the sign test changes, nearest to
-    interval c (the lower one on a tie).  lo is below the root, hi is not,
-    and t_i is where bit 2 - i of pattern is set."""
+    """_NEAREST_CHANGE[c, pattern] is the i of the interval
+    [e[i], e[i + 1]] of e = (lo, t0, t1, t2, hi) in which the sign test
+    changes, the one nearest to interval c (the lower one on a tie).  lo
+    is below the root, hi is not, and t_j is below it where bit 2 - j of
+    pattern is set."""
     table = np.zeros((4, 8), dtype=int)
     for pattern in range(8):
         below = [True] + [bool(pattern >> (2 - i) & 1) for i in range(3)]
