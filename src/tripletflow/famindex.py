@@ -355,8 +355,9 @@ def _flow_walk(loop, level, window, *, max_inserts=20000):
 
 
 # interior points of one polish round: the nodes of a full bisection tree on
-# the current interval (one less than a power of two); of 7, 15, 31 and 63,
-# 31 polishes the 720-sample Robin crossing fastest (9 secular solves)
+# the current interval (one less than a power of two); of 7, 15, 31, 63 and
+# 127, 31 polishes the 720-sample Robin crossing fastest (9 secular solves
+# of at most 3 sign-test rounds)
 _POLISH_POINTS = 31
 
 
@@ -517,18 +518,20 @@ def _robin_index(kappa_of, samples, lambda_max):
     """Index report of the Robin loop theta -> kappa_of(theta), together
     with the eigenvalue loop it was computed from.
 
-    The crossing is read off the eigenvalue walk: the first matched pair
-    straddling level zero, polished by a k-section through the batched
-    eigenvalue generator.
+    The flow is walked at level zero with window 1.  The crossing is read
+    off that walk: the first matched pair straddling the level, polished
+    by a k-section through the batched eigenvalue generator capped at the
+    top of the window, since the walk reads no eigenvalue above it.
     """
-    eig_batch = _eigenvalue_batch(kappa_of, lambda_max)
-    eig_loop = _sampled_loop(eig_batch, samples)
-    flow, crossings = _flow_walk(eig_loop, 0.0, 1.0)
+    level, window = 0.0, 1.0
+    eig_loop = _sampled_loop(_eigenvalue_batch(kappa_of, lambda_max), samples)
+    flow, crossings = _flow_walk(eig_loop, level, window)
     wind = relation_family_index(
         _sampled_loop(_relation_batch(kappa_of), samples))
     crossing_kappa = None
     if crossings:
-        theta = _polish_crossing(eig_batch, *crossings[0])
+        theta = _polish_crossing(_eigenvalue_batch(kappa_of, level + window),
+                                 *crossings[0], level)
         crossing_kappa = float(kappa_of(theta))
     return IndexReport(flow, wind, crossing_kappa), eig_loop
 

@@ -320,13 +320,17 @@ def kappa_of_theta(theta):
     return -math.tan(half) + 0.0  # normalize -0.0
 
 
-# The first bracket and the negative one within _NEAR_UNIT of kappa = 1 take
-# their Newton steps in lam = omega^2 (lam = -s^2 on the negative one), where
+# The first bracket and the negative one within _NEAR_UNIT of kappa = 1 are
+# judged and stepped in lam = omega^2 (lam = -s^2 on the negative one), where
 # the secular equation omega cot omega = kappa reads lam R(lam) = 1 - kappa
 # with R(lam) = (1 - omega cot omega) / lam.  The Taylor coefficients
 # |B_2n| 4^n / (2n)! of R, n = 8, ..., 1 (highest first), give it to
 # rounding for |lam| <= 0.1, and 1 - kappa is exact there, so the equation
-# keeps its digits where omega cot omega and kappa nearly cancel.
+# keeps its digits where omega cot omega and kappa nearly cancel.  The
+# sign test of those brackets is that of lam R(lam) - (1 - kappa): lam R(lam)
+# increases on the whole positive bracket, all coefficients being positive,
+# and on the negative one, |lam| <= (1 + _NEAR_UNIT)^2, its slope stays
+# above 0.29.
 _NEAR_UNIT = 1.0 / 32.0
 _COT_SERIES = (3617 / 162820783125, 4 / 18243225, 1382 / 638512875,
                2 / 93555, 1 / 4725, 2 / 945, 1 / 45, 1 / 3)
@@ -335,12 +339,21 @@ _COT_SERIES = (3617 / 162820783125, 4 / 18243225, 1382 / 638512875,
 _QUARTERS = np.array([0.25, 0.5, 0.75])
 
 
+def _cot_series(lam):
+    """R(lam) = (1 - omega cot omega) / lam, lam = omega^2, by the
+    truncated Taylor series _COT_SERIES."""
+    r = np.full_like(lam, _COT_SERIES[0])
+    for coef in _COT_SERIES[1:]:
+        r = r * lam + coef
+    return r
+
+
 class _SecularEquations:
     """Sign tests and Newton steps of a batch of secular brackets, laid
-    out as slices: [:n1] positive brackets stepped on atan2, [n1:npos]
-    positive and [npos:n3] negative ones stepped on the series, [n3:]
-    negative ones stepped on tanh.  x is omega on the positive brackets
-    and s on the negative ones."""
+    out as slices: [:n1] positive brackets on atan2 and the product test,
+    [n1:npos] positive and [npos:n3] negative ones on the series, [n3:]
+    negative ones on tanh.  x is omega on the positive brackets and s on
+    the negative ones."""
 
     def __init__(self, kappa, offset, n1, npos, n3):
         self.kappa, self.offset = kappa, offset
@@ -349,6 +362,8 @@ class _SecularEquations:
         with np.errstate(over="ignore"):
             self.kappa2 = kappa[:n1] * kappa[:n1]
         self.sign = np.where(np.arange(n1, n3) < npos, 1.0, -1.0)
+        # exact: kappa is within _NEAR_UNIT of 1 (Sterbenz)
+        self.gap = 1.0 - kappa[n1:n3]
 
     def take(self, keep):
         """The brackets where `keep` is True, in the same layout."""
@@ -358,19 +373,26 @@ class _SecularEquations:
                                 n1, npos, n3)
 
     def below(self, t):
-        """The unchanged sign tests, True below the root of the bracket,
-        for trial points t of shape (n, m): (omega cos omega - kappa
-        sin omega) sign(sin omega) > 0 and s - kappa tanh s < 0."""
-        npos = self.npos
+        """The sign tests, True below the root of the bracket, for trial
+        points t of shape (n, m): (omega cos omega - kappa sin omega)
+        sign(sin omega) > 0 on [:n1], sign (lam R(lam) - (1 - kappa)) < 0
+        with lam = sign x^2 on [n1:n3], and s - kappa tanh s < 0 on
+        [n3:]."""
+        n1, n3 = self.n1, self.n3
         below = np.empty(t.shape, dtype=bool)
-        if npos:
-            w = t[:npos]
+        if n1:
+            w = t[:n1]
             sin_w = np.sin(w)
-            below[:npos] = ((w * np.cos(w) - self.kappa_col[:npos] * sin_w)
-                            * np.sign(sin_w) > 0.0)
-        if npos < len(t):
-            s = t[npos:]
-            below[npos:] = s - self.kappa_col[npos:] * np.tanh(s) < 0.0
+            below[:n1] = ((w * np.cos(w) - self.kappa_col[:n1] * sin_w)
+                          * np.sign(sin_w) > 0.0)
+        if n3 > n1:
+            sign = self.sign[:, None]
+            lam = sign * (t[n1:n3] * t[n1:n3])
+            below[n1:n3] = sign * (lam * _cot_series(lam)
+                                   - self.gap[:, None]) < 0.0
+        if n3 < len(t):
+            s = t[n3:]
+            below[n3:] = s - self.kappa_col[n3:] * np.tanh(s) < 0.0
         return below
 
     def newton(self, x):
@@ -386,12 +408,9 @@ class _SecularEquations:
         if n3 > n1:
             u = x[n1:n3]
             lam = self.sign * (u * u)
-            r = np.full_like(lam, _COT_SERIES[0])
-            for coef in _COT_SERIES[1:]:
-                r = r * lam + coef
+            r = _cot_series(lam)
             out[n1:n3] = np.sqrt(self.sign * (
-                lam - (lam * r - (1.0 - self.kappa[n1:n3]))
-                / (2.0 * r - 1.0 / 3.0)))
+                lam - (lam * r - self.gap) / (2.0 * r - 1.0 / 3.0)))
         if x.size > n3:
             s, kap = x[n3:], self.kappa[n3:]
             tanh_s = np.tanh(s)
@@ -430,13 +449,14 @@ def _bracket_roots(eqs, lo, hi, start, tol):
 
     Each bracket holds a sign change of `eqs.below`, below the root at lo
     and not at hi; `tol` bounds how far from the root of the Newton
-    equation of `eqs.newton` that change may lie, and is at least two
-    floats.  First the Newton iteration runs from `start` in every
-    bracket, kept inside it, until its correction is at most tol (at most
-    _NEWTON_STEPS steps); where it gives no point, the midpoint stands in
-    and the whole bracket is searched.  Then each round judges the
-    quarter points of the part of the bracket within g of that point, the
-    center, with g the last correction but at least tol.  g grows
+    equation of `eqs.newton` that change may lie: two floats where the
+    sign test is sharp, more where it is flat.  First the Newton
+    iteration runs from `start` in every bracket, kept inside it, until
+    its correction is at most tol (at most _NEWTON_STEPS steps); where it
+    gives no point, the midpoint stands in and the whole bracket is
+    searched.  Then each round judges the quarter points of the part of
+    the bracket within g of that point, the center, with g the last
+    correction but at least tol.  g grows
     fourfold whenever the bracket that follows lies outside the three
     points, and once it spans the bracket the rounds quarter it.  The
     bracket becomes the interval between its ends and the three points
@@ -504,12 +524,6 @@ def _bracket_roots(eqs, lo, hi, start, tol):
             reach = np.where(i % 3 == 0, 4.0 * reach, reach)
 
 
-def _unit_band(kap):
-    """Where kappa counts as 1, so that lam = 0 is an eigenvalue."""
-    return np.isfinite(kap) & (np.abs(1.0 - kap)
-                               <= 1e-12 * np.maximum(1.0, np.abs(kap)))
-
-
 def _secular_brackets(kap, lambda_max):
     """The secular brackets of the kappas in `kap`, as (owner, eqs, lo,
     hi, start, tol) for `_bracket_roots`; owner is the index in `kap` of
@@ -518,7 +532,7 @@ def _secular_brackets(kap, lambda_max):
     The positive brackets, x = omega, come first: (k pi, (k+1) pi) for
     1 <= k <= sqrt(lambda_max) / pi, and (0, pi) where kappa < 1; then
     the negative ones, x = s in (0, kappa], where kappa > 1.  Infinite
-    kappas and those of the unit band have no bracket here.  The Newton
+    kappas and kappa = 1 have no bracket here.  The Newton
     iteration starts from k pi + atan2(k pi + pi/2, kappa); in the first
     and the negative bracket from the root of the [1/1] Pade form
     (1 - 2 lam/5) / (1 - lam/15) = kappa of omega cot omega (s coth s for
@@ -529,7 +543,7 @@ def _secular_brackets(kap, lambda_max):
     top = int(math.sqrt(max(lambda_max, 0.0)) / math.pi)
     finite = np.nonzero(np.isfinite(kap))[0]
     rows = np.repeat(finite, top)
-    single = finite[~_unit_band(kap[finite])]
+    single = finite[kap[finite] != 1.0]
     first = single[kap[single] < 1.0]
     neg = single[kap[single] > 1.0]
     near_first = 1.0 - kap[first] <= _NEAR_UNIT
@@ -550,14 +564,16 @@ def _secular_brackets(kap, lambda_max):
     with np.errstate(divide="ignore", invalid="ignore"):
         pade = np.sqrt(15.0 * np.abs(1.0 - kappa) / (6.0 - kappa))
     np.fmin(start, pade, out=start, where=lo == 0.0)
-    # near its root x the sign test errs by about 2 eps |x cos x| on the
-    # positive brackets (2 eps x on the negative ones), and its slope is
-    # |kappa (1 - kappa) -+ x^2| / |kappa| times |cos x| (times 1), so it
-    # may change sign that far from the root: many floats near kappa = 1
+    # near its root x the product test errs by about 2 eps |x cos x| on
+    # the positive brackets (the tanh test by 2 eps x on the negative
+    # ones), and its slope is |kappa (1 - kappa) -+ x^2| / |kappa| times
+    # |cos x| (times 1), so it may change sign that far from the root: many
+    # floats near kappa = 1, where the series test of [n1:n3] takes over
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x2 = np.where(np.arange(owner.size) < npos, 1.0, -1.0) * start * start
         noise = (2.0 ** -51 * start * np.abs(kappa)
                  / np.abs(kappa * (1.0 - kappa) - x2))
+    noise[n1:n3] = 0.0
     tol = np.fmax(noise, 2.0 * np.spacing(start))
     eqs = _SecularEquations(kappa, lo, n1, npos, n3)
     return owner, eqs, lo, hi, start, tol
@@ -605,7 +621,7 @@ def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
     ks = np.arange(1, int(math.sqrt(max(lambda_max, 0.0)) / math.pi) + 1)
     rows_pos, omega, rows_neg, s, _ = _secular_roots(kap, lambda_max)
     infinite = np.isinf(kap)
-    unit = np.nonzero(_unit_band(kap))[0]
+    unit = np.nonzero(kap == 1.0)[0]
     with np.errstate(over="ignore"):
         neg = -(s * s)
     owner = np.concatenate([np.repeat(np.nonzero(infinite)[0], ks.size),

@@ -371,14 +371,20 @@ def transform_boundary_conditions(rt, rels):
 
     The Dirichlet-to-Neumann operator is subtracted from the second
     component of each relation, and the result is pushed through the
-    triple isometries Lambda' (+) Lambda^-1: two `map_relations` calls,
-    each of which checks its map for invertibility once and
-    re-orthonormalizes all graphs by one stacked SVD.  The relations, a
-    sequence or a RelationStack, come back as a RelationStack.  There is
-    no restriction step: the restriction to the full small space is the
-    relation itself, whose graph basis is already orthonormal.  Relations
-    of different shapes, no relations, or relations outside C^d + C^d
-    raise ValueError.
+    triple isometries Lambda' (+) Lambda^-1, each step one `map_relations`
+    call, which checks its map for invertibility once and orthonormalizes
+    all image graphs by one stacked SVD.  On a triple whose isometry map
+    is the identity, as for the Rellich problem, the second step is
+    skipped.  The two maps are not composed into one: where a large
+    Dirichlet-to-Neumann operator makes the sheared graphs ill-conditioned,
+    their image under the product is less accurate, by up to about the
+    condition number of the isometry map, than that of the two steps with
+    the orthonormalization between them.
+    The relations, a sequence or a RelationStack, come back as a
+    RelationStack.  There is no restriction step: the restriction to the
+    full small space is the relation itself, whose graph basis is already
+    orthonormal.  Relations of different shapes, no relations, or
+    relations outside C^d + C^d raise ValueError.
     """
     d = rt.triple.dim
     # map_relations rejects mixed shapes and no relations; a stack gives
@@ -389,7 +395,11 @@ def transform_boundary_conditions(rt, rels):
             raise ValueError("boundary relation does not match the triple")
     shear = np.eye(2 * d, dtype=complex)
     shear[d:, :d] = -rt.dtn
-    return map_relations(rt.triple.shift_map, map_relations(shear, rels))
+    shifted = map_relations(shear, rels)
+    shift_map = rt.triple.shift_map
+    if np.array_equal(shift_map, np.eye(2 * d)):
+        return shifted
+    return map_relations(shift_map, shifted)
 
 
 def transform_boundary_condition(rt, rel):

@@ -158,7 +158,7 @@ def test_index_of_the_builtin_family_checks_nothing_again(tmp_path,
         assert run_cli(argv) == 0
         counts[argv[0]] = calls
     assert counts["index"] == counts["rellich"]
-    assert len(counts["index"]) == 5
+    assert len(counts["index"]) == 3
 
 
 def test_cli_reads_no_private_relation_helper():

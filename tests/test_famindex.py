@@ -248,7 +248,8 @@ def test_verify_index_theorem_default():
     assert report.spectral_flow == 1
     assert report.winding == 1
     assert report.consistent
-    assert abs(report.crossing_kappa - 1.0) < 1e-10
+    # within 2 ulps of the exact crossing at kappa = 1
+    assert abs(report.crossing_kappa - 1.0) <= 2 * np.spacing(1.0)
 
 
 def test_constant_dirichlet_report():

@@ -26,6 +26,8 @@ from tripletflow import cayley as cy
 from tripletflow import famindex as fi
 from tripletflow import relspace as rs
 from tripletflow import sturm
+from tripletflow import triplet as tp
+from tripletflow import verify as vf
 from tripletflow.triplet import (reduced_triplet,
                                  transform_boundary_conditions)
 from tripletflow.verify import _finite_problem
@@ -312,9 +314,48 @@ def test_robin_relation_loop_svd_count(monkeypatch):
     # the Robin graphs are orthonormal as written
     assert not calls
     transform_boundary_conditions(rt, raw)
-    # two map_relations calls: each checks its map for invertibility,
-    # the shear and then the isometry map, and makes one stacked SVD
-    assert calls == [(4, 4), (720, 4, 2), (4, 4), (720, 4, 2)]
+    # one map_relations call, the shear's: one invertibility check and one
+    # stacked SVD; the isometry map of the identity triple is skipped
+    assert calls == [(4, 4), (720, 4, 2)]
+
+
+def test_identity_triple_transform_is_the_composed_map():
+    rt = reduced_triplet(sturm.RellichBoundaryProblem())
+    raw = sturm.robin_relations(
+        [sturm.kappa_of_theta(t) for t in fi._theta_grid(720)])
+    shear = np.eye(4, dtype=complex)
+    shear[2:, :2] = -rt.dtn
+    composed = rs.map_relations(rt.triple.shift_map @ shear, raw)
+    assert np.array_equal(transform_boundary_conditions(rt, raw).bases,
+                          composed.bases)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 163, 166])
+def test_weighted_transform_is_the_two_step_chain(monkeypatch, seed):
+    # the relations verify's triplet suite transforms, on problems with a
+    # Gram on the small space and a mix (E, H), go through the shear and
+    # then the isometry map, not their product, which loses digits: at
+    # seed 163 (cond E = 591) the product's image is 3.4e-12 from the
+    # exact one, the chain's 5.9e-13
+    drawn = []
+    transform = tp.transform_boundary_condition
+
+    def recording(rt, rel):
+        drawn.append((rt, rel))
+        return transform(rt, rel)
+
+    monkeypatch.setattr(tp, "transform_boundary_condition", recording)
+    vf.suite_triplet(seed=seed)
+    assert drawn
+    for rt, rel in drawn:
+        d = rt.triple.dim
+        assert not np.array_equal(rt.triple.shift_map, np.eye(2 * d))
+        shear = np.eye(2 * d, dtype=complex)
+        shear[d:, :d] = -rt.dtn
+        chain = rs.map_relations(rt.triple.shift_map,
+                                 rs.map_relations(shear, [rel]))
+        assert np.array_equal(transform(rt, rel).graph.basis,
+                              chain.bases[0])
 
 
 def test_transform_equals_the_restricting_reference_chain():
@@ -819,7 +860,13 @@ def test_polish_equals_the_bisection_on_the_robin_loop(samples):
     batch = fi._eigenvalue_batch(sturm.kappa_of_theta, 400.0)
     theta = fi._polish_crossing(batch, *crossings[0])
     assert theta == polish_reference(loop.generator, *crossings[0])
-    assert abs(sturm.kappa_of_theta(theta) - 1.0) < 1e-10
+    # the polish reads no eigenvalue above the flow window [-1, 1], so a
+    # generator capped there gives the same theta, as the index report does
+    capped = fi._eigenvalue_batch(sturm.kappa_of_theta, 1.0)
+    assert fi._polish_crossing(capped, *crossings[0]) == theta
+    report, _ = fi._robin_index(sturm.kappa_of_theta, samples, 400.0)
+    assert report.crossing_kappa == sturm.kappa_of_theta(theta)
+    assert abs(report.crossing_kappa - 1.0) <= 2 * np.spacing(1.0)
 
 
 @pytest.mark.parametrize("shift", [0.3, 1.1, 2.5])

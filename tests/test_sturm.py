@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,50 +283,74 @@ def test_one_solve_equals_separate_positive_and_negative_ones():
         assert np.array_equal(sturm.secular_eigenvalues(kappa, 400.0), eigs)
 
 
-def _below(kappa, x, positive):
+# the Taylor coefficients |B_2n| 4^n / (2n)! of R(lam) = (1 - w cot w) / lam,
+# n = 8, ..., 1, from the Bernoulli numbers B_16, ..., B_2
+_BERNOULLI = (Fraction(-3617, 510), Fraction(7, 6), Fraction(-691, 2730),
+              Fraction(5, 66), Fraction(-1, 30), Fraction(1, 42),
+              Fraction(-1, 30), Fraction(1, 6))
+_SERIES = tuple(float(abs(b) * 4 ** n / math.factorial(2 * n))
+                for n, b in zip(range(8, 0, -1), _BERNOULLI))
+
+
+def _below(kappa, x, positive, series):
     """The sign tests of the secular brackets, written out: True below the
-    root."""
+    root.  With `series`, the first or the negative bracket within
+    1/32 of kappa = 1, judged by sign (lam R(lam) - (1 - kappa)) < 0 with
+    lam = sign x^2."""
+    if series:
+        sign = 1.0 if positive else -1.0
+        lam = sign * (x * x)
+        r = _SERIES[0]
+        for coef in _SERIES[1:]:
+            r = r * lam + coef
+        return bool(sign * (lam * r - (1.0 - kappa)) < 0.0)
     if positive:
         sin_x = np.sin(x)
         return bool((x * np.cos(x) - kappa * sin_x) * np.sign(sin_x) > 0.0)
     return bool(x - kappa * np.tanh(x) < 0.0)
 
 
-def _at_sign_change(kappa, x, positive):
+def _at_sign_change(kappa, x, positive, series=False):
     """x is one end of two adjacent floats, below the root at the lower
     one and not at the upper one."""
     down, up = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
-    return ((_below(kappa, x, positive) and not _below(kappa, up, positive))
-            or (_below(kappa, down, positive)
-                and not _below(kappa, x, positive)))
+    at_down, at_x, at_up = (_below(kappa, t, positive, series)
+                            for t in (down, x, up))
+    return (at_x and not at_up) or (at_down and not at_x)
 
 
-_NEAR_UNIT_KAPPAS = st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d).filter(
-    lambda k: abs(1.0 - k) > 1e-12 * max(1.0, abs(k)))
+def test_series_of_the_sign_test_is_that_of_the_solver():
+    assert _SERIES == sturm._COT_SERIES
+
+
+_NEAR_KAPPAS = st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d)
+_SERIES_KAPPAS = st.floats(-1.0 / 32.0, 1.0 / 32.0).map(lambda d: 1.0 + d)
 
 
 @settings(max_examples=60, deadline=None)
-@given(kappas=st.lists(st.one_of(st.floats(-1e6, 1e6), _NEAR_UNIT_KAPPAS),
-                       min_size=1, max_size=5))
+@given(kappas=st.lists(st.one_of(st.floats(-1e6, 1e6), _NEAR_KAPPAS,
+                                 _SERIES_KAPPAS), min_size=1, max_size=5))
 def test_roots_carry_the_sign_change_certificate(kappas):
-    # every root sits at adjacent floats where the unchanged sign test
-    # changes, one root in every bracket, and the batch is the scalar call
+    # every root sits at adjacent floats where its sign test changes: the
+    # series test on the first and the negative bracket within 1/32 of
+    # kappa = 1, the product and tanh tests elsewhere; one root in every
+    # bracket, and the batch is the scalar call
     kap = np.array(kappas)
     rows_pos, omega, rows_neg, s, _ = sturm._secular_roots(kap, 400.0)
     top = int(math.sqrt(400.0) / math.pi)
     for row, kappa in enumerate(kappas):
-        unit = abs(1.0 - kappa) <= 1e-12 * max(1.0, abs(kappa))
-        first = 0 if kappa < 1.0 and not unit else 1
+        series = abs(1.0 - kappa) <= sturm._NEAR_UNIT
+        first = 0 if kappa < 1.0 else 1
         roots = np.sort(omega[rows_pos == row])
         assert roots.size == top + 1 - first
         for k, w in enumerate(roots, start=first):
             assert k * math.pi <= w <= (k + 1) * math.pi
-            assert _at_sign_change(kappa, w, True)
+            assert _at_sign_change(kappa, w, True, series and k == 0)
         negative = s[rows_neg == row]
-        assert negative.size == (kappa > 1.0 and not unit)
+        assert negative.size == (kappa > 1.0)
         for root in negative:
             assert 0.0 < root <= kappa
-            assert _at_sign_change(kappa, root, False)
+            assert _at_sign_change(kappa, root, False, series)
     batch = sturm.secular_eigenvalues_batch(kappas, lambda_max=400.0)
     for kappa, eigs in zip(kappas, batch):
         assert np.array_equal(sturm.secular_eigenvalues(kappa, 400.0), eigs)
@@ -335,21 +360,25 @@ def test_sign_test_rounds_of_the_robin_index(monkeypatch):
     # the 720-sample solve and the crossing polish, counted in rounds of
     # sign tests; bisection took 57 rounds for the loop and 59-74 for each
     # polish solve, 806 in all.  Near the crossing (|1 - kappa| ~ 1e-12)
-    # the sign test of the first bracket is flat over ~4e11 floats around
-    # the root, and three points a round resolve two bits of them
+    # the product test was flat over ~4e11 floats around the root, and the
+    # polish solves took up to 21 rounds; the series test is sharp there
     rounds = []
+    caps = []
     solve = sturm._secular_roots
 
     def counted(kap, lambda_max):
         result = solve(kap, lambda_max)
         rounds.append(result[-1])
+        caps.append(lambda_max)
         return result
 
     monkeypatch.setattr(sturm, "_secular_roots", counted)
     famindex._robin_index(sturm.kappa_of_theta, 720, 400.0)
-    assert rounds[0] <= 15
-    assert len(rounds) > 1 and max(rounds[1:]) <= 22
-    assert sum(rounds) <= 250
+    assert rounds[0] <= 5
+    assert len(rounds) > 1 and max(rounds[1:]) <= 3
+    assert sum(rounds) <= 22
+    # the polish solves only up to the top of the flow window [-1, 1]
+    assert caps == [400.0] + [1.0] * (len(caps) - 1)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Write every output that must be byte-identical across runs into OUTDIR:
-# the rellich reports at 720, 97 (lambda-max 120) and 8 samples, the index
-# report of the built-in family and of a 256-sample fixture (JSON and CSV),
-# the stderr and exit codes of index on two defective fixtures, the verify
-# records at seed 0 (JSON and CSV) and at the CLI default seed, and the
-# stdout of every demo.  Every command runs with -W error, so a new
+# the rellich reports at 720, 240, 97 (lambda-max 120) and 8 samples, the
+# index report of the built-in family and of a 256-sample fixture (JSON and
+# CSV), the stderr and exit codes of index on two defective fixtures, the
+# verify records at seed 0 (JSON and CSV) and at the CLI default seed, and
+# the stdout of every demo.  Every command runs with -W error, so a new
 # warning fails the script.
 #
 # Usage: tools/deterministic_outputs.sh OUTDIR
@@ -17,13 +17,16 @@ if [ $# -ne 1 ]; then
 fi
 out=$1
 root=$(cd "$(dirname "$0")/.." && pwd)
-mkdir -p "$out/odd" "$out/eight" "$out/fixtures"
+mkdir -p "$out/verify_samples" "$out/odd" "$out/eight" "$out/fixtures"
 
 run() {
     PYTHONPATH="$root/src" python -W error "$@"
 }
 
 run -m tripletflow rellich --samples 720 --out "$out" > "$out/rellich.stdout"
+# verify's sample count: its crossing_kappa is verify's
+run -m tripletflow rellich --samples 240 --out "$out/verify_samples" \
+    > "$out/verify_samples/rellich.stdout"
 # an odd sample count never samples kappa = inf, and rows of 3 and 4
 # eigenvalues exercise the padding of the branch matcher
 run -m tripletflow rellich --samples 97 --lambda-max 120 --out "$out/odd" \
