@@ -369,6 +369,11 @@ def _groups(rels):
     if isinstance(rels, RelationStack):
         return ([((rels.dom_dim, rels.cod_dim, rels.dim),
                   np.arange(len(rels)), rels.bases)] if len(rels) else [])
+    if len(rels) == 1:
+        # one relation: a read-only view of its basis, not a copy
+        (rel,) = rels
+        return [((rel.dom_dim, rel.cod_dim, rel.dim), np.arange(1),
+                 rel.graph.basis[None])]
     groups = {}
     for i, rel in enumerate(rels):
         groups.setdefault((rel.dom_dim, rel.cod_dim, rel.dim), []).append(i)
@@ -395,18 +400,18 @@ def _adjoint_bases(bases, dom_dim, gram):
 
     The adjoint is the null space of the constraints <b_j, x> -
     <a_j, y> = 0, whose SVD basis is orthonormal and is returned as it is.
-    Returns (basis, dims) as `_null_space_dims` lays out a stack: member
-    i's adjoint is its last dims[i] columns.
+    Without a Gram matrix the constraints are the conjugate blocks as they
+    are, with no product by an identity.  Returns (basis, dims) as
+    `_null_space_dims` lays out a stack: member i's adjoint is its last
+    dims[i] columns.
     """
-    a_blk = bases[..., :dom_dim, :]
-    b_blk = bases[..., dom_dim:, :]
-    cod_dim = b_blk.shape[-2]
-    gcod = np.eye(cod_dim) if gram is None else np.asarray(gram)
-    gdom = np.eye(dom_dim) if gram is None else gcod
     # row j of the constraint matrix: <b_j, x> - <a_j, y> = 0
-    cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
-                           -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
-    return _null_space_dims(cons)
+    rows = [bases[..., dom_dim:, :].conj().swapaxes(-1, -2),
+            -bases[..., :dom_dim, :].conj().swapaxes(-1, -2)]
+    if gram is not None:
+        gram = np.asarray(gram)
+        rows = [row @ gram for row in rows]
+    return _null_space_dims(np.concatenate(rows, axis=-1))
 
 
 def adjoint_relation(rel, gram=None):
@@ -432,18 +437,42 @@ def is_self_adjoint_batch(rels, *, gram=None):
     relation with dom_dim != cod_dim is not self-adjoint.
     """
     flags = np.zeros(len(rels), dtype=bool)
-    for (n, cod_dim, k), idx, bases in _groups(rels):
-        if n != cod_dim:
-            continue
-        adj, adj_dims = _adjoint_bases(bases, n, gram)
-        # gap of subspaces: 1 when the dimensions differ, else the largest
-        # principal-angle sine, as in Subspace.gap
-        same = adj_dims == k
-        gaps = np.where(same, 0.0, 1.0)
-        if k and same.any():
-            gaps = np.where(same, _gaps(bases, adj[..., -k:]), 1.0)
-        flags[idx] = gaps <= 100 * DEFAULT_TOL
+    for (n, cod_dim, _), idx, bases in _groups(rels):
+        if n == cod_dim:
+            flags[idx] = _adjoints_and_verdicts(bases, n, gram)[1]
     return flags
+
+
+def _adjoints_and_verdicts(bases, n, gram):
+    """The adjoints of a stack of graph bases (N, 2n, k) of relations in
+    C^n + C^n, laid out as `_adjoint_bases` gives them, and whether each
+    relation is self-adjoint: its gap to its adjoint is at most
+    100 * DEFAULT_TOL."""
+    k = bases.shape[-1]
+    adj, adj_dims = _adjoint_bases(bases, n, gram)
+    # gap of subspaces: 1 when the dimensions differ, else the largest
+    # principal-angle sine, as in Subspace.gap
+    same = adj_dims == k
+    gaps = np.where(same, 0.0, 1.0)
+    if k and same.any():
+        gaps = np.where(same, _gaps(bases, adj[..., -k:]), 1.0)
+    return adj, gaps <= 100 * DEFAULT_TOL
+
+
+def _adjoint_complement(rel):
+    """Orthonormal basis of the orthogonal complement of the graph of a
+    relation B in C^n + C^n, and `is_self_adjoint(B)`, from one adjoint.
+
+    B^perp = {(y, -x) : (x, y) in B*} for every B, self-adjoint or not:
+    <a, y> - <b, x> = 0 for all (a, b) in B is the adjoint's constraint,
+    and both sides have dimension 2n - dim B.  The swapped orthonormal
+    adjoint basis [Y; -X] is orthonormal as it stands, so the complement
+    costs no SVD of its own.
+    """
+    n = rel.dom_dim
+    adj, (self_adjoint,) = _adjoints_and_verdicts(
+        rel.graph.basis[None], n, None)
+    return np.concatenate([adj[0, n:], -adj[0, :n]]), bool(self_adjoint)
 
 
 def is_self_adjoint(rel, gram=None):

@@ -493,5 +493,5 @@ def boundary_condition_domain(rt, rel, reduced=False):
     basis, g0, g1 = rt.bp.coefficient_view()
     if reduced:
         g0, _, g1 = rt._reduce(g0, g1)
-    coeff = _cayley._boundary_cut(g0, g1, rel.graph.complement().basis)
+    coeff, _ = _cayley._boundary_cut(g0, g1, rel.graph.complement().basis)
     return Subspace.from_span(coeff, ambient_dim=basis.shape[1])

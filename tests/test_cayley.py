@@ -473,6 +473,22 @@ def test_factorization_rejects_a_nonunitary_isometry(rng):
         cy.cayley_factorization_check(model, brel)
 
 
+def test_factorization_rejects_cuts_of_different_dimensions(rng,
+                                                            monkeypatch):
+    model = cy.random_symmetric_model(rng, 6, 2)
+    brel = cy.random_selfadjoint_relation(rng, 2)
+    null_space_dims = cy._null_space_dims
+
+    def one_less_at_minus_i(a):
+        # the -i cut read as one dimension smaller than the cut at i
+        coeff, dims = null_space_dims(a)
+        return coeff, dims - np.arange(len(dims))
+
+    monkeypatch.setattr(cy, "_null_space_dims", one_less_at_minus_i)
+    with pytest.raises(np.linalg.LinAlgError, match="differ in dimension"):
+        cy.cayley_factorization_check(model, brel)
+
+
 def test_factorization_makes_one_least_squares_solve(rng, monkeypatch):
     model = cy.random_symmetric_model(rng, 8, 3)
     brel = cy.random_selfadjoint_relation(rng, 3)

@@ -35,10 +35,31 @@ def old_adjoint_bases(bases, dom_dim, gram):
 
 
 def old_extension(model, g0, g1, perp):
-    """`cayley._extension` through `LinearRelation.from_span`."""
-    coeff = cy._boundary_cut(g0, g1, perp)
+    """One extension of the engine, cut alone and orthonormalized again
+    through `LinearRelation.from_span`."""
+    coeff = rs._null_space(perp.conj().T @ np.vstack([g0, g1]))
     return rs.LinearRelation.from_span(model.dim, model.dim,
                                        model.Tstar.graph.basis @ coeff)
+
+
+def old_factorization_check(model, brel):
+    """`cayley.cayley_factorization_check` on the route that took the
+    complement of B's graph by its own SVD, built each extension alone
+    through `old_extension`, and took each Cayley transform alone."""
+    perp = brel.graph.complement().basis
+    w = model._w
+    c_plus, c_minus = cy._split_block(model, model.Tstar.graph.basis)
+    a_prime = old_extension(
+        model, *cy._boundary_coords(w, 1j, c_plus, c_minus), perp)
+    a_second = old_extension(
+        model, *cy._boundary_coords(w.conj().T, -1j, c_minus, c_plus), perp)
+    u_a, u_b, u_prime, u_second = (
+        rs.cayley_unitary(rel) for rel in (model.A, brel, a_prime, a_second))
+    res_plus = np.linalg.norm(
+        u_prime - cy.embed_boundary_unitary(model.kminus, u_b) @ u_a)
+    res_minus = np.linalg.norm(
+        u_second - u_a @ cy.embed_boundary_unitary(model.kplus, u_b))
+    return float(res_plus), float(res_minus)
 
 
 def gram_matrix(rng, n):
@@ -132,11 +153,10 @@ def test_extension_bases_are_orthonormal_and_match_from_span(
 
     # the old path: both bases orthonormalized again, on a fresh model
     monkeypatch.setattr(rs, "_adjoint_bases", old_adjoint_bases)
-    monkeypatch.setattr(cy, "_extension", old_extension)
     rng = np.random.default_rng(seed)
     old_model = cy.random_symmetric_model(rng, dim, defect)
     old_brel = cy.random_selfadjoint_relation(rng, defect)
-    old_plus, old_minus = cy.cayley_factorization_check(old_model, old_brel)
+    old_plus, old_minus = old_factorization_check(old_model, old_brel)
     assert abs(r_plus - old_plus) <= 1e-13
     assert abs(r_minus - old_minus) <= 1e-13
 
@@ -235,3 +255,51 @@ def test_model_construction_svd_count(monkeypatch):
     calls.clear()
     cy.random_selfadjoint_relation(rng, 3)
     assert len(calls) == 0
+
+
+def count_linalg(monkeypatch):
+    """Record the input shape of every SVD, inverse and least-squares
+    solve, in order, as (name, shape)."""
+    calls = []
+    for name in ("svd", "inv", "lstsq"):
+        def counting(a, *args, _fn=getattr(np.linalg, name), _name=name,
+                     **kw):
+            calls.append((_name, a.shape))
+            return _fn(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_factorization_check_linalg_count(monkeypatch):
+    rng = np.random.default_rng(0)
+    model = cy.random_symmetric_model(rng, 8, 3)
+    brel = cy.random_selfadjoint_relation(rng, 3)
+    batches = []
+    unitaries = cy.cayley_unitaries
+    monkeypatch.setattr(cy, "cayley_unitaries",
+                        lambda rels: batches.append(rels.bases.shape)
+                        or unitaries(rels))
+    calls = count_linalg(monkeypatch)
+    cy.cayley_factorization_check(model, brel)
+    # U(A) and U(B), each an SVD and an inverse; B's adjoint and its gap,
+    # which give the complement of B's graph too; the resolvent solve at
+    # i; the stacked cut (2, d, n + d) of both extensions; and their one
+    # Cayley batch (2, 2n, n), an SVD and an inverse of (2, n, n)
+    assert calls == [("svd", (1, 8, 8)), ("inv", (1, 8, 8)),
+                     ("svd", (1, 3, 3)), ("inv", (1, 3, 3)),
+                     ("svd", (1, 3, 6)), ("svd", (1, 6, 3)),
+                     ("lstsq", (8, 8)), ("svd", (2, 3, 11)),
+                     ("svd", (2, 8, 8)), ("inv", (2, 8, 8))]
+    assert batches == [(2, 16, 8)]
+
+
+def test_extension_from_relation_linalg_count(monkeypatch):
+    rng = np.random.default_rng(0)
+    model = cy.random_symmetric_model(rng, 8, 3)
+    brel = cy.random_selfadjoint_relation(rng, 3)
+    calls = count_linalg(monkeypatch)
+    cy.extension_from_relation(model, brel)
+    # B's adjoint and its gap, the resolvent solve and the one cut
+    assert calls == [("svd", (1, 3, 6)), ("svd", (1, 6, 3)),
+                     ("lstsq", (8, 8)), ("svd", (1, 3, 11))]

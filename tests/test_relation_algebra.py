@@ -4,6 +4,8 @@ relations in C^n + C^n, n from 1 to 6, under random invertible maps.
 The maps are U diag(s) V^H with random unitaries U, V and singular values
 s in [0.2, 5], so every map is invertible with condition number at most 25
 and the gap bounds below measure the algebra, not the conditioning.
+The complement of a graph read off its adjoint is checked on relations
+of every dimension, self-adjoint or not.
 """
 
 import numpy as np
@@ -109,3 +111,34 @@ def test_stacks_of_unequal_rank_raise(case, data):
         bases[-1][:, -1] = 0.0
         with pytest.raises(ValueError, match="differ in rank"):
             rs._orthonormal_columns(bases)
+
+
+@st.composite
+def square_relations(draw):
+    """(relation, self-adjoint by construction): a relation in
+    C^d + C^d, d from 0 to 4, either a random self-adjoint one or the span
+    of k random columns, k from 0 to 2d, the first m of them in the
+    multivalued part 0 + C^d."""
+    d = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_selfadjoint_relation(rng, d), True
+    k = draw(st.integers(0, 2 * d))
+    columns = random_complex(rng, 2 * d, k)
+    columns[:d, :draw(st.integers(0, k))] = 0.0
+    return rs.LinearRelation.from_span(d, d, columns), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=square_relations())
+def test_complement_from_the_adjoint(case):
+    # B^perp = {(y, -x) : (x, y) in B*}, with the verdict of one adjoint
+    rel, self_adjoint = case
+    perp, verdict = rs._adjoint_complement(rel)
+    d = rel.dom_dim
+    assert perp.shape == (2 * d, 2 * d - rel.dim)
+    assert np.linalg.norm(perp.conj().T @ perp
+                          - np.eye(perp.shape[1])) <= 1e-13
+    assert rs.Subspace(perp).gap(rel.graph.complement()) <= 1e-13
+    assert verdict == rs.is_self_adjoint(rel)
+    assert verdict or not self_adjoint

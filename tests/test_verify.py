@@ -20,16 +20,19 @@ def test_cayley_suite_builds_each_extension_once(monkeypatch):
                         lambda model, pairs: splits.append(
                             pairs is model.Tstar.graph.basis)
                         or split_block(model, pairs))
-    built = []
-    extension = cy._extension
-    monkeypatch.setattr(cy, "_extension",
-                        lambda *args: built.append(1) or extension(*args))
+    cuts = []
+    extensions = cy._extensions
+    monkeypatch.setattr(cy, "_extensions",
+                        lambda model, g0, g1, perp: cuts.append(
+                            (g0.shape, model.defect, model.dim))
+                        or extensions(model, g0, g1, perp))
     monkeypatch.setattr(cy, "extension_from_relation",
                         lambda *args: pytest.fail("extension built twice"))
     records = _by_name(vf.suite_cayley(trials=4, seed=7))
-    # one extension at i and one at -i per trial, both from the check's
-    # one split of the T* basis
-    assert len(built) == 2 * 4
+    # one stacked cut per trial, of the extension at i and the one at -i,
+    # both from the check's one split of the T* basis
+    assert len(cuts) == 4
+    assert all(shape == (2, d, n + d) for shape, d, n in cuts)
     assert splits.count(True) == 4
     assert records["selfadjoint_extensions"]["residual"] == 0.0
     assert records["selfadjoint_extensions"]["pass"]
