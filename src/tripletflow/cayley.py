@@ -105,9 +105,16 @@ class SymmetricModel:
 
     @cached_property
     def _a_invertible(self):
-        """Whether A has neither a kernel nor a multivalued part."""
-        return (self.A.multivalued_part().dim == 0
-                and self.A.kernel_at(0.0).dim == 0)
+        """Whether A has neither a kernel nor a multivalued part.
+
+        On the orthonormal graph basis [X; Y] of A, mul A = 0 exactly when
+        X has full rank and ker A = 0 exactly when Y has, each by the rank
+        rule of `_null_space_dims`; one stacked SVD decides both.
+        """
+        svals = np.linalg.svd(np.stack([self.A.dom_block(),
+                                        self.A.cod_block()]),
+                              compute_uv=False)
+        return bool((svals > DEFAULT_TOL * svals[..., :1]).all())
 
     @cached_property
     def _isometry(self):
@@ -463,15 +470,14 @@ def _factorization(model, boundary_rel):
 
     The relation algebra is done once: the complement of B's graph comes
     from the adjoint that judges B's self-adjointness, both extensions are
-    cut by one stacked null space of the (2, d, n + d) cuts, and their
-    Cayley transforms are one batch of two; U(A) and U(B) are taken alone.
-    On a fresh model that is 6 SVDs, 3 inverses and the one least-squares
+    cut by one stacked null space of the (2, d, n + d) cuts, and U(A) and
+    their Cayley transforms are one batch of three; U(B) is taken alone.
+    On a fresh model that is 5 SVDs, 2 inverses and the one least-squares
     solve.  For a d-dimensional B both cuts have null dimension n, since
     (g0; g1) maps onto C^2d.
     """
     if model.mu != 1j:
         raise ValueError("factorization check requires mu = i")
-    u_a = cayley_unitary(model.A)
     u_b = cayley_unitary(boundary_rel)
     # stacklevel 4: the caller of cayley_factorization_check
     perp = _check_boundary_relation(model, boundary_rel, stacklevel=4)
@@ -486,7 +492,14 @@ def _factorization(model, boundary_rel):
     g0_minus, g1_minus = _boundary_coords(w.conj().T, -1j, c_minus, c_plus)
     extensions = _extensions(model, np.stack([g0_plus, g0_minus]),
                              np.stack([g1_plus, g1_minus]), perp)
-    u_prime, u_second = cayley_unitaries(extensions)
+    # A leads the Cayley batch and the extensions are read back from it:
+    # no basis is held twice, and no input of the cut outlives it, where
+    # a large model sets the peak memory of the check
+    del c_plus, c_minus, g0_plus, g1_plus, g0_minus, g1_minus
+    bases = np.concatenate([model.A.graph.basis[None], extensions.bases])
+    extensions = RelationStack(model.dim, model.dim, bases[1:])
+    u_a, u_prime, u_second = cayley_unitaries(
+        RelationStack(model.dim, model.dim, bases))
     u_bh_minus = embed_boundary_unitary(model.kminus, u_b)
     res_plus = np.linalg.norm(u_prime - u_bh_minus @ u_a)
     u_bh_plus = embed_boundary_unitary(model.kplus, u_b)

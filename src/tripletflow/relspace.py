@@ -499,15 +499,22 @@ def cayley_unitaries(rels):
                          f"C^{n}+C^{n} cannot be self-adjoint")
     x_blk = bases[..., :n, :]
     y_blk = bases[..., n:, :]
-    denom = y_blk + 1j * x_blk
+    # Y + iX, then Y - iX once its inverse is taken, in one buffer: at
+    # most three (N, n, n) arrays are live, where a large batch sets the
+    # peak memory of its caller
+    work = np.multiply(1j, x_blk)
+    np.add(y_blk, work, out=work)
     if n > 0:
-        svals = np.linalg.svd(denom, compute_uv=False)
+        svals = np.linalg.svd(work, compute_uv=False)
         if (svals[..., -1]
                 <= DEFAULT_TOL * np.maximum(1.0, svals[..., 0])).any():
             raise np.linalg.LinAlgError(
                 "Y + iX is numerically singular: the relation is not "
                 "self-adjoint within tolerance")
-    return (y_blk - 1j * x_blk) @ np.linalg.inv(denom)
+    inverse = np.linalg.inv(work)
+    np.multiply(1j, x_blk, out=work)
+    np.subtract(y_blk, work, out=work)
+    return work @ inverse
 
 
 def cayley_unitary(rel):

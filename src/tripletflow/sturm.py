@@ -720,8 +720,10 @@ def _traces(u):
 class RellichBoundaryProblem:
     """The Robin model as a boundary problem over the exact algebra.
 
-    Elements of the maximal domain are ExpPoly values; the boundary space is
-    C^2 with the identity Gelfand triple, so the reduced maps coincide with
+    Elements of the maximal domain are ExpPoly values, and an element set
+    is a list of them; each block form evaluates its elements one at a
+    time and stacks the results as columns.  The boundary space is C^2
+    with the identity Gelfand triple, so the reduced maps coincide with
     the raw ones up to the Dirichlet-to-Neumann correction.  Its deficiency
     triplet is two 2 x 4 matrices (G0, G1) on the four traces, built on
     first use with the matrix engine's formula, `cayley._boundary_coords`.
@@ -731,13 +733,10 @@ class RellichBoundaryProblem:
         self.boundary_dim = 2
         self.triple = identity_triple(2)
 
-    # -- element operations -------------------------------------------------
+    # -- one element ----------------------------------------------------------
     @staticmethod
     def action(u):
         return -1.0 * u.derivative().derivative()
-
-    def lagrange_form(self, u, v):
-        return self.action(u).inner(v) - u.inner(self.action(v))
 
     @staticmethod
     def gamma0(u):
@@ -750,11 +749,40 @@ class RellichBoundaryProblem:
     def project_regular(self, u):
         return dirichlet_solve(self.action(u))
 
+    # -- element sets ---------------------------------------------------------
     @staticmethod
-    def element_norm(u):
-        return u.norm()
+    def traces(elems):
+        return (np.column_stack([u.trace0() for u in elems]),
+                np.column_stack([u.trace1() for u in elems]))
 
-    # -- distinguished elements ----------------------------------------------
+    def deficiency_traces(self, elems):
+        gamma = self.inner_boundary_maps()
+        return tuple(np.column_stack(part)
+                     for part in zip(*[gamma(u) for u in elems]))
+
+    def projection_traces(self, elems):
+        return self.traces([self.project_regular(u) for u in elems])
+
+    @staticmethod
+    def element_norms(elems):
+        return np.array([u.norm() for u in elems])
+
+    def lagrange_matrix(self, elems):
+        """The m x m matrix of the Lagrange form <Au_i, u_j> - <u_i, Au_j>
+        at (j, i), with one action per element."""
+        acts = [self.action(u) for u in elems]
+        return np.array([[a.inner(v) - u.inner(b)
+                          for u, a in zip(elems, acts)]
+                         for v, b in zip(elems, acts)], dtype=complex)
+
+    @staticmethod
+    def combine(elems, weights):
+        out = weights[0] * elems[0]
+        for w, k in zip(weights[1:], elems[1:]):
+            out = out + w * k
+        return out
+
+    # -- distinguished element sets ---------------------------------------------
     @staticmethod
     def kernel_basis():
         return [one(), xvar()]

@@ -12,6 +12,23 @@ triplet of the same model.
 Two realizations implement the carrier interface: exact finite-dimensional
 models built from a symmetric relation (`MatrixBoundaryProblem` here) and
 the exact interval model from `sturm`.
+
+The checks read a carrier only through element sets and their block forms.
+A carrier gives its distinguished element sets (`kernel_basis`,
+`minimal_domain_elements`, `gamma1_kernel_elements` and `test_elements`)
+in a form of its own, a 2n x m block on the matrix model and a list on the
+interval model, and takes them back in its block forms: `traces` and
+`deficiency_traces`, each a pair of d x m matrices with one column per
+element, `projection_traces`, the traces of the regular projections,
+`element_norms` and `lagrange_matrix`, the m x m matrix of the Lagrange
+form.  `combine` forms a linear combination of a set.  On the matrix model
+each block form is one product on the block; the interval model evaluates
+its elements one at a time behind the same methods.  `ReducedTriplet.table`
+reduces the traces of a whole set at once, and the kernel basis is reduced
+once per triplet, from the trace matrices of its solve.  The one-element
+maps `gamma0`, `gamma1` and `project_regular` serve `regular_kernel_split`
+and the one-element reduced maps `gamma0_bar`, `gamma1_bold` and
+`gamma1_bar`.
 """
 
 from __future__ import annotations
@@ -49,11 +66,14 @@ class MatrixBoundaryProblem:
     """Finite-dimensional boundary problem built from a symmetric model.
 
     Elements of the maximal domain are stacked pairs (z, z') of length 2n
-    belonging to the adjoint relation.  The raw trace maps are the
+    belonging to the adjoint relation, and an element set is one 2n x m
+    block of them, one element per column.  The raw trace maps are the
     deficiency-triplet boundary values, optionally recombined by an
     invertible map E and a Hermitian shear H (which preserves the Lagrange
     identity), and the boundary Gelfand triple may carry a nontrivial Gram
-    on the small space.
+    on the small space.  Each block form below is one product on the
+    block: the coordinates C = B^H U of the block U on the orthonormal
+    basis B of the adjoint's graph, then G0 C and G1 C.
     """
 
     def __init__(self, model, gram_small=None, mix=None):
@@ -62,6 +82,7 @@ class MatrixBoundaryProblem:
         self.model = model
         basis, g0, g1 = _cayley.boundary_data(model)
         self._pair_basis = basis
+        self._coords_map = basis.conj().T
         self._g0_inner = g0
         self._g1_inner = g1
         d = model.kminus.dim
@@ -84,69 +105,74 @@ class MatrixBoundaryProblem:
         self._a_dom = model.A.dom_block()
         self._a_cod_inv = np.linalg.inv(ya)
 
-    # -- element operations ------------------------------------------------
     @property
     def dim(self):
         return self.model.dim
 
-    def _coords(self, u):
-        return self._pair_basis.conj().T @ u
-
-    def action(self, u):
-        return u[self.dim:]
-
-    def lagrange_form(self, u, v):
-        n = self.dim
-        return (complex(np.vdot(v[:n], u[n:]))
-                - complex(np.vdot(v[n:], u[:n])))
-
+    # -- one element -------------------------------------------------------
     def gamma0(self, u):
-        return self._g0 @ self._coords(u)
+        return self._g0 @ (self._coords_map @ u)
 
     def gamma1(self, u):
-        return self._g1 @ self._coords(u)
+        return self._g1 @ (self._coords_map @ u)
 
     def project_regular(self, u):
+        """The regular projection of an element, or of each column of an
+        element set: the element of A with the same action."""
         rhs = u[self.dim:]
         coeff = self._a_cod_inv @ rhs
         return np.concatenate([self._a_dom @ coeff, rhs])
 
-    @staticmethod
-    def element_norm(u):
-        return float(np.linalg.norm(u))
+    # -- element sets --------------------------------------------------------
+    def traces(self, elems):
+        """(Gamma0, Gamma1) of an element set, d x m each."""
+        coords = self._coords_map @ elems
+        return self._g0 @ coords, self._g1 @ coords
 
-    # -- distinguished elements ---------------------------------------------
+    def deficiency_traces(self, elems):
+        """Traces of the deficiency triplet of the model, d x m each."""
+        coords = self._coords_map @ elems
+        return self._g0_inner @ coords, self._g1_inner @ coords
+
+    def projection_traces(self, elems):
+        """(Gamma0, Gamma1) of the regular projections of an element set."""
+        return self.traces(self.project_regular(elems))
+
+    @staticmethod
+    def element_norms(elems):
+        return np.linalg.norm(elems, axis=0)
+
+    def lagrange_matrix(self, elems):
+        """The m x m matrix of the Lagrange form <u_i', u_j> - <u_i, u_j'>
+        of the elements u_i, u_j at (j, i)."""
+        z, dz = elems[:self.dim], elems[self.dim:]
+        return z.conj().T @ dz - dz.conj().T @ z
+
+    @staticmethod
+    def combine(elems, weights):
+        """The element sum_j weights[j] u_j of an element set."""
+        return elems @ weights
+
+    # -- distinguished element sets --------------------------------------------
     def kernel_basis(self):
-        kern = self.model.Tstar.kernel_at(0.0)
-        zero = np.zeros_like(kern.basis)
-        return [np.concatenate([kern.basis[:, j], zero[:, j]])
-                for j in range(kern.dim)]
+        kern = self.model.Tstar.kernel_at(0.0).basis
+        return np.concatenate([kern, np.zeros_like(kern)])
 
     def minimal_domain_elements(self):
-        b = self.model.T.graph.basis
-        return [b[:, j] for j in range(b.shape[1])]
+        return self.model.T.graph.basis
 
     def gamma1_kernel_elements(self):
-        coeff = _null_space(self._g1)
-        b = self._pair_basis @ coeff
-        return [b[:, j] for j in range(b.shape[1])]
+        return self._pair_basis @ _null_space(self._g1)
 
     def test_elements(self, rng, count):
+        """The basis of the adjoint's graph, then random combinations of
+        it, count columns in all; the coefficients of each random element
+        are drawn as its real part, then its imaginary part."""
         b = self._pair_basis
-        out = [b[:, j] for j in range(b.shape[1])]
-        while len(out) < count:
-            c = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(
-                b.shape[1])
-            out.append(b @ c)
-        return out[:count]
-
-    # -- deficiency triplet ----------------------------------------------------
-    def inner_boundary_maps(self):
-        def gamma(u):
-            c = self._coords(u)
-            return self._g0_inner @ c, self._g1_inner @ c
-
-        return gamma
+        m = b.shape[1]
+        draws = rng.standard_normal((max(0, count - m), 2, m))
+        coeff = draws[:, 0] + 1j * draws[:, 1]
+        return np.hstack([b, b @ coeff.T])[:, :count]
 
     # -- coefficient view for exact subspace checks -----------------------------
     def coefficient_view(self):
@@ -167,11 +193,17 @@ def regular_kernel_split(bp, u):
 
 @dataclass
 class KernelSolutionMap:
-    """Right inverse of the first trace on the kernel of the action."""
+    """Right inverse of the first trace on the kernel of the action.
 
-    elements: list
+    `elements` is the kernel basis as an element set of its boundary
+    problem, `combine` that problem's linear combination of an element
+    set, and the trace matrices hold its traces, one column per element.
+    """
+
+    elements: object
     trace0_matrix: np.ndarray
     trace1_matrix: np.ndarray
+    combine: object
     solve_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -183,31 +215,15 @@ class KernelSolutionMap:
         self.solve_matrix = np.linalg.inv(self.trace0_matrix)
 
     def __call__(self, coords):
-        if not self.elements:
+        if not len(self.solve_matrix):
             raise ValueError("the kernel solution map is empty")
         weights = self.solve_matrix @ np.asarray(coords, dtype=complex)
-        out = weights[0] * self.elements[0]
-        for w, k in zip(weights[1:], self.elements[1:]):
-            out = out + w * k
-        return out
-
-
-def _columns(rows, d, parts):
-    """Per-element tuples of d-vectors as one d x m matrix per part."""
-    if not rows:
-        return tuple(np.zeros((d, 0), dtype=complex) for _ in range(parts))
-    return tuple(np.column_stack(part) for part in zip(*rows))
-
-
-def _raw_traces(bp, elems):
-    """(Gamma0, Gamma1) of the elements, one column each."""
-    return _columns([(bp.gamma0(u), bp.gamma1(u)) for u in elems],
-                    bp.boundary_dim, 2)
+        return self.combine(self.elements, weights)
 
 
 def kernel_solution_map(bp):
     kern = bp.kernel_basis()
-    return KernelSolutionMap(kern, *_raw_traces(bp, kern))
+    return KernelSolutionMap(kern, *bp.traces(kern), bp.combine)
 
 
 def dirichlet_to_neumann(bp):
@@ -221,16 +237,21 @@ class ReducedTriplet:
     """Corrected boundary maps forming a genuine boundary triplet.
 
     `kernel` is the solution map of the kernel of the action, solved once
-    per triplet; the Dirichlet-to-Neumann operator `dtn` is read off it.
+    per triplet; the Dirichlet-to-Neumann operator `dtn` is read off it,
+    and `kernel_table` is the reduced table of the kernel basis, reduced
+    from the kernel's trace matrices.
     """
 
     bp: object
     kernel: KernelSolutionMap
     triple: GelfandTriple
     dtn: np.ndarray = field(init=False)
+    kernel_table: tuple = field(init=False)
 
     def __post_init__(self):
         self.dtn = self.kernel.trace1_matrix @ self.kernel.solve_matrix
+        self.kernel_table = self._reduce(self.kernel.trace0_matrix,
+                                         self.kernel.trace1_matrix)
 
     def _reduce(self, g0, g1):
         """(gamma0_bar, gamma1_bold, gamma1_bar) = (Lam' g0, g1 - M g0,
@@ -238,39 +259,38 @@ class ReducedTriplet:
         bold = g1 - self.dtn @ g0
         return self.triple.lam_prime @ g0, bold, self.triple.lam_inv @ bold
 
+    def table(self, elems):
+        """(gamma0_bar, gamma1_bold, gamma1_bar) of an element set of `bp`,
+        d x m each: its traces as one block, reduced as one."""
+        return self._reduce(*self.bp.traces(elems))
+
+    def _reduce_one(self, u):
+        return self._reduce(self.bp.gamma0(u), self.bp.gamma1(u))
+
     def gamma0_bar(self, u):
-        return _trace_table(self, [u])[0][:, 0]
+        return self._reduce_one(u)[0]
 
     def gamma1_bold(self, u):
-        return _trace_table(self, [u])[1][:, 0]
+        return self._reduce_one(u)[1]
 
     def gamma1_bar(self, u):
-        return _trace_table(self, [u])[2][:, 0]
+        return self._reduce_one(u)[2]
 
 
 def reduced_triplet(bp):
     return ReducedTriplet(bp, kernel_solution_map(bp), bp.triple)
 
 
-def _trace_table(rt, elems):
-    """(gamma0_bar, gamma1_bold, gamma1_bar) of the elements by column, each
-    element's traces evaluated once and reduced alone: one product over all
-    columns differs from the one-element maps in the last bits."""
-    bp = rt.bp
-    return _columns([rt._reduce(bp.gamma0(u), bp.gamma1(u)) for u in elems],
-                    bp.boundary_dim, 3)
-
-
 def _column_norms(mat, norms):
     """Worst column norm of mat, each relative to max(1, norms[j])."""
-    return max((float(np.linalg.norm(mat[:, j])) / max(1.0, norm)
-                for j, norm in enumerate(norms)), default=0.0)
+    return float(np.max(np.linalg.norm(mat, axis=0) / np.maximum(1.0, norms),
+                        initial=0.0))
 
 
 def _projection_defects(bp, elems, norms, bold):
     """Worst |Gamma0 p(u)| and |gamma1_bold(u) - Gamma1 p(u)|, each over
     max(1, |u|), with p the regular projection, |u| in `norms`."""
-    g0p, g1p = _raw_traces(bp, [bp.project_regular(u) for u in elems])
+    g0p, g1p = bp.projection_traces(elems)
     return _column_norms(g0p, norms), _column_norms(bold - g1p, norms)
 
 
@@ -282,33 +302,28 @@ def reduced_residuals(rt, rng):
     Returns a dict with: the defect of the corrected trace against the trace
     of the regular projection, the standard-form Lagrange defect of the
     barred maps, the surjectivity margin of the combined trace, and the
-    vanishing of the corrected trace on the reference kernel.  The margin
-    is the 2d-th singular value of the combined trace on the test
+    vanishing of the corrected trace on the reference kernel.  The Lagrange
+    defect is the worst entry of |L - (B0^H G B1 - B1^H G B0)| over
+    max(1, |u_i| |u_j|), with L the Lagrange matrix of the test elements,
+    B0 and B1 their barred traces and G the Gram of the pivot space.  The
+    margin is the 2d-th singular value of the combined trace on the test
     elements, of which there are at least 2d, and math.inf on a zero
     boundary space (d = 0), onto which every map is surjective.
     """
     bp = rt.bp
     d = bp.boundary_dim
     elems = bp.test_elements(rng, max(8, 2 * d))
-    norms = [bp.element_norm(u) for u in elems]
-    bar0, bold, bar1 = _trace_table(rt, elems)
+    norms = bp.element_norms(elems)
+    bar0, bold, bar1 = rt.table(elems)
     _, proj_res = _projection_defects(bp, elems, norms, bold)
-    # contiguous rows: vdot of a strided column differs in the last bits
-    rows0, rows1 = np.ascontiguousarray(bar0.T), np.ascontiguousarray(bar1.T)
     gp = rt.triple.gram_partial
-    lagr_res = 0.0
-    for i, u in enumerate(elems):
-        gp0, gp1 = gp @ rows0[i], gp @ rows1[i]
-        for j, v in enumerate(elems):
-            pairing = (complex(np.vdot(rows0[j], gp1))
-                       - complex(np.vdot(rows1[j], gp0)))
-            lagr_res = max(lagr_res, abs(bp.lagrange_form(u, v) - pairing)
-                           / max(1.0, norms[i] * norms[j]))
+    pairing = bar0.conj().T @ (gp @ bar1) - bar1.conj().T @ (gp @ bar0)
+    lagr_res = float(np.max(np.abs(bp.lagrange_matrix(elems) - pairing)
+                            / np.maximum(1.0, np.outer(norms, norms))))
     svals = np.linalg.svd(np.vstack([bar0, bar1]), compute_uv=False)
     # onto the zero boundary space: vacuously surjective
     surj_margin = float(svals[2 * d - 1]) if d else math.inf
-    kern = rt.kernel.elements
-    kern_res = _column_norms(_trace_table(rt, kern)[1], [1.0] * len(kern))
+    kern_res = _column_norms(rt.kernel_table[1], 1.0)
     return {
         "gamma1_bold_vs_projection": proj_res,
         "standard_lagrange": lagr_res,
@@ -335,15 +350,15 @@ def kernel_report(rt, rng):
         checks.append({"name": name, "residual": float(residual),
                        "pass": bool(residual <= 1e-8)})
 
-    for name, elems in (("minimal_domain", bp.minimal_domain_elements()),
-                        ("kernel", rt.kernel.elements)):
-        record(f"corrected_trace_vanishes_on_{name}",
-               _column_norms(_trace_table(rt, elems)[1],
-                             [bp.element_norm(u) for u in elems]))
+    minimal = bp.minimal_domain_elements()
+    kern = rt.kernel.elements
+    record("corrected_trace_vanishes_on_minimal_domain",
+           _column_norms(rt.table(minimal)[1], bp.element_norms(minimal)))
+    record("corrected_trace_vanishes_on_kernel",
+           _column_norms(rt.kernel_table[1], bp.element_norms(kern)))
     elems = bp.test_elements(rng, 10)
-    res0, res1 = _projection_defects(bp, elems,
-                                     [bp.element_norm(u) for u in elems],
-                                     _trace_table(rt, elems)[1])
+    res0, res1 = _projection_defects(bp, elems, bp.element_norms(elems),
+                                     rt.table(elems)[1])
     record("projection_has_dirichlet_trace_zero", res0)
     record("projection_carries_corrected_trace", res1)
 
@@ -351,16 +366,14 @@ def kernel_report(rt, rng):
         basis, g0, g1 = bp.coefficient_view()
         _, g1_bold, _ = rt._reduce(g0, g1)
         m = basis.shape[1]
-        ker_bold = Subspace.from_span(_null_space(g1_bold), ambient_dim=m)
+        # SVD null-space bases are orthonormal as they come
+        ker_bold = Subspace(_null_space(g1_bold))
         t_coeff = basis.conj().T @ bp.model.T.graph.basis
-        (kern,) = _columns([(k,) for k in rt.kernel.elements],
-                           basis.shape[0], 1)
         k_coeff = basis.conj().T @ kern
         span = Subspace.from_span(np.hstack([t_coeff, k_coeff]),
                                   ambient_dim=m)
         record("kernel_of_corrected_trace_gap", ker_bold.gap(span))
-        ker_both = Subspace.from_span(_null_space(np.vstack([g0, g1_bold])),
-                                      ambient_dim=m)
+        ker_both = Subspace(_null_space(np.vstack([g0, g1_bold])))
         t_sub = Subspace.from_span(t_coeff, ambient_dim=m)
         record("joint_kernel_equals_minimal_domain_gap", ker_both.gap(t_sub))
     return checks
@@ -413,7 +426,7 @@ def neumann_graph_check(rt):
     of `rt.bp` and the graph of the negated, triple-conjugated
     Dirichlet-to-Neumann operator."""
     bp = rt.bp
-    bar0, _, bar1 = _trace_table(rt, bp.gamma1_kernel_elements())
+    bar0, _, bar1 = rt.table(bp.gamma1_kernel_elements())
     d = bp.boundary_dim
     actual = LinearRelation.from_span(d, d, np.vstack([bar0, bar1]))
     expected_mat = -rt.triple.lam_inv @ rt.dtn @ np.linalg.inv(
@@ -444,11 +457,9 @@ def compare_triplets(rt, rng):
     reported, not enforced.
     """
     bp = rt.bp
-    inner_gamma = bp.inner_boundary_maps()
     d = bp.boundary_dim
-    kern = rt.kernel.elements
-    g0_in_k, g1_in_k = _columns([inner_gamma(k) for k in kern], d, 2)
-    bar0_k_inv = np.linalg.inv(_trace_table(rt, kern)[0])
+    g0_in_k, g1_in_k = bp.deficiency_traces(rt.kernel.elements)
+    bar0_k_inv = np.linalg.inv(rt.kernel_table[0])
     d_matrix = g0_in_k @ bar0_k_inv
 
     gp = rt.triple.gram_partial
@@ -456,8 +467,8 @@ def compare_triplets(rt, rng):
     p_matrix = -d_star @ g1_in_k @ bar0_k_inv
 
     elems = bp.test_elements(rng, 12)
-    g0_in, g1_in = _columns([inner_gamma(u) for u in elems], d, 2)
-    g0_bar, _, g1_bar = _trace_table(rt, elems)
+    g0_in, g1_in = bp.deficiency_traces(elems)
+    g0_bar, _, g1_bar = rt.table(elems)
 
     d_inv = np.linalg.inv(d_matrix)
     scale = max(1.0, np.linalg.norm(g1_bar), np.linalg.norm(g0_bar))
@@ -490,8 +501,9 @@ def boundary_condition_domain(rt, rel, reduced=False):
     """Coefficient subspace of the extension domain of `rt.bp` cut out by a
     boundary relation, through either the raw or the reduced maps (finite
     models)."""
-    basis, g0, g1 = rt.bp.coefficient_view()
+    _, g0, g1 = rt.bp.coefficient_view()
     if reduced:
         g0, _, g1 = rt._reduce(g0, g1)
     coeff, _ = _cayley._boundary_cut(g0, g1, rel.graph.complement().basis)
-    return Subspace.from_span(coeff, ambient_dim=basis.shape[1])
+    # the SVD null-space basis, orthonormal as it comes
+    return Subspace(coeff)

@@ -382,7 +382,8 @@ def test_factorization_residuals_match_full_rebuild():
         assert abs(r_minus - ref_minus) <= 1e-13
 
 
-def test_reconstruction_skipped_when_reference_not_invertible():
+def non_invertible_references():
+    """(T, A) pairs whose reference extension A is not invertible."""
     # T = {(0, (t, 0))}: T* = {(x, y) : x1 = 0}, defect (1, 1)
     t_rel = rs.LinearRelation.from_blocks(np.zeros((2, 1)),
                                           np.array([[1.0], [0.0]]))
@@ -391,7 +392,11 @@ def test_reconstruction_skipped_when_reference_not_invertible():
     t_ker = rs.LinearRelation.from_blocks(np.array([[1.0], [0.0]]),
                                           np.zeros((2, 1)))
     with_ker = rs.LinearRelation.graph_of(np.zeros((2, 2)))
-    for t, a in ((t_rel, with_mul), (t_ker, with_ker)):
+    return [(t_rel, with_mul), (t_ker, with_ker)]
+
+
+def test_reconstruction_skipped_when_reference_not_invertible():
+    for t, a in non_invertible_references():
         model = cy.SymmetricModel(t, a)
         assert not model._a_invertible
         z = model.Tstar.graph.basis @ np.arange(1.0, model.Tstar.dim + 1)
@@ -411,6 +416,35 @@ def test_reference_invertibility_decided_once(rng, monkeypatch):
                         lambda *args: pytest.fail("kernel recomputed"))
     assert (cy.von_neumann_components(model, z).reconstruction_residual
             == first)
+
+
+def test_reference_invertibility_is_one_svd(rng, monkeypatch):
+    # mul A = 0 exactly when A's domain block has full rank, and ker A = 0
+    # exactly when its range block has: one stacked SVD of both blocks,
+    # with the rank rule of the null spaces it replaces
+    zero = rs.LinearRelation.from_blocks(np.zeros((0, 0)), np.zeros((0, 0)))
+    pairs = non_invertible_references() + [(zero, zero)]
+    for eps in (1e-12, 1e-9):
+        graph = rs.LinearRelation.graph_of(np.diag([1.0, eps]))
+        pairs.append((graph, graph))
+    models = [cy.SymmetricModel(t, a) for t, a in pairs]
+    models += [cy.random_symmetric_model(rng, dim, defect)
+               for dim, defect in ((5, 2), (8, 3), (3, 0))]
+    old = [model.A.multivalued_part().dim == 0
+           and model.A.kernel_at(0.0).dim == 0 for model in models]
+    assert old == [False, False, True, False, True, True, True, True]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for model, want in zip(models, old):
+        calls.clear()
+        assert model._a_invertible is want
+        assert calls == [(2, model.dim, model.dim)]
 
 
 _coef = st.complex_numbers(max_magnitude=10.0, allow_nan=False,

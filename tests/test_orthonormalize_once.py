@@ -4,9 +4,9 @@ The adjoint of a relation is the SVD null space of its constraints, an
 extension of the engine is the orthonormal basis of T* times orthonormal
 null-space coefficients, the deficiency spaces of a model are the left
 null spaces of the two images of T's graph basis, and the graphs of the
-random builders are orthonormal by their formulas.  None is orthonormalized
-a second time; the references below are the paths that did, kept to
-compare against.
+random builders are orthonormal by their formulas, and so are the null
+spaces of the triplet checks.  None is orthonormalized a second time; the
+references below are the paths that did, kept to compare against.
 """
 
 import numpy as np
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from tripletflow import cayley as cy
 from tripletflow import relspace as rs
+from tripletflow import triplet as tp
+from tripletflow.verify import _finite_problem
 
 from conftest import random_complex
 
@@ -282,16 +284,16 @@ def test_factorization_check_linalg_count(monkeypatch):
                         or unitaries(rels))
     calls = count_linalg(monkeypatch)
     cy.cayley_factorization_check(model, brel)
-    # U(A) and U(B), each an SVD and an inverse; B's adjoint and its gap,
-    # which give the complement of B's graph too; the resolvent solve at
-    # i; the stacked cut (2, d, n + d) of both extensions; and their one
-    # Cayley batch (2, 2n, n), an SVD and an inverse of (2, n, n)
-    assert calls == [("svd", (1, 8, 8)), ("inv", (1, 8, 8)),
-                     ("svd", (1, 3, 3)), ("inv", (1, 3, 3)),
+    # U(B), an SVD and an inverse; B's adjoint and its gap, which give the
+    # complement of B's graph too; the resolvent solve at i; the stacked
+    # cut (2, d, n + d) of both extensions; and one Cayley batch
+    # (3, 2n, n) of A and both extensions, an SVD and an inverse of
+    # (3, n, n)
+    assert calls == [("svd", (1, 3, 3)), ("inv", (1, 3, 3)),
                      ("svd", (1, 3, 6)), ("svd", (1, 6, 3)),
                      ("lstsq", (8, 8)), ("svd", (2, 3, 11)),
-                     ("svd", (2, 8, 8)), ("inv", (2, 8, 8))]
-    assert batches == [(2, 16, 8)]
+                     ("svd", (3, 8, 8)), ("inv", (3, 8, 8))]
+    assert batches == [(3, 16, 8)]
 
 
 def test_extension_from_relation_linalg_count(monkeypatch):
@@ -303,3 +305,42 @@ def test_extension_from_relation_linalg_count(monkeypatch):
     # B's adjoint and its gap, the resolvent solve and the one cut
     assert calls == [("svd", (1, 3, 6)), ("svd", (1, 6, 3)),
                      ("lstsq", (8, 8)), ("svd", (1, 3, 11))]
+
+
+def test_triplet_null_spaces_are_taken_as_given(monkeypatch):
+    # kernel_report's kernel of the corrected trace and joint kernel, and
+    # the cut of boundary_condition_domain, are SVD null spaces: used as
+    # they come, they span what their orthonormalized copies span
+    rng = np.random.default_rng(3)
+    bp = _finite_problem(rng, dim=8, defect=3)
+    rt = tp.reduced_triplet(bp)
+    brel = tp.transform_boundary_condition(
+        rt, cy.random_selfadjoint_relation(rng, 3))
+    _, g0, g1 = bp.coefficient_view()
+    _, g1_bold, _ = rt._reduce(g0, g1)
+    for null in (rs._null_space(g1_bold),
+                 rs._null_space(np.vstack([g0, g1_bold]))):
+        assert orthonormality_defect(null) <= 1e-13
+        assert rs.Subspace(null).gap(rs.Subspace.from_span(null)) <= 1e-13
+    for reduced in (False, True):
+        dom = tp.boundary_condition_domain(rt, brel, reduced=reduced)
+        assert orthonormality_defect(dom.basis) <= 1e-13
+        assert dom.gap(rs.Subspace.from_span(dom.basis)) <= 1e-13
+
+    spans, svds = [], []
+    from_span, svd = rs._orthonormal_columns, np.linalg.svd
+    monkeypatch.setattr(rs, "_orthonormal_columns",
+                        lambda cols: spans.append(cols.shape)
+                        or from_span(cols))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: svds.append(a.shape)
+                        or svd(a, *args, **kw))
+    tp.kernel_report(rt, np.random.default_rng(0))
+    # the span of T and the kernel, and T alone, are orthonormalized; the
+    # two null spaces and the two gaps make the other four SVDs
+    assert len(spans) == 2 and len(svds) == 6
+    spans.clear()
+    svds.clear()
+    tp.boundary_condition_domain(rt, brel)
+    # the complement of the relation's graph and the cut
+    assert spans == [] and len(svds) == 2

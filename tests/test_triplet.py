@@ -37,7 +37,7 @@ def test_projection_on_reference_domain_is_identity(rng):
 
 def test_projection_on_kernel_is_zero(rng):
     bp = finite_problem(rng)
-    u = bp.kernel_basis()[0]
+    u = bp.kernel_basis()[:, 0]
     p, k = tp.regular_kernel_split(bp, u)
     assert np.linalg.norm(p) < 1e-12
     assert np.linalg.norm(k - u) < 1e-12
@@ -45,7 +45,7 @@ def test_projection_on_kernel_is_zero(rng):
 
 def test_projection_idempotent(rng):
     bp = finite_problem(rng)
-    for u in bp.test_elements(rng=rng, count=6):
+    for u in bp.test_elements(rng=rng, count=6).T:
         p, _ = tp.regular_kernel_split(bp, u)
         p2, _ = tp.regular_kernel_split(bp, p)
         assert np.linalg.norm(p2 - p) < 1e-11 * max(1.0, np.linalg.norm(u))
@@ -153,7 +153,7 @@ def test_reduced_trace_trivial_cases(rng):
     rt = tp.reduced_triplet(bp)
     u = bp.model.A.graph.basis[:, 1]
     assert np.linalg.norm(rt.gamma1_bold(u) - bp.gamma1(u)) < 1e-11
-    k = bp.kernel_basis()[0]
+    k = bp.kernel_basis()[:, 0]
     assert np.linalg.norm(rt.gamma1_bold(k)) < 1e-11
 
 

@@ -3,9 +3,9 @@
 # the rellich reports at 720, 240, 97 (lambda-max 120) and 8 samples, the
 # index report of the built-in family and of a 256-sample fixture (JSON and
 # CSV), the stderr and exit codes of index on two defective fixtures, the
-# verify records at seed 0 (JSON and CSV) and at the CLI default seed, and
-# the stdout of every demo.  Every command runs with -W error, so a new
-# warning fails the script.
+# verify records at seed 0 (JSON and CSV) and at the CLI default seed, the
+# triplet records at seed 163, and the stdout of every demo.  Every command
+# runs with -W error, so a new warning fails the script.
 #
 # Usage: tools/deterministic_outputs.sh OUTDIR
 # Compare two runs with `diff -r`, for example under two PYTHONHASHSEEDs or
@@ -81,6 +81,10 @@ run -m tripletflow verify --suite all --seed 0 --format csv \
     > "$out/verify.csv"
 # no --seed: the CLI default (42)
 run -m tripletflow verify --suite all > "$out/verify_default.stdout"
+# the seed of every worst triplet margin over seeds 0-39 and 160-169, so a
+# move in the last digits shows where the margins are tightest
+run -m tripletflow verify --suite triplet --seed 163 \
+    > "$out/verify_triplet_163.stdout"
 # relations and Cayley transforms, both Cayley factorization residuals of
 # the extension engine, the zero-point Weyl matrix, the Robin loop on the
 # interval model and the symbol calculus
