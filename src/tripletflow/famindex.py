@@ -44,6 +44,9 @@ CONVENTION = ("counterclockwise theta; upward eigenvalue crossings count +1; "
               "index = winding of det of the Cayley loop; "
               "kappa = -tan(theta/2)")
 
+# the most samples one walk of a loop inserts by bisection before it raises
+_MAX_INSERTS = 20000
+
 
 @dataclass
 class FamilyLoop:
@@ -111,7 +114,7 @@ def _step_gaps(u_prev, u_next):
     return np.linalg.norm(u_next - u_prev, 2, axis=(-2, -1))
 
 
-def _walk_loop(thetas, samples, refine, judge, max_inserts):
+def _walk_loop(thetas, samples, refine, judge):
     """Walk a sampled loop interval by interval, the wrap-around from the
     last sample to thetas[0] + 2*pi included, and return (t0, t1, value)
     for each accepted interval, in loop order.
@@ -122,7 +125,7 @@ def _walk_loop(thetas, samples, refine, judge, max_inserts):
     judged in one call.  A rejected interval is bisected through `refine`
     (theta -> sample), first half first, each half judged as a stack of
     one; its message is raised as RefinementError once `refine` is
-    missing, `max_inserts` samples have been inserted or the midpoint no
+    missing, `_MAX_INSERTS` samples have been inserted or the midpoint no
     longer lies strictly inside the interval.
     """
     period = 2.0 * math.pi
@@ -141,7 +144,7 @@ def _walk_loop(thetas, samples, refine, judge, max_inserts):
                 accepted.append((t0, t1, value))
                 continue
             tm = 0.5 * (t0 + t1)
-            if refine is None or inserted >= max_inserts or not t0 < tm < t1:
+            if refine is None or inserted >= _MAX_INSERTS or not t0 < tm < t1:
                 raise RefinementError(value)
             sm = refine(tm % period)
             inserted += 1
@@ -172,7 +175,7 @@ def _unitary_samples(thetas, unitaries):
     return mats
 
 
-def det_winding(loop, *, max_inserts=20000):
+def det_winding(loop):
     """Winding number of det along a closed loop of unitary matrices.
 
     `loop` is a FamilyLoop of unitaries, refined through its generator
@@ -180,9 +183,10 @@ def det_winding(loop, *, max_inserts=20000):
     the equally spaced grid.  Every sample, refined ones included, must be
     unitary, ||U^H U - I||_F <= 1e3 * DEFAULT_TOL; otherwise ValueError
     names the first theta that is not.  Consecutive samples must satisfy
-    ||U_next - U_prev|| < 0.5; offending intervals are bisected, and
-    without a generator an error names the first one.  The accumulated
-    argument must land within 0.05 of an integer multiple of 2*pi.
+    ||U_next - U_prev|| < 0.5; offending intervals are bisected, at most
+    `_MAX_INSERTS` times in one walk, and without a generator an error
+    names the first one.  The accumulated argument must land within 0.05
+    of an integer multiple of 2*pi.
 
     The steps between consecutive samples are measured as one stack; only
     intervals too coarse for the bound are bisected, and the angles are
@@ -210,8 +214,7 @@ def det_winding(loop, *, max_inserts=20000):
                 in zip(fine.tolist(), angles, gaps, t0s, t1s)]
 
     total = 0.0
-    for _, _, angle in _walk_loop(loop.thetas, mats, refine, judge,
-                                  max_inserts):
+    for _, _, angle in _walk_loop(loop.thetas, mats, refine, judge):
         total += angle
     turns = total / (2.0 * math.pi)
     nearest = round(turns)
@@ -303,7 +306,7 @@ def _judge_intervals(e0, e1, level, window):
     return ~stray, la, lb, sign
 
 
-def spectral_flow(loop, level=0.0, window=1.0, *, max_inserts=20000):
+def spectral_flow(loop, level=0.0, window=1.0):
     """Net number of eigenvalue branches crossing the level upward.
 
     `loop` is a FamilyLoop of eigenvalue arrays.  Branches inside a window
@@ -313,13 +316,14 @@ def spectral_flow(loop, level=0.0, window=1.0, *, max_inserts=20000):
     +1 upward or -1 downward.  Members without a close partner must sit
     near the window edge (traffic entering or leaving the window far from
     the level); anything else forces a bisection of the interval through
-    the loop's generator (theta -> eigenvalue array).  Values equal to
-    the level count as below.
+    the loop's generator (theta -> eigenvalue array), at most
+    `_MAX_INSERTS` times in one walk.  Values equal to the level count as
+    below.
     """
-    return _flow_walk(loop, level, window, max_inserts=max_inserts)[0]
+    return _flow_walk(loop, level, window)[0]
 
 
-def _flow_walk(loop, level, window, *, max_inserts=20000):
+def _flow_walk(loop, level, window):
     """The walk behind `spectral_flow`: returns the flow and the crossings,
     a list of (t0, t1, la, lb) for each matched pair straddling the level,
     in loop order and, within an interval, in greedy order; t1 may exceed
@@ -347,7 +351,7 @@ def _flow_walk(loop, level, window, *, max_inserts=20000):
     flow = 0
     crossings = []
     for t0, t1, pairs in _walk_loop(loop.thetas, _padded(loop.payloads),
-                                    loop.generator, judge, max_inserts):
+                                    loop.generator, judge):
         for sign, la, lb in pairs:
             flow += sign
             crossings.append((t0, t1, la, lb))

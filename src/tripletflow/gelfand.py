@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .relspace import (DEFAULT_TOL, _hermitian_part, adjoint_relation,
-                       is_self_adjoint, map_relation, matrix_from_json,
-                       matrix_to_json)
+                       is_self_adjoint, map_relation)
 
 __all__ = [
     "GelfandTriple",
@@ -30,10 +29,6 @@ __all__ = [
     "shift_identity_residual",
     "triple_adjoint",
     "is_triple_self_adjoint",
-    "matrix_to_json",
-    "matrix_from_json",
-    "triple_to_json",
-    "triple_from_json",
 ]
 
 
@@ -138,16 +133,6 @@ def build_triple(gram_K, gram_partial):
 
 def identity_triple(dim):
     return build_triple(np.eye(dim), np.eye(dim))
-
-
-def triple_to_json(triple):
-    return {"gram_K": matrix_to_json(triple.gram_K),
-            "gram_partial": matrix_to_json(triple.gram_partial)}
-
-
-def triple_from_json(obj):
-    return build_triple(matrix_from_json(obj["gram_K"]),
-                        matrix_from_json(obj["gram_partial"]))
 
 
 def dual_pairing(triple, y, x):

@@ -36,8 +36,6 @@ __all__ = [
     "map_relation",
     "map_relations",
     "restrict_relation",
-    "matrix_to_json",
-    "matrix_from_json",
     "relation_to_json",
     "relation_from_json",
 ]
@@ -585,35 +583,22 @@ def _json_pairs(values):
     return [[float(z.real), float(z.imag)] for z in values]
 
 
-def _complex_pairs(nested, depth=1):
-    """Complex array of lists of [re, im] number pairs nested `depth` deep,
-    equal bit for bit to complex(re, im) of each; ValueError on any other
-    entry."""
+def _complex_pairs(nested):
+    """Complex vector of a list of [re, im] number pairs, equal bit for bit
+    to complex(re, im) of each; ValueError on any other entry."""
     error = "basis entries must be [re, im] pairs of numbers"
     try:
         pairs = np.array(nested)
     except ValueError:
         # ragged nesting, such as a null entry among the pairs
         raise ValueError(error) from None
-    if pairs.size == 0 and pairs.ndim == depth:
-        pairs = pairs.reshape(*pairs.shape, 2)
+    if pairs.size == 0 and pairs.ndim == 1:
+        pairs = pairs.reshape(0, 2)
     # strings and nulls give text or object arrays
-    if (pairs.dtype.kind not in "biuf" or pairs.ndim != depth + 1
+    if (pairs.dtype.kind not in "biuf" or pairs.ndim != 2
             or pairs.shape[-1] != 2):
         raise ValueError(error)
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-
-
-def matrix_to_json(mat):
-    """Dense matrix as nested [re, im] pairs, row-major."""
-    return [_json_pairs(row) for row in np.asarray(mat, dtype=complex)]
-
-
-def matrix_from_json(obj):
-    """Inverse of `matrix_to_json`; the empty list is the 0 x 0 matrix."""
-    if not obj:
-        return np.zeros((0, 0), dtype=complex)
-    return _complex_pairs(obj, depth=2)
 
 
 def relation_to_json(rel):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .relspace import (LinearRelation, Subspace, _hermitian_part,
-                       cayley_unitary, matrix_from_json, matrix_to_json)
+                       cayley_unitary)
 from .famindex import det_winding
 
 # tolerance of the Hermitian, invertibility and graded-shape checks of a
@@ -98,17 +98,6 @@ class SymbolPoint:
     @property
     def half_dim(self):
         return self.sigma.shape[0] // 2
-
-    def to_json(self):
-        return {"sigma": matrix_to_json(self.sigma),
-                "tau": matrix_to_json(self.tau),
-                "dirac_like": self.dirac_like}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(sigma=matrix_from_json(obj["sigma"]),
-                   tau=matrix_from_json(obj["tau"]),
-                   dirac_like=bool(obj.get("dirac_like", False)))
 
 
 def matrix_sign(mat):
@@ -278,22 +267,6 @@ def graph_condition_selfadjoint_gap(upsilon, sigma):
         LinearRelation.graph_of(np.asarray(upsilon, dtype=complex)), sigma)
 
 
-def _aligned_frames(subspaces):
-    """Orthonormal frames along a loop of subspaces, aligned by polar
-    rotations so that consecutive frames stay close; the residual holonomy
-    after the wrap is returned with the frames."""
-    frames = [subspaces[0].basis]
-    for sub in subspaces[1:]:
-        q = sub.basis
-        overlap = q.conj().T @ frames[-1]
-        u, _, vh = np.linalg.svd(overlap)
-        frames.append(q @ (u @ vh))
-    overlap = subspaces[0].basis.conj().T @ frames[-1]
-    u, _, vh = np.linalg.svd(overlap)
-    holonomy = (subspaces[0].basis @ (u @ vh)).conj().T @ frames[0]
-    return frames, holonomy
-
-
 def split_winding_report(tau_loop, grading_loop=None):
     """Winding additivity across a grading for a loop of skew-adjoint
     invertible symbols.
@@ -301,45 +274,39 @@ def split_winding_report(tau_loop, grading_loop=None):
     For each sample the Hermitian matrix i*tau is compressed to the two
     eigenbundles of the grading map (a skew-adjoint matrix commuting with
     tau; constant multiplication by -i when omitted, in which case the
-    lower bundle is everything).  Reports the winding of the Cayley loop of
-    the total family and of the two compressions, and the additivity
-    defect, which is required to vanish.
+    lower bundle is everything) by the grading's spectral projectors,
+    P = calderon_symbol(grading) for the lower bundle and I - P for the
+    upper.  The Cayley transform of the graph of P (i*tau) P is -1 off the
+    range of P, so its determinant is the compressed one times the
+    constant (-1)^(n - rank P) and has the same winding; no frame of the
+    bundle is chosen.  Reports the winding of the Cayley loop of the total
+    family and of the two compressions, and the additivity defect, which
+    is required to vanish.  A loop too coarse for `det_winding`'s step
+    bound raises RefinementError.
     """
     taus = [np.asarray(t, dtype=complex) for t in tau_loop]
-    count = len(taus)
-    n = taus[0].shape[0]
     if grading_loop is None:
-        gradings = [-1j * np.eye(n) for _ in range(count)]
+        gradings = [-1j * np.eye(tb.shape[0]) for tb in taus]
     else:
         gradings = [np.asarray(g, dtype=complex) for g in grading_loop]
-    lowers, uppers = [], []
+    herms, lowers = [], []
     for tb, f in zip(taus, gradings):
         _hermitian_part(tb, 1e-8, "tau must be skew-adjoint", skew=True)
         _hermitian_part(f, 1e-8, "grading must be skew-adjoint", skew=True)
         if np.linalg.norm(tb @ f - f @ tb) > 1e-8 * max(
                 1.0, np.linalg.norm(tb) * np.linalg.norm(f)):
             raise ValueError("grading must commute with the symbol")
-        lo, up = spectral_split(f)
-        lowers.append(lo)
-        uppers.append(up)
+        herms.append(1j * tb)
+        lowers.append(calderon_symbol(f))
 
-    def compression_winding(subs):
-        if subs[0].dim == 0:
-            return 0
-        frames, holonomy = _aligned_frames(subs)
-        if np.linalg.norm(holonomy - np.eye(subs[0].dim)) > 1e-6:
-            raise np.linalg.LinAlgError(
-                "grading bundle has nontrivial holonomy; the compressed "
-                "winding is frame-dependent")
-        mats = [fr.conj().T @ (1j * tb) @ fr for fr, tb in zip(frames, taus)]
-        unis = [cayley_unitary(LinearRelation.graph_of(
-            0.5 * (m + m.conj().T))) for m in mats]
-        return det_winding(unis)
+    def winding(mats):
+        return det_winding([cayley_unitary(LinearRelation.graph_of(
+            0.5 * (m + m.conj().T))) for m in mats])
 
-    total = det_winding([cayley_unitary(LinearRelation.graph_of(
-        0.5 * ((1j * tb) + (1j * tb).conj().T))) for tb in taus])
-    lower_w = compression_winding(lowers)
-    upper_w = compression_winding(uppers)
+    total = winding(herms)
+    lower_w = winding([p @ h @ p for p, h in zip(lowers, herms)])
+    uppers = [np.eye(p.shape[0]) - p for p in lowers]
+    upper_w = winding([q @ h @ q for q, h in zip(uppers, herms)])
     return {
         "total": total,
         "lower": lower_w,

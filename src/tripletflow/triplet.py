@@ -365,17 +365,17 @@ def kernel_report(rt, rng):
     if hasattr(bp, "coefficient_view"):
         basis, g0, g1 = bp.coefficient_view()
         _, g1_bold, _ = rt._reduce(g0, g1)
-        m = basis.shape[1]
-        # SVD null-space bases are orthonormal as they come
+        # SVD null-space bases are orthonormal as they come, and so are
+        # T's coefficients in the orthonormal basis of T* that contains T
         ker_bold = Subspace(_null_space(g1_bold))
         t_coeff = basis.conj().T @ bp.model.T.graph.basis
         k_coeff = basis.conj().T @ kern
         span = Subspace.from_span(np.hstack([t_coeff, k_coeff]),
-                                  ambient_dim=m)
+                                  ambient_dim=basis.shape[1])
         record("kernel_of_corrected_trace_gap", ker_bold.gap(span))
         ker_both = Subspace(_null_space(np.vstack([g0, g1_bold])))
-        t_sub = Subspace.from_span(t_coeff, ambient_dim=m)
-        record("joint_kernel_equals_minimal_domain_gap", ker_both.gap(t_sub))
+        record("joint_kernel_equals_minimal_domain_gap",
+               ker_both.gap(Subspace(t_coeff)))
     return checks
 
 

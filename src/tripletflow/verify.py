@@ -272,10 +272,10 @@ def suite_triplet(trials=_TRIALS, seed=0):
         cauchy = rs.LinearRelation.from_span(
             bp.boundary_dim, bp.boundary_dim,
             np.vstack([rt.kernel.trace0_matrix, rt.kernel.trace1_matrix]))
-        graph_gap = max(graph_gap, cauchy.gap(
-            rs.LinearRelation.graph_of(rt.dtn)))
+        weyl_graph = rs.LinearRelation.graph_of(rt.dtn)
+        graph_gap = max(graph_gap, cauchy.gap(weyl_graph))
         m_sa = max(m_sa, 0.0 if gf.is_triple_self_adjoint(
-            bp.triple, rs.LinearRelation.graph_of(rt.dtn)) else 1.0)
+            bp.triple, weyl_graph) else 1.0)
         if hasattr(bp, "coefficient_view"):
             brel = cy.random_selfadjoint_relation(rng, bp.boundary_dim)
             raw = tp.boundary_condition_domain(rt, brel)

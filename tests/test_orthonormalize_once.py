@@ -309,17 +309,19 @@ def test_extension_from_relation_linalg_count(monkeypatch):
 
 def test_triplet_null_spaces_are_taken_as_given(monkeypatch):
     # kernel_report's kernel of the corrected trace and joint kernel, and
-    # the cut of boundary_condition_domain, are SVD null spaces: used as
-    # they come, they span what their orthonormalized copies span
+    # the cut of boundary_condition_domain, are SVD null spaces, and T's
+    # coefficients in the orthonormal basis of T* are orthonormal too: used
+    # as they come, they span what their orthonormalized copies span
     rng = np.random.default_rng(3)
     bp = _finite_problem(rng, dim=8, defect=3)
     rt = tp.reduced_triplet(bp)
     brel = tp.transform_boundary_condition(
         rt, cy.random_selfadjoint_relation(rng, 3))
-    _, g0, g1 = bp.coefficient_view()
+    basis, g0, g1 = bp.coefficient_view()
     _, g1_bold, _ = rt._reduce(g0, g1)
+    t_coeff = basis.conj().T @ bp.model.T.graph.basis
     for null in (rs._null_space(g1_bold),
-                 rs._null_space(np.vstack([g0, g1_bold]))):
+                 rs._null_space(np.vstack([g0, g1_bold])), t_coeff):
         assert orthonormality_defect(null) <= 1e-13
         assert rs.Subspace(null).gap(rs.Subspace.from_span(null)) <= 1e-13
     for reduced in (False, True):
@@ -336,9 +338,9 @@ def test_triplet_null_spaces_are_taken_as_given(monkeypatch):
                         lambda a, *args, **kw: svds.append(a.shape)
                         or svd(a, *args, **kw))
     tp.kernel_report(rt, np.random.default_rng(0))
-    # the span of T and the kernel, and T alone, are orthonormalized; the
-    # two null spaces and the two gaps make the other four SVDs
-    assert len(spans) == 2 and len(svds) == 6
+    # the span of T and the kernel is orthonormalized; the two null spaces
+    # and the two gaps make the other four SVDs
+    assert len(spans) == 1 and len(svds) == 5
     spans.clear()
     svds.clear()
     tp.boundary_condition_domain(rt, brel)

@@ -10,6 +10,7 @@ is held to a 40-digit mpmath oracle of the same loop instead.
 import importlib
 import math
 import pkgutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -564,8 +565,9 @@ def test_vectorized_winding_insert_budget_error_matches_the_walk():
 
     with pytest.raises(fi.RefinementError) as ref_err:
         winding_reference(mats, list(thetas), refine, max_inserts=7)
-    with pytest.raises(fi.RefinementError) as err:
-        fi.det_winding(fi.FamilyLoop(thetas, mats, refine), max_inserts=7)
+    with pytest.raises(fi.RefinementError) as err, \
+            mock.patch.object(fi, "_MAX_INSERTS", 7):
+        fi.det_winding(fi.FamilyLoop(thetas, mats, refine))
     assert str(err.value) == str(ref_err.value)
 
 
@@ -640,12 +642,13 @@ def test_flow_sweep_matches_the_reference_walk_on_random_loops(
             ref = flow_reference(thetas, eigs, refine, level, window,
                                  max_inserts)[:2]
         except fi.RefinementError as ref_err:
-            with pytest.raises(fi.RefinementError) as err:
-                fi._flow_walk(loop, level, window, max_inserts=max_inserts)
+            with pytest.raises(fi.RefinementError) as err, \
+                    mock.patch.object(fi, "_MAX_INSERTS", max_inserts):
+                fi._flow_walk(loop, level, window)
             assert str(err.value) == str(ref_err)
         else:
-            assert fi._flow_walk(loop, level, window,
-                                 max_inserts=max_inserts) == ref
+            with mock.patch.object(fi, "_MAX_INSERTS", max_inserts):
+                assert fi._flow_walk(loop, level, window) == ref
 
 
 def test_flow_walk_insert_budget_error_matches_the_reference_walk():
@@ -656,9 +659,10 @@ def test_flow_walk_insert_budget_error_matches_the_reference_walk():
     assert needed > 3
     with pytest.raises(fi.RefinementError) as ref_err:
         flow_reference(thetas, eigs, gen, window=0.5, max_inserts=3)
-    with pytest.raises(fi.RefinementError) as err:
+    with pytest.raises(fi.RefinementError) as err, \
+            mock.patch.object(fi, "_MAX_INSERTS", 3):
         fi.spectral_flow(fi.FamilyLoop(thetas, eigs, generator=gen), 0.0,
-                         0.5, max_inserts=3)
+                         0.5)
     assert str(err.value) == str(ref_err.value)
 
 

@@ -233,6 +233,59 @@ def test_split_winding_rejects_noncommuting():
         sy.split_winding_report(taus, grads)
 
 
+def test_split_winding_rejects_matrices_that_are_not_skew_adjoint():
+    theta = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+    skew = [np.diag([1j, -1j]) for _ in theta]
+    herm = [np.diag([1.0, -1.0]).astype(complex) for _ in theta]
+    with pytest.raises(ValueError, match="tau must be skew-adjoint"):
+        sy.split_winding_report(herm, skew)
+    with pytest.raises(ValueError, match="grading must be skew-adjoint"):
+        sy.split_winding_report(skew, herm)
+
+
+def half_turn_loop(samples, half_turn, tau_diag, grading_diag):
+    """tau and the grading, both diagonal, conjugated by
+    cos(theta/2) I + sin(theta/2) G for a real G with G^2 = -I: the
+    conjugation comes back to itself after one turn, but each eigenbundle
+    of the grading turns into minus itself."""
+    theta = np.linspace(0, 2 * math.pi, samples, endpoint=False)
+    eye = np.eye(len(tau_diag))
+    turns = [math.cos(t / 2) * eye + math.sin(t / 2) * half_turn
+             for t in theta]
+    return ([u @ np.diag(tau_diag) @ u.T for u in turns],
+            [u @ np.diag(grading_diag) @ u.T for u in turns])
+
+
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+# couples coordinates 0 <-> 2 and 1 <-> 3, across the two 2-dim bundles
+COUPLING = np.zeros((4, 4))
+COUPLING[2, 0] = COUPLING[3, 1] = 1.0
+COUPLING[0, 2] = COUPLING[1, 3] = -1.0
+
+
+@pytest.mark.parametrize("half_turn, tau_diag, grading_diag", [
+    (ROTATION, [2j, -1.5j], [1j, -1j]),
+    (COUPLING, [2j, 3j, -1.5j, -2.5j], [1j, 1j, -1j, -1j])],
+    ids=["2x2", "4x4"])
+def test_split_winding_of_bundles_that_turn_into_minus_themselves(
+        half_turn, tau_diag, grading_diag):
+    # no frame of either bundle closes up, yet the compressed determinants
+    # do: the windings are read off the spectral projectors
+    taus, grads = half_turn_loop(48, half_turn, tau_diag, grading_diag)
+    assert sy.split_winding_report(taus, grads) == {
+        "total": 0, "lower": 0, "upper": 0, "additivity_defect": 0}
+    taus, grads = half_turn_loop(8, half_turn, tau_diag, grading_diag)
+    with pytest.raises(fi.RefinementError, match="loop step too coarse"):
+        sy.split_winding_report(taus, grads)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_split_winding_needs_two_samples(count):
+    taus = [np.diag([1j, -2j]) for _ in range(count)]
+    with pytest.raises(ValueError, match="a loop needs at least two samples"):
+        sy.split_winding_report(taus)
+
+
 def test_direct_sum_winding_with_nonzero_parts():
     # additivity of the winding over a pointwise direct sum where the two
     # summands wind in opposite directions

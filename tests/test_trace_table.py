@@ -145,9 +145,9 @@ def kernel_report_block(rt, rng, count):
         out["kernel_of_corrected_trace_gap"] = Subspace(
             _null_space(g1_bold)).gap(
                 Subspace.from_span(np.hstack([t_coeff, k_coeff])))
+        # T's coefficients are orthonormal as they come
         out["joint_kernel_equals_minimal_domain_gap"] = Subspace(
-            _null_space(np.vstack([g0, g1_bold]))).gap(
-                Subspace.from_span(t_coeff))
+            _null_space(np.vstack([g0, g1_bold]))).gap(Subspace(t_coeff))
     return out
 
 

@@ -4,8 +4,9 @@
 # index report of the built-in family and of a 256-sample fixture (JSON and
 # CSV), the stderr and exit codes of index on two defective fixtures, the
 # verify records at seed 0 (JSON and CSV) and at the CLI default seed, the
-# triplet records at seed 163, and the stdout of every demo.  Every command
-# runs with -W error, so a new warning fails the script.
+# triplet records at seed 163, the split winding reports of four symbol
+# loops, and the stdout of every demo.  Every command runs with -W error, so
+# a new warning fails the script.
 #
 # Usage: tools/deterministic_outputs.sh OUTDIR
 # Compare two runs with `diff -r`, for example under two PYTHONHASHSEEDs or
@@ -85,6 +86,50 @@ run -m tripletflow verify --suite all > "$out/verify_default.stdout"
 # move in the last digits shows where the margins are tightest
 run -m tripletflow verify --suite triplet --seed 163 \
     > "$out/verify_triplet_163.stdout"
+# split_winding_report on verify's loop with the default grading, demo 05's
+# loop with a constant block grading, and two loops whose grading bundles
+# turn into minus themselves after one turn (2 x 2 and 4 x 4)
+run - "$out/symbols_windings.json" <<'PY'
+import json
+import math
+import sys
+
+import numpy as np
+
+from tripletflow.symbols import split_winding_report
+
+theta = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+
+
+def half_turn(gen, tau_diag, grading_diag):
+    turns = [math.cos(t / 2) * np.eye(len(gen)) + math.sin(t / 2) * gen
+             for t in theta]
+    return ([u @ np.diag(tau_diag) @ u.T for u in turns],
+            [u @ np.diag(grading_diag) @ u.T for u in turns])
+
+
+flat = []
+for t in theta:
+    tb = np.array([[1j * (2 + math.cos(t)), math.sin(t)],
+                   [-math.sin(t), 1j * (2 - math.cos(t))]], dtype=complex)
+    flat.append(0.5 * (tb - tb.conj().T))
+coupling = np.zeros((4, 4))
+coupling[2, 0] = coupling[3, 1] = 1.0
+coupling[0, 2] = coupling[1, 3] = -1.0
+reports = {
+    "verify_flat": split_winding_report(flat),
+    "demo_block_grading": split_winding_report(
+        [np.diag([1j * (2 + math.sin(t)), -1j * (1.5 + math.cos(t))])
+         for t in theta], [np.diag([1j, -1j]) for _ in theta]),
+    "half_turn_2x2": split_winding_report(*half_turn(
+        np.array([[0.0, -1.0], [1.0, 0.0]]), [2j, -1.5j], [1j, -1j])),
+    "half_turn_4x4": split_winding_report(*half_turn(
+        coupling, [2j, 3j, -1.5j, -2.5j], [1j, 1j, -1j, -1j])),
+}
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(reports, handle, sort_keys=True, indent=2)
+    handle.write("\n")
+PY
 # relations and Cayley transforms, both Cayley factorization residuals of
 # the extension engine, the zero-point Weyl matrix, the Robin loop on the
 # interval model and the symbol calculus
