@@ -15,6 +15,17 @@ def through_text(obj):
     return json.loads(json.dumps(obj))
 
 
+@pytest.mark.parametrize("entry", [["1", "2"], [1, 2, 3], 1])
+def test_matrix_from_json_rejects_entries_that_are_not_pairs(entry):
+    # the dense-matrix decoder is gone; its entries go through the pair codec
+    # that the relation decoder reads its basis with
+    obj = through_text(rs.relation_to_json(
+        rs.LinearRelation.graph_of(np.array([[1.0]]))))
+    obj["basis"][0] = entry
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers"):
+        rs.relation_from_json(obj)
+
+
 def test_model_mu_is_read_by_the_pair_codec(rng):
     obj = through_text(cy.model_to_json(cy.random_symmetric_model(rng, 3, 1)))
     obj["mu"] = [0.0, 1.0, 2.0]
