@@ -7,9 +7,9 @@ drives everything else: the projector onto the lower splitting subspace
 along the upper one, the transversality conditions, and in the graded case
 the unitary whose graph is the lower subspace.
 
-The matrix sign function is computed with a determinant-scaled Newton
-iteration; a dense eigendecomposition is used only as a cross-check oracle
-in the tests.
+The matrix sign is a determinant-scaled Newton iteration on one matrix or
+a stack; a point's split is made once, and a winding report's Cayley loops
+are (H - i)(H + i)^(-1), stacked.  Eigendecompositions are a test oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relspace import (LinearRelation, Subspace, _hermitian_part,
-                       cayley_unitary)
+from .relspace import LinearRelation, Subspace, _hermitian_part
 from .famindex import det_winding
 
 # tolerance of the Hermitian, invertibility and graded-shape checks of a
@@ -30,6 +29,7 @@ __all__ = [
     "SymbolPoint",
     "matrix_sign",
     "spectral_split",
+    "spectral_splits",
     "calderon_symbol",
     "dirac_unitary",
     "transversality_check",
@@ -101,75 +101,78 @@ class SymbolPoint:
 
 
 def matrix_sign(mat):
-    """Matrix sign function by determinant-scaled Newton iteration.
+    """Matrix sign function by determinant-scaled Newton iteration, of one
+    matrix or of each member of a stack (..., n, n).
 
     Converged once ||S^2 - I|| <= 1e-12 * max(1, ||S||^2): the rounding
     floor of S @ S grows with ||S||^2, so an absolute test cannot be met by
     an ill-conditioned sign.  That test still passes up to ||S||^2 times
     above the floor, so one more step, which squares the error, is taken
-    before returning.  Fails when an eigenvalue sits too close to the
-    imaginary axis, which is exactly the degenerate case excluded by
-    ellipticity.  The 0 x 0 matrix is its own sign.
+    before returning.  Each member of a stack has its own scale, test and
+    extra step, and comes out bit for bit as alone.  Fails when an
+    eigenvalue sits too close to the imaginary axis, the degenerate case
+    excluded by ellipticity.  The 0 x 0 matrix is its own sign.
     """
     s = np.asarray(mat, dtype=complex)
-    n = s.shape[0]
-    if not n:
+    n = s.shape[-1]
+    if not s.size:
         return s
-    converged = False
+    shape, s, eye = s.shape, s.reshape(-1, n, n), np.eye(n)
+    out, live = np.empty_like(s), np.arange(len(s))
+    converged = np.zeros(len(s), dtype=bool)
     for _ in range(100):
-        det = np.linalg.det(s)
-        if det == 0 or not np.isfinite(det):
+        mags = [abs(det) for det in np.linalg.det(s)]
+        if not all(0 < mag < np.inf for mag in mags):
             raise np.linalg.LinAlgError("sign iteration hit a singular matrix")
-        scale = abs(det) ** (-1.0 / n)
-        s_scaled = scale * s
+        # each scale a scalar power: the array power differs in the last ulp
+        scales = np.array([mag ** (-1.0 / n) for mag in mags])
+        s_scaled = scales[:, None, None] * s
         try:
             inv = np.linalg.inv(s_scaled)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "sign iteration hit a singular matrix") from exc
         s = 0.5 * (s_scaled + inv)
-        if converged:
-            return s
-        converged = (np.linalg.norm(s @ s - np.eye(n))
-                     <= 1e-12 * max(1.0, np.linalg.norm(s) ** 2))
+        if converged.any():
+            out[live[converged]] = s[converged]
+            live, s = live[~converged], s[~converged]
+            if not len(live):
+                return out.reshape(shape)
+        flat = np.concatenate([s @ s - eye, s]).view(float)
+        defect, size = np.einsum("kij,kij->k", flat, flat).reshape(2, -1)
+        converged = np.sqrt(defect) <= 1e-12 * np.maximum(1.0, size)
     raise np.linalg.LinAlgError(
         "sign iteration did not converge: eigenvalue too close to the "
         "imaginary axis")
 
 
-def _projector_range(proj):
-    """Range of a (possibly oblique) projector; the rank is read off the
-    trace, which is robust even when the projector is ill-conditioned."""
-    n = proj.shape[0]
-    rank = int(round(float(np.trace(proj).real)))
-    if rank <= 0:
-        return Subspace.zero(n)
-    u, _, _ = np.linalg.svd(proj)
-    return Subspace(u[:, :rank])
-
-
 def spectral_split(rho):
-    """Splitting subspaces of a matrix with no real eigenvalues.
+    """The pair (lower, upper) of `spectral_splits` for one matrix."""
+    return spectral_splits(np.asarray(rho, dtype=complex)[None])[0]
 
-    Returns (lower, upper): the spans of the generalized eigenspaces with
-    negative and positive imaginary eigenvalues, computed from the sign of
-    i*rho; the projector onto the lower space is (1 + sign(i*rho))/2.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sign = matrix_sign(1j * rho)
-    n = rho.shape[0]
-    lower = _projector_range(0.5 * (np.eye(n) + sign))
-    upper = _projector_range(0.5 * (np.eye(n) - sign))
-    if lower.dim + upper.dim != n:
+
+def spectral_splits(rhos):
+    """Splitting subspaces (lower, upper) of each matrix of a stack
+    (k, n, n) with no real eigenvalues: the spans of the generalized
+    eigenspaces with negative and positive imaginary eigenvalues, ranges of
+    the projectors (1 +- sign(i*rho))/2 from one SVD of all 2k, with ranks
+    read off the traces, robust even when a projector is ill-conditioned."""
+    sign = matrix_sign(1j * np.asarray(rhos, dtype=complex))
+    k, n = len(sign), sign.shape[-1]
+    projs = 0.5 * (np.eye(n) + np.concatenate([sign, -sign]))
+    ranks = [int(round(float(np.trace(p).real))) for p in projs]
+    frames = np.linalg.svd(projs)[0] if projs.size else projs
+    spaces = [Subspace(u[:, :rank]) if rank > 0 else Subspace.zero(n)
+              for u, rank in zip(frames, ranks)]
+    if any(lo.dim + up.dim != n for lo, up in zip(spaces[:k], spaces[k:])):
         raise np.linalg.LinAlgError("splitting subspaces do not fill the space")
-    return lower, upper
+    return list(zip(spaces[:k], spaces[k:]))
 
 
 def calderon_symbol(rho):
     """Projection onto the lower splitting subspace of rho along the upper."""
     rho = np.asarray(rho, dtype=complex)
-    sign = matrix_sign(1j * rho)
-    return 0.5 * (np.eye(rho.shape[0]) + sign)
+    return 0.5 * (np.eye(rho.shape[-1]) + matrix_sign(1j * rho))
 
 
 def dirac_unitary(tau_bold):
@@ -189,38 +192,40 @@ def dirac_unitary(tau_bold):
     return -herm @ np.linalg.inv(absval)
 
 
-def transversality_check(point):
-    """Minimal principal angles between the splitting subspaces and the two
-    coordinate half-spaces of the graded decomposition.
+def transversality_check(point, split=None):
+    """Minimal principal angles between the splitting subspaces (`split`,
+    if the caller has them) and the two coordinate half-spaces of the
+    graded decomposition, and a verdict: transversal if all are positive.
 
-    Returns a dict with the four smallest angles and an overall verdict;
-    transversality means every angle is positive.
+    For subspaces of dimension half, an angle's cosine and sine are extreme
+    singular values of the basis rows on and off the half-space.
     """
-    lower, upper = spectral_split(point.rho)
+    lower, upper = spectral_split(point.rho) if split is None else split
     half = point.half_dim
-    n = 2 * half
-    # coordinate half-spaces: orthonormal as they are
-    first = Subspace(np.eye(n)[:, :half])
-    second = Subspace(np.eye(n)[:, half:])
 
     def min_angle(sub, axis):
-        # atan2, not arccos: a cosine alone reads angles below 2e-8 as 0
         if sub.dim == 0 or axis.dim == 0:
-            return float(np.pi / 2)
+            return np.pi / 2
         small, large = sorted((sub.basis, axis.basis), key=np.shape)
         proj = large.conj().T @ small
         cos = np.linalg.svd(proj, compute_uv=False)[0]
         sin = np.linalg.svd(small - large @ proj, compute_uv=False)[-1]
-        return float(np.arctan2(sin, cos))
+        return np.arctan2(sin, cos)
 
-    angles = {
-        "lower_vs_first": min_angle(lower, first),
-        "lower_vs_second": min_angle(lower, second),
-        "upper_vs_first": min_angle(upper, first),
-        "upper_vs_second": min_angle(upper, second),
-    }
-    angles["transversal"] = bool(min(v for k, v in angles.items()
-                                     if k != "transversal") > 1e-9)
+    # atan2, not arccos: a cosine alone reads angles below 2e-8 as 0
+    if half and lower.dim == upper.dim == half:
+        svals = np.linalg.svd(np.stack(
+            [lower.basis[:half], lower.basis[half:],
+             upper.basis[:half], upper.basis[half:]]), compute_uv=False)
+        values = np.arctan2(svals[[1, 0, 3, 2], -1], svals[:, 0])
+    else:
+        eye = np.eye(2 * half)  # its half-spaces: orthonormal as they are
+        values = [min_angle(sub, Subspace(axis)) for sub in (lower, upper)
+                  for axis in (eye[:, :half], eye[:, half:])]
+    angles = {key: float(value) for key, value in zip(
+        ("lower_vs_first", "lower_vs_second", "upper_vs_first",
+         "upper_vs_second"), values)}
+    angles["transversal"] = bool(min(angles.values()) > 1e-9)
     return angles
 
 
@@ -276,40 +281,35 @@ def split_winding_report(tau_loop, grading_loop=None):
     tau; constant multiplication by -i when omitted, in which case the
     lower bundle is everything) by the grading's spectral projectors,
     P = calderon_symbol(grading) for the lower bundle and I - P for the
-    upper.  The Cayley transform of the graph of P (i*tau) P is -1 off the
-    range of P, so its determinant is the compressed one times the
-    constant (-1)^(n - rank P) and has the same winding; no frame of the
-    bundle is chosen.  Reports the winding of the Cayley loop of the total
-    family and of the two compressions, and the additivity defect, which
-    is required to vanish.  A loop too coarse for `det_winding`'s step
-    bound raises RefinementError.
+    upper.  The Cayley transform (H - i)(H + i)^(-1) of H = P (i*tau) P is
+    -1 off the range of P, so its determinant winds as the compressed one
+    (no frame is chosen).  Returns the three windings and their additivity
+    defect, which must vanish; a coarse loop raises RefinementError.
     """
-    taus = [np.asarray(t, dtype=complex) for t in tau_loop]
-    if grading_loop is None:
-        gradings = [-1j * np.eye(tb.shape[0]) for tb in taus]
-    else:
-        gradings = [np.asarray(g, dtype=complex) for g in grading_loop]
-    herms, lowers = [], []
-    for tb, f in zip(taus, gradings):
-        _hermitian_part(tb, 1e-8, "tau must be skew-adjoint", skew=True)
-        _hermitian_part(f, 1e-8, "grading must be skew-adjoint", skew=True)
-        if np.linalg.norm(tb @ f - f @ tb) > 1e-8 * max(
-                1.0, np.linalg.norm(tb) * np.linalg.norm(f)):
-            raise ValueError("grading must commute with the symbol")
-        herms.append(1j * tb)
-        lowers.append(calderon_symbol(f))
-
-    def winding(mats):
-        return det_winding([cayley_unitary(LinearRelation.graph_of(
-            0.5 * (m + m.conj().T))) for m in mats])
-
-    total = winding(herms)
-    lower_w = winding([p @ h @ p for p, h in zip(lowers, herms)])
-    uppers = [np.eye(p.shape[0]) - p for p in lowers]
-    upper_w = winding([q @ h @ q for q, h in zip(uppers, herms)])
-    return {
-        "total": total,
-        "lower": lower_w,
-        "upper": upper_w,
-        "additivity_defect": total - lower_w - upper_w,
-    }
+    taus = np.asarray(tau_loop, dtype=complex)
+    if len(taus) < 2:
+        raise ValueError("a loop needs at least two samples")
+    eye = np.eye(taus.shape[-1])
+    gradings = (np.broadcast_to(-1j * eye, taus.shape) if grading_loop is None
+                else np.asarray(grading_loop, dtype=complex))
+    if len(gradings) != len(taus):
+        raise ValueError("tau and grading loops differ in length")
+    norm_t, norm_g = np.linalg.norm([taus, gradings], axis=(-2, -1))
+    defects = np.linalg.norm(
+        [taus + taus.conj().swapaxes(-1, -2),
+         gradings + gradings.conj().swapaxes(-1, -2),
+         taus @ gradings - gradings @ taus], axis=(-2, -1))
+    failed = defects > 1e-8 * np.maximum(1.0, [norm_t, norm_g, norm_t * norm_g])
+    if failed.any():  # the first failing check of the first failing sample
+        raise ValueError(("tau must be skew-adjoint",
+                          "grading must be skew-adjoint",
+                          "grading must commute with the symbol")[
+            failed[:, failed.any(axis=0).argmax()].argmax()])
+    herms, lowers = 1j * taus, calderon_symbol(gradings)
+    uppers = eye - lowers
+    mats = np.stack([herms, lowers @ herms @ lowers, uppers @ herms @ uppers])
+    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    cayley = (mats - 1j * eye) @ np.linalg.inv(mats + 1j * eye)
+    total, lower_w, upper_w = (det_winding(loop) for loop in cayley)
+    return {"total": total, "lower": lower_w, "upper": upper_w,
+            "additivity_defect": total - lower_w - upper_w}

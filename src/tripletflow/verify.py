@@ -402,37 +402,47 @@ def _random_rho(rng):
     return v @ d @ np.linalg.inv(v)
 
 
+def _by_size(items, size=len):
+    """The items in groups of one size, each in draw order, so that each
+    group's matrices make one stack.  The checks below take the maximum of
+    their residuals, which does not depend on the order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(size(item), []).append(item)
+    return groups.values()
+
+
 def suite_symbols(trials=_TRIALS, seed=0):
     rng = np.random.default_rng(seed)
     rec = []
     idem = comm = oracle = 0.0
-    for _ in range(trials):
-        rho = _random_rho(rng)
-        cplus = sy.calderon_symbol(rho)
-        idem = max(idem, np.linalg.norm(cplus @ cplus - cplus))
-        comm = max(comm, np.linalg.norm(cplus @ rho - rho @ cplus)
-                   / max(1.0, np.linalg.norm(rho)))
-        evals, evecs = np.linalg.eig(rho)
-        vinv = np.linalg.inv(evecs)
-        proj = np.zeros(rho.shape, dtype=complex)
-        for j in range(len(rho)):
-            if evals[j].imag < 0:
-                proj += np.outer(evecs[:, j], vinv[j])
-        oracle = max(oracle, np.linalg.norm(cplus - proj))
+    for rhos in _by_size([_random_rho(rng) for _ in range(trials)]):
+        for rho, cplus in zip(rhos, sy.calderon_symbol(np.array(rhos))):
+            idem = max(idem, np.linalg.norm(cplus @ cplus - cplus))
+            comm = max(comm, np.linalg.norm(cplus @ rho - rho @ cplus)
+                       / max(1.0, np.linalg.norm(rho)))
+            evals, evecs = np.linalg.eig(rho)
+            vinv = np.linalg.inv(evecs)
+            proj = np.zeros(rho.shape, dtype=complex)
+            for j in range(len(rho)):
+                if evals[j].imag < 0:
+                    proj += np.outer(evecs[:, j], vinv[j])
+            oracle = max(oracle, np.linalg.norm(cplus - proj))
     _check(rec, "symbols", "calderon_idempotent", idem, 1e-9)
     _check(rec, "symbols", "calderon_commutes", comm, 1e-9)
     _check(rec, "symbols", "calderon_residue_oracle", oracle, 1e-8)
 
     swap_gap = 0.0
-    for _ in range(trials // 2):
-        rho = _random_rho(rng)
-        lo1, up1 = sy.spectral_split(rho)
-        lo2, _ = sy.spectral_split(-rho)
-        swap_gap = max(swap_gap, up1.gap(lo2))
+    for rhos in _by_size([_random_rho(rng) for _ in range(trials // 2)]):
+        rhos = np.array(rhos)
+        splits = sy.spectral_splits(np.concatenate([rhos, -rhos]))
+        for (_, up1), (lo2, _) in zip(splits, splits[len(rhos):]):
+            swap_gap = max(swap_gap, up1.gap(lo2))
     _check(rec, "symbols", "splitting_swaps_under_negation", swap_gap, 1e-9)
 
     graph_gap = 0.0
     trans_fail = 0.0
+    points = []
     for _ in range(trials):
         n = int(rng.integers(1, 7))
         tb = _complex_normal(rng, (n, n))
@@ -442,13 +452,15 @@ def suite_symbols(trials=_TRIALS, seed=0):
             tb = tb + 1j * (0.3 + np.min(np.abs(evs))) * np.eye(n)
             if np.min(np.abs(np.linalg.eigvalsh(1j * tb))) < 1e-6:
                 continue
-        point = sy.SymbolPoint.dirac(tb)
-        lower, _ = sy.spectral_split(point.rho)
-        ups = sy.dirac_unitary(tb)
-        graph_gap = max(graph_gap,
-                        rs.LinearRelation.graph_of(ups).graph.gap(lower))
-        if not sy.transversality_check(point)["transversal"]:
-            trans_fail = 1.0
+        points.append((tb, sy.SymbolPoint.dirac(tb)))
+    for group in _by_size(points, size=lambda item: len(item[0])):
+        splits = sy.spectral_splits([point.rho for _, point in group])
+        for (tb, point), split in zip(group, splits):
+            ups = sy.dirac_unitary(tb)
+            graph_gap = max(graph_gap, rs.LinearRelation.graph_of(
+                ups).graph.gap(split[0]))
+            if not sy.transversality_check(point, split)["transversal"]:
+                trans_fail = 1.0
     _check(rec, "symbols", "dirac_graph_is_lower_splitting", graph_gap, 1e-9)
     _check(rec, "symbols", "dirac_transversality", trans_fail, 0.5)
 

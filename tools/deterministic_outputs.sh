@@ -5,8 +5,9 @@
 # CSV), the stderr and exit codes of index on two defective fixtures, the
 # verify records at seed 0 (JSON and CSV) and at the CLI default seed, the
 # triplet records at seed 163, the split winding reports of four symbol
-# loops, and the stdout of every demo.  Every command runs with -W error, so
-# a new warning fails the script.
+# loops, the symbols records at seeds 0-39 and 160-169, and the stdout of
+# every demo.  Every command runs with -W error, so a new warning fails the
+# script.
 #
 # Usage: tools/deterministic_outputs.sh OUTDIR
 # Compare two runs with `diff -r`, for example under two PYTHONHASHSEEDs or
@@ -128,6 +129,21 @@ reports = {
 }
 with open(sys.argv[1], "w", encoding="utf-8") as handle:
     json.dump(reports, handle, sort_keys=True, indent=2)
+    handle.write("\n")
+PY
+# the symbols records at every seed of CI's verify step, in one process:
+# they cover the sign iteration on 50 seeds of random symbols
+run - "$out/verify_symbols_seeds.json" <<'PY'
+import json
+import sys
+
+from tripletflow import verify
+
+seeds = [*range(40), *range(160, 170)]
+records = {str(seed): verify.run_suite("symbols", seed=seed)
+           for seed in seeds}
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(records, handle, indent=1)
     handle.write("\n")
 PY
 # relations and Cayley transforms, both Cayley factorization residuals of
