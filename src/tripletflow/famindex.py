@@ -318,8 +318,12 @@ def spectral_flow(loop, level=0.0, window=1.0):
     the level); anything else forces a bisection of the interval through
     the loop's generator (theta -> eigenvalue array), at most
     `_MAX_INSERTS` times in one walk.  Values equal to the level count as
-    below.
+    below.  The level must be finite and the window finite and positive.
     """
+    if not math.isfinite(level):
+        raise ValueError("level must be a finite number")
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError("window must be a finite positive number")
     return _flow_walk(loop, level, window)[0]
 
 

@@ -58,8 +58,14 @@ def _as_matrix(a, rows=None):
 def _hermitian_part(mat, tol, error, skew=False):
     """Hermitian part of a square matrix (skew-Hermitian part when skew),
     after checking that the matrix is that part up to tol * max(1, ||mat||)
-    in Frobenius norm; raises ValueError(error) otherwise."""
+    in Frobenius norm; raises ValueError(error) otherwise.  A non-square or
+    non-finite matrix raises ValueError first: no comparison holds for a
+    NaN, so the check alone would pass one."""
     mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValueError("non-finite entries in input matrix")
     adj = -mat.conj().T if skew else mat.conj().T
     if np.linalg.norm(mat - adj) > tol * max(1.0, np.linalg.norm(mat)):
         raise ValueError(error)

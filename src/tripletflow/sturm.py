@@ -594,7 +594,8 @@ def _secular_roots(kap, lambda_max):
 def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
     """Eigenvalues <= lambda_max of the Robin condition u(0) = 0,
     u'(1) = kappa u(1) for each kappa, as a list of sorted arrays; kappa =
-    inf means u(1) = 0, and a NaN kappa raises ValueError.
+    inf means u(1) = 0, and a NaN kappa or a non-finite lambda_max raises
+    ValueError.
 
     Every root sits in a closed-form bracket:
 
@@ -613,6 +614,8 @@ def secular_eigenvalues_batch(kappas, lambda_max=_ROBIN_LAMBDA_MAX):
     certificate bisection gives, and is the same whatever kappas it is
     solved with.
     """
+    if not math.isfinite(lambda_max):
+        raise ValueError("lambda_max must be a finite number")
     kap = np.array(kappas, dtype=float)
     if np.isnan(kap).any():
         raise ValueError("kappa must not be NaN")

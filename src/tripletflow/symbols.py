@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relspace import LinearRelation, Subspace, _hermitian_part
+from .relspace import LinearRelation, Subspace, _as_matrix, _hermitian_part
 from .famindex import det_winding
 
-# tolerance of the Hermitian, invertibility and graded-shape checks of a
-# SymbolPoint
+# tolerance of the Hermitian, skew, invertibility, unitarity and commutation
+# checks of symbol inputs
 _SYMBOL_TOL = 1e-9
 
 __all__ = [
@@ -46,7 +46,6 @@ class SymbolPoint:
 
     sigma: np.ndarray
     tau: np.ndarray
-    dirac_like: bool = False
     rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,27 +53,11 @@ class SymbolPoint:
                                 "sigma must be Hermitian")
         tau = _hermitian_part(self.tau, _SYMBOL_TOL, "tau must be Hermitian")
         svals = np.linalg.svd(sigma, compute_uv=False)
-        if svals[-1] <= _SYMBOL_TOL * svals[0]:
+        if svals.size and svals[-1] <= _SYMBOL_TOL * svals[0]:
             raise ValueError("sigma must be invertible")
         self.sigma = sigma
         self.tau = tau
         self.rho = np.linalg.solve(sigma, tau)
-        if self.dirac_like:
-            n = sigma.shape[0]
-            if n % 2:
-                raise ValueError("graded symbols need even dimension")
-            half = n // 2
-            off = self.rho[:half, half:]
-            _hermitian_part(-off, 10 * _SYMBOL_TOL,
-                            "off-diagonal block of rho must be skew-adjoint",
-                            skew=True)
-            blocks_ok = (
-                np.linalg.norm(self.rho[:half, :half]) <= _SYMBOL_TOL
-                and np.linalg.norm(self.rho[half:, half:]) <= _SYMBOL_TOL
-                and np.linalg.norm(self.rho[half:, :half] - off)
-                <= _SYMBOL_TOL)
-            if not blocks_ok:
-                raise ValueError("rho does not have the graded block shape")
 
     @classmethod
     def dirac(cls, tau_bold):
@@ -82,7 +65,7 @@ class SymbolPoint:
 
         The Hermitian coefficient of the normal direction is the grading
         diag(1, -1), which anticommutes with the skew-Hermitian rho, so the
-        tangential part stays Hermitian.
+        tangential part stays Hermitian; rho has the graded shape exactly.
         """
         tb = _hermitian_part(tau_bold, _SYMBOL_TOL,
                              "tau_bold must be skew-adjoint", skew=True)
@@ -93,7 +76,7 @@ class SymbolPoint:
         tau = np.zeros_like(sigma)
         tau[:half, half:] = -tb
         tau[half:, :half] = tb
-        return cls(sigma=sigma, tau=tau, dirac_like=True)
+        return cls(sigma=sigma, tau=tau)
 
     @property
     def half_dim(self):
@@ -176,20 +159,20 @@ def calderon_symbol(rho):
 
 
 def dirac_unitary(tau_bold):
-    """Unitary with i*tb = -(unitary)*|tb| for skew-adjoint invertible tb.
+    """The unitary -sign(i*tb), with i*tb = -(unitary)*|tb|, for
+    skew-adjoint invertible tb: -V sign(L) V^H from the eigendecomposition
+    V L V^H of i*tb, unitary to rounding whatever the condition of tb.
 
     Its graph is the lower splitting subspace of the graded block matrix
     [[0, -tb], [-tb, 0]].
     """
     tb = _hermitian_part(tau_bold, _SYMBOL_TOL,
                          "tau_bold must be skew-adjoint", skew=True)
-    herm = 1j * tb
-    evals, evecs = np.linalg.eigh(herm)
+    evals, evecs = np.linalg.eigh(1j * tb)
     mags = np.abs(evals)
-    if mags.min() <= _SYMBOL_TOL * max(1.0, mags.max()):
+    if mags.size and mags.min() <= _SYMBOL_TOL * max(1.0, mags.max()):
         raise ValueError("tau_bold must be invertible")
-    absval = evecs @ np.diag(mags) @ evecs.conj().T
-    return -herm @ np.linalg.inv(absval)
+    return -(evecs * np.sign(evals)) @ evecs.conj().T
 
 
 def transversality_check(point, split=None):
@@ -236,12 +219,12 @@ def mixing_map(upsilon, sigma):
     makes the graph boundary condition self-adjoint.  Returns the pair
     (map, inverse) as block matrices on the doubled space.
     """
-    u = np.asarray(upsilon, dtype=complex)
+    u = _as_matrix(upsilon)
     u_inv, eye = u.conj().T, np.eye(u.shape[0])
-    if np.linalg.norm(u_inv @ u - eye) > 1e-9:
+    if np.linalg.norm(u_inv @ u - eye) > _SYMBOL_TOL:
         raise ValueError("upsilon must be unitary")
-    sigma = np.asarray(sigma, dtype=complex)
-    if np.linalg.norm(u @ sigma - sigma @ u) > 1e-9 * max(
+    sigma = _as_matrix(sigma)
+    if np.linalg.norm(u @ sigma - sigma @ u) > _SYMBOL_TOL * max(
             1.0, np.linalg.norm(sigma)):
         raise ValueError("upsilon must commute with sigma")
     return (np.block([[eye, -u_inv], [u, eye]]),

@@ -174,6 +174,23 @@ def test_rellich_spectral_flow_and_crossing():
     assert fi.spectral_flow(loop, level=0.0, window=1.0) == 1
 
 
+@pytest.fixture(scope="module")
+def robin_loop():
+    return fi.rellich_eigenvalue_samples(samples=720)
+
+
+@pytest.mark.parametrize("level, window, match", [
+    (0.0, 0.0, "window"), (0.0, -1.0, "window"), (0.0, math.nan, "window"),
+    (0.0, math.inf, "window"), (math.nan, 1.0, "level"),
+    (math.inf, 1.0, "level"), (-math.inf, 1.0, "level")])
+def test_spectral_flow_rejects_bad_level_and_window(robin_loop, level,
+                                                    window, match):
+    # each read as flow 0 on this loop of flow 1 when accepted
+    assert fi.spectral_flow(robin_loop, level=0.0, window=1.0) == 1
+    with pytest.raises(ValueError, match=match):
+        fi.spectral_flow(robin_loop, level=level, window=window)
+
+
 # -- relation families ----------------------------------------------------------
 
 def test_relation_family_constant_is_zero(rng):

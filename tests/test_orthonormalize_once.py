@@ -259,11 +259,12 @@ def test_model_construction_svd_count(monkeypatch):
     assert len(calls) == 0
 
 
-def count_linalg(monkeypatch):
-    """Record the input shape of every SVD, inverse and least-squares
-    solve, in order, as (name, shape)."""
+def count_linalg(monkeypatch, names=("svd", "inv", "lstsq")):
+    """Record the input shape of every call of the `np.linalg` functions
+    named (by default every SVD, inverse and least-squares solve), in
+    order, as (name, shape)."""
     calls = []
-    for name in ("svd", "inv", "lstsq"):
+    for name in names:
         def counting(a, *args, _fn=getattr(np.linalg, name), _name=name,
                      **kw):
             calls.append((_name, a.shape))

@@ -244,6 +244,21 @@ def test_batch_equals_scalar_on_loop_grid():
         sturm.secular_eigenvalues_batch([0.0, float("nan")])
 
 
+@pytest.mark.parametrize("lambda_max", [math.inf, math.nan])
+def test_lambda_max_must_be_finite(lambda_max):
+    message = "lambda_max must be a finite number"
+    with pytest.raises(ValueError, match=message):
+        sturm.secular_eigenvalues_batch([0.0, 2.0], lambda_max)
+    with pytest.raises(ValueError, match=message):
+        sturm.secular_eigenvalues(0.0, lambda_max)
+    with pytest.raises(ValueError, match=message):
+        famindex.rellich_eigenvalue_samples(samples=8, lambda_max=lambda_max)
+    # a negative cap is finite: the one negative eigenvalue, -3.667..., of
+    # kappa = 2 lies above this one
+    assert [len(eigs) for eigs in sturm.secular_eigenvalues_batch(
+        [0.0, 2.0], -100.0)] == [0, 0]
+
+
 def test_kappa_infinity_has_one_spelling():
     # None is not read as infinity: it reads as NaN and is rejected
     with pytest.raises(ValueError, match="NaN"):

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripletflow import cayley as cy
 from tripletflow import famindex as fi
+from tripletflow import gelfand as gf
 from tripletflow import relspace as rs
 from tripletflow import symbols as sy
+from tripletflow import triplet as tp
 
 from conftest import random_complex
+from test_orthonormalize_once import count_linalg
 
 
 def random_offaxis(rng, n):
@@ -60,6 +66,13 @@ def test_empty_symbol_has_empty_split_and_projection():
     lower, upper = sy.spectral_split(empty)
     assert (lower.dim, upper.dim, lower.ambient_dim) == (0, 0, 0)
     assert sy.calderon_symbol(empty).shape == (0, 0)
+    assert sy.dirac_unitary(empty).shape == (0, 0)
+    for point in (sy.SymbolPoint(empty, empty), sy.SymbolPoint.dirac(empty)):
+        assert point.rho.shape == (0, 0)
+        assert sy.transversality_check(point) == {
+            "lower_vs_first": math.pi / 2, "lower_vs_second": math.pi / 2,
+            "upper_vs_first": math.pi / 2, "upper_vs_second": math.pi / 2,
+            "transversal": True}
 
 
 def test_calderon_symbol_examples(rng):
@@ -126,6 +139,75 @@ def test_dirac_graph_fifty_fixtures(rng):
 def test_dirac_unitary_rejects_singular():
     with pytest.raises(ValueError):
         sy.dirac_unitary(np.zeros((2, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), log_cond=st.floats(0.0, 8.0),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_dirac_unitary_is_the_sign(n, log_cond, log_scale, seed):
+    # U = -sign(i tb) is characterized by: Hermitian, unitary, commuting
+    # with i tb, and -U (i tb) = |tb| positive semidefinite; the moduli of
+    # the eigenvalues of i tb span a condition number up to 1e8
+    rng = np.random.default_rng(seed)
+    vecs = np.linalg.qr(random_complex(rng, n, n))[0]
+    mags = 10.0 ** (log_scale + log_cond * np.r_[0.0, 1.0, rng.random(n)][:n])
+    evals = np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags
+    tb = -1j * (vecs * evals) @ vecs.conj().T
+    tb = 0.5 * (tb - tb.conj().T)
+    ups = sy.dirac_unitary(tb)
+    herm = 1j * tb
+    absval = -ups @ herm
+    defects = [np.linalg.norm(ups - ups.conj().T),
+               np.linalg.norm(ups.conj().T @ ups - np.eye(n)),
+               np.linalg.norm(ups @ herm - herm @ ups),
+               max(0.0, -np.linalg.eigvalsh(
+                   0.5 * (absval + absval.conj().T)).min())]
+    assert max(defects) <= 1e-13 * max(1.0, np.linalg.norm(tb))
+
+
+def test_dirac_unitary_makes_one_eigendecomposition(monkeypatch, rng):
+    tb = random_skew_invertible(rng, 4)
+    calls = count_linalg(monkeypatch, ("eigh", "eig", "svd", "inv", "solve",
+                                       "lstsq"))
+    sy.dirac_unitary(tb)
+    assert calls == [("eigh", (4, 4))]
+
+
+def test_dirac_point_is_the_graded_block(rng):
+    # exactly, with no rounding: equal as values, so that a zero's sign is
+    # free
+    for n in (1, 3, 5):
+        tb = random_skew_invertible(rng, n)
+        zero = np.zeros((n, n))
+        assert np.array_equal(sy.SymbolPoint.dirac(tb).rho,
+                              np.block([[zero, -tb], [-tb, zero]]))
+
+
+def _problem_with_shear(shear):
+    model = cy.random_symmetric_model(np.random.default_rng(0), 5, 2)
+    return tp.MatrixBoundaryProblem(model, mix=(np.eye(2), shear))
+
+
+_NAN = np.full((2, 2), np.nan)
+_BAD_TB = [(np.eye(2), "skew-adjoint"), (_NAN, "non-finite"),
+           (np.full((2, 2), np.inf), "non-finite"),
+           (np.eye(2, 3), "square matrix")]
+
+
+@pytest.mark.parametrize("call, arg, match", [
+    *[(func, tb, match) for func in (sy.SymbolPoint.dirac, sy.dirac_unitary)
+      for tb, match in _BAD_TB],
+    (lambda sigma: sy.SymbolPoint(sigma, np.eye(2)), _NAN, "non-finite"),
+    (lambda tau: sy.SymbolPoint(np.eye(2), tau), _NAN, "non-finite"),
+    (lambda ups: sy.mixing_map(ups, np.eye(2)), _NAN, "non-finite"),
+    (lambda sigma: sy.mixing_map(np.eye(2), sigma), _NAN, "non-finite"),
+    (lambda gram: gf.build_triple(gram, np.eye(2)), _NAN, "non-finite"),
+    (_problem_with_shear, _NAN, "non-finite"),
+])
+def test_symbol_inputs_rejected(call, arg, match):
+    # a NaN passes every tolerance test, since no comparison with it holds
+    with pytest.raises(ValueError, match=match):
+        call(arg)
 
 
 def test_symbol_point_validation(rng):

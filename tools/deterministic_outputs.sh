@@ -5,9 +5,9 @@
 # CSV), the stderr and exit codes of index on two defective fixtures, the
 # verify records at seed 0 (JSON and CSV) and at the CLI default seed, the
 # triplet records at seed 163, the split winding reports of four symbol
-# loops, the symbols records at seeds 0-39 and 160-169, and the stdout of
-# every demo.  Every command runs with -W error, so a new warning fails the
-# script.
+# loops, the Dirac unitaries of three fixed symbols, the symbols records at
+# seeds 0-39 and 160-169, and the stdout of every demo.  Every command runs
+# with -W error, so a new warning fails the script.
 #
 # Usage: tools/deterministic_outputs.sh OUTDIR
 # Compare two runs with `diff -r`, for example under two PYTHONHASHSEEDs or
@@ -129,6 +129,39 @@ reports = {
 }
 with open(sys.argv[1], "w", encoding="utf-8") as handle:
     json.dump(reports, handle, sort_keys=True, indent=2)
+    handle.write("\n")
+PY
+# dirac_unitary, entry by entry as [re, im], of a 1 x 1 symbol, of a 3 x 3
+# drawn at seed 0 and shifted off singular as verify's draws are, and of a
+# 4 x 4 with cond(|tb|) = 1e6
+run - "$out/symbols_dirac.json" <<'PY'
+import json
+import sys
+
+import numpy as np
+
+from tripletflow.symbols import dirac_unitary
+from tripletflow.verify import _complex_normal
+
+
+def skew(mat):
+    return 0.5 * (mat - mat.conj().T)
+
+
+rng = np.random.default_rng(0)
+drawn = skew(_complex_normal(rng, (3, 3)))
+gap = np.min(np.abs(np.linalg.eigvalsh(1j * drawn)))
+if gap < 0.2:
+    drawn = drawn + 1j * (0.3 + gap) * np.eye(3)
+frame = np.linalg.qr(_complex_normal(np.random.default_rng(1), (4, 4)))[0]
+stiff = skew(-1j * (frame * [1.0, -10.0, 1e3, -1e6]) @ frame.conj().T)
+tbs = {"scalar": np.array([[-0.5j]]), "verify_seed0_3x3": drawn,
+       "cond_1e6_4x4": stiff}
+unitaries = {name: [[[z.real, z.imag] for z in row]
+                    for row in dirac_unitary(tb).tolist()]
+             for name, tb in tbs.items()}
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(unitaries, handle, indent=1)
     handle.write("\n")
 PY
 # the symbols records at every seed of CI's verify step, in one process:
