@@ -101,17 +101,15 @@ class RefinementError(RuntimeError):
     pass
 
 
-def _step_angles(u_prev, u_next):
-    """Sum of principal eigenphases of the transition unitary, for one pair
-    or a stack of pairs; valid while the step stays well below a half turn
-    per eigenvalue."""
-    trans = u_next @ u_prev.conj().swapaxes(-1, -2)
-    return np.sum(np.angle(np.linalg.eigvals(trans)), axis=-1)
+def _transition_eigenvalues(u_prev, u_next):
+    """Eigenvalues of the transitions U_next U_prev^H of a stack of pairs.
 
-
-def _step_gaps(u_prev, u_next):
-    """Spectral norm of the step, for one pair or a stack of pairs."""
-    return np.linalg.norm(u_next - u_prev, 2, axis=(-2, -1))
+    For unitary samples the transition is unitary, so its eigenvalues give
+    both the size of the step, ||U_next - U_prev||_2 = max_j |lambda_j - 1|,
+    and its angle, the sum of the principal eigenphases, which is the
+    change of arg det while the step stays well below a half turn per
+    eigenvalue."""
+    return np.linalg.eigvals(u_next @ u_prev.conj().swapaxes(-1, -2))
 
 
 def _walk_loop(thetas, samples, refine, judge):
@@ -188,9 +186,10 @@ def det_winding(loop):
     names the first one.  The accumulated argument must land within 0.05
     of an integer multiple of 2*pi.
 
-    The steps between consecutive samples are measured as one stack; only
-    intervals too coarse for the bound are bisected, and the angles are
-    added in loop order.
+    Each step's size and angle come from the eigenvalues of its transition
+    U_next U_prev^H (`_transition_eigenvalues`), one stacked call for all
+    the intervals judged together; only intervals too coarse for the bound
+    are bisected, and the angles are added in loop order.
     """
     if not isinstance(loop, FamilyLoop):
         loop = FamilyLoop(_theta_grid(len(loop)), loop)
@@ -200,18 +199,15 @@ def det_winding(loop):
         lambda t: _unitary_samples([t], [gen(t)])[0])
 
     def judge(t0s, t1s, u0s, u1s):
-        u0s = np.asarray(u0s, dtype=complex)
-        u1s = np.asarray(u1s, dtype=complex)
-        gaps = _step_gaps(u0s, u1s)
-        fine = gaps < 0.5
-        angles = np.zeros(len(gaps))
-        angles[fine] = _step_angles(u0s[fine], u1s[fine])
-        return [(True, angle) if ok else
+        lams = _transition_eigenvalues(np.asarray(u0s, dtype=complex),
+                                       np.asarray(u1s, dtype=complex))
+        gaps = np.max(np.abs(lams - 1.0), axis=-1)
+        angles = np.sum(np.angle(lams), axis=-1)
+        return [(True, angle) if gap < 0.5 else
                 (False, f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
                         f"(||dU|| = {gap:.3f}); supply more samples or a "
                         "refinement callback")
-                for ok, angle, gap, t0, t1
-                in zip(fine.tolist(), angles, gaps, t0s, t1s)]
+                for angle, gap, t0, t1 in zip(angles, gaps, t0s, t1s)]
 
     total = 0.0
     for _, _, angle in _walk_loop(loop.thetas, mats, refine, judge):

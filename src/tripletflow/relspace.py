@@ -553,7 +553,7 @@ def map_relations(lin_map, rels):
     """
     dom_dim, cod_dim, bases = _one_shape(rels)
     lin_map = _as_matrix(lin_map, rows=dom_dim + cod_dim)
-    _check_invertible(lin_map)
+    _check_invertible(lin_map, "map_relation requires an invertible map")
     return RelationStack(dom_dim, cod_dim,
                          _orthonormal_columns(lin_map @ bases))
 
@@ -564,11 +564,13 @@ def map_relation(lin_map, rel):
     return map_relations(lin_map, [rel])[0]
 
 
-def _check_invertible(lin_map):
+def _check_invertible(lin_map, message):
+    """Raise ValueError(message) unless sigma_min > DEFAULT_TOL * max(1,
+    sigma_max) for the finite square matrix `lin_map`."""
     svals = np.linalg.svd(lin_map, compute_uv=False)
     # the map of the zero space (no singular values) is invertible
     if svals.size and svals[-1] <= DEFAULT_TOL * max(1.0, svals[0]):
-        raise ValueError("map_relation requires an invertible map")
+        raise ValueError(message)
 
 
 def restrict_relation(rel, dom_sub, cod_sub):

@@ -145,8 +145,7 @@ def spectral_splits(rhos):
     projs = 0.5 * (np.eye(n) + np.concatenate([sign, -sign]))
     ranks = [int(round(float(np.trace(p).real))) for p in projs]
     frames = np.linalg.svd(projs)[0] if projs.size else projs
-    spaces = [Subspace(u[:, :rank]) if rank > 0 else Subspace.zero(n)
-              for u, rank in zip(frames, ranks)]
+    spaces = [Subspace(u[:, :rank]) for u, rank in zip(frames, ranks)]
     if any(lo.dim + up.dim != n for lo, up in zip(spaces[:k], spaces[k:])):
         raise np.linalg.LinAlgError("splitting subspaces do not fill the space")
     return list(zip(spaces[:k], spaces[k:]))
@@ -180,34 +179,29 @@ def transversality_check(point, split=None):
     if the caller has them) and the two coordinate half-spaces of the
     graded decomposition, and a verdict: transversal if all are positive.
 
-    For subspaces of dimension half, an angle's cosine and sine are extreme
-    singular values of the basis rows on and off the half-space.
+    A space with orthonormal basis rows B1 on a half-space and B2 off it
+    makes with that half-space the angle of cosine sigma_max(B1) and sine
+    sigma_min(B2), or sine 0 when the space is wider than the half-space,
+    which it then meets; swapping B1 and B2 gives the angle with the other
+    half-space.  So one SVD of the pair (B1, B2) gives both angles of a
+    space.  An empty space or half-space is at a right angle to the other.
     """
-    lower, upper = spectral_split(point.rho) if split is None else split
+    split = spectral_split(point.rho) if split is None else split
     half = point.half_dim
-
-    def min_angle(sub, axis):
-        if sub.dim == 0 or axis.dim == 0:
-            return np.pi / 2
-        small, large = sorted((sub.basis, axis.basis), key=np.shape)
-        proj = large.conj().T @ small
-        cos = np.linalg.svd(proj, compute_uv=False)[0]
-        sin = np.linalg.svd(small - large @ proj, compute_uv=False)[-1]
-        return np.arctan2(sin, cos)
-
-    # atan2, not arccos: a cosine alone reads angles below 2e-8 as 0
-    if half and lower.dim == upper.dim == half:
-        svals = np.linalg.svd(np.stack(
-            [lower.basis[:half], lower.basis[half:],
-             upper.basis[:half], upper.basis[half:]]), compute_uv=False)
-        values = np.arctan2(svals[[1, 0, 3, 2], -1], svals[:, 0])
-    else:
-        eye = np.eye(2 * half)  # its half-spaces: orthonormal as they are
-        values = [min_angle(sub, Subspace(axis)) for sub in (lower, upper)
-                  for axis in (eye[:, :half], eye[:, half:])]
-    angles = {key: float(value) for key, value in zip(
-        ("lower_vs_first", "lower_vs_second", "upper_vs_first",
-         "upper_vs_second"), values)}
+    values = []
+    for sub in split:
+        if not (half and sub.dim):
+            values += [np.pi / 2] * 2
+            continue
+        svals = np.linalg.svd(np.stack([sub.basis[:half], sub.basis[half:]]),
+                              compute_uv=False)
+        # contiguous sines: numpy's arctan2 on strided input takes another
+        # kernel, which can differ in the last bit
+        sins = svals[[1, 0], -1] if sub.dim <= half else np.zeros(2)
+        # atan2, not arccos: a cosine alone reads angles below 2e-8 as 0
+        values += np.arctan2(sins, svals[:, 0]).tolist()
+    angles = dict(zip(("lower_vs_first", "lower_vs_second", "upper_vs_first",
+                       "upper_vs_second"), values))
     angles["transversal"] = bool(min(angles.values()) > 1e-9)
     return angles
 

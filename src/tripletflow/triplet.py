@@ -40,8 +40,9 @@ import numpy as np
 
 from . import cayley as _cayley
 from .gelfand import GelfandTriple, build_triple
-from .relspace import (LinearRelation, RelationStack, Subspace,
-                       _hermitian_part, _null_space, map_relations)
+from .relspace import (LinearRelation, RelationStack, Subspace, _as_matrix,
+                       _check_invertible, _hermitian_part, _null_space,
+                       map_relations)
 
 __all__ = [
     "MatrixBoundaryProblem",
@@ -68,9 +69,11 @@ class MatrixBoundaryProblem:
     Elements of the maximal domain are stacked pairs (z, z') of length 2n
     belonging to the adjoint relation, and an element set is one 2n x m
     block of them, one element per column.  The raw trace maps are the
-    deficiency-triplet boundary values, optionally recombined by an
+    deficiency-triplet boundary values recombined by `mix` = (E, H), an
     invertible map E and a Hermitian shear H (which preserves the Lagrange
-    identity), and the boundary Gelfand triple may carry a nontrivial Gram
+    identity), or by E = I and H = 0 without one; a non-finite, non-square
+    or numerically singular E, or an H that is not Hermitian d x d, raises
+    ValueError.  The boundary Gelfand triple may carry a nontrivial Gram
     on the small space.  Each block form below is one product on the
     block: the coordinates C = B^H U of the block U on the orthonormal
     basis B of the adjoint's graph, then G0 C and G1 C.
@@ -87,17 +90,18 @@ class MatrixBoundaryProblem:
         self._g1_inner = g1
         d = model.kminus.dim
         self.boundary_dim = d
-        if mix is None:
-            self._g0 = g0
-            self._g1 = g1
-        else:
-            e_mat, h_mat = mix
-            e_mat = np.asarray(e_mat, dtype=complex)
-            h_mat = np.asarray(h_mat, dtype=complex)
-            # checked only: g1 uses the shear as given
-            _hermitian_part(h_mat, 1e-12, "shear block must be Hermitian")
-            self._g0 = e_mat @ g0
-            self._g1 = np.linalg.inv(e_mat.conj().T) @ (h_mat @ g0 + g1)
+        # no mix is the identity recombination, exact bit for bit
+        e_mat, h_mat = (np.eye(d), np.zeros((d, d))) if mix is None else mix
+        e_mat = np.asarray(e_mat, dtype=complex)
+        if e_mat.shape != (d, d) or not np.isfinite(e_mat).all():
+            raise ValueError(f"recombination E must be a finite {d} x {d} "
+                             "matrix")
+        _check_invertible(e_mat, "recombination E must be invertible")
+        h_mat = _as_matrix(h_mat, rows=d)
+        # checked only: g1 uses the shear as given
+        _hermitian_part(h_mat, 1e-12, "shear block must be Hermitian")
+        self._g0 = e_mat @ g0
+        self._g1 = np.linalg.inv(e_mat.conj().T) @ (h_mat @ g0 + g1)
         gram = np.eye(d) if gram_small is None else gram_small
         self.triple = build_triple(gram, np.eye(d))
         # reference solve: A = graph of an invertible relation

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletflow import famindex as fi
 from tripletflow import relspace as rs
@@ -11,6 +13,7 @@ from tripletflow import sturm
 from tripletflow.triplet import reduced_triplet, transform_boundary_condition
 
 from conftest import random_complex
+from test_orthonormalize_once import count_linalg
 
 THETA = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
@@ -397,16 +400,64 @@ def test_winding_stops_at_a_collapsed_interval():
     assert loop.generator.calls < 100
 
 
+def old_step_verdicts(u0s, u1s):
+    """The step test as it was before one eigendecomposition served both
+    measures: the spectral norm of U1 - U0 as the step size, and the
+    eigenphases of the transition taken only where that size passes."""
+    gaps = np.linalg.norm(u1s - u0s, 2, axis=(-2, -1))
+    fine = gaps < 0.5
+    angles = np.zeros(len(gaps))
+    trans = u1s[fine] @ u0s[fine].conj().swapaxes(-1, -2)
+    angles[fine] = np.sum(np.angle(np.linalg.eigvals(trans)), axis=-1)
+    return gaps, fine, angles
+
+
+def random_unitary(rng, n):
+    return np.linalg.qr(random_complex(rng, n, n))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.floats(0.3, 0.7))
+def test_step_size_and_angle_from_the_transition_eigenvalues(n, count, seed,
+                                                              scale):
+    # steps exp(i s H / ||H||) U0 with s from 0.24 to 0.875, so that the
+    # step sizes 2 sin(s / 2) straddle the bound 0.5
+    rng = np.random.default_rng(seed)
+    u0s = np.array([random_unitary(rng, n) for _ in range(count)])
+    u1s = np.empty_like(u0s)
+    for k, u0 in enumerate(u0s):
+        herm = random_complex(rng, n, n)
+        lam, vec = np.linalg.eigh(herm + herm.conj().T)
+        t = scale * rng.uniform(0.8, 1.25) / np.abs(lam).max()
+        u1s[k] = (vec * np.exp(1j * t * lam)) @ vec.conj().T @ u0
+    lams = fi._transition_eigenvalues(u0s, u1s)
+    gaps = np.max(np.abs(lams - 1.0), axis=-1)
+    angles = np.sum(np.angle(lams), axis=-1)
+    old_gaps, old_fine, old_angles = old_step_verdicts(u0s, u1s)
+    assert np.all(np.abs(gaps - old_gaps) <= 1e-14)
+    assert np.array_equal(gaps < 0.5, old_fine)
+    assert angles[old_fine].tobytes() == old_angles[old_fine].tobytes()
+
+
+def test_winding_takes_one_eigendecomposition_and_no_svd(monkeypatch):
+    loop = fi.rellich_boundary_family(720)
+    unitaries = rs.cayley_unitaries(loop.payloads)
+    calls = count_linalg(monkeypatch, names=("svd", "eigvals"))
+    assert fi.det_winding(fi.FamilyLoop(loop.thetas, unitaries)) == 1
+    assert calls == [("eigvals", (720, 2, 2))]
+
+
 @pytest.mark.parametrize("samples,inserts", [(720, (0, 0)), (8, (10, 6))])
 def test_each_interval_is_judged_once(monkeypatch, samples, inserts):
     # the sweep judges every sample interval in one call, and each half of
     # a bisection is judged once, as a stack of one
-    gaps = count_calls(monkeypatch, "_step_gaps")
+    steps = count_calls(monkeypatch, "_transition_eigenvalues")
     judged = count_calls(monkeypatch, "_judge_intervals")
     relations = counted(fi.rellich_boundary_family(samples))
     eigenvalues = counted(fi.rellich_eigenvalue_samples(samples))
     assert fi.relation_family_index(relations) == 1
     assert fi.spectral_flow(eigenvalues, 0.0, 1.0) == 1
     assert (relations.generator.calls, eigenvalues.generator.calls) == inserts
-    assert len(gaps) == 1 + 2 * relations.generator.calls
+    assert len(steps) == 1 + 2 * relations.generator.calls
     assert len(judged) == 1 + 2 * eigenvalues.generator.calls

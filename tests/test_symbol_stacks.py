@@ -207,6 +207,59 @@ def test_split_of_another_dimension_keeps_the_two_svd_angles(rho):
         old_angles(_Point())
 
 
+def old_transversality_angles(split, half):
+    """The angles as they were computed with two paths: one stacked SVD for
+    splits of half dimension, two SVDs per angle (`old_min_angle`) for any
+    other split."""
+    lower, upper = split
+    if half and lower.dim == upper.dim == half:
+        svals = np.linalg.svd(np.stack(
+            [lower.basis[:half], lower.basis[half:],
+             upper.basis[:half], upper.basis[half:]]), compute_uv=False)
+        values = np.arctan2(svals[[1, 0, 3, 2], -1], svals[:, 0])
+    else:
+        eye = np.eye(2 * half)
+        values = [old_min_angle(sub, rs.Subspace(axis))
+                  for sub in (lower, upper)
+                  for axis in (eye[:, :half], eye[:, half:])]
+    return [float(value) for value in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_one_angle_formula_for_every_split(half, data):
+    # rho of dimension 2 * half with `lower` eigenvalues below the real
+    # axis, so the splits range from empty to the whole space
+    n = 2 * half
+    lower = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    imag = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < lower, -1, 1)
+    vecs = random_complex(rng, n, n) + 3.0 * np.eye(n)
+    rho = vecs @ np.diag(rng.standard_normal(n) + 1j * imag) \
+        @ np.linalg.inv(vecs)
+
+    class _Point:
+        half_dim = half
+
+    _Point.rho = rho
+    split = sy.spectral_split(rho)
+    assert split[0].dim == lower
+    angles = sy.transversality_check(_Point(), split)
+    verdict = angles.pop("transversal")
+    new, old = list(angles.values()), old_transversality_angles(split, half)
+    if lower == half:
+        assert new == old
+    for space, pair in enumerate((slice(0, 2), slice(2, 4))):
+        if split[space].dim > half:
+            # the space meets both half-spaces: the angles are 0, where the
+            # two-SVD path left a rounding residue
+            assert new[pair] == [0.0, 0.0]
+            assert max(old[pair]) <= 1e-14
+        else:
+            assert np.all(np.abs(np.subtract(new[pair], old[pair])) <= 1e-15)
+    assert verdict == (min(old) > 1e-9)
+
+
 def verify_flat_loop():
     theta = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
     taus = []

@@ -25,6 +25,40 @@ def finite_problem(rng, dim=5, defect=2, plain=False):
     return tp.MatrixBoundaryProblem(model, gram_small=gram, mix=(e_mat, h_mat))
 
 
+# -- recombination ----------------------------------------------------------
+
+def test_plain_problem_is_the_identity_recombination_bit_for_bit():
+    # a plain problem's traces were the deficiency traces as they are, and
+    # the identity recombination keeps them bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        dim = int(rng.integers(2, 9))
+        model = cy.random_symmetric_model(rng, dim, int(rng.integers(0, dim)))
+        _, g0, g1 = cy.boundary_data(model)
+        bp = tp.MatrixBoundaryProblem(model)
+        for mine, plain in ((bp._g0, g0), (bp._g1, g1)):
+            assert mine.dtype == plain.dtype and mine.shape == plain.shape
+            assert mine.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("e_mat,h_mat,text", [
+    (np.full((2, 2), np.nan), np.zeros((2, 2)), "recombination E"),
+    (np.diag([1.0, np.inf]), np.zeros((2, 2)), "recombination E"),
+    (np.diag([1.0, 1e-14]), np.zeros((2, 2)), "recombination E"),
+    (np.ones((2, 2)), np.zeros((2, 2)), "recombination E"),
+    (np.ones((2, 3)), np.zeros((2, 2)), "recombination E"),
+    (np.eye(3), np.zeros((2, 2)), "recombination E"),
+    (np.eye(2), np.zeros((3, 3)), "expected 2 rows"),
+    (np.eye(2), np.zeros((2, 3)), "square"),
+    (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+], ids=["nan", "inf", "near-singular", "singular", "2x3", "3x3", "H-3x3",
+        "H-2x3", "H-not-hermitian"])
+def test_recombination_inputs_are_checked(e_mat, h_mat, text):
+    model = cy.random_symmetric_model(np.random.default_rng(3), 5, 2)
+    with pytest.raises(ValueError, match=text):
+        tp.MatrixBoundaryProblem(model, mix=(e_mat, h_mat))
+
+
 # -- projections -----------------------------------------------------------
 
 def test_projection_on_reference_domain_is_identity(rng):

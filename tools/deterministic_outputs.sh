@@ -6,8 +6,9 @@
 # verify records at seed 0 (JSON and CSV) and at the CLI default seed, the
 # triplet records at seed 163, the split winding reports of four symbol
 # loops, the Dirac unitaries of three fixed symbols, the symbols records at
-# seeds 0-39 and 160-169, and the stdout of every demo.  Every command runs
-# with -W error, so a new warning fails the script.
+# seeds 0-39 and 160-169, the step test of det_winding on fast loops and
+# on the 8-sample Robin relation loop, and the stdout of every demo.  Every
+# command runs with -W error, so a new warning fails the script.
 #
 # Usage: tools/deterministic_outputs.sh OUTDIR
 # Compare two runs with `diff -r`, for example under two PYTHONHASHSEEDs or
@@ -175,6 +176,54 @@ from tripletflow import verify
 seeds = [*range(40), *range(160, 170)]
 records = {str(seed): verify.run_suite("symbols", seed=seed)
            for seed in seeds}
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(records, handle, indent=1)
+    handle.write("\n")
+PY
+# the step test of det_winding: exp(i k theta) at 48 samples for k = 1, 5
+# and 11, its winding and inserts with a generator and its error without
+# one, and the winding and inserts of the 8-sample Robin relation loop
+run - "$out/famindex_steps.json" <<'PY'
+import json
+import math
+import sys
+
+import numpy as np
+
+from tripletflow import famindex as fi
+
+
+def counted(generator):
+    def wrapped(theta):
+        wrapped.calls += 1
+        return generator(theta)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def walk(index, loop):
+    """The integer and the inserts of a walk, or the error it raises."""
+    gen = None if loop.generator is None else counted(loop.generator)
+    try:
+        value = index(fi.FamilyLoop(loop.thetas, loop.payloads, gen))
+    except fi.RefinementError as exc:
+        return {"error": str(exc)}
+    return {"winding": value, "inserts": None if gen is None else gen.calls}
+
+
+thetas = list(np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False))
+records = {}
+for k in (1, 5, 11):
+    def turn(theta, k=k):
+        return np.array([[np.exp(1j * k * theta)]])
+
+    samples = [turn(t) for t in thetas]
+    records[f"exp_{k}_theta_48"] = {
+        "generator": walk(fi.det_winding, fi.FamilyLoop(thetas, samples, turn)),
+        "no_generator": walk(fi.det_winding, fi.FamilyLoop(thetas, samples))}
+records["robin_relations_8"] = walk(fi.relation_family_index,
+                                    fi.rellich_boundary_family(8))
 with open(sys.argv[1], "w", encoding="utf-8") as handle:
     json.dump(records, handle, indent=1)
     handle.write("\n")
