@@ -120,11 +120,12 @@ def _walk_loop(thetas, samples, refine, judge):
     `judge(t0s, t1s, s0s, s1s)` judges a stack of intervals, given by
     their ends and the stacks of their end samples, and returns for each a
     pair (True, value) or (False, message).  All sample intervals are
-    judged in one call.  A rejected interval is bisected through `refine`
-    (theta -> sample), first half first, each half judged as a stack of
-    one; its message is raised as RefinementError once `refine` is
-    missing, `_MAX_INSERTS` samples have been inserted or the midpoint no
-    longer lies strictly inside the interval.
+    judged in one call, and an accepted one is taken as it is.  A rejected
+    interval is bisected through `refine` (theta -> sample), first half
+    first, each half judged as a stack of one; its message is raised as
+    RefinementError once `refine` is missing, `_MAX_INSERTS` samples have
+    been inserted or the midpoint no longer lies strictly inside the
+    interval.
     """
     period = 2.0 * math.pi
     t0s = list(thetas)
@@ -133,8 +134,11 @@ def _walk_loop(thetas, samples, refine, judge):
     verdicts = judge(t0s, t1s, samples, nexts)
     accepted = []
     inserted = 0
-    for i, verdict in enumerate(verdicts):
-        stack = [(t0s[i], t1s[i], samples[i], nexts[i], verdict)]
+    for i, (ok, value) in enumerate(verdicts):
+        if ok:
+            accepted.append((t0s[i], t1s[i], value))
+            continue
+        stack = [(t0s[i], t1s[i], samples[i], nexts[i], (ok, value))]
         while stack:
             t0, t1, s0, s1, verdict = stack.pop()
             ok, value = verdict or judge([t0], [t1], [s0], [s1])[0]
@@ -201,8 +205,8 @@ def det_winding(loop):
     def judge(t0s, t1s, u0s, u1s):
         lams = _transition_eigenvalues(np.asarray(u0s, dtype=complex),
                                        np.asarray(u1s, dtype=complex))
-        gaps = np.max(np.abs(lams - 1.0), axis=-1)
-        angles = np.sum(np.angle(lams), axis=-1)
+        gaps = np.max(np.abs(lams - 1.0), axis=-1).tolist()
+        angles = np.sum(np.angle(lams), axis=-1).tolist()
         return [(True, angle) if gap < 0.5 else
                 (False, f"loop step too coarse on [{t0:.6f}, {t1:.6f}] "
                         f"(||dU|| = {gap:.3f}); supply more samples or a "

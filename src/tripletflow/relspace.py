@@ -1,9 +1,12 @@
 """Subspaces of C^n and linear relations in C^n + C^m.
 
-Subspaces are carried as matrices with orthonormal columns obtained from an
-SVD; rank decisions use the one threshold DEFAULT_TOL relative to the largest
-singular value, and every other bound of the package that decides a rank or
-a membership is a fixed multiple of it.
+Subspaces are carried as matrices with orthonormal columns.  Where a rank
+is decided they come from an SVD: rank decisions use the one threshold
+DEFAULT_TOL relative to the largest singular value, and every other bound
+of the package that decides a rank or a membership is a fixed multiple of
+it.  The images of relations under an invertible map decide no rank, since
+such a map keeps the full column rank of an orthonormal basis: they are
+orthonormalized by a QR, and the map's one SVD is its invertibility check.
 Each basis is orthonormalized once: `from_span` is for arbitrary spanning
 columns, while a basis that is orthonormal by construction, such as the
 right singular vectors of an SVD null space (an adjoint, or the deficiency
@@ -546,16 +549,25 @@ def map_relations(lin_map, rels):
     """Images of relations of one shape, a sequence or a RelationStack,
     under an invertible linear map of C^dom + C^cod, as a RelationStack.
 
-    The map is checked for invertibility once, and the mapped graph bases
-    are orthonormalized by one stacked SVD; each image equals
+    The map must be square, (dom + cod) x (dom + cod), and its one SVD is
+    its invertibility check.  An invertible map keeps the full column rank
+    of an orthonormal basis, so no rank is decided here: the mapped graph
+    bases are normalized column by column, overflowing norms included, and
+    orthonormalized by one stacked Householder QR.  Each image equals
     `map_relation` of its relation.  Relations of different shapes, or no
     relations, raise ValueError.
     """
     dom_dim, cod_dim, bases = _one_shape(rels)
-    lin_map = _as_matrix(lin_map, rows=dom_dim + cod_dim)
+    size = dom_dim + cod_dim
+    lin_map = _as_matrix(lin_map, rows=size)
+    if lin_map.shape[1] != size:
+        raise ValueError(f"expected a {size} x {size} map, got "
+                         f"{lin_map.shape[0]} x {lin_map.shape[1]}")
     _check_invertible(lin_map, "map_relation requires an invertible map")
-    return RelationStack(dom_dim, cod_dim,
-                         _orthonormal_columns(lin_map @ bases))
+    # the images are a fresh array, normalized in place
+    images, norms = _rescaled_norms(lin_map @ bases, axis=-2)
+    images /= norms
+    return RelationStack(dom_dim, cod_dim, np.linalg.qr(images)[0])
 
 
 def map_relation(lin_map, rel):

@@ -389,14 +389,14 @@ def transform_boundary_conditions(rt, rels):
     The Dirichlet-to-Neumann operator is subtracted from the second
     component of each relation, and the result is pushed through the
     triple isometries Lambda' (+) Lambda^-1, each step one `map_relations`
-    call, which checks its map for invertibility once and orthonormalizes
-    all image graphs by one stacked SVD.  On a triple whose isometry map
-    is the identity, as for the Rellich problem, the second step is
-    skipped.  The two maps are not composed into one: where a large
-    Dirichlet-to-Neumann operator makes the sheared graphs ill-conditioned,
-    their image under the product is less accurate, by up to about the
-    condition number of the isometry map, than that of the two steps with
-    the orthonormalization between them.
+    call, which checks its map for invertibility by one SVD of the map
+    and orthonormalizes all image graphs by one stacked QR.  On a triple
+    whose isometry map is the identity, as for the Rellich problem, the
+    second step is skipped.  The two maps are not composed into one: where
+    a large Dirichlet-to-Neumann operator makes the sheared graphs
+    ill-conditioned, their image under the product is less accurate, by up
+    to about the condition number of the isometry map, than that of the
+    two steps with the orthonormalization between them.
     The relations, a sequence or a RelationStack, come back as a
     RelationStack.  There is no restriction step: the restriction to the
     full small space is the relation itself, whose graph basis is already

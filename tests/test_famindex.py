@@ -461,3 +461,61 @@ def test_each_interval_is_judged_once(monkeypatch, samples, inserts):
     assert (relations.generator.calls, eigenvalues.generator.calls) == inserts
     assert len(steps) == 1 + 2 * relations.generator.calls
     assert len(judged) == 1 + 2 * eigenvalues.generator.calls
+
+
+def parent_walk(thetas, samples, refine, judge):
+    """The loop walker as it was when every interval, accepted ones
+    included, went through the bisection stack."""
+    period = 2.0 * math.pi
+    t0s = list(thetas)
+    t1s = t0s[1:] + [t0s[0] + period]
+    nexts = np.roll(samples, -1, axis=0)
+    verdicts = judge(t0s, t1s, samples, nexts)
+    accepted = []
+    for i, verdict in enumerate(verdicts):
+        stack = [(t0s[i], t1s[i], samples[i], nexts[i], verdict)]
+        while stack:
+            t0, t1, s0, s1, verdict = stack.pop()
+            ok, value = verdict or judge([t0], [t1], [s0], [s1])[0]
+            if ok:
+                accepted.append((t0, t1, value))
+                continue
+            tm = 0.5 * (t0 + t1)
+            sm = refine(tm % period)
+            stack.append((tm, t1, sm, s1, None))
+            stack.append((t0, tm, s0, sm, None))
+    return accepted
+
+
+def scalar_family(winding, samples):
+    def generator(theta):
+        return np.array([[np.exp(1j * winding * theta)]])
+
+    thetas = fi._theta_grid(samples)
+    return fi.FamilyLoop(thetas, [generator(t) for t in thetas], generator)
+
+
+@pytest.mark.parametrize("index,loop,inserts", [
+    (fi.relation_family_index, fi.rellich_boundary_family(8), 10),
+    (lambda loop: fi.spectral_flow(loop, 0.0, 1.0),
+     fi.rellich_eigenvalue_samples(8), 6),
+    (fi.det_winding, scalar_family(1, 48), 0),
+    (fi.det_winding, scalar_family(5, 48), 48),
+    (fi.det_winding, scalar_family(11, 48), 144),
+], ids=["robin-relations-8", "robin-eigenvalues-8", "e1-48", "e5-48",
+        "e11-48"])
+def test_walk_matches_the_parent_walk(monkeypatch, index, loop, inserts):
+    # accepted intervals are taken directly and only rejected ones are
+    # bisected: the walk returns what the walk that stacked every interval
+    # returned, interval for interval
+    walks, walk = [], fi._walk_loop
+
+    def recorded(*args):
+        walks.append((args, walk(*args)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(fi, "_walk_loop", recorded)
+    index(loop)
+    ((args, accepted),) = walks
+    assert len(accepted) == len(loop.thetas) + inserts
+    assert accepted == parent_walk(*args)

@@ -10,7 +10,7 @@ of every dimension, self-adjoint or not.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tripletflow import relspace as rs
@@ -40,6 +40,39 @@ def stacks(draw):
     if draw(st.booleans()):
         rels = rs.map_relations(np.eye(2 * n), rels)
     return rng, n, rels
+
+
+def svd_images(lin, bases):
+    """Orthonormal bases of the images of full-rank bases under an
+    invertible map as an SVD gives them: normalized columns, then the left
+    singular vectors, one per column."""
+    images = lin @ bases
+    images = images / np.linalg.norm(images, axis=-2, keepdims=True)
+    return np.linalg.svd(images, full_matrices=False)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 4),
+       st.data(), st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+def test_map_relations_images_are_orthonormal_bases_of_the_images(
+        count, dom_dim, cod_dim, data, log_cond, seed):
+    # relations of every dimension in C^dom + C^cod under maps of
+    # condition number 10^log_cond, up to 1e8
+    m = dom_dim + cod_dim
+    assume(m > 0)
+    k = data.draw(st.integers(0, m))
+    rng = np.random.default_rng(seed)
+    bases = np.array([random_unitary(rng, m)[:, :k] for _ in range(count)])
+    svals = np.logspace(0.0, log_cond, m)
+    lin = random_unitary(rng, m) @ np.diag(svals) @ random_unitary(rng, m)
+    images = rs.map_relations(lin, rs.RelationStack(dom_dim, cod_dim, bases))
+    assert (len(images), images.dom_dim, images.cod_dim, images.dim) == (
+        count, dom_dim, cod_dim, k)
+    gram = images.bases.conj().swapaxes(-1, -2) @ images.bases - np.eye(k)
+    assert np.all(np.linalg.norm(gram, axis=(-2, -1)) <= 1e-14)
+    if k:
+        gaps = rs._gaps(svd_images(lin, bases), images.bases)
+        assert np.all(gaps <= 1e-14 * 10.0 ** log_cond)
 
 
 @settings(max_examples=60, deadline=None)

@@ -186,6 +186,23 @@ def test_map_relation_composition(rng):
     assert lhs.gap(rhs) < 1e-11
 
 
+@pytest.mark.parametrize("cols", [3, 5])
+def test_map_relation_rejects_a_non_square_map(cols):
+    rel = robin_relation(0.5)
+    text = f"expected a 4 x 4 map, got 4 x {cols}"
+    with pytest.raises(ValueError, match=text):
+        rs.map_relation(np.eye(4, cols), rel)
+
+
+@pytest.mark.filterwarnings("error")
+def test_map_relation_keeps_a_relation_under_a_huge_multiple_of_one(rng):
+    # the image columns have norms that overflow when squared
+    rel = rs.LinearRelation.from_span(2, 2, random_complex(rng, 4, 2))
+    image = rs.map_relation(1e300 * np.eye(4), rel)
+    assert image.dim == 2
+    assert image.gap(rel) <= 1e-15
+
+
 def test_restrict_relation_examples(rng):
     m = np.diag([1.0, 2.0, 3.0])
     rel = rs.LinearRelation.graph_of(m)

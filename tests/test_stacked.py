@@ -301,23 +301,28 @@ def test_robin_relations_equal_per_kappa_spans():
 
 
 def test_robin_relation_loop_svd_count(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+    calls = {"svd": [], "qr": []}
 
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+    def counting(name):
+        plain = getattr(np.linalg, name)
+
+        def count(*args, **kwargs):
+            calls[name].append(args[0].shape)
+            return plain(*args, **kwargs)
+        return count
 
     rt = reduced_triplet(sturm.RellichBoundaryProblem())
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     thetas = fi._theta_grid(720)
     raw = sturm.robin_relations([sturm.kappa_of_theta(t) for t in thetas])
     # the Robin graphs are orthonormal as written
-    assert not calls
+    assert calls == {"svd": [], "qr": []}
     transform_boundary_conditions(rt, raw)
-    # one map_relations call, the shear's: one invertibility check and one
-    # stacked SVD; the isometry map of the identity triple is skipped
-    assert calls == [(4, 4), (720, 4, 2)]
+    # one map_relations call, the shear's: one SVD, the invertibility
+    # check, and one stacked QR of the images; the isometry map of the
+    # identity triple is skipped
+    assert calls == {"svd": [(4, 4)], "qr": [(720, 4, 2)]}
 
 
 def test_identity_triple_transform_is_the_composed_map():
