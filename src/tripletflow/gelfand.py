@@ -52,7 +52,7 @@ class GelfandTriple:
     Derived data: the embedding adjoint iota_star = gram_K^(-1) gram_partial,
     the nonnegative operator j = iota o iota_star, its principal square root
     lam taken in the pivot metric (lam_prime equals lam as a matrix), and the
-    Gram matrix of the dual space.  The Hermitian and positivity checks
+    Gram matrix gram_partial iota_star of the dual space.  The Hermitian and positivity checks
     use the rank tolerance DEFAULT_TOL.
     """
 
@@ -87,14 +87,13 @@ class GelfandTriple:
             raise ValueError("embedding operator j is not strictly positive")
         root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
         lam = np.linalg.solve(chol.conj().T, root @ chol.conj().T)
-        inv_gk = np.linalg.inv(gk)
         object.__setattr__(self, "gram_K", gk)
         object.__setattr__(self, "gram_partial", gp)
         object.__setattr__(self, "iota_star", iota_star)
         object.__setattr__(self, "j", jmat)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam_inv", np.linalg.inv(lam))
-        object.__setattr__(self, "gram_dual", gp @ inv_gk @ gp)
+        object.__setattr__(self, "gram_dual", gp @ iota_star)
 
     @property
     def dim(self):

@@ -7,12 +7,14 @@ of the package that decides a rank or a membership is a fixed multiple of
 it.  The images of relations under an invertible map decide no rank, since
 such a map keeps the full column rank of an orthonormal basis: they are
 orthonormalized by a QR, and the map's one SVD is its invertibility check.
-Each basis is orthonormalized once: `from_span` is for arbitrary spanning
-columns, while a basis that is orthonormal by construction, such as the
-right singular vectors of an SVD null space (an adjoint, or the deficiency
-spaces of `cayley.SymmetricModel`), an orthonormal basis times an
-orthonormal coefficient block, or the graphs built by the random builders
-of `cayley` from unitary matrices, is taken as given by `Subspace(basis)`.
+Each basis is orthonormalized once: `from_span` is for the spanning
+columns of one matrix, while a basis that is orthonormal by construction,
+such as an SVD null space (an adjoint, or the deficiency spaces of
+`cayley.SymmetricModel`), an orthonormal basis times an orthonormal
+coefficient block (a restriction, or an extension of `cayley`), a
+multivalued part, the graph [0; I] of 0 + C^n, or the graphs built by the
+random builders of `cayley` from unitary matrices, is taken as given by
+`Subspace(basis)`.
 Linear relations are subspaces of the direct sum of domain and codomain and
 are the common carrier for boundary conditions, deficiency spaces and
 Lagrangian planes.  All values are immutable and all operations are pure.
@@ -106,32 +108,23 @@ def _rescaled_norms(a, axis=None, zeros=False):
 
 
 def _orthonormal_columns(columns):
-    """Orthonormal basis of the column span of a matrix, or of each matrix
-    of a stack (..., m, k) whose members have one rank; directions with
-    singular value <= DEFAULT_TOL * s_max of their own matrix are dropped.
+    """Orthonormal basis (m, rank) of the column span of a matrix (m, k);
+    directions with singular value <= DEFAULT_TOL * s_max are dropped.
 
     Columns are normalized first so that the relative threshold reflects
     angles between directions, not disparate column scales; a column whose
     norm overflows or underflows is measured again after scaling, so no
-    column is lost to its scale alone.  Columns that are zero in every
-    matrix are dropped.  Returns the basis (..., m, rank); members of a
-    stack that come out with different ranks raise ValueError.
+    column is lost to its scale alone.  Zero columns are dropped.
     """
-    *batch, m, _ = columns.shape
-    columns, norms = _rescaled_norms(columns, axis=-2, zeros=True)
-    keep = (norms > 0.0).any(axis=tuple(range(norms.ndim - 1)))
+    m = columns.shape[0]
+    columns, norms = _rescaled_norms(columns, axis=0, zeros=True)
+    keep = norms[0] > 0.0
     if not keep.all():
-        columns, norms = columns[..., keep], norms[..., keep]
-    if columns.shape[-1] == 0:
-        return np.zeros((*batch, m, 0), dtype=complex)
-    # a column zero in some members only spans nothing in those
-    u, s, _ = np.linalg.svd(columns / np.where(norms > 0.0, norms, 1.0),
-                            full_matrices=False)
-    ranks = (s > DEFAULT_TOL * s[..., :1]).sum(axis=-1)
-    rank = ranks.flat[0]
-    if (ranks != rank).any():
-        raise ValueError("the members of the stack differ in rank")
-    return u[..., :rank]
+        columns, norms = columns[:, keep], norms[:, keep]
+    if columns.shape[1] == 0:
+        return np.zeros((m, 0), dtype=complex)
+    u, s, _ = np.linalg.svd(columns / norms, full_matrices=False)
+    return u[:, :(s > DEFAULT_TOL * s[0]).sum()]
 
 
 class Subspace:
@@ -241,8 +234,8 @@ def _null_space_dims(a):
 
     The basis is the right singular vectors as the SVD returns them, as
     many as the largest null dimension: member i's null space is its last
-    dims[i] columns, so a stack whose members differ in rank is read member
-    by member.
+    dims[i] columns, so a stack whose members have different ranks is
+    read member by member.
     """
     *batch, m, n = a.shape
     if m == 0 or not a.any():
@@ -295,8 +288,8 @@ class LinearRelation:
 
     @classmethod
     def zero_times_full(cls, dim):
-        """The purely multivalued relation 0 + C^dim."""
-        return cls.from_blocks(np.zeros((dim, dim)), np.eye(dim))
+        """The purely multivalued relation 0 + C^dim, graph basis [0; I]."""
+        return cls(dim, dim, Subspace(np.eye(2 * dim, dim, -dim)))
 
     @property
     def dim(self):
@@ -315,10 +308,10 @@ class LinearRelation:
                                   ambient_dim=self.dom_dim)
 
     def multivalued_part(self):
-        """The subspace {y : (0, y) in relation}."""
-        coeff = _null_space(self.dom_block())
-        return Subspace.from_span(self.cod_block() @ coeff,
-                                  ambient_dim=self.cod_dim)
+        """The subspace {y : (0, y) in relation}: Y c for the null space c
+        of X in the graph basis [X; Y], orthonormal to about DEFAULT_TOL**2
+        since X c is below the rank threshold."""
+        return Subspace(self.cod_block() @ _null_space(self.dom_block()))
 
     def contains_relation(self, other):
         return self.graph.contains(other.graph)
@@ -593,9 +586,9 @@ def restrict_relation(rel, dom_sub, cod_sub):
         dom_sub.complement().basis.conj().T @ rel.dom_block(),
         cod_sub.complement().basis.conj().T @ rel.cod_block(),
     ])
-    coeff = _null_space(cons)
-    return LinearRelation.from_span(rel.dom_dim, rel.cod_dim,
-                                    rel.graph.basis @ coeff)
+    # an orthonormal basis times orthonormal null-space coefficients
+    return LinearRelation(rel.dom_dim, rel.cod_dim,
+                          Subspace(rel.graph.basis @ _null_space(cons)))
 
 
 def _json_pairs(values):
@@ -614,9 +607,11 @@ def _complex_pairs(nested):
         raise ValueError(error) from None
     if pairs.size == 0 and pairs.ndim == 1:
         pairs = pairs.reshape(0, 2)
-    # strings and nulls give text or object arrays
-    if (pairs.dtype.kind not in "biuf" or pairs.ndim != 2
-            or pairs.shape[-1] != 2):
+    # strings and nulls give text or object arrays, and bools a bool
+    # array; numpy promotes a bool among numbers, so the pairs are read
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim != 2
+            or pairs.shape[-1] != 2
+            or any(type(x) is bool for pair in nested for x in pair)):
         raise ValueError(error)
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 

@@ -456,9 +456,10 @@ def suite_symbols(trials=_TRIALS, seed=0):
     for group in _by_size(points, size=lambda item: len(item[0])):
         splits = sy.spectral_splits([point.rho for _, point in group])
         for (tb, point), split in zip(group, splits):
-            ups = sy.dirac_unitary(tb)
-            graph_gap = max(graph_gap, rs.LinearRelation.graph_of(
-                ups).graph.gap(split[0]))
+            # the graph of a unitary U has the orthonormal basis [I; U]/sqrt 2
+            graph = np.vstack([np.eye(len(tb)), sy.dirac_unitary(tb)])
+            graph_gap = max(graph_gap, rs.Subspace(
+                graph / math.sqrt(2.0)).gap(split[0]))
             if not sy.transversality_check(point, split)["transversal"]:
                 trans_fail = 1.0
     _check(rec, "symbols", "dirac_graph_is_lower_splitting", graph_gap, 1e-9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tripletflow import cayley as cy
+from tripletflow import cli
 from tripletflow import relspace as rs
 
 from conftest import random_complex
@@ -31,6 +32,36 @@ def test_model_mu_is_read_by_the_pair_codec(rng):
     obj["mu"] = [0.0, 1.0, 2.0]
     with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers"):
         cy.model_from_json(obj)
+
+
+@pytest.mark.parametrize("pair", [[True, False], [False, True], [True, 0],
+                                  [0.5, False], [1, True]])
+def test_pairs_reject_json_booleans(rng, tmp_path, pair):
+    # numpy promotes a bool among numbers, so mixed pairs must be read too
+    error = r"basis entries must be \[re, im\] pairs of numbers"
+    obj = through_text(rs.relation_to_json(
+        rs.LinearRelation.graph_of(np.array([[1.0]]))))
+    obj["basis"][0] = pair
+    with pytest.raises(ValueError, match=error):
+        rs.relation_from_json(obj)
+    fixture = tmp_path / "family.json"
+    fixture.write_text(json.dumps(
+        {"samples": [{"theta": 0.0, "relation": obj}]}))
+    with pytest.raises(ValueError, match=error):
+        cli._load_family(str(fixture))
+    model = cy.model_to_json(cy.random_symmetric_model(rng, 3, 1))
+    bad_basis, bad_mu = through_text(model), through_text(model)
+    bad_basis["T"]["basis"][-1] = pair
+    bad_mu["mu"] = pair
+    for bad in (bad_basis, bad_mu):
+        with pytest.raises(ValueError, match=error):
+            cy.model_from_json(bad)
+
+
+def test_a_basis_of_json_booleans_is_rejected():
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers"):
+        rs.relation_from_json({"dom_dim": 1, "cod_dim": 1,
+                               "basis": [[True, False], [False, False]]})
 
 
 def test_relation_round_trip(rng):

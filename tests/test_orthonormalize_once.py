@@ -9,6 +9,8 @@ spaces of the triplet checks.  None is orthonormalized a second time; the
 references below are the paths that did, kept to compare against.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,12 @@ def old_adjoint_bases(bases, dom_dim, gram):
     gdom = np.eye(dom_dim) if gram is None else np.asarray(gram)
     cons = np.concatenate([b_blk.conj().swapaxes(-1, -2) @ gcod,
                            -a_blk.conj().swapaxes(-1, -2) @ gdom], axis=-1)
-    null = rs._orthonormal_columns(rs._null_space(cons))
-    return null, np.array(null.shape[-1])
+    null = rs._null_space(cons)
+    # member by member, as `_orthonormal_columns` takes one matrix; an
+    # orthonormal basis keeps its rank, so the stack keeps its shape
+    members = null.reshape(math.prod(null.shape[:-2]), *null.shape[-2:])
+    again = [rs._orthonormal_columns(member) for member in members]
+    return np.reshape(again, null.shape), np.array(null.shape[-1])
 
 
 def old_extension(model, g0, g1, perp):
@@ -347,3 +353,122 @@ def test_triplet_null_spaces_are_taken_as_given(monkeypatch):
     tp.boundary_condition_domain(rt, brel)
     # the complement of the relation's graph and the cut
     assert spans == [] and len(svds) == 2
+
+
+# -- from_span on one matrix; relation parts and restrictions as given -------
+
+def old_orthonormal_columns(columns):
+    """`relspace._orthonormal_columns` as it read a stack (..., m, k) of
+    one rank, kept to compare the one-matrix form against."""
+    *batch, m, _ = columns.shape
+    columns, norms = rs._rescaled_norms(columns, axis=-2, zeros=True)
+    keep = (norms > 0.0).any(axis=tuple(range(norms.ndim - 1)))
+    if not keep.all():
+        columns, norms = columns[..., keep], norms[..., keep]
+    if columns.shape[-1] == 0:
+        return np.zeros((*batch, m, 0), dtype=complex)
+    u, s, _ = np.linalg.svd(columns / np.where(norms > 0.0, norms, 1.0),
+                            full_matrices=False)
+    ranks = (s > rs.DEFAULT_TOL * s[..., :1]).sum(axis=-1)
+    rank = ranks.flat[0]
+    if (ranks != rank).any():
+        raise ValueError("the members of the stack differ in rank")
+    return u[..., :rank]
+
+
+@st.composite
+def spanning_columns(draw):
+    """A complex matrix (m, k), m from 1 to 8 and k from 0 to 8, of any
+    rank, with zero columns and columns scaled by 1e+-200 and 1e+-300,
+    whose norms overflow or underflow."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 8))
+    rank = draw(st.integers(0, min(m, k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.sampled_from([1.0, 0.0, 1e200, 1e-200, 1e300,
+                                            1e-300]),
+                           min_size=k, max_size=k))
+    return (random_complex(rng, m, rank) @ random_complex(rng, rank, k)
+            * np.array(scales))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=spanning_columns())
+def test_from_span_equals_the_stacked_route_bit_for_bit(columns):
+    got = rs.Subspace.from_span(columns).basis
+    want = old_orthonormal_columns(rs._as_matrix(columns))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def old_multivalued_part(rel):
+    """`LinearRelation.multivalued_part` through `from_span`."""
+    coeff = rs._null_space(rel.dom_block())
+    return rs.Subspace.from_span(rel.cod_block() @ coeff,
+                                 ambient_dim=rel.cod_dim)
+
+
+def old_restrict_relation(rel, dom_sub, cod_sub):
+    """`restrict_relation` through `from_span`."""
+    cons = np.vstack([
+        dom_sub.complement().basis.conj().T @ rel.dom_block(),
+        cod_sub.complement().basis.conj().T @ rel.cod_block(),
+    ])
+    return rs.LinearRelation.from_span(rel.dom_dim, rel.cod_dim,
+                                       rel.graph.basis @ rs._null_space(cons))
+
+
+def old_parts_decomposition(rel):
+    """`parts_decomposition` on the two routes above."""
+    mul = old_multivalued_part(rel)
+    op = old_restrict_relation(rel, rs.Subspace.full(rel.dom_dim),
+                               mul.complement())
+    return op, mul
+
+
+def old_zero_times_full(dim):
+    return rs.LinearRelation.from_blocks(np.zeros((dim, dim)), np.eye(dim))
+
+
+@st.composite
+def relations_with_parts(draw):
+    """(relation, dom_sub, cod_sub): a relation in C^dom + C^cod, dom and
+    cod from 0 to 4, of every dimension, its first columns in the
+    multivalued part 0 + C^cod, and random subspaces of both spaces."""
+    dom_dim = draw(st.integers(0, 4))
+    cod_dim = draw(st.integers(0 if dom_dim else 1, 4))
+    k = draw(st.integers(0, dom_dim + cod_dim))
+    mul = draw(st.integers(0, min(k, cod_dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = random_complex(rng, dom_dim + cod_dim, k)
+    columns[:dom_dim, :mul] = 0.0
+    rel = rs.LinearRelation.from_span(dom_dim, cod_dim, columns)
+    subs = [rs.Subspace.from_span(random_complex(rng, n,
+                                                 draw(st.integers(0, n))),
+                                  ambient_dim=n)
+            for n in (dom_dim, cod_dim)]
+    return rel, *subs
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=relations_with_parts())
+def test_parts_and_restrictions_take_their_bases_as_given(case):
+    rel, dom_sub, cod_sub = case
+
+    def subspaces(multivalued, restrict, parts, zero_times_full):
+        op, mul = parts(rel)
+        return [multivalued(rel), restrict(rel, dom_sub, cod_sub).graph,
+                op.graph, mul, zero_times_full(rel.dom_dim).graph]
+
+    want = subspaces(old_multivalued_part, old_restrict_relation,
+                     old_parts_decomposition, old_zero_times_full)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs, "_orthonormal_columns",
+                      lambda *args: pytest.fail("orthonormalized again"))
+        got = subspaces(rs.LinearRelation.multivalued_part,
+                        rs.restrict_relation, rs.parts_decomposition,
+                        rs.LinearRelation.zero_times_full)
+    for new, old in zip(got, want):
+        assert new.ambient_dim == old.ambient_dim
+        assert orthonormality_defect(new.basis) <= 1e-14
+        assert new.gap(old) <= 1e-14
