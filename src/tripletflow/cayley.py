@@ -386,9 +386,9 @@ def _check_boundary_relation(model, boundary_rel, stacklevel=3):
     of the public function's caller, when it is not self-adjoint, and
     return an orthonormal basis of the orthogonal complement of its graph.
 
-    The verdict and the complement come from one adjoint of B, as
-    B^perp = {(y, -x) : (x, y) in B*} (`relspace._adjoint_complement`),
-    so the complement costs no SVD of its own.
+    The complement comes from the one SVD of B's adjoint, as
+    B^perp = {(y, -x) : (x, y) in B*}, and the verdict from B's Lagrange
+    form (`relspace._adjoint_complement`).
     """
     d = model.kminus.dim
     if boundary_rel.dom_dim != d or boundary_rel.cod_dim != d:
@@ -469,12 +469,13 @@ def _factorization(model, boundary_rel):
     (at i and at -i) that it built, as a RelationStack.
 
     The relation algebra is done once: the complement of B's graph comes
-    from the adjoint that judges B's self-adjointness, both extensions are
-    cut by one stacked null space of the (2, d, n + d) cuts, and U(A) and
-    their Cayley transforms are one batch of three; U(B) is taken alone.
-    On a fresh model that is 5 SVDs, 2 inverses and the one least-squares
-    solve.  For a d-dimensional B both cuts have null dimension n, since
-    (g0; g1) maps onto C^2d.
+    from B's adjoint, both extensions are cut by one stacked null space of
+    the (2, d, n + d) cuts, and U(A) and their Cayley transforms are one
+    batch of three; U(B) is taken alone.  B's self-adjointness is read off
+    its Lagrange form, and each Cayley inverse certifies its own
+    denominator, so on a fresh model that is 2 SVDs (B's adjoint and the
+    cut), 2 inverses and the one least-squares solve.  For a d-dimensional
+    B both cuts have null dimension n, since (g0; g1) maps onto C^2d.
     """
     if model.mu != 1j:
         raise ValueError("factorization check requires mu = i")

@@ -159,9 +159,12 @@ class Subspace:
         return self.basis.shape[1]
 
     def complement(self):
-        """Orthogonal complement."""
+        """Orthogonal complement; that of the zero space or of the whole
+        space takes no SVD."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
+        if self.dim == self.ambient_dim:
+            return Subspace.zero(self.ambient_dim)
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
         return Subspace(u[:, self.dim:])
 
@@ -431,47 +434,89 @@ def adjoint_relation(rel, gram=None):
 def is_self_adjoint_batch(rels, *, gram=None):
     """`is_self_adjoint` of every relation of a sequence, as a boolean array.
 
-    Relations of equal shape share one stacked adjoint and one stacked gap
-    computation, so a list may mix shapes, as a fixture's samples do; each
-    is judged by its gap to its adjoint against 100 * DEFAULT_TOL.  A
-    relation with dom_dim != cod_dim is not self-adjoint.
+    Relations of equal shape are judged together, so a list may mix
+    shapes, as a fixture's samples do; each is judged by its gap to its
+    adjoint against 100 * DEFAULT_TOL, read off its Lagrange form
+    (`_lagrange_forms`) with no adjoint built and no SVD taken, except for
+    the members whose form the Frobenius bracket of `_self_adjoint_verdicts`
+    leaves undecided.  A relation with dom_dim != cod_dim, or with a graph
+    of dimension other than dom_dim, is not self-adjoint.  A Gram matrix
+    must be invertible; a Gelfand triple's are positive definite.
     """
     flags = np.zeros(len(rels), dtype=bool)
     for (n, cod_dim, _), idx, bases in _groups(rels):
         if n == cod_dim:
-            flags[idx] = _adjoints_and_verdicts(bases, n, gram)[1]
+            flags[idx] = _self_adjoint_verdicts(bases, n, gram)
     return flags
 
 
-def _adjoints_and_verdicts(bases, n, gram):
-    """The adjoints of a stack of graph bases (N, 2n, k) of relations in
-    C^n + C^n, laid out as `_adjoint_bases` gives them, and whether each
-    relation is self-adjoint: its gap to its adjoint is at most
-    100 * DEFAULT_TOL."""
-    k = bases.shape[-1]
-    adj, adj_dims = _adjoint_bases(bases, n, gram)
-    # gap of subspaces: 1 when the dimensions differ, else the largest
-    # principal-angle sine, as in Subspace.gap
-    same = adj_dims == k
-    gaps = np.where(same, 0.0, 1.0)
-    if k and same.any():
-        gaps = np.where(same, _gaps(bases, adj[..., -k:]), 1.0)
-    return adj, gaps <= 100 * DEFAULT_TOL
+def _lagrange_forms(bases, n, gram):
+    """The Lagrange forms of a stack of graph bases (N, 2n, n) of relations
+    in C^n + C^n: matrices (N, n, n) whose 2-norm is the gap of each
+    relation to its adjoint (before the gap's cap at 1), for the standard
+    inner products or for the invertible Gram matrix `gram` on both
+    components.
+
+    On the orthonormal basis [X; Y] the adjoint is the null space of the
+    constraint rows M^H = [Y^H G, -X^H G] (`_adjoint_bases`), so its
+    orthogonal complement is span M = [G^H Y; -G^H X], and the gap is the
+    norm of the projection of [X; Y] onto span M:
+    ||L^(-1) M^H [X; Y]|| = ||L^(-1) (X^H G Y - Y^H G X)|| with L the
+    Cholesky factor of M^H M.  Without a Gram matrix M^H M = X^H X + Y^H Y
+    = I, so no factor is taken.
+    """
+    x_blk = bases[..., :n, :]
+    y_blk = bases[..., n:, :]
+    xh = x_blk.conj().swapaxes(-1, -2)
+    yh = y_blk.conj().swapaxes(-1, -2)
+    if gram is None:
+        return xh @ y_blk - yh @ x_blk
+    gram = np.asarray(gram)
+    xh_g, yh_g = xh @ gram, yh @ gram
+    metric = (yh_g @ yh_g.conj().swapaxes(-1, -2)
+              + xh_g @ xh_g.conj().swapaxes(-1, -2))
+    return np.linalg.solve(np.linalg.cholesky(metric),
+                           xh_g @ y_blk - yh_g @ x_blk)
+
+
+def _self_adjoint_verdicts(bases, n, gram):
+    """Whether each relation of a stack of graph bases (N, 2n, k) in
+    C^n + C^n is self-adjoint: k == n and its gap to its adjoint, the
+    2-norm of its Lagrange form K, is at most 100 * DEFAULT_TOL.
+
+    ||K||_2 <= ||K||_F <= sqrt(n) ||K||_2, so ||K||_F <= tol passes and
+    ||K||_F > sqrt(n) tol fails, both read on the squared norms; only the
+    members in between take an SVD, of their singular values alone.
+    """
+    count, _, k = bases.shape
+    if k != n:
+        return np.zeros(count, dtype=bool)
+    tol = 100 * DEFAULT_TOL
+    forms = _lagrange_forms(bases, n, gram)
+    squares = _squared_norms(forms)
+    verdicts = squares <= tol ** 2
+    open_ = ~verdicts & (squares <= n * tol ** 2)
+    if open_.any():
+        verdicts[open_] = (np.linalg.svd(forms[open_], compute_uv=False)[:, 0]
+                           <= tol)
+    return verdicts
 
 
 def _adjoint_complement(rel):
     """Orthonormal basis of the orthogonal complement of the graph of a
-    relation B in C^n + C^n, and `is_self_adjoint(B)`, from one adjoint.
+    relation B in C^n + C^n, and `is_self_adjoint(B)`.
 
     B^perp = {(y, -x) : (x, y) in B*} for every B, self-adjoint or not:
     <a, y> - <b, x> = 0 for all (a, b) in B is the adjoint's constraint,
     and both sides have dimension 2n - dim B.  The swapped orthonormal
     adjoint basis [Y; -X] is orthonormal as it stands, so the complement
-    costs no SVD of its own.
+    costs the one SVD of the adjoint, and the verdict is read off B's
+    Lagrange form.
     """
     n = rel.dom_dim
-    adj, (self_adjoint,) = _adjoints_and_verdicts(
-        rel.graph.basis[None], n, None)
+    bases = rel.graph.basis[None]
+    adj, _ = _adjoint_bases(bases, n, None)
+    (self_adjoint,) = _self_adjoint_verdicts(bases, n, None)
     return np.concatenate([adj[0, n:], -adj[0, :n]]), bool(self_adjoint)
 
 
@@ -486,8 +531,12 @@ def is_self_adjoint(rel, gram=None):
 def cayley_unitaries(rels):
     """Cayley transforms of self-adjoint relations of one shape, a sequence
     or a RelationStack, as one array (N, n, n) whose members are as
-    `cayley_unitary` gives them: one stacked SVD checks every Y + iX for
-    numerical singularity, and one stacked inverse divides by it.
+    `cayley_unitary` gives them: one stacked inverse divides by every
+    Y + iX, and its Frobenius norm certifies that Y + iX is not
+    numerically singular (`_certified_nonsingular`); only the members it
+    leaves uncertified, or a stack whose inverse fails, take the stacked
+    SVD check of `_check_nonsingular`.  On self-adjoint relations Y + iX is
+    unitary, so the inverse alone decides.
 
     Relations of different shapes, or no relations, raise ValueError.
     """
@@ -504,17 +553,50 @@ def cayley_unitaries(rels):
     # peak memory of its caller
     work = np.multiply(1j, x_blk)
     np.add(y_blk, work, out=work)
-    if n > 0:
-        svals = np.linalg.svd(work, compute_uv=False)
-        if (svals[..., -1]
-                <= DEFAULT_TOL * np.maximum(1.0, svals[..., 0])).any():
-            raise np.linalg.LinAlgError(
-                "Y + iX is numerically singular: the relation is not "
-                "self-adjoint within tolerance")
-    inverse = np.linalg.inv(work)
+    try:
+        inverse = np.linalg.inv(work)
+    except np.linalg.LinAlgError:
+        # an exactly singular member: the check below raises for it
+        _check_nonsingular(work)
+        raise
+    uncertified = ~_certified_nonsingular(work, inverse)
+    if uncertified.any():
+        _check_nonsingular(work[uncertified])
     np.multiply(1j, x_blk, out=work)
     np.subtract(y_blk, work, out=work)
     return work @ inverse
+
+
+def _certified_nonsingular(w, inverse):
+    """Whether each member of a stack w passes the singularity test of
+    `_check_nonsingular`, as certified by its computed inverse: sigma_min
+    >= 1 / ||w^(-1)||_F and sigma_max <= ||w||_F, so
+    ||w^(-1)||_F * max(1, ||w||_F) <= 0.5 / DEFAULT_TOL gives sigma_min >=
+    2 DEFAULT_TOL max(1, sigma_max), with a factor 2 to spare for the
+    rounding of the inverse.  A member the certificate misses, NaN or
+    overflow included, is left to the SVD."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_squared_norms(inverse) * np.maximum(1.0, _squared_norms(w))
+                <= (0.5 / DEFAULT_TOL) ** 2)
+
+
+def _squared_norms(a):
+    """Squared Frobenius norms of a contiguous stack of complex matrices
+    (..., m, n), as dot products of the float view of each member with
+    itself, so no array of a's size is made."""
+    flat = a.reshape(*a.shape[:-2], -1).view(float)
+    return np.vecdot(flat, flat)
+
+
+def _check_nonsingular(w):
+    """Raise LinAlgError unless every member of a stack w of square matrices
+    has sigma_min > DEFAULT_TOL * max(1, sigma_max), by one stacked SVD of
+    its singular values."""
+    svals = np.linalg.svd(w, compute_uv=False)
+    if (svals[..., -1] <= DEFAULT_TOL * np.maximum(1.0, svals[..., 0])).any():
+        raise np.linalg.LinAlgError(
+            "Y + iX is numerically singular: the relation is not "
+            "self-adjoint within tolerance")
 
 
 def cayley_unitary(rel):

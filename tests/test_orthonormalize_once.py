@@ -255,11 +255,10 @@ def test_model_construction_svd_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     rng = np.random.default_rng(0)
     cy.random_symmetric_model(rng, 8, 3)
-    # T's graph, the adjoint, the self-adjointness of A (adjoint and
-    # gap), and K+ and K- together: one SVD of the stack of the two
-    # 5 x 8 images of T's graph basis
-    assert len(calls) == 5
-    assert calls[-1] == (2, 5, 8)
+    # T's graph, then the constructor's two: T's adjoint, and K+ and K-
+    # together, one SVD of the stack of the two 5 x 8 images of T's graph
+    # basis; A's self-adjointness is read off its Lagrange form
+    assert calls == [(16, 5), (5, 16), (2, 5, 8)]
     calls.clear()
     cy.random_selfadjoint_relation(rng, 3)
     assert len(calls) == 0
@@ -291,15 +290,14 @@ def test_factorization_check_linalg_count(monkeypatch):
                         or unitaries(rels))
     calls = count_linalg(monkeypatch)
     cy.cayley_factorization_check(model, brel)
-    # U(B), an SVD and an inverse; B's adjoint and its gap, which give the
-    # complement of B's graph too; the resolvent solve at i; the stacked
-    # cut (2, d, n + d) of both extensions; and one Cayley batch
-    # (3, 2n, n) of A and both extensions, an SVD and an inverse of
-    # (3, n, n)
-    assert calls == [("svd", (1, 3, 3)), ("inv", (1, 3, 3)),
-                     ("svd", (1, 3, 6)), ("svd", (1, 6, 3)),
+    # U(B), an inverse that certifies itself; B's adjoint, which gives the
+    # complement of B's graph, with B judged by its Lagrange form; the
+    # resolvent solve at i; the stacked cut (2, d, n + d) of both
+    # extensions; and one Cayley batch (3, 2n, n) of A and both
+    # extensions, an inverse of (3, n, n)
+    assert calls == [("inv", (1, 3, 3)), ("svd", (1, 3, 6)),
                      ("lstsq", (8, 8)), ("svd", (2, 3, 11)),
-                     ("svd", (3, 8, 8)), ("inv", (3, 8, 8))]
+                     ("inv", (3, 8, 8))]
     assert batches == [(3, 16, 8)]
 
 
@@ -309,9 +307,9 @@ def test_extension_from_relation_linalg_count(monkeypatch):
     brel = cy.random_selfadjoint_relation(rng, 3)
     calls = count_linalg(monkeypatch)
     cy.extension_from_relation(model, brel)
-    # B's adjoint and its gap, the resolvent solve and the one cut
-    assert calls == [("svd", (1, 3, 6)), ("svd", (1, 6, 3)),
-                     ("lstsq", (8, 8)), ("svd", (1, 3, 11))]
+    # B's adjoint, the resolvent solve and the one cut
+    assert calls == [("svd", (1, 3, 6)), ("lstsq", (8, 8)),
+                     ("svd", (1, 3, 11))]
 
 
 def test_triplet_null_spaces_are_taken_as_given(monkeypatch):

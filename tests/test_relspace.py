@@ -131,12 +131,21 @@ def test_cayley_rejects_non_selfadjoint():
         rs.cayley_unitary(rel)
 
 
-def test_parts_decomposition_examples(rng):
+def test_parts_decomposition_examples(rng, monkeypatch):
     m = random_complex(rng, 3, 3)
     rel = rs.LinearRelation.graph_of(m)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw:
+                        svds.append(a.shape) or svd(a, *args, **kw))
     op, mul = rs.parts_decomposition(rel)
+    # the null space of the x-block; the complements of the zero space and
+    # of the whole space take no SVD
+    assert svds == [(3, 3)]
+    monkeypatch.undo()
     assert mul.dim == 0
     assert op.gap(rel) < 1e-12
+    assert rs.Subspace.full(3).complement().basis.shape == (3, 0)
 
     rel = rs.LinearRelation.zero_times_full(2)
     op, mul = rs.parts_decomposition(rel)

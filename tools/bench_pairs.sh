@@ -8,8 +8,10 @@
 # in both trees, BASE first in odd pairs and HEAD first in even ones.
 # One line is printed per run, then one summary line for each of setup_s,
 # run_s and peak_rss_mb: the BASE median and interquartile range, the HEAD
-# median, and in how many pairs HEAD reads lower.  The trees are removed
-# on exit.
+# median, in how many pairs HEAD reads lower and in how many higher (ties
+# count for neither), and gain=yes when HEAD reads lower in at least 9/10
+# of the pairs and its median is below BASE's by more than BASE's
+# interquartile range, else gain=no.  The trees are removed on exit.
 #
 # Usage: tools/bench_pairs.sh BASE HEAD WORKLOAD PAIRS SECONDS [args...]
 # Exit status: 0 when every run passed its checks, 1 when a run failed,
@@ -95,16 +97,23 @@ for name in ("setup_s", "run_s", "peak_rss_mb"):
             if ("base", p, name) in value]
     head = [value[("head", p, name)] for p in pairs
             if ("head", p, name) in value]
-    lower = sum(value[("head", p, name)] < value[("base", p, name)]
-                for p in pairs
-                if ("base", p, name) in value and ("head", p, name) in value)
+    both = [(value[("base", p, name)], value[("head", p, name)])
+            for p in pairs
+            if ("base", p, name) in value and ("head", p, name) in value]
+    lower = sum(h < b for b, h in both)
+    higher = sum(h > b for b, h in both)
     if not base or not head:
         print(f"{name} missing")
         continue
     q1, _, q3 = (statistics.quantiles(base, n=4, method="inclusive")
                  if len(base) > 1 else (base[0],) * 3)
-    print(f"{name} base_median={statistics.median(base):.6g} "
-          f"base_iqr={q3 - q1:.6g} head_median={statistics.median(head):.6g} "
-          f"head_lower={lower}/{len(pairs)}")
+    base_median, head_median = statistics.median(base), statistics.median(head)
+    gain = (10 * lower >= 9 * len(pairs)
+            and base_median - head_median > q3 - q1)
+    print(f"{name} base_median={base_median:.6g} "
+          f"base_iqr={q3 - q1:.6g} head_median={head_median:.6g} "
+          f"head_lower={lower}/{len(pairs)} "
+          f"head_higher={higher}/{len(pairs)} "
+          f"gain={'yes' if gain else 'no'}")
 sys.exit(0 if all(r["ok"] for r in runs) else 1)
 PY
